@@ -6,6 +6,12 @@ edges, ties broken by distance-to-boundary then smallest ordinal), and a final
 exact linear-solve evaluation of the extracted policy.  The returned values are
 the exact evaluation, which matches the iterated fixed point within 1e-9 on
 the tested corpora; md_policy_oracle provides the independent cross-check.
+
+Minimum expected total cost is a stochastic shortest-path problem decided by
+graph precomputation plus policy iteration: the almost-sure attractor of the
+zero-cost region separates the states whose cost is exactly ``math.inf``
+(there is no sweep cap and no 1e15 cut-off), and policy iteration with exact
+linear solves, started from the proper attractor policy, settles the rest.
 """
 from __future__ import annotations
 
@@ -13,7 +19,7 @@ import itertools
 import math
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from typing import Callable, Iterable, Mapping
 
 import numpy as np
 
@@ -28,13 +34,16 @@ from .core import (
     StateId,
     StateKind,
     require_sink,
+    successor_states,
     truncate,
 )
 from .errors import NoFiniteCostPolicy, TooLarge
 
 VI_TOL = 1e-9
-VI_CAP = 1_000_000
 TIE_TOL = 1e-12
+# Relative margin by which a policy-iteration switch must improve, so that
+# rounding in the linear solve cannot pass for an improvement.
+IMPROVE_TOL = 1e-12
 
 
 @dataclass
@@ -140,19 +149,10 @@ def evaluate_md(
     boundary = dict(boundary)
     inner = [s for s in fm.states if s not in boundary]
     # Backward reachability to the boundary along chain edges.
-    preds: dict[StateId, list[StateId]] = {s: [] for s in fm.states}
-    for s in inner:
-        for t, p in _chain_edges(fm, sigma, s):
-            if p > 0.0:
-                preds[t].append(s)
-    can_reach = set(boundary)
-    queue = deque(boundary)
-    while queue:
-        t = queue.popleft()
-        for s in preds[t]:
-            if s not in can_reach:
-                can_reach.add(s)
-                queue.append(s)
+    can_reach = _backward_reach(
+        {s: [t for t, p in _chain_edges(fm, sigma, s) if p > 0.0] for s in inner},
+        boundary,
+    )
 
     values = {s: 0.0 for s in fm.states}
     values.update(boundary)
@@ -200,34 +200,66 @@ def evaluate_md_cost(
         costly = any(cost.of(s, t) > 0.0 for s in comp for t, _ in succ[s] if t in comp)
         (infinite if costly else boundary).update(comp)
     # Positive-probability reachability of an infinite-cost class propagates.
-    changed = True
-    while changed:
-        changed = False
-        for s in fm.states:
-            if s not in infinite and any(t in infinite for t, _ in succ[s]):
-                infinite.add(s)
-                changed = True
+    infinite = set(_backward_reach(
+        {s: [t for t, _ in out] for s, out in succ.items()}, infinite
+    ))
 
-    values: dict[StateId, float] = {}
     solve_states = [s for s in fm.states if s not in infinite and s not in boundary]
-    idx = {s: i for i, s in enumerate(solve_states)}
-    if solve_states:
-        n = len(solve_states)
-        a = np.eye(n)
-        b = np.zeros(n)
-        for s in solve_states:
-            for t, p in succ[s]:
-                b[idx[s]] += p * cost.of(s, t)
-                if t in idx:
-                    a[idx[s], idx[t]] -= p
-        x = np.linalg.solve(a, b)
-        for s, v in zip(solve_states, x):
-            values[s] = float(max(v, 0.0))
+    values = _solve_costs(succ, solve_states, cost)
     for s in boundary:
         values[s] = 0.0
     for s in infinite:
         values[s] = math.inf
     return values
+
+
+def _solve_costs(
+    succ: Mapping[StateId, list[tuple[StateId, float]]],
+    solve_states: list[StateId],
+    cost: CostLabel,
+) -> dict[StateId, float]:
+    """Exact expected total cost on ``solve_states`` of the chain ``succ``;
+    edges leaving ``solve_states`` pay their cost and then count as value 0.
+    The chain must leave ``solve_states`` almost surely."""
+    values: dict[StateId, float] = {}
+    if not solve_states:
+        return values
+    idx = {s: i for i, s in enumerate(solve_states)}
+    n = len(solve_states)
+    a = np.eye(n)
+    b = np.zeros(n)
+    for s in solve_states:
+        for t, p in succ[s]:
+            b[idx[s]] += p * cost.of(s, t)
+            if t in idx:
+                a[idx[s], idx[t]] -= p
+    x = np.linalg.solve(a, b)
+    for s, v in zip(solve_states, x):
+        values[s] = float(max(v, 0.0))
+    return values
+
+
+def _backward_reach(
+    succ: Mapping[StateId, Iterable[StateId]],
+    seeds: Iterable[StateId],
+    admit: Callable[[StateId], bool] | None = None,
+) -> dict[StateId, int]:
+    """Breadth-first search backwards from ``seeds`` along the edges of
+    ``succ`` (state -> successor states).  Returns the distance of every state
+    reached, seeds at 0; ``admit(s)``, when given, may refuse a state."""
+    preds: dict[StateId, list[StateId]] = {}
+    for s, targets in succ.items():
+        for t in targets:
+            preds.setdefault(t, []).append(s)
+    dist = {s: 0 for s in seeds}
+    queue = deque(dist)
+    while queue:
+        t = queue.popleft()
+        for s in preds.get(t, ()):
+            if s not in dist and (admit is None or admit(s)):
+                dist[s] = dist[t] + 1
+                queue.append(s)
+    return dist
 
 
 def _bottom_sccs(succ: Mapping[StateId, list]) -> list[set[StateId]]:
@@ -299,8 +331,6 @@ def optimal_boundary_value(
     fm: FiniteMdp,
     boundary: Mapping[StateId, float],
     maximize: bool = True,
-    tol: float = VI_TOL,
-    cap: int = VI_CAP,
 ) -> tuple[dict[StateId, float], MdStrategy]:
     """Least fixed point of the Bellman operator with fixed boundary values,
     plus an MD strategy attaining it."""
@@ -311,20 +341,7 @@ def optimal_boundary_value(
 
     if maximize:
         # States that cannot graph-reach the boundary keep value 0.
-        preds: dict[StateId, list[StateId]] = {s: [] for s in fm.states}
-        for s in inner:
-            succ = fm.successors_of(s)
-            targets = succ.states() if isinstance(succ, Distribution) else succ
-            for t in targets:
-                preds[t].append(s)
-        live = set(boundary)
-        queue = deque(boundary)
-        while queue:
-            t = queue.popleft()
-            for s in preds[t]:
-                if s not in live:
-                    live.add(s)
-                    queue.append(s)
+        live = _backward_reach({s: successor_states(fm, s) for s in inner}, boundary)
         active = [s for s in inner if s in live]
         frozen_zero = {s for s in inner if s not in live}
     else:
@@ -416,24 +433,14 @@ def _extract_policy(fm, values, boundary, frozen_zero, maximize) -> MdStrategy:
             pool = [t for t in succ if abs(values[t] - best) <= TIE_TOL]
         candidates[s] = pool
 
-    dist = {s: 0 for s in boundary}
-    preds: dict[StateId, list[StateId]] = {s: [] for s in fm.states}
-    for s in fm.states:
-        if s in boundary:
-            continue
-        if fm.kind_of(s) is StateKind.CONTROLLED:
-            targets = candidates.get(s, [])
-        else:
-            targets = fm.successors_of(s).states()
-        for t in targets:
-            preds[t].append(s)
-    queue = deque(boundary)
-    while queue:
-        t = queue.popleft()
-        for s in preds[t]:
-            if s not in dist:
-                dist[s] = dist[t] + 1
-                queue.append(s)
+    dist = _backward_reach(
+        {
+            s: candidates.get(s, []) if fm.kind_of(s) is StateKind.CONTROLLED
+            else fm.successors_of(s).states()
+            for s in fm.states if s not in boundary
+        },
+        boundary,
+    )
 
     choice = {}
     for s, pool in candidates.items():
@@ -452,14 +459,14 @@ def reach_value(fm: FiniteMdp, target: Iterable[StateId], tol: float = VI_TOL) -
     target must be a sink."""
     target = frozenset(target)
     require_sink(fm, target)
-    values, _ = optimal_boundary_value(fm, {t: 1.0 for t in target}, True, tol)
+    values, _ = optimal_boundary_value(fm, {t: 1.0 for t in target}, True)
     return ValueMap(values, Objective.reach(target), tol)
 
 
 def reach_strategy(fm: FiniteMdp, target: Iterable[StateId], tol: float = VI_TOL):
     target = frozenset(target)
     require_sink(fm, target)
-    values, sigma = optimal_boundary_value(fm, {t: 1.0 for t in target}, True, tol)
+    values, sigma = optimal_boundary_value(fm, {t: 1.0 for t in target}, True)
     return ValueMap(values, Objective.reach(target), tol), sigma
 
 
@@ -473,7 +480,7 @@ def safety_value(fm: FiniteMdp, avoid: Iterable[StateId], tol: float = VI_TOL) -
 def safety_strategy(fm: FiniteMdp, avoid: Iterable[StateId], tol: float = VI_TOL):
     avoid = frozenset(avoid)
     fm_abs = _absorb(fm, avoid)
-    reach_min, sigma = optimal_boundary_value(fm_abs, {t: 1.0 for t in avoid}, False, tol)
+    reach_min, sigma = optimal_boundary_value(fm_abs, {t: 1.0 for t in avoid}, False)
     values = {s: 1.0 - reach_min[s] for s in fm.states}
     return ValueMap(values, Objective.safety(avoid), tol), sigma
 
@@ -621,41 +628,49 @@ def min_expected_cost_md(
     fm: FiniteMdp,
     cost: CostLabel,
     root: StateId | None = None,
-    tol: float = VI_TOL,
-    cap: int = VI_CAP,
 ) -> tuple[MdStrategy, dict[StateId, float]]:
     """MD policy minimizing expected total cost (non-negative edge costs).
 
-    A finite-cost policy exists from the root iff the zero-cost absorbing
-    region is reachable with probability 1; this is checked before solving.
+    A stochastic shortest-path problem towards the zero-cost region: from
+    outside its almost-sure attractor every policy has infinite cost, so
+    those states get exactly ``math.inf`` and a root there raises
+    NoFiniteCostPolicy.  Inside, policy iteration starts from the attractor
+    policy, which is proper, and switches a controlled state only on a
+    strict improvement, so every policy it evaluates stays proper.
     """
     free = _free_region(fm, cost)
+    rank = _almost_sure_attractor(fm, free)
     if root is not None:
         if not free:
             raise NoFiniteCostPolicy("no zero-cost absorbing region exists")
-        reach_free, _ = optimal_boundary_value(
-            _absorb(fm, free), {t: 1.0 for t in free}, True
-        )
-        if reach_free[root] < 1.0 - 1e-9:
+        if root not in rank:
             raise NoFiniteCostPolicy(
                 f"zero-cost region unreachable almost surely from {root}"
             )
 
-    values = {s: 0.0 for s in fm.states}
-    order = sorted((s for s in fm.states if s not in free), key=lambda s: s.ordinal)
-    for sweep in range(cap):
-        residual = 0.0
-        for s in order:
-            succ = fm.successors_of(s)
-            if isinstance(succ, Distribution):
-                new = sum(p * (cost.of(s, t) + values[t]) for t, p in succ)
-            else:
-                new = min(cost.of(s, t) + values[t] for t in succ)
-            if new > 1e15:
-                new = math.inf
-            residual = max(residual, abs(new - values[s]) if math.isfinite(new) else 0.0)
-            values[s] = new
-        if residual <= tol * 1e-3:
+    values = {s: 0.0 if s in free else math.inf for s in fm.states}
+    solve = [s for s in fm.states if s in rank and s not in free]
+    options = {
+        s: [t for t in fm.successors_of(s) if t in rank]
+        for s in solve if fm.kind_of(s) is StateKind.CONTROLLED
+    }
+    policy = {s: min(opts, key=lambda t: (rank[t], t.ordinal)) for s, opts in options.items()}
+    # Rounding can make two equal-cost policies each look better than the
+    # other; a repeated policy ends the iteration.
+    seen = set()
+    chain = {s: list(fm.successors_of(s)) for s in solve}
+    while True:
+        seen.add(tuple(policy.values()))
+        chain.update((s, [(t, 1.0)]) for s, t in policy.items())
+        values.update(_solve_costs(chain, solve, cost))
+        switched = False
+        for s, opts in options.items():
+            current = cost.of(s, policy[s]) + values[policy[s]]
+            best = min(opts, key=lambda t: (cost.of(s, t) + values[t], t.ordinal))
+            if cost.of(s, best) + values[best] < current * (1.0 - IMPROVE_TOL):
+                policy[s] = best
+                switched = True
+        if not switched or tuple(policy.values()) in seen:
             break
 
     choice = {}
@@ -676,6 +691,27 @@ def min_expected_cost_md(
     if root is not None and not math.isfinite(exact[root]):
         raise NoFiniteCostPolicy(f"extracted policy has infinite cost from {root}")
     return sigma, exact
+
+
+def _almost_sure_attractor(fm: FiniteMdp, target: set[StateId]) -> dict[StateId, int]:
+    """States from which some MD strategy reaches ``target`` with probability
+    one, mapped to their attractor rank (the usual nested fixpoint: shrink
+    the kept set to the states that reach ``target`` while no random state
+    can leave it, until it is stable).  A state of rank k > 0 has a successor
+    of rank k - 1, and a random one has all its successors inside."""
+    succ = {s: successor_states(fm, s) for s in fm.states if s not in target}
+    keep = set(fm.states)
+    while True:
+        rank = _backward_reach(
+            succ,
+            target,
+            lambda s: s in keep and (
+                fm.kind_of(s) is StateKind.CONTROLLED or all(t in keep for t in succ[s])
+            ),
+        )
+        if len(rank) == len(keep):
+            return rank
+        keep = set(rank)
 
 
 def _free_region(fm: FiniteMdp, cost: CostLabel) -> set[StateId]:
@@ -699,7 +735,7 @@ def _free_region(fm: FiniteMdp, cost: CostLabel) -> set[StateId]:
 
 
 def bounded_total_reward_md(
-    spec: BoundedRewardSpec, fm: FiniteMdp, tol: float = VI_TOL
+    spec: BoundedRewardSpec, fm: FiniteMdp
 ) -> tuple[MdStrategy, dict[StateId, float]]:
     """MD policy maximizing the expected terminal reward collected on first
     entry to the reward frontier of the induced finite MDP; leaving the
@@ -739,7 +775,7 @@ def bounded_total_reward_md(
     induced = FiniteMdp(states, kinds, transitions, [], check=False)
     boundary = dict(spec.terminal_rewards)
     boundary[exit_sink] = 0.0
-    values, sigma = optimal_boundary_value(induced, boundary, True, tol)
+    values, sigma = optimal_boundary_value(induced, boundary, True)
     values.pop(exit_sink, None)
     # The exit sink exists only inside the induced MDP; a choice pointing at
     # it means "leave the subspace" and must not escape as an explicit entry

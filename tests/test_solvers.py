@@ -176,6 +176,77 @@ def test_min_cost_no_finite_policy():
         min_expected_cost_md(fm, cost, root=a)
 
 
+def test_min_cost_slow_mixing_loop():
+    # The free-looking edge into r leads to a loop that leaves with
+    # probability 1e-6 and pays 1e-6 per round: expected cost 1 - 1e-6,
+    # worse than the direct edge.  Value iteration needs millions of sweeps
+    # before the loop's value builds up past 0.9, so a sweep cap or a
+    # residual test stops it early with r chosen.
+    a, r, t = S(0, "a"), S(1, "r"), S(2, "t")
+    leave = 1e-6
+    fm = tiny(
+        {
+            a: [t, r],
+            r: Distribution([(r, 1.0 - leave), (t, leave)]),
+            t: Distribution([(t, 1.0)]),
+        },
+        {a: StateKind.CONTROLLED, r: StateKind.RANDOM, t: StateKind.RANDOM},
+    )
+    cost = CostLabel({(a, t): 0.9, (a, r): 0.0, (r, r): leave, (r, t): 0.0})
+    sigma, values = min_expected_cost_md(fm, cost, root=a)
+    assert sigma.choice[a] == t
+    assert abs(values[a] - 0.9) <= 1e-9
+    oracle = md_policy_oracle(fm, cost=cost)
+    for s in fm.states:
+        assert abs(values[s] - oracle.values[s]) <= 1e-9
+
+
+def test_min_cost_infinite_outside_almost_sure_set():
+    # f is the zero-cost sink.  v <-> w is a positive-cost cycle; u falls
+    # into it with probability 1/2 and b can only enter it, so all four
+    # have infinite cost.  a avoids u by paying 2 for the direct edge.
+    a, b, f, g, u, v, w = (
+        S(0, "a"), S(1, "b"), S(2, "f"), S(3, "g"), S(4, "u"), S(5, "v"), S(6, "w"),
+    )
+    fm = tiny(
+        {
+            a: [u, f],
+            b: [v],
+            f: Distribution([(f, 1.0)]),
+            g: Distribution([(f, 1.0)]),
+            u: Distribution([(f, 0.5), (v, 0.5)]),
+            v: Distribution([(w, 1.0)]),
+            w: Distribution([(v, 1.0)]),
+        },
+        {
+            a: StateKind.CONTROLLED,
+            b: StateKind.CONTROLLED,
+            f: StateKind.RANDOM,
+            g: StateKind.RANDOM,
+            u: StateKind.RANDOM,
+            v: StateKind.RANDOM,
+            w: StateKind.RANDOM,
+        },
+    )
+    cost = CostLabel({
+        (a, f): 2.0, (g, f): 0.5, (u, f): 1.0, (u, v): 1.0, (v, w): 1.0, (w, v): 1.0,
+    })
+    sigma, values = min_expected_cost_md(fm, cost)
+    for s in (b, u, v, w):
+        assert values[s] == math.inf
+    assert values[f] == 0.0
+    assert values[g] == 0.5
+    assert values[a] == 2.0
+    assert sigma.choice[a] == f
+    oracle = md_policy_oracle(fm, cost=cost)
+    for s in fm.states:
+        assert values[s] == oracle.values[s]
+    for root in (b, u, v):
+        with pytest.raises(NoFiniteCostPolicy, match="unreachable almost surely"):
+            min_expected_cost_md(fm, cost, root=root)
+    assert min_expected_cost_md(fm, cost, root=a)[1] == values
+
+
 def test_bounded_reward_direct_vs_coin():
     a, c, f1, f2, f3 = S(0, "a"), S(1, "c"), S(2, "f1"), S(3, "f2"), S(4, "f3")
     fm = tiny(
