@@ -13,7 +13,6 @@ import argparse
 import csv
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from .core import FiniteMdp, Objective, StateId
@@ -82,7 +81,7 @@ def _write_json(out_dir: Path, name: str, doc) -> Path:
     return path
 
 
-def run_scenario(path: Path, seed: int | None, out_dir: Path, jobs: int = 1) -> int:
+def run_scenario(path: Path, seed: int | None, out_dir: Path) -> int:
     try:
         doc = json.loads(Path(path).read_text())
     except (OSError, json.JSONDecodeError) as exc:
@@ -101,7 +100,7 @@ def run_scenario(path: Path, seed: int | None, out_dir: Path, jobs: int = 1) -> 
         return _task_synthesize(doc, task, master, out_dir)
     if kind == "verify":
         suites = task.get("suites") or [task.get("suite", "conditioned")]
-        return _run_verify(suites, master, out_dir, jobs)
+        return _run_verify(suites, master, out_dir)
     if kind == "sweep":
         return _task_sweep(doc, task, master, out_dir)
     raise ScenarioError(f"unknown task kind {kind!r}")
@@ -246,13 +245,8 @@ def _task_sweep(doc, task, master, out_dir) -> int:
     return 0
 
 
-def _run_verify(suites, master, out_dir, jobs) -> int:
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(lambda s: run_suite(s, master), suites))
-    else:
-        results = [run_suite(s, master) for s in suites]
-    reports = [rep for group in results for rep in group]
+def _run_verify(suites, master, out_dir) -> int:
+    reports = [rep for s in suites for rep in run_suite(s, master)]
     reports.sort(key=lambda r: r.name)
     for rep in reports:
         print(rep.line())
@@ -277,7 +271,6 @@ def main(argv=None) -> int:
     )
     parser.add_argument("--seed", type=int, default=None, help="master seed override")
     parser.add_argument("--out-dir", type=Path, default=Path("."), help="artifact directory")
-    parser.add_argument("--jobs", type=int, default=1, help="parallel verification jobs")
     sub = parser.add_subparsers(dest="command", required=True)
     run_p = sub.add_parser("run", help="execute a scenario file")
     run_p.add_argument("scenario", type=Path)
@@ -288,9 +281,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         if args.command == "run":
-            return run_scenario(args.scenario, args.seed, args.out_dir, args.jobs)
+            return run_scenario(args.scenario, args.seed, args.out_dir)
         if args.command == "verify":
-            return _run_verify([args.suite], args.seed or 0, args.out_dir, args.jobs)
+            return _run_verify([args.suite], args.seed or 0, args.out_dir)
         return _list_gadgets()
     except ScenarioError as exc:
         print(f"scenario error: {exc}", file=sys.stderr)

@@ -163,7 +163,11 @@ class LazyMdp(Mdp):
 
 def successor_states(mdp: Mdp, s: StateId) -> list[StateId]:
     """Finite successor list of ``s``; raises InfiniteBranching otherwise."""
-    succ = mdp.successors_of(s)
+    return _states_of(mdp.successors_of(s), s)
+
+
+def _states_of(succ, s: StateId) -> list[StateId]:
+    """Successor list of an already queried successor object of ``s``."""
     if isinstance(succ, InfiniteSuccessors):
         raise InfiniteBranching(f"state {s.label or s.ordinal} branches infinitely")
     if isinstance(succ, Distribution):
@@ -219,8 +223,7 @@ class FiniteMdp(Mdp):
             succ = self.transitions.get(s)
             if succ is None or len(succ) == 0:
                 raise ValueError(f"state {s} has no successor")
-            targets = succ.states() if isinstance(succ, Distribution) else list(succ)
-            for t in targets:
+            for t in _states_of(succ, s):
                 if t not in state_set:
                     raise ValueError(f"edge {s} -> {t} leaves the state space")
             if self.kinds[s] is StateKind.RANDOM and not isinstance(succ, Distribution):
@@ -384,8 +387,7 @@ class MdStrategy:
         succ = mdp.successors_of(s)
         if isinstance(succ, InfiniteSuccessors):
             return next(succ.iter_states())
-        states = succ.states() if isinstance(succ, Distribution) else list(succ)
-        return min(states, key=lambda t: t.ordinal)
+        return min(_states_of(succ, s), key=lambda t: t.ordinal)
 
     def to_json(self) -> dict:
         return {str(s.ordinal): t.ordinal for s, t in sorted(self.choice.items())}
@@ -512,44 +514,59 @@ def truncate(
         raise ValueError(f"unknown frontier policy {frontier!r}")
     inside = bubble(mdp, roots, radius)
     fr = StateId(max(s.ordinal for s in inside) + 1, "frontier")
+    fm = _restrict(mdp, inside, fr, frontier)
+    fm.validate()
+    return fm
 
+
+def _restrict(
+    mdp: Mdp, inside: set[StateId], sink: StateId, policy: str | None = None
+) -> FiniteMdp:
+    """Finite restriction of ``mdp`` to ``inside``: random mass leaving it is
+    lumped into one edge to ``sink``, and controlled edges leaving it become
+    one edge to ``sink``.  The sink is added as an absorbing random state,
+    and recorded as the frontier tagged ``policy``, only when some edge uses
+    it.  The result is not validated."""
     kinds: dict[StateId, StateKind] = {}
     transitions: dict[StateId, object] = {}
-    used_frontier = False
-    for s in sorted(inside):
+    used_sink = False
+    states = sorted(inside)
+    for s in states:
         kinds[s] = mdp.kind_of(s)
         succ = mdp.successors_of(s)
         if isinstance(succ, Distribution):
             kept = [(t, p) for t, p in succ if t in inside]
             out_mass = sum(p for t, p in succ if t not in inside)
             if out_mass > 0.0:
-                kept.append((fr, out_mass))
-                used_frontier = True
+                kept.append((sink, out_mass))
+                used_sink = True
             transitions[s] = Distribution(kept, check=False)
         else:
             if isinstance(succ, InfiniteSuccessors):
                 raise InfiniteBranching(f"cannot truncate across {s}")
             kept_c = [t for t in succ if t in inside]
             if len(kept_c) < len(list(succ)):
-                kept_c.append(fr)
-                used_frontier = True
+                kept_c.append(sink)
+                used_sink = True
             transitions[s] = kept_c
 
-    states = sorted(inside)
-    sinks: list[set[StateId]] = []
-    if used_frontier:
-        states.append(fr)
-        kinds[fr] = StateKind.RANDOM
-        transitions[fr] = Distribution([(fr, 1.0)])
-        sinks.append({fr})
-    return FiniteMdp(
-        states,
-        kinds,
-        transitions,
-        sinks,
-        frontier=fr if used_frontier else None,
-        frontier_policy=frontier if used_frontier else None,
-    )
+    if not used_sink:
+        return FiniteMdp(states, kinds, transitions, check=False)
+    kinds[sink] = StateKind.RANDOM
+    transitions[sink] = Distribution([(sink, 1.0)])
+    return FiniteMdp(states + [sink], kinds, transitions, [{sink}], frontier=sink,
+                     frontier_policy=policy, check=False)
+
+
+def _absorb(fm: FiniteMdp, states: Iterable[StateId]) -> FiniteMdp:
+    """Copy of ``fm`` with ``states`` turned into absorbing random sinks."""
+    kinds = dict(fm.kinds)
+    transitions = dict(fm.transitions)
+    for s in set(states):
+        kinds[s] = StateKind.RANDOM
+        transitions[s] = Distribution([(s, 1.0)])
+    return FiniteMdp(fm.states, kinds, transitions, [], frontier=fm.frontier,
+                     frontier_policy=fm.frontier_policy, check=False)
 
 
 def reachable(mdp: Mdp, roots: Iterable[StateId]) -> set[StateId]:
@@ -563,3 +580,62 @@ def reachable(mdp: Mdp, roots: Iterable[StateId]) -> set[StateId]:
                 seen.add(t)
                 queue.append(t)
     return seen
+
+
+def _backward_reach(
+    succ: Mapping[StateId, Iterable[StateId]],
+    seeds: Iterable[StateId],
+    admit: Callable[[StateId], bool] | None = None,
+) -> dict[StateId, int]:
+    """Breadth-first search backwards from ``seeds`` along the edges of
+    ``succ`` (state -> successor states).  Returns the distance of every state
+    reached, seeds at 0; ``admit(s)``, when given, may refuse a state."""
+    preds: dict[StateId, list[StateId]] = {}
+    for s, targets in succ.items():
+        for t in targets:
+            preds.setdefault(t, []).append(s)
+    dist = {s: 0 for s in seeds}
+    queue = deque(dist)
+    while queue:
+        t = queue.popleft()
+        for s in preds.get(t, ()):
+            if s not in dist and (admit is None or admit(s)):
+                dist[s] = dist[t] + 1
+                queue.append(s)
+    return dist
+
+
+def _stay_region(
+    mdp: Mdp,
+    region: Iterable[StateId],
+    allowed: Callable[[StateId, StateId], bool] | None = None,
+) -> set[StateId]:
+    """Largest subset of ``region`` where the controller can stay forever
+    along allowed edges (all edges when ``allowed`` is None): a controlled
+    state keeps one allowed edge inside, and a random state needs all of its
+    edges allowed and inside.  Each state counts its allowed edges into the
+    kept set; a worklist removes the states whose count runs out."""
+    keep = set(region)
+    preds: dict[StateId, list[StateId]] = {}
+    live: dict[StateId, int] = {}
+    dropped = []
+    for s in keep:
+        targets = successor_states(mdp, s)
+        ok = [t for t in targets if t in keep and (allowed is None or allowed(s, t))]
+        random = mdp.kind_of(s) is not StateKind.CONTROLLED
+        if not ok or (random and len(ok) < len(targets)):
+            dropped.append(s)
+            continue
+        live[s] = 1 if random else len(ok)
+        for t in ok:
+            preds.setdefault(t, []).append(s)
+    keep.difference_update(dropped)
+    while dropped:
+        t = dropped.pop()
+        for s in preds.get(t, ()):
+            if s in keep:
+                live[s] -= 1
+                if live[s] == 0:
+                    keep.discard(s)
+                    dropped.append(s)
+    return keep

@@ -360,9 +360,6 @@ def safety_fan() -> tuple[Mdp, GadgetMeta]:
     universally transient.
     """
 
-    def fan() -> StateId:
-        return StateId(0, "fan")
-
     def b(j: int) -> StateId:
         return StateId(3 * j, f"b_{j}")
 
@@ -373,9 +370,7 @@ def safety_fan() -> tuple[Mdp, GadgetMeta]:
         return StateId(3 * k + 2, f"bot_{k}")
 
     def kind(s: StateId) -> StateKind:
-        if s.ordinal == 0:
-            return StateKind.CONTROLLED
-        return StateKind.RANDOM if s.ordinal % 3 == 0 else StateKind.RANDOM
+        return StateKind.CONTROLLED if s.ordinal == 0 else StateKind.RANDOM
 
     def successors(s: StateId):
         o = s.ordinal
@@ -420,9 +415,6 @@ def transience_fan() -> tuple[Mdp, GadgetMeta]:
     and into a recurrent trap otherwise, so branch values approach 1 without
     a maximizing choice.
     """
-
-    def fan() -> StateId:
-        return StateId(0, "fan")
 
     def b(j: int) -> StateId:
         return StateId(3 * j, f"b_{j}")

@@ -14,7 +14,6 @@ import math
 import random
 from collections import Counter
 from dataclasses import dataclass
-from typing import Mapping
 
 from .core import (
     Distribution,
@@ -25,6 +24,7 @@ from .core import (
     OneBitStrategy,
     StateId,
     StateKind,
+    _states_of,
 )
 
 
@@ -41,7 +41,6 @@ class RunStats:
     visit_counts: dict[StateId, int]
     max_revisits: int
     fresh_tail: bool | None = None
-    total_cost: float | None = None
 
 
 @dataclass(frozen=True)
@@ -66,8 +65,7 @@ def _require_legal(mdp: Mdp, s: StateId, t: StateId) -> None:
     succ = mdp.successors_of(s)
     if isinstance(succ, InfiniteSuccessors):
         return  # membership is not finitely checkable
-    states = succ.states() if isinstance(succ, Distribution) else succ
-    if t not in states:
+    if t not in _states_of(succ, s):
         raise ValueError(
             f"strategy picked {t.label or t.ordinal}, not a successor of "
             f"{s.label or s.ordinal}"
@@ -97,14 +95,12 @@ def simulate(
     horizon: int,
     seed: int,
     fresh_window: int | None = None,
-    edge_cost: Mapping[tuple[StateId, StateId], float] | None = None,
 ) -> tuple[list[StateId], RunStats]:
     """Sample one run of ``horizon`` steps.
 
     ``strategy`` may be an MdStrategy, OneBitStrategy, GeneralStrategy, or
     None for Markov chains (an error is raised if a controlled state is then
-    encountered).  ``fresh_window`` enables the fresh-tail statistic;
-    ``edge_cost`` accumulates a total cost.
+    encountered).  ``fresh_window`` enables the fresh-tail statistic.
     """
     if horizon < 0:
         raise ValueError("horizon must be non-negative")
@@ -112,7 +108,6 @@ def simulate(
     run = [s0]
     counts: Counter[StateId] = Counter([s0])
     first_seen = {s0: 0}
-    total_cost = 0.0 if edge_cost is not None else None
     mode = strategy.initial_mode if isinstance(strategy, OneBitStrategy) else None
 
     s = s0
@@ -133,8 +128,6 @@ def simulate(
             t = _sample_random(rng, mdp.successors_of(s))
             if isinstance(strategy, OneBitStrategy):
                 mode = strategy.random_update(mode, s, t)
-        if total_cost is not None:
-            total_cost += edge_cost.get((s, t), 0.0)
         run.append(t)
         counts[t] += 1
         first_seen.setdefault(t, step + 1)
@@ -149,7 +142,6 @@ def simulate(
         visit_counts=dict(counts),
         max_revisits=max(counts.values()) - 1,
         fresh_tail=fresh,
-        total_cost=total_cost,
     )
     return run, stats
 
@@ -293,13 +285,18 @@ def estimate_buchi_transience(
     goal family within the final ``goal_window`` steps (the finite-horizon
     stand-in for visiting it infinitely often)."""
     goal_pred = goal if callable(goal) else (lambda s, gs=frozenset(goal): s in gs)
+    fresh = isinstance(proxy, FreshTail)
     hits = 0
     for i in range(runs):
-        run_seed = derive_seed(seed, i)
-        if not _run_is_transient(mdp, s0, strategy, horizon, proxy, run_seed):
-            continue
-        run, _ = simulate(mdp, s0, strategy, horizon, run_seed)
-        if any(goal_pred(s) for s in run[max(0, horizon - goal_window):]):
+        run, stats = simulate(mdp, s0, strategy, horizon, derive_seed(seed, i),
+                              fresh_window=proxy.window if fresh else None)
+        # The rule of _run_is_transient, read off the whole run.
+        if fresh:
+            transient = stats.fresh_tail
+        else:
+            counts = stats.visit_counts
+            transient = all(counts[q] <= proxy.max_visits for q in set(run[1:]))
+        if transient and any(goal_pred(s) for s in run[max(0, horizon - goal_window):]):
             hits += 1
     p = hits / runs
     half = 1.96 * math.sqrt(max(p * (1.0 - p), 0.0) / runs)

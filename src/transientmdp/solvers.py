@@ -17,9 +17,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping
+from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -33,6 +32,10 @@ from .core import (
     PESSIMISTIC,
     StateId,
     StateKind,
+    _absorb,
+    _backward_reach,
+    _restrict,
+    _stay_region,
     require_sink,
     successor_states,
     truncate,
@@ -239,29 +242,6 @@ def _solve_costs(
     return values
 
 
-def _backward_reach(
-    succ: Mapping[StateId, Iterable[StateId]],
-    seeds: Iterable[StateId],
-    admit: Callable[[StateId], bool] | None = None,
-) -> dict[StateId, int]:
-    """Breadth-first search backwards from ``seeds`` along the edges of
-    ``succ`` (state -> successor states).  Returns the distance of every state
-    reached, seeds at 0; ``admit(s)``, when given, may refuse a state."""
-    preds: dict[StateId, list[StateId]] = {}
-    for s, targets in succ.items():
-        for t in targets:
-            preds.setdefault(t, []).append(s)
-    dist = {s: 0 for s in seeds}
-    queue = deque(dist)
-    while queue:
-        t = queue.popleft()
-        for s in preds.get(t, ()):
-            if s not in dist and (admit is None or admit(s)):
-                dist[s] = dist[t] + 1
-                queue.append(s)
-    return dist
-
-
 def _bottom_sccs(succ: Mapping[StateId, list]) -> list[set[StateId]]:
     """Bottom strongly connected components of the chain graph."""
     order: list[StateId] = []
@@ -315,18 +295,6 @@ def _bottom_sccs(succ: Mapping[StateId, list]) -> list[set[StateId]]:
 # Optimal values with boundary conditions
 
 
-def _absorb(fm: FiniteMdp, states: Iterable[StateId]) -> FiniteMdp:
-    """Copy of ``fm`` with ``states`` turned into absorbing random sinks."""
-    absorb = set(states)
-    kinds = dict(fm.kinds)
-    transitions = dict(fm.transitions)
-    for s in absorb:
-        kinds[s] = StateKind.RANDOM
-        transitions[s] = Distribution([(s, 1.0)])
-    return FiniteMdp(fm.states, kinds, transitions, [], frontier=fm.frontier,
-                     frontier_policy=fm.frontier_policy, check=False)
-
-
 def optimal_boundary_value(
     fm: FiniteMdp,
     boundary: Mapping[StateId, float],
@@ -346,21 +314,8 @@ def optimal_boundary_value(
         frozen_zero = {s for s in inner if s not in live}
     else:
         # Largest closed set from which the boundary is surely avoidable.
-        avoidable = set(inner)
-        changed = True
-        while changed:
-            changed = False
-            for s in list(avoidable):
-                succ = fm.successors_of(s)
-                if isinstance(succ, Distribution):
-                    ok = all(t in avoidable for t in succ.states())
-                else:
-                    ok = any(t in avoidable for t in succ)
-                if not ok:
-                    avoidable.discard(s)
-                    changed = True
-        active = [s for s in inner if s not in avoidable]
-        frozen_zero = set(avoidable)
+        frozen_zero = _stay_region(fm, inner)
+        active = [s for s in inner if s not in frozen_zero]
 
     order = sorted(active, key=lambda s: s.ordinal)
     better = max if maximize else min
@@ -581,15 +536,10 @@ def return_probability(mdp: Mdp, s: StateId, radii: Iterable[int]) -> ReturnAnal
         raise ValueError("empty radius schedule")
     radius = radii[-1]
     fm = truncate(mdp, {s}, radius, PESSIMISTIC)
-    top = max(q.ordinal for q in fm.states)
-    entry = StateId(top + 1, f"entry({s.label or s.ordinal})")
-    kinds = dict(fm.kinds)
-    transitions = dict(fm.transitions)
-    kinds[entry] = fm.kinds[s]
-    transitions[entry] = transitions[s]
-    kinds[s] = StateKind.RANDOM
-    transitions[s] = Distribution([(s, 1.0)])
-    split = FiniteMdp(list(fm.states) + [entry], kinds, transitions, [], check=False)
+    entry = StateId(max(q.ordinal for q in fm.states) + 1, f"entry({s.label or s.ordinal})")
+    copied = FiniteMdp(fm.states + [entry], {**fm.kinds, entry: fm.kinds[s]},
+                       {**fm.transitions, entry: fm.transitions[s]}, check=False)
+    split = _absorb(copied, {s})
     values, _ = optimal_boundary_value(split, {s: 1.0}, True)
     lower = values[entry]
 
@@ -617,9 +567,7 @@ def _frontier_ring(fm: FiniteMdp) -> set[StateId]:
     for q in fm.states:
         if q == fm.frontier:
             continue
-        succ = fm.successors_of(q)
-        targets = succ.states() if isinstance(succ, Distribution) else succ
-        if fm.frontier in targets:
+        if fm.frontier in successor_states(fm, q):
             ring.add(q)
     return ring
 
@@ -638,7 +586,8 @@ def min_expected_cost_md(
     policy, which is proper, and switches a controlled state only on a
     strict improvement, so every policy it evaluates stays proper.
     """
-    free = _free_region(fm, cost)
+    # The zero-cost region: where cost 0 can be sustained forever.
+    free = _stay_region(fm, fm.states, lambda s, t: cost.of(s, t) == 0.0)
     rank = _almost_sure_attractor(fm, free)
     if root is not None:
         if not free:
@@ -714,26 +663,6 @@ def _almost_sure_attractor(fm: FiniteMdp, target: set[StateId]) -> dict[StateId,
         keep = set(rank)
 
 
-def _free_region(fm: FiniteMdp, cost: CostLabel) -> set[StateId]:
-    """Largest set where cost 0 can be sustained forever: controlled states
-    need one zero-cost edge staying inside, random states need all edges
-    zero-cost and inside."""
-    region = set(fm.states)
-    changed = True
-    while changed:
-        changed = False
-        for s in list(region):
-            succ = fm.successors_of(s)
-            if isinstance(succ, Distribution):
-                ok = all(t in region and cost.of(s, t) == 0.0 for t, _ in succ)
-            else:
-                ok = any(t in region and cost.of(s, t) == 0.0 for t in succ)
-            if not ok:
-                region.discard(s)
-                changed = True
-    return region
-
-
 def bounded_total_reward_md(
     spec: BoundedRewardSpec, fm: FiniteMdp
 ) -> tuple[MdStrategy, dict[StateId, float]]:
@@ -741,40 +670,10 @@ def bounded_total_reward_md(
     entry to the reward frontier of the induced finite MDP; leaving the
     subspace yields 0."""
     exit_sink = StateId(max(s.ordinal for s in fm.states) + 1, "exit")
-    frontier = set(spec.terminal_rewards)
-    states = sorted(spec.subspace) + [exit_sink]
-    kinds: dict[StateId, StateKind] = {exit_sink: StateKind.RANDOM}
-    transitions: dict[StateId, object] = {
-        exit_sink: Distribution([(exit_sink, 1.0)])
-    }
-    for s in sorted(spec.subspace):
-        if s in frontier:
-            kinds[s] = StateKind.RANDOM
-            transitions[s] = Distribution([(s, 1.0)])
-            continue
-        kinds[s] = fm.kind_of(s)
-        succ = fm.successors_of(s)
-        if isinstance(succ, Distribution):
-            kept = []
-            out_mass = 0.0
-            for t, p in succ:
-                if t in spec.subspace:
-                    kept.append((t, p))
-                else:
-                    out_mass += p
-            if out_mass > 0.0:
-                kept.append((exit_sink, out_mass))
-            transitions[s] = Distribution(kept, check=False)
-        else:
-            kept_c = [t if t in spec.subspace else exit_sink for t in succ]
-            dedup = []
-            for t in kept_c:
-                if t not in dedup:
-                    dedup.append(t)
-            transitions[s] = dedup
-    induced = FiniteMdp(states, kinds, transitions, [], check=False)
+    induced = _absorb(_restrict(fm, spec.subspace, exit_sink), spec.terminal_rewards)
     boundary = dict(spec.terminal_rewards)
-    boundary[exit_sink] = 0.0
+    if induced.frontier is not None:
+        boundary[exit_sink] = 0.0
     values, sigma = optimal_boundary_value(induced, boundary, True)
     values.pop(exit_sink, None)
     # The exit sink exists only inside the induced MDP; a choice pointing at
@@ -824,7 +723,7 @@ def md_policy_oracle(
         vals = _oracle_evaluate(fm, policy, objective, cost, boundary)
         total = sum(v for v in vals.values() if math.isfinite(v))
         n_inf = sum(1 for v in vals.values() if not math.isfinite(v))
-        key = (n_inf, -total) if minimize else (-total,)
+        key = (n_inf, total) if minimize else (-total,)
         if best_sum is None or key < best_sum:
             best_sum = key
             best_policy = policy

@@ -32,7 +32,10 @@ from .core import (
     PESSIMISTIC,
     StateId,
     StateKind,
+    _absorb,
+    _backward_reach,
     bubble,
+    successor_states,
     truncate,
 )
 from .errors import (
@@ -59,7 +62,7 @@ from .solvers import (
     safety_strategy,
     safety_value,
 )
-from .transforms import plus_variant, reduce_to_finitely_branching
+from .transforms import _identity_reduction, plus_variant, reduce_to_finitely_branching
 
 
 @dataclass(frozen=True)
@@ -215,15 +218,9 @@ def _escape_probability(fm, sigma, g, pivot) -> float:
     outside = [s for s in fm.states if s not in g]
     if not outside:
         return 0.0
-    absorbed = fix_choices(fm, {})
     # Make S \ G absorbing, then the chance of ever entering it is a plain
     # absorption probability under sigma.
-    kinds = dict(absorbed.kinds)
-    transitions = dict(absorbed.transitions)
-    for s in outside:
-        kinds[s] = StateKind.RANDOM
-        transitions[s] = Distribution([(s, 1.0)])
-    chain = FiniteMdp(absorbed.states, kinds, transitions, [], check=False)
+    chain = _absorb(fm, outside)
     vals = evaluate_md(chain, sigma, {s: 1.0 for s in outside})
     return vals[pivot]
 
@@ -685,13 +682,7 @@ def transience_md(
         return MdStrategy({}), GoodBadPartition(bad, set(), set(), {})
 
     # M': bad states become losing self-loop sinks.
-    kinds = dict(fm.kinds)
-    transitions = dict(fm.transitions)
-    for s in bad:
-        kinds[s] = StateKind.RANDOM
-        transitions[s] = Distribution([(s, 1.0)])
-    m_prime = FiniteMdp(fm.states, kinds, transitions, [], frontier=frontier,
-                        frontier_policy=fm.frontier_policy, check=False)
+    m_prime = _absorb(fm, bad)
 
     # Memory-mode repair: force the working mode where only one attains > 0.
     repairs: dict[StateId, int] = {}
@@ -730,9 +721,7 @@ def transience_md(
     for s in m_prime.states:
         if s in bad:
             continue  # bad self-loops cost 0
-        succ = m_prime.successors_of(s)
-        targets = succ.states() if isinstance(succ, Distribution) else succ
-        for t in targets:
+        for t in successor_states(m_prime, s):
             if t in bad:
                 cost_map[(s, t)] = bad_cost
             elif t is frontier:
@@ -763,21 +752,12 @@ def _reduction_if_needed(mdp: Mdp, s0: StateId, probe_radius: int):
     """Reduce only when infinite branching is actually reachable within the
     working radius; otherwise the identity keeps original state ids."""
     from .errors import InfiniteBranching
-    from .transforms import ReductionMaps
 
     try:
         bubble(mdp, {s0}, probe_radius)
     except InfiniteBranching:
         return reduce_to_finitely_branching(mdp)
-    return ReductionMaps(
-        base=mdp,
-        reduced=mdp,
-        lift_strategy=lambda sigma: sigma,
-        lower_md=lambda sigma: sigma,
-        adjusted_probs=lambda s, n: [],
-        embed=lambda s: s,
-        is_identity=True,
-    )
+    return _identity_reduction(mdp)
 
 
 def _frontier_reaching_modes(fm: FiniteMdp, one_bit: OneBitStrategy) -> dict[StateId, set[int]]:
@@ -789,7 +769,7 @@ def _frontier_reaching_modes(fm: FiniteMdp, one_bit: OneBitStrategy) -> dict[Sta
         return result
 
     inside = set(fm.states)
-    preds: dict[tuple[int, StateId], list[tuple[int, StateId]]] = {}
+    succ: dict[tuple[int, StateId], list[tuple[int, StateId]]] = {}
     for s in fm.states:
         if s == frontier:
             continue
@@ -798,24 +778,14 @@ def _frontier_reaching_modes(fm: FiniteMdp, one_bit: OneBitStrategy) -> dict[Sta
                 m2, t = one_bit.controlled(mode, s)
                 if t not in inside:
                     t = frontier  # choice leaves the bubble
-                nexts = [(m2, t)]
+                succ[(mode, s)] = [(m2, t)]
             else:
-                succ = fm.successors_of(s)
-                nexts = [
-                    (one_bit.random_update(mode, s, t), t) for t, p in succ if p > 0.0
+                succ[(mode, s)] = [
+                    (one_bit.random_update(mode, s, t), t)
+                    for t, p in fm.successors_of(s) if p > 0.0
                 ]
-            for nxt in nexts:
-                preds.setdefault(nxt, []).append((mode, s))
 
-    seen = {(0, frontier), (1, frontier)}
-    queue = list(seen)
-    while queue:
-        node = queue.pop()
-        for prev in preds.get(node, ()):
-            if prev not in seen:
-                seen.add(prev)
-                queue.append(prev)
-    for mode, s in seen:
+    for mode, s in _backward_reach(succ, [(0, frontier), (1, frontier)]):
         if s != frontier:
             result[s].add(mode)
     return result
@@ -910,8 +880,7 @@ def safety_md_universally_transient(
             choice[s] = picked
             nexts = [picked]
         else:
-            succ = mdp.successors_of(s)
-            nexts = succ.states() if isinstance(succ, Distribution) else list(succ)
+            nexts = successor_states(mdp, s)
         for t in nexts:
             if t not in seen:
                 steps[t] = steps[s] + 1

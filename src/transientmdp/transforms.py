@@ -243,6 +243,20 @@ class _LoweredMdStrategy(MdStrategy):
         return maps._exit(s, 1)
 
 
+def _identity_reduction(mdp: Mdp, ladder_cap: int = 1000) -> ReductionMaps:
+    """The reduction of an MDP without infinite branching: itself."""
+    return ReductionMaps(
+        base=mdp,
+        reduced=mdp,
+        lift_strategy=lambda sigma: sigma,
+        lower_md=lambda sigma: sigma,
+        adjusted_probs=lambda s, n: [],
+        embed=lambda s: s,
+        is_identity=True,
+        ladder_cap=ladder_cap,
+    )
+
+
 def reduce_to_finitely_branching(mdp: Mdp, ladder_cap: int = 1000) -> ReductionMaps:
     """Finite-branching reduction with strategy maps in both directions.
 
@@ -250,16 +264,7 @@ def reduce_to_finitely_branching(mdp: Mdp, ladder_cap: int = 1000) -> ReductionM
     branching; for those the reduction is the identity.
     """
     if isinstance(mdp, FiniteMdp):
-        return ReductionMaps(
-            base=mdp,
-            reduced=mdp,
-            lift_strategy=lambda sigma: sigma,
-            lower_md=lambda sigma: sigma,
-            adjusted_probs=lambda s, n: [],
-            embed=lambda s: s,
-            is_identity=True,
-            ladder_cap=ladder_cap,
-        )
+        return _identity_reduction(mdp, ladder_cap)
 
     reduced = _ReducedMdp(mdp)
 

@@ -19,6 +19,8 @@ from .core import (
     Objective,
     StateId,
     StateKind,
+    reachable,
+    successor_states,
 )
 from .errors import TooLarge
 from .gadgets import acyclic_chain, gamblers_ruin
@@ -240,9 +242,7 @@ def check_conditioned_item1(
             here = run[-1]
             if cm.is_bottom(here):
                 continue
-            succ = star.successors_of(here)
-            targets = succ.states() if isinstance(succ, Distribution) else succ
-            for t in targets:
+            for t in successor_states(star, here):
                 if len(run) <= max_len + 1:
                     stack.append(run + (t,))
     return CheckReport(
@@ -270,7 +270,7 @@ def check_conditioned_item3(
         return CheckReport("conditioned-item3", 0, 0.0, True, note=str(exc))
     star = cm.finite
     target_star = {t for t in phi.states if t in cm.positive}
-    star_values = reach_value(star, _sink_closure_in(star, target_star))
+    star_values = reach_value(star, reachable(star, target_star))
     worst = 0.0
     for s0 in cm.positive:
         worst = max(worst, abs(star_values[s0] - 1.0))
@@ -279,7 +279,7 @@ def check_conditioned_item3(
         sigma_star = cm.md_to_conditioned(sigma)
         attained = evaluate_md_reach(fm, sigma, phi.states)
         attained_star = evaluate_md_reach(
-            star, sigma_star, _sink_closure_in(star, target_star)
+            star, sigma_star, reachable(star, target_star)
         )
         for s0 in cm.positive:
             worst = max(
@@ -291,21 +291,6 @@ def check_conditioned_item3(
         max_violation=worst,
         passed=worst <= tol,
     )
-
-
-def _sink_closure_in(fm: FiniteMdp, states: set[StateId]) -> set[StateId]:
-    out = set(states)
-    changed = True
-    while changed:
-        changed = False
-        for s in list(out):
-            succ = fm.successors_of(s)
-            targets = succ.states() if isinstance(succ, Distribution) else succ
-            for t in targets:
-                if t not in out:
-                    out.add(t)
-                    changed = True
-    return out
 
 
 def check_multiplicative(
@@ -323,7 +308,7 @@ def check_multiplicative(
     except Exception as exc:
         return CheckReport("multiplicative", 0, 0.0, True, note=str(exc))
     star = cm.finite
-    target_star = frozenset(_sink_closure_in(star, {t for t in phi.states if t in cm.positive}))
+    target_star = frozenset(reachable(star, {t for t in phi.states if t in cm.positive}))
     sigma_star, _ = plastering_uniformize(star, Objective.reach(target_star), epsilon)
     sigma = cm.md_to_base(sigma_star)
     attained = evaluate_md_reach(fm, sigma, phi.states)
@@ -436,9 +421,7 @@ def check_conditioning_preserves_transience(
     values = reach_value(fm, phi.states)
 
     def absorbing(s: StateId) -> bool:
-        succ = fm.successors_of(s)
-        targets = succ.states() if isinstance(succ, Distribution) else list(succ)
-        return targets == [s]
+        return successor_states(fm, s) == [s]
 
     core = [s for s in fm.states if not absorbing(s)]
     base_cert = certify_universal_transience(fm, core, radii)

@@ -15,7 +15,7 @@ from transientmdp import (
     StateId,
     estimate_transience,
 )
-from transientmdp.core import truncate
+from transientmdp.core import successor_states, truncate
 from transientmdp.gadgets import (
     acyclic_chain,
     gamblers_ruin,
@@ -263,8 +263,7 @@ def test_criterion_08_solver_oracle_equivalence():
         rng = _random.Random(derive_seed("c8c", i))
         cost_map = {}
         for s in fm.states:
-            succ = fm.successors_of(s)
-            targets = succ.states() if isinstance(succ, Distribution) else succ
+            targets = successor_states(fm, s)
             for t in targets:
                 if t != s:
                     cost_map[(s, t)] = rng.choice([0.0, 0.5, 1.0, 2.0])
@@ -329,7 +328,7 @@ def test_criterion_09_finite_branching_reduction():
         succ = tf.successors_of(run[-1])
         if hasattr(succ, "items"):
             return Distribution([(StateId(6, "b_2"), 0.5), (StateId(12, "b_4"), 0.5)])
-        states = succ.states() if isinstance(succ, Distribution) else list(succ)
+        states = successor_states(tf, run[-1])
         return Distribution([(states[0], 1.0)])
 
     mc_pair("transience_fan", tf, StateId(0, "fan"), GeneralStrategy(decide_tf), 400, 900)
@@ -341,7 +340,7 @@ def test_criterion_09_finite_branching_reduction():
         succ = sf.successors_of(run[-1])
         if hasattr(succ, "items"):
             return Distribution([(StateId(3, "b_1"), 1.0)])
-        states = succ.states() if isinstance(succ, Distribution) else list(succ)
+        states = successor_states(sf, run[-1])
         return Distribution([(states[0], 1.0)])
 
     mc_pair("safety_fan", sf, StateId(0, "fan"), GeneralStrategy(decide_sf), 300, 700)

@@ -148,7 +148,7 @@ def test_verify_suite_exit_codes(tmp_path, capsys):
     assert all(r["passed"] for r in reports)
 
 
-def test_verify_scenario_with_jobs(tmp_path, capsys):
+def test_verify_scenario_merges_suites_by_name(tmp_path, capsys):
     scenario = tmp_path / "verify.json"
     scenario.write_text(
         json.dumps(
@@ -158,7 +158,7 @@ def test_verify_scenario_with_jobs(tmp_path, capsys):
             }
         )
     )
-    assert run_cli(["--jobs", 2, "--out-dir", tmp_path, "run", scenario]) == 0
+    assert run_cli(["--out-dir", tmp_path, "run", scenario]) == 0
     reports = json.loads((tmp_path / "check_reports.json").read_text())
     names = [r["name"] for r in reports]
     assert names == sorted(names)  # deterministic merge order

@@ -3,6 +3,7 @@ import math
 import pytest
 
 from transientmdp import Distribution, FiniteMdp, Objective, StateId, StateKind
+from transientmdp.core import successor_states
 from transientmdp.errors import NoFiniteCostPolicy, NotSink, TooLarge
 from transientmdp.gadgets import gamblers_ruin
 from transientmdp.simulate import derive_seed, mean_visits
@@ -148,8 +149,7 @@ def test_min_cost_matches_oracle_corpus():
         rng = _random.Random(derive_seed("c-lab", i))
         cost_map = {}
         for s in fm.states:
-            succ = fm.successors_of(s)
-            targets = succ.states() if isinstance(succ, Distribution) else succ
+            targets = successor_states(fm, s)
             for t in targets:
                 if t == s:
                     continue  # keep sinks zero-cost absorbing
@@ -199,6 +199,7 @@ def test_min_cost_slow_mixing_loop():
     oracle = md_policy_oracle(fm, cost=cost)
     for s in fm.states:
         assert abs(values[s] - oracle.values[s]) <= 1e-9
+    assert oracle.policy.choice[a] == t
 
 
 def test_min_cost_infinite_outside_almost_sure_set():

@@ -8,10 +8,16 @@ from transientmdp import (
     StateKind,
 )
 from transientmdp.core import truncate
-from transientmdp.errors import EmptyFrontier, NotUniversallyTransient
+from transientmdp.errors import (
+    EmptyFrontier,
+    InfiniteBranching,
+    NotUniversallyTransient,
+    TransientMdpError,
+)
 from transientmdp.gadgets import (
     acyclic_chain,
     gamblers_ruin,
+    geometric_fan,
     ladder_state,
     no_optimal_ladder,
     safety_fan,
@@ -327,6 +333,22 @@ def test_safety_slack_rejects_recurrent_choice_states():
     )
     with pytest.raises(NotUniversallyTransient):
         safety_md_universally_transient(fm, Objective.safety({t}), 0.1)
+
+
+def test_safety_slack_infinite_random_branching_raises_typed_error():
+    # The root of the geometric fan is a random state with infinitely many
+    # successors; enumerating them must fail with the package's own error,
+    # not a TypeError from iterating the lazy family.
+    fan, _ = geometric_fan()
+    with pytest.raises(InfiniteBranching) as info:
+        safety_md_universally_transient(
+            fan,
+            Objective.safety({StateId(2, "trap")}),
+            0.1,
+            roots=[StateId(5, "root")],
+            assume_transient=True,
+        )
+    assert isinstance(info.value, TransientMdpError)
 
 
 def test_safety_slack_on_infinite_fan():
