@@ -13,10 +13,6 @@ class InfiniteBranching(TransientMdpError):
     """An operation that requires finite branching met an infinite successor family."""
 
 
-class EmptyExits(TransientMdpError):
-    """A recurrent ladder was requested with no exit states."""
-
-
 class NotSink(TransientMdpError):
     """A target set was expected to be closed under the transition relation."""
 

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator
 
 from .core import (
     Distribution,
@@ -21,7 +21,7 @@ from .core import (
     StateId,
     StateKind,
 )
-from .errors import BadParameter, EmptyExits
+from .errors import BadParameter
 from .simulate import VectorChain
 
 
@@ -201,77 +201,6 @@ def ladder_exit_strategy(j: int) -> MdStrategy:
     choice = {_ladder_state("ell", i): _ladder_state("ellp", i) for i in range(1, j)}
     choice[_ladder_state("ell", j)] = _ladder_state("r", j)
     return MdStrategy(choice)
-
-
-# ---------------------------------------------------------------------------
-# Recurrent ladder fragment (reduction building block)
-
-
-@dataclass
-class LadderFragment:
-    """Fresh recurrent-ladder states wired to a family of exit states.
-
-    ``exit_of(i)`` supplies the exit used at level i >= 1; finite exit lists
-    are cycled.  State membership is tracked through the fragment's own
-    minting cache, so only states previously produced by its oracles are
-    recognized.
-    """
-
-    entry: StateId
-    tag: str
-    exit_of: Callable[[int], StateId]
-    ordinal_fn: Callable[[str, int], int]
-    _minted: dict[StateId, tuple[str, int]] = field(default_factory=dict)
-
-    def _mint(self, family: str, i: int) -> StateId:
-        label = f"ell({self.tag},{i})" if family == "ell" else f"ell'({self.tag},{i})"
-        s = StateId(self.ordinal_fn(family, i), label)
-        self._minted[s] = (family, i)
-        return s
-
-    def contains(self, s: StateId) -> bool:
-        return s in self._minted
-
-    def kind_of(self, s: StateId) -> StateKind:
-        fam, _ = self._minted[s]
-        return StateKind.CONTROLLED if fam == "ell" else StateKind.RANDOM
-
-    def successors_of(self, s: StateId):
-        fam, i = self._minted[s]
-        if fam == "ell":
-            if i == 0:
-                return [self._mint("ell", 1)]
-            return [self._mint("ellp", i), self.exit_of(i)]
-        lo, hi = self._mint("ell", i - 1), self._mint("ell", i + 1)
-        return Distribution([(lo, 0.5), (hi, 0.5)], exact={lo: _HALF, hi: _HALF})
-
-
-def recurrent_ladder(
-    exits: "Sequence[StateId] | Callable[[int], StateId]",
-    tag: str = "s",
-    ordinal_fn: Callable[[str, int], int] | None = None,
-    base: int = 0,
-) -> LadderFragment:
-    """Fresh recurrent ladder whose level-i controlled state may leave to the
-    i-th exit.  Staying forever simulates a fair Gambler's Ruin, so the
-    Transience probability of ladder-forever runs is 0."""
-    if callable(exits):
-        exit_of = exits
-    else:
-        exits = list(exits)
-        if not exits:
-            raise EmptyExits("recurrent ladder needs at least one exit")
-        exit_of = lambda i: exits[(i - 1) % len(exits)]
-    if ordinal_fn is None:
-        ordinal_fn = lambda fam, i: base + 2 * i + (0 if fam == "ell" else 1)
-    frag = LadderFragment(
-        entry=StateId(ordinal_fn("ell", 0), f"ell({tag},0)"),
-        tag=tag,
-        exit_of=exit_of,
-        ordinal_fn=ordinal_fn,
-    )
-    frag._minted[frag.entry] = ("ell", 0)
-    return frag
 
 
 # ---------------------------------------------------------------------------

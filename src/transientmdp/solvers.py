@@ -28,7 +28,6 @@ from .core import (
     MdStrategy,
     Mdp,
     Objective,
-    OPTIMISTIC,
     PESSIMISTIC,
     StateId,
     StateKind,
@@ -447,8 +446,9 @@ def interval_value(
     radii: Iterable[int],
     safe_core=None,
 ) -> ValueInterval:
-    """Certified bounds from pessimistic/optimistic truncations at the largest
-    radius of the schedule.
+    """Bounds on the value of ``s`` from one truncation at the largest radius
+    of the schedule, whose frontier sink loses for the lower bound and wins
+    for the upper bound.
 
     For Safety objectives on countable MDPs the pessimistic lower bound is
     vacuous whenever safe behavior escapes every bubble (acyclic MDPs); a
@@ -462,58 +462,52 @@ def interval_value(
     if not radii:
         raise ValueError("empty radius schedule")
     last = radii[-1]
-    lo = _truncated_value(mdp, s, objective, last, PESSIMISTIC, safe_core)
-    hi = _truncated_value(mdp, s, objective, last, OPTIMISTIC, safe_core)
-    if objective.kind == Objective.REACH:
-        # The escape-wins upper bound is vacuous whenever escape to infinity
-        # has positive probability; refine it with the ring-consistent
-        # estimate (escapes return at most as likely as the worst
-        # frontier-adjacent state does from inside).  Estimate, not a
-        # certificate, for arbitrary MDPs; see return_probability.
-        hi = min(hi, _ring_refined_reach_upper(mdp, s, objective, last))
-    return ValueInterval(lower=min(lo, hi), upper=max(lo, hi), radius=last)
-
-
-def _ring_refined_reach_upper(mdp, s, objective, radius) -> float:
-    fm = truncate(mdp, {s}, radius, PESSIMISTIC)
-    members = objective.members_in([q for q in fm.states if q is not fm.frontier])
-    values, _ = optimal_boundary_value(fm, {t: 1.0 for t in members}, True)
-    lower = values[s]
-    if fm.frontier is None:
-        return lower
-    ring = _frontier_ring(fm)
-    rho = max((values[t] for t in ring if t not in members), default=0.0)
-    if lower >= 1.0 - 1e-12:
-        return 1.0
-    return min(1.0, lower + (1.0 - lower) * rho)
-
-
-def _truncated_value(mdp, s, objective, radius, policy, safe_core=None) -> float:
-    fm = truncate(mdp, {s}, radius, policy)
+    fm = truncate(mdp, {s}, last, PESSIMISTIC)
     members = objective.members_in([q for q in fm.states if q is not fm.frontier])
     if objective.kind == Objective.REACH:
         # First-visit semantics: boundary states absorb, so the target need
         # not be a sink inside the truncation.
-        target = set(members)
-        if fm.frontier is not None and policy == OPTIMISTIC:
-            target.add(fm.frontier)
-        values, _ = optimal_boundary_value(fm, {t: 1.0 for t in target}, True)
-        return values[s]
-    avoid = set(members)
-    if policy == PESSIMISTIC and safe_core is not None:
-        # Sound lower bound: reach the declared safe core before the avoid
-        # set or the frontier.
-        core = {q for q in fm.states if q is not fm.frontier and safe_core(q)}
-        boundary = {t: 1.0 for t in core if t not in avoid}
-        boundary.update({t: 0.0 for t in avoid})
+        values, _ = optimal_boundary_value(fm, {t: 1.0 for t in members}, True)
+        lo = hi = values[s]
         if fm.frontier is not None:
-            boundary[fm.frontier] = 0.0
-        values, _ = optimal_boundary_value(fm, boundary, True)
-        return values[s]
-    if fm.frontier is not None and policy == PESSIMISTIC:
-        avoid.add(fm.frontier)
-    vm = safety_value(fm, avoid)
-    return vm[s]
+            # The escape-wins upper bound is vacuous whenever escape to
+            # infinity has positive probability; refine it with the
+            # ring-consistent estimate (an estimate, not a certificate, for
+            # arbitrary MDPs; see return_probability).
+            escape_wins, _ = optimal_boundary_value(
+                fm, {t: 1.0 for t in [*members, fm.frontier]}, True
+            )
+            hi = min(escape_wins[s], _ring_estimate(fm, values, lo, members))
+    else:
+        avoid = members
+        hi = safety_value(fm, avoid)[s]
+        if safe_core is not None:
+            # Sound lower bound: reach the declared safe core before the
+            # avoid set or the frontier.
+            core = {q for q in fm.states if q is not fm.frontier and safe_core(q)}
+            boundary = {t: 1.0 for t in core if t not in avoid}
+            boundary.update({t: 0.0 for t in avoid})
+            if fm.frontier is not None:
+                boundary[fm.frontier] = 0.0
+            lo = optimal_boundary_value(fm, boundary, True)[0][s]
+        elif fm.frontier is not None:
+            lo = safety_value(fm, avoid | {fm.frontier})[s]
+        else:
+            lo = hi
+    return ValueInterval(lower=min(lo, hi), upper=max(lo, hi), radius=last)
+
+
+def _ring_estimate(fm: FiniteMdp, values, lower: float, exclude) -> float:
+    """Ring-consistent upper estimate ``L + (1 - L) * max_ring v(t)``: escapes
+    through the frontier are assumed to succeed at most as often as the
+    likeliest frontier-adjacent state outside ``exclude`` does from inside."""
+    if fm.frontier is None:
+        return lower
+    if lower >= 1.0 - 1e-12:
+        return 1.0
+    ring = {q for q in fm.states if q != fm.frontier and fm.frontier in successor_states(fm, q)}
+    rho = max((values[t] for t in ring if t not in exclude), default=0.0)
+    return min(1.0, lower + (1.0 - lower) * rho)
 
 
 def return_probability(mdp: Mdp, s: StateId, radii: Iterable[int]) -> ReturnAnalysis:
@@ -542,15 +536,7 @@ def return_probability(mdp: Mdp, s: StateId, radii: Iterable[int]) -> ReturnAnal
     split = _absorb(copied, {s})
     values, _ = optimal_boundary_value(split, {s: 1.0}, True)
     lower = values[entry]
-
-    if fm.frontier is None:
-        upper = lower
-    else:
-        ring = _frontier_ring(fm)
-        rho = max((values[t] for t in ring if t != s), default=0.0)
-        upper = min(1.0, lower + (1.0 - lower) * rho)
-        if lower >= 1.0 - 1e-12:
-            upper = 1.0
+    upper = _ring_estimate(fm, values, lower, {s})
     interval = ValueInterval(lower=min(lower, upper), upper=max(lower, upper), radius=radius)
     if interval.upper < 1.0:
         b = 1.0 / (1.0 - interval.upper) ** 2
@@ -559,17 +545,6 @@ def return_probability(mdp: Mdp, s: StateId, radii: Iterable[int]) -> ReturnAnal
         b = math.inf
         r = math.inf
     return ReturnAnalysis(re=interval, b_bound=b, r_bound=r)
-
-
-def _frontier_ring(fm: FiniteMdp) -> set[StateId]:
-    """Bubble states with an edge onto the frontier sink."""
-    ring = set()
-    for q in fm.states:
-        if q == fm.frontier:
-            continue
-        if fm.frontier in successor_states(fm, q):
-            ring.add(q)
-    return ring
 
 
 def min_expected_cost_md(
@@ -633,7 +608,7 @@ def min_expected_cost_md(
             continue
         scored = [(cost.of(s, t) + values[t], t) for t in succ]
         best = min(v for v, _ in scored)
-        pool = [t for v, t in scored if v <= best + TIE_TOL]
+        pool = [t for v, t in scored if v <= best + TIE_TOL * min(best, 1.0)]
         choice[s] = min(pool, key=lambda t: t.ordinal)
     sigma = MdStrategy(choice)
     exact = evaluate_md_cost(fm, sigma, cost)

@@ -915,7 +915,13 @@ def _slack(mdp, s, epsilon, schedule, assume_transient) -> float:
                 f"return-probability upper estimate 1 at {s.label or s.ordinal}"
             )
         r_bound = analysis.r_bound
-    return epsilon / (2.0 ** (s.ordinal + 1) * r_bound)
+    return _slack_at(s, epsilon, r_bound)
+
+
+def _slack_at(s: StateId, epsilon: float, r_bound: float) -> float:
+    """The slack eps / (2^{iota(s)+1} R(s)) with iota the ordinal; scaled by
+    ldexp so that large ordinals underflow towards 0 instead of overflowing."""
+    return math.ldexp(epsilon / r_bound, -(s.ordinal + 1))
 
 
 def _prefix_restricted(mdp: Mdp, cap: int) -> Mdp:
@@ -1015,7 +1021,7 @@ def _safety_md_finite(fm: FiniteMdp, objective: Objective, epsilon: float,
             r_bound = analysis.r_bound
         else:
             r_bound = 1.0
-        slack = epsilon / (2.0 ** (s.ordinal + 1) * r_bound)
+        slack = _slack_at(s, epsilon, r_bound)
         qualifiers = [t for t in succ if values[t] >= values[s] - slack - 1e-12]
         if not qualifiers:
             # float drift only: the max-value successor always qualifies

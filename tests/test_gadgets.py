@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from transientmdp import Objective, StateId, StateKind, simulate
-from transientmdp.core import Distribution, LazyMdp
-from transientmdp.errors import BadParameter, EmptyExits
+from transientmdp import Objective, StateId, simulate
+from transientmdp.core import Distribution
+from transientmdp.errors import BadParameter
 from transientmdp.gadgets import (
     acyclic_chain,
     build_gadget,
@@ -12,7 +12,6 @@ from transientmdp.gadgets import (
     ladder_state,
     lazy_self_loop_example,
     no_optimal_ladder,
-    recurrent_ladder,
     safety_fan,
     safety_fan_avoid,
     REGISTRY,
@@ -119,57 +118,6 @@ def test_ladder_distribution_sums_exact():
         d = lad.successors_of(ladder_state("r", i))
         assert sum(d.exact.values()) == 1
         assert abs(sum(p for _, p in d) - 1.0) <= 1e-12
-
-
-def test_recurrent_ladder_fragment_structure():
-    t = StateId(1000, "t")
-    frag = recurrent_ladder([t], tag="q", base=2000)
-    entry = frag.entry
-    assert frag.kind_of(entry) is StateKind.CONTROLLED
-    (l1,) = frag.successors_of(entry)
-    succ = frag.successors_of(l1)
-    assert succ[1] == t  # single exit reachable right away
-    d = frag.successors_of(succ[0])
-    assert {s.ordinal for s, _ in d} == {entry.ordinal, frag.ordinal_fn("ell", 2)}
-
-
-def test_recurrent_ladder_empty_exits():
-    with pytest.raises(EmptyExits):
-        recurrent_ladder([])
-
-
-def test_recurrent_ladder_fresh_labels():
-    host_labels = {f"w_{i}" for i in range(100)}
-    frag = recurrent_ladder([StateId(5, "w_5")], tag="w_2", base=10_000)
-    minted = [frag.entry]
-    minted.extend(frag.successors_of(frag.entry))
-    for s in minted:
-        if frag.contains(s):
-            assert s.label not in host_labels
-
-
-def test_recurrent_ladder_stay_forever_is_recurrent():
-    # Staying on the ladder simulates a fair walk: transience estimate ~ 0.
-    from transientmdp import FreshTail, MdStrategy, estimate_transience
-
-    exit_state = StateId(9999, "exit")
-    frag = recurrent_ladder([exit_state], tag="z", base=0)
-
-    def kind(s):
-        return frag.kind_of(s) if frag.contains(s) else StateKind.RANDOM
-
-    def succ(s):
-        if frag.contains(s):
-            return frag.successors_of(s)
-        return Distribution([(s, 1.0)])
-
-    mdp = LazyMdp(kind, succ)
-    stay = MdStrategy()  # default rule picks ell' (even ordinals beat exit 9999? no:
-    # base=0 gives ell'(z,i) ordinal 2i+1 < 9999, so staying is the default)
-    est, _ = estimate_transience(
-        mdp, frag.entry, stay, horizon=800, runs=120, proxy=FreshTail(40), seed=3
-    )
-    assert est <= 0.05
 
 
 def test_lazy_self_loop_round_strategy():

@@ -248,6 +248,22 @@ def test_min_cost_infinite_outside_almost_sure_set():
     assert min_expected_cost_md(fm, cost, root=a)[1] == values
 
 
+def test_min_cost_ties_are_relative_to_tiny_costs():
+    # Both edges of a cost less than the absolute tie tolerance 1e-12: an
+    # absolute tie test takes the loop a -> b -> a by ordinal and returns an
+    # infinite-cost policy.
+    a, b, f = S(0, "a"), S(1, "b"), S(2, "f")
+    fm = tiny(
+        {a: [b, f], b: Distribution([(a, 1.0)]), f: Distribution([(f, 1.0)])},
+        {a: StateKind.CONTROLLED, b: StateKind.RANDOM, f: StateKind.RANDOM},
+    )
+    cost = CostLabel({(a, b): 1e-20, (a, f): 1e-15})
+    assert md_policy_oracle(fm, cost=cost).values[a] == 1e-15
+    sigma, values = min_expected_cost_md(fm, cost, root=a)
+    assert sigma.choice[a] == f
+    assert values[a] == 1e-15
+
+
 def test_bounded_reward_direct_vs_coin():
     a, c, f1, f2, f3 = S(0, "a"), S(1, "c"), S(2, "f1"), S(3, "f2"), S(4, "f3")
     fm = tiny(
@@ -378,3 +394,26 @@ def test_transient_core_generator_is_acyclic_outside_sinks():
         for s in fm.states[:-2]:
             analysis = return_probability(fm, s, [len(fm.states) + 1])
             assert analysis.re.upper == 0.0
+
+
+def test_bound_queries_build_one_truncation(monkeypatch):
+    from transientmdp import solvers
+
+    built = []
+    real_truncate = solvers.truncate
+
+    def counting_truncate(*args, **kwargs):
+        fm = real_truncate(*args, **kwargs)
+        built.append(fm.frontier)
+        return fm
+
+    monkeypatch.setattr(solvers, "truncate", counting_truncate)
+    mdp, _ = gamblers_ruin(0.6)
+    w0, w1 = StateId(0, "w_0"), StateId(1, "w_1")
+    for objective in (Objective.reach({w0}), Objective.safety({w0})):
+        built.clear()
+        interval_value(mdp, w1, objective, [50, 100])
+        assert len(built) == 1 and built[0] is not None
+    built.clear()
+    return_probability(mdp, w1, [50, 100])
+    assert len(built) == 1

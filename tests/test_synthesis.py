@@ -335,6 +335,22 @@ def test_safety_slack_rejects_recurrent_choice_states():
         safety_md_universally_transient(fm, Objective.safety({t}), 0.1)
 
 
+@pytest.mark.parametrize("assume_transient", [True, False])
+def test_safety_slack_large_ordinals(assume_transient):
+    # The slack eps / 2^(ordinal+1) must not overflow for ordinals >= 1024.
+    a, w, lose = StateId(1100, "a"), StateId(1101, "w"), StateId(1102, "l")
+    fm = FiniteMdp(
+        [a, w, lose],
+        {a: StateKind.CONTROLLED, w: StateKind.RANDOM, lose: StateKind.RANDOM},
+        {a: [w, lose], w: Distribution([(w, 1.0)]), lose: Distribution([(lose, 1.0)])},
+        [{w}, {lose}],
+    )
+    sigma = safety_md_universally_transient(
+        fm, Objective.safety({lose}), 0.1, assume_transient=assume_transient
+    )
+    assert sigma.choice[a] == w
+
+
 def test_safety_slack_infinite_random_branching_raises_typed_error():
     # The root of the geometric fan is a random state with infinitely many
     # successors; enumerating them must fail with the package's own error,
