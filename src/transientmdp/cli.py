@@ -38,7 +38,11 @@ def _load_mdp(spec: dict, base: Path):
         mdp, meta = build_gadget(spec["gadget"], spec.get("params"))
         return mdp, meta
     if "file" in spec:
-        return FiniteMdp.load(base / spec["file"]), None
+        path = base / spec["file"]
+        try:
+            return FiniteMdp.load(path), None
+        except (OSError, KeyError, TypeError, ValueError) as exc:
+            raise ScenarioError(f"cannot load MDP file {path}: {exc!r}") from exc
     raise ScenarioError("mdp needs a 'gadget' name or a 'file' path")
 
 
@@ -67,6 +71,19 @@ def _parse_proxy(doc: dict | None):
     raise ScenarioError(f"unknown proxy {doc.get('type')!r}")
 
 
+def _estimate(mdp, s0, strategy, cfg: dict, horizon: int, runs: int, seed: int):
+    """``estimate_transience`` with the scenario's ``horizon``, ``runs`` and
+    ``proxy`` (defaults ``horizon`` and ``runs``); settings it rejects are
+    scenario errors."""
+    try:
+        return estimate_transience(
+            mdp, s0, strategy, int(cfg.get("horizon", horizon)),
+            int(cfg.get("runs", runs)), _parse_proxy(cfg.get("proxy")), seed,
+        )
+    except ValueError as exc:
+        raise ScenarioError(str(exc)) from exc
+
+
 def _state(mdp, ordinal: int) -> StateId:
     if isinstance(mdp, FiniteMdp):
         return mdp.by_ordinal[ordinal]
@@ -91,13 +108,14 @@ def run_scenario(path: Path, seed: int | None, out_dir: Path) -> int:
     if not isinstance(task, dict) or "kind" not in task:
         raise ScenarioError("scenario needs a 'task' object with a 'kind'")
     out_dir.mkdir(parents=True, exist_ok=True)
+    base = Path(path).parent  # an MDP "file" is relative to the scenario
     kind = task["kind"]
     if kind == "simulate":
-        return _task_simulate(doc, task, master, out_dir)
+        return _task_simulate(doc, task, master, out_dir, base)
     if kind == "solve":
-        return _task_solve(doc, task, master, out_dir)
+        return _task_solve(doc, task, master, out_dir, base)
     if kind == "synthesize":
-        return _task_synthesize(doc, task, master, out_dir)
+        return _task_synthesize(doc, task, master, out_dir, base)
     if kind == "verify":
         suites = task.get("suites") or [task.get("suite", "conditioned")]
         return _run_verify(suites, master, out_dir)
@@ -106,27 +124,18 @@ def run_scenario(path: Path, seed: int | None, out_dir: Path) -> int:
     raise ScenarioError(f"unknown task kind {kind!r}")
 
 
-def _task_simulate(doc, task, master, out_dir) -> int:
-    mdp, _ = _load_mdp(doc["mdp"], Path("."))
+def _task_simulate(doc, task, master, out_dir, base) -> int:
+    mdp, _ = _load_mdp(doc["mdp"], base)
     s0 = _state(mdp, task["state"])
-    proxy = _parse_proxy(task.get("proxy"))
-    est, half = estimate_transience(
-        mdp,
-        s0,
-        None,
-        int(task.get("horizon", 10_000)),
-        int(task.get("runs", 1000)),
-        proxy,
-        derive_seed(master, "simulate"),
-    )
+    est, half = _estimate(mdp, s0, None, task, 10_000, 1000, derive_seed(master, "simulate"))
     result = {"estimate": est, "half_width_95": half, "proxy": task.get("proxy")}
     path = _write_json(out_dir, "estimate.json", result)
     print(f"transience estimate {est:.4f} +- {half:.4f} -> {path}")
     return 0
 
 
-def _task_solve(doc, task, master, out_dir) -> int:
-    mdp, _ = _load_mdp(doc["mdp"], Path("."))
+def _task_solve(doc, task, master, out_dir, base) -> int:
+    mdp, _ = _load_mdp(doc["mdp"], base)
     objective = _parse_objective(task["objective"])
     s = _state(mdp, task["state"])
     if isinstance(mdp, FiniteMdp):
@@ -147,8 +156,8 @@ def _task_solve(doc, task, master, out_dir) -> int:
     return 0
 
 
-def _task_synthesize(doc, task, master, out_dir) -> int:
-    mdp, _ = _load_mdp(doc["mdp"], Path("."))
+def _task_synthesize(doc, task, master, out_dir, base) -> int:
+    mdp, _ = _load_mdp(doc["mdp"], base)
     method = task.get("method")
     epsilon = float(task.get("epsilon", 0.1))
     if method == "transience_md":
@@ -158,10 +167,8 @@ def _task_synthesize(doc, task, master, out_dir) -> int:
         )
         sigma, partition = transience_md(mdp, s0, epsilon, budgets=budgets)
         _write_json(out_dir, "strategy.json", sigma.to_json())
-        attained, half = estimate_transience(
-            mdp, s0, sigma, int(task.get("horizon", 5000)),
-            int(task.get("runs", 400)), _parse_proxy(task.get("proxy")),
-            derive_seed(master, "attained"),
+        attained, half = _estimate(
+            mdp, s0, sigma, task, 5000, 400, derive_seed(master, "attained")
         )
         report = {
             "bad_states": sorted(s.ordinal for s in partition.s_bad),
@@ -225,16 +232,11 @@ def _task_sweep(doc, task, master, out_dir) -> int:
     param = task["param"]
     values = task["values"]
     est_cfg = task.get("estimate", {})
-    proxy = _parse_proxy(est_cfg.get("proxy"))
-    horizon = int(est_cfg.get("horizon", 5000))
-    runs = int(est_cfg.get("runs", 1000))
     rows = []
     for v in values:
         mdp, _ = build_gadget(gadget, {param: v})
         s0 = _state(mdp, task.get("state", 0))
-        est, half = estimate_transience(
-            mdp, s0, None, horizon, runs, proxy, derive_seed(master, "sweep", v)
-        )
+        est, half = _estimate(mdp, s0, None, est_cfg, 5000, 1000, derive_seed(master, "sweep", v))
         rows.append({param: v, "estimate": est, "half_width_95": half})
     path = out_dir / "sweep.csv"
     with open(path, "w", newline="") as fh:

@@ -81,8 +81,8 @@ def gamblers_ruin(p: float) -> tuple[Mdp, GadgetMeta]:
     def vstep(pos, u):
         import numpy as np
 
-        up = u < p
-        return np.where(pos == 0, 1, np.where(up, pos + 1, pos - 1))
+        # w_0 goes to w_1 on either branch: |0 - 1| = 1.
+        return np.abs(np.where(u < p, pos + 1, pos - 1))
 
     mdp = ChainMdp(
         lambda s: StateKind.RANDOM,
@@ -279,6 +279,14 @@ def acyclic_chain() -> tuple[Mdp, GadgetMeta]:
     return mdp, meta
 
 
+def _fan_branch(j: int, good: StateId, bad: StateId) -> Distribution:
+    """Fan branch b_j: ``good`` with probability 1 - 2^-j, ``bad`` otherwise.
+    From j = 1075 on 2^-j underflows to 0.0 and 1 - 2^-j is exactly 1.0, so
+    the zero-mass edge is left out."""
+    q = 2.0**-j
+    return Distribution([(good, 1.0 - q), (bad, q)] if q else [(good, 1.0)])
+
+
 def safety_fan() -> tuple[Mdp, GadgetMeta]:
     """Infinitely branching controlled fan with safety values approaching 1.
 
@@ -308,9 +316,7 @@ def safety_fan() -> tuple[Mdp, GadgetMeta]:
                 items=lambda: (b(j) for j in _count_from(1)), random=False
             )
         if o % 3 == 0:
-            j = o // 3
-            q = 2.0**-j
-            return Distribution([(a(0), 1.0 - q), (bot(0), q)])
+            return _fan_branch(o // 3, a(0), bot(0))
         k = (o - 1) // 3 if o % 3 == 1 else (o - 2) // 3
         if o % 3 == 1:
             return Distribution([(a(k + 1), 1.0)])
@@ -365,9 +371,7 @@ def transience_fan() -> tuple[Mdp, GadgetMeta]:
         if s == trap:
             return Distribution([(trap, 1.0)])
         if o % 3 == 0:
-            j = o // 3
-            q = 2.0**-j
-            return Distribution([(a(0), 1.0 - q), (trap, q)])
+            return _fan_branch(o // 3, a(0), trap)
         return Distribution([(a((o - 1) // 3 + 1), 1.0)])
 
     mdp = LazyMdp(kind, successors)

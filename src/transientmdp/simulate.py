@@ -232,39 +232,55 @@ class VectorChain:
 
 
 def _vector_estimate(chain: VectorChain, s0: StateId, horizon, runs, proxy, seed) -> int:
+    """Number of ``runs`` classified transient by ``proxy``.
+
+    Runs go in batches of at most 64M table cells, one generator per batch.
+    Every step draws one uniform per run of the batch, so a run sees the same
+    uniforms whether or not other runs are still stepping; a run leaves the
+    step loop once its verdict is fixed (RevisitCap: some count passed the
+    cap; FreshTail: it hit a state visited before the window).
+    """
     import numpy as np
 
     bound = int(chain.ordinal_bound(s0.ordinal, horizon)) + 1
     batch = max(1, min(runs, max(1, 64_000_000 // max(bound, 1))))
+    revisit = isinstance(proxy, RevisitCap)
+    # A run leaves once a count passes the cap, so no cell exceeds
+    # max_visits + 1 (2 at s0 under a cap of 0, which uint8 still holds).
+    dtype = np.min_scalar_type(proxy.max_visits + 1) if revisit else np.bool_
+    window_start = 0 if revisit else max(0, horizon - proxy.window + 1)
     hits = 0
     done = 0
     index = 0
     while done < runs:
         n = min(batch, runs - done)
         rng = np.random.default_rng(derive_seed(seed, "vec", index))
+        # Flat (run, ordinal) table: visit counts, or FreshTail's
+        # visited-before-the-window marks; row r starts at r * bound.
+        table = np.zeros(n * bound, dtype=dtype)
+        live = np.arange(n)
+        row = live * bound
         pos = np.full(n, s0.ordinal, dtype=np.int64)
-        rows = np.arange(n)
-        if isinstance(proxy, RevisitCap):
-            counts = np.zeros((n, bound), dtype=np.int32)
-            counts[rows, pos] = 1
-            bad = np.zeros(n, dtype=bool)
-            for _ in range(horizon):
-                pos = chain.step(pos, rng.random(n))
-                c = counts[rows, pos] + 1
-                counts[rows, pos] = c
-                bad |= c > proxy.max_visits
-        else:
-            window_start = max(0, horizon - proxy.window + 1)
-            visited_pre = np.zeros((n, bound), dtype=bool)
-            visited_pre[rows, pos] = True
-            bad = np.zeros(n, dtype=bool)
-            for step in range(horizon):
-                pos = chain.step(pos, rng.random(n))
-                if step + 1 < window_start:
-                    visited_pre[rows, pos] = True
-                else:
-                    bad |= visited_pre[rows, pos]
-        hits += int(n - bad.sum())
+        table[row + pos] = 1
+        u = np.empty(n)
+        for step in range(horizon):
+            rng.random(out=u)
+            pos = chain.step(pos, u if len(live) == n else u[live])
+            cell = row + pos
+            if revisit:
+                c = table[cell] + 1
+                table[cell] = c
+                keep = c <= proxy.max_visits
+            elif step + 1 < window_start:
+                table[cell] = True
+                continue
+            else:
+                keep = ~table[cell]
+            if not keep.all():
+                live, row, pos = live[keep], row[keep], pos[keep]
+                if len(live) == 0:
+                    break
+        hits += len(live)
         done += n
         index += 1
     return hits

@@ -2,6 +2,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from transientmdp.cli import main
 from transientmdp.verify import random_finite_mdp
 
@@ -43,8 +45,13 @@ def test_sweep_is_byte_identical(tmp_path, capsys):
     assert run_cli(["--out-dir", out1, "run", scenario]) == 0
     assert run_cli(["--out-dir", out2, "run", scenario]) == 0
     assert (out1 / "sweep.csv").read_bytes() == (out2 / "sweep.csv").read_bytes()
-    header = (out1 / "sweep.csv").read_text().splitlines()[0]
-    assert header == "p,estimate,half_width_95"
+    # Pinned bytes: a change to the vector engine must keep its streams.
+    assert (out1 / "sweep.csv").read_text() == (
+        "p,estimate,half_width_95\n"
+        "0.4,0.0,0.0\n"
+        "0.6,0.7,0.06351125884439704\n"
+        "0.8,1.0,0.0\n"
+    )
 
 
 def test_solve_interval_on_gadget(tmp_path, capsys):
@@ -170,6 +177,54 @@ def test_bad_scenario_exits_one(tmp_path, capsys):
     assert run_cli(["run", scenario]) == 1
     scenario.write_text(json.dumps({"seed": 1, "task": {"kind": "nope"}}))
     assert run_cli(["run", scenario]) == 1
+
+
+def test_relative_mdp_file_resolves_against_scenario(tmp_path, monkeypatch):
+    scen_dir, elsewhere = tmp_path / "scenarios", tmp_path / "elsewhere"
+    scen_dir.mkdir()
+    elsewhere.mkdir()
+    fm = random_finite_mdp(9, n_states=7)
+    fm.dump(scen_dir / "mdp.json")
+    scenario = scen_dir / "solve.json"
+    scenario.write_text(
+        json.dumps(
+            {
+                "seed": 1,
+                "mdp": {"file": "mdp.json"},
+                "task": {
+                    "kind": "solve",
+                    "objective": {"type": "reach", "states": [fm.states[-1].ordinal]},
+                    "state": 0,
+                },
+            }
+        )
+    )
+    monkeypatch.chdir(elsewhere)
+    assert run_cli(["--out-dir", tmp_path / "out", "run", scenario]) == 0
+    assert (tmp_path / "out" / "values.json").exists()
+
+
+GADGET = {"gadget": "gamblers_ruin", "params": {"p": 0.6}}
+SOLVE = {"kind": "solve", "objective": {"type": "reach", "states": [0]}, "state": 0}
+
+
+@pytest.mark.parametrize(
+    "mdp, task",
+    [
+        ({"file": "absent.json"}, SOLVE),
+        ({"file": "broken.json"}, SOLVE),
+        (GADGET, {"kind": "simulate", "state": 0, "runs": 0}),
+        (GADGET, {"kind": "simulate", "state": 0, "horizon": 50,
+                  "proxy": {"type": "fresh_tail", "window": 50}}),
+    ],
+    ids=["missing_mdp_file", "malformed_mdp_file", "zero_runs", "horizon_within_window"],
+)
+def test_bad_scenario_input_is_a_scenario_error(tmp_path, capsys, mdp, task):
+    (tmp_path / "broken.json").write_text('{"states": [')
+    scenario = tmp_path / "bad.json"
+    scenario.write_text(json.dumps({"seed": 1, "mdp": mdp, "task": task}))
+    assert run_cli(["--out-dir", tmp_path, "run", scenario]) == 1
+    assert capsys.readouterr().err.startswith("scenario error: ")
 
 
 def test_console_entry_point():

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from transientmdp import (
@@ -12,8 +13,20 @@ from transientmdp import (
 )
 from transientmdp.core import OPTIMISTIC, PESSIMISTIC, require_sink, require_tail
 from transientmdp.errors import InfiniteBranching, NotSink, NotTail
-from transientmdp.gadgets import gamblers_ruin, ladder_state, no_optimal_ladder, safety_fan
-from transientmdp.simulate import FreshTail, RevisitCap, derive_seed, estimate_transience
+from transientmdp.gadgets import (
+    acyclic_chain,
+    gamblers_ruin,
+    ladder_state,
+    no_optimal_ladder,
+    safety_fan,
+)
+from transientmdp.simulate import (
+    FreshTail,
+    RevisitCap,
+    _vector_estimate,
+    derive_seed,
+    estimate_transience,
+)
 from transientmdp.solvers import optimal_boundary_value
 
 
@@ -146,8 +159,6 @@ def test_simulate_self_loop():
 
 def test_simulate_deterministic_chain_fresh_tail():
     mdp, _ = gamblers_ruin(0.5)  # only used for StateId shape
-    from transientmdp.gadgets import acyclic_chain
-
     chain, _ = acyclic_chain()
     c0 = StateId(0, "c_0")
     for window in (1, 3, 5):
@@ -195,6 +206,65 @@ def test_estimate_transience_engines_agree():
     mdp._vector = None
     slow, _ = estimate_transience(mdp, w(0), None, 2000, 400, RevisitCap(30), seed=21)
     assert abs(fast - slow) < 0.08
+
+
+def _reference_vector_hits(step, bound_fn, s0, horizon, runs, proxy, seed):
+    """The vector engine as first written: an int32 (run, ordinal) table,
+    every run stepped to the horizon."""
+    bound = int(bound_fn(s0.ordinal, horizon)) + 1
+    batch = max(1, min(runs, max(1, 64_000_000 // max(bound, 1))))
+    hits = done = index = 0
+    while done < runs:
+        n = min(batch, runs - done)
+        rng = np.random.default_rng(derive_seed(seed, "vec", index))
+        pos = np.full(n, s0.ordinal, dtype=np.int64)
+        rows = np.arange(n)
+        seen = np.zeros((n, bound), dtype=np.int32)
+        seen[rows, pos] = 1
+        bad = np.zeros(n, dtype=bool)
+        start = max(0, horizon - proxy.window + 1) if isinstance(proxy, FreshTail) else 0
+        for k in range(horizon):
+            pos = step(pos, rng.random(n))
+            if isinstance(proxy, RevisitCap):
+                seen[rows, pos] += 1
+                bad |= seen[rows, pos] > proxy.max_visits
+            elif k + 1 < start:
+                seen[rows, pos] = 1
+            else:
+                bad |= seen[rows, pos] > 0
+        hits += int(n - bad.sum())
+        done += n
+        index += 1
+    return hits
+
+
+VECTOR_CASES = [
+    (RevisitCap(cap), 620) for cap in (0, 1, 254, 255, 300)
+] + [(FreshTail(window), 2400) for window in (50, 1999)]
+
+
+@pytest.mark.parametrize("p", [0.3, 0.5, 0.6])
+@pytest.mark.parametrize("proxy, horizon", VECTOR_CASES, ids=str)
+def test_vector_engine_matches_reference(p, proxy, horizon):
+    chain = gamblers_ruin(p)[0].vector_chain()
+
+    def nested_where_step(pos, u):  # the gambler step as first written
+        return np.where(pos == 0, 1, np.where(u < p, pos + 1, pos - 1))
+
+    want = _reference_vector_hits(
+        nested_where_step, chain.ordinal_bound, w(0), horizon, 200, proxy, 13
+    )
+    assert _vector_estimate(chain, w(0), horizon, 200, proxy, 13) == want
+
+
+@pytest.mark.parametrize("proxy", [RevisitCap(0), RevisitCap(8), FreshTail(20)], ids=str)
+@pytest.mark.parametrize("family", ["acyclic_chain", "gamblers_ruin"])
+def test_vector_engine_matches_reference_across_batches(family, proxy):
+    # From ordinal 10^6 a batch holds 63 runs, so 150 runs take three batches.
+    mdp = acyclic_chain()[0] if family == "acyclic_chain" else gamblers_ruin(0.7)[0]
+    chain, s0 = mdp.vector_chain(), StateId(1_000_000)
+    want = _reference_vector_hits(chain.step, chain.ordinal_bound, s0, 100, 150, proxy, 4)
+    assert _vector_estimate(chain, s0, 100, 150, proxy, 4) == want
 
 
 def test_recurrent_walk_mean_visits_grow():

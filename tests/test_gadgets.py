@@ -14,6 +14,7 @@ from transientmdp.gadgets import (
     no_optimal_ladder,
     safety_fan,
     safety_fan_avoid,
+    transience_fan,
     REGISTRY,
 )
 from transientmdp.simulate import derive_seed, mean_visits
@@ -161,6 +162,16 @@ def test_safety_fan_values():
 
     with pytest.raises(InfiniteBranching):
         interval_value(fan, StateId(0, "fan"), obj, [10], safe_core=core)
+
+
+@pytest.mark.parametrize("fan", [safety_fan, transience_fan])
+def test_fan_branches_past_float_underflow(fan):
+    # 2^-1075 is 0.0; the branch must not carry a zero-mass edge.
+    mdp, _ = fan()
+    far = mdp.successors_of(StateId(3 * 1075, "b_1075"))
+    assert [(t.label, p) for t, p in far] == [("a_0", 1.0)]
+    near = mdp.successors_of(StateId(3 * 1074, "b_1074"))
+    assert [p for _, p in near] == [1.0, 2.0**-1074]
 
 
 def test_all_registered_gadgets_well_formed():

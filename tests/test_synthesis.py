@@ -12,6 +12,7 @@ from transientmdp.errors import (
     EmptyFrontier,
     InfiniteBranching,
     NotUniversallyTransient,
+    RadiusExhausted,
     TransientMdpError,
 )
 from transientmdp.gadgets import (
@@ -365,6 +366,21 @@ def test_safety_slack_infinite_random_branching_raises_typed_error():
             assume_transient=True,
         )
     assert isinstance(info.value, TransientMdpError)
+
+
+def test_safety_fan_scan_past_underflow_exhausts_budget():
+    # Without a safe core every branch's lower bound is vacuous, so the scan
+    # walks the whole budget, through branches whose 2^-j underflows to 0.0.
+    fan, _ = safety_fan()
+    with pytest.raises(RadiusExhausted):
+        safety_md_universally_transient(
+            fan,
+            Objective.safety(safety_fan_avoid),
+            0.1,
+            SafetySchedule(radii=(4,), synthesis_radius=2, branch_budget=1100),
+            roots=[StateId(0, "fan")],
+            assume_transient=True,
+        )
 
 
 def test_safety_slack_on_infinite_fan():
