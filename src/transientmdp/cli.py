@@ -67,7 +67,7 @@ def _parse_proxy(doc: dict | None):
     if doc.get("type") == "revisit_cap":
         return RevisitCap(int(doc.get("max_visits", 30)))
     if doc.get("type") == "fresh_tail":
-        return FreshTail(int(doc["window"]))
+        return FreshTail(int(_field(doc, "window", "fresh_tail proxy")))
     raise ScenarioError(f"unknown proxy {doc.get('type')!r}")
 
 
@@ -85,9 +85,19 @@ def _estimate(mdp, s0, strategy, cfg: dict, horizon: int, runs: int, seed: int):
 
 
 def _state(mdp, ordinal: int) -> StateId:
-    if isinstance(mdp, FiniteMdp):
-        return mdp.by_ordinal[ordinal]
-    return StateId(int(ordinal))
+    try:
+        if isinstance(mdp, FiniteMdp):
+            return mdp.by_ordinal[ordinal]
+        return StateId(int(ordinal))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ScenarioError(f"no state {ordinal!r} in the MDP") from exc
+
+
+def _field(doc: dict, key: str, where: str):
+    """``doc[key]``; a missing key is a scenario error."""
+    if key not in doc:
+        raise ScenarioError(f"{where} needs {key!r}")
+    return doc[key]
 
 
 def _write_json(out_dir: Path, name: str, doc) -> Path:
@@ -125,8 +135,8 @@ def run_scenario(path: Path, seed: int | None, out_dir: Path) -> int:
 
 
 def _task_simulate(doc, task, master, out_dir, base) -> int:
-    mdp, _ = _load_mdp(doc["mdp"], base)
-    s0 = _state(mdp, task["state"])
+    mdp, _ = _load_mdp(_field(doc, "mdp", "scenario"), base)
+    s0 = _state(mdp, _field(task, "state", "task"))
     est, half = _estimate(mdp, s0, None, task, 10_000, 1000, derive_seed(master, "simulate"))
     result = {"estimate": est, "half_width_95": half, "proxy": task.get("proxy")}
     path = _write_json(out_dir, "estimate.json", result)
@@ -135,9 +145,9 @@ def _task_simulate(doc, task, master, out_dir, base) -> int:
 
 
 def _task_solve(doc, task, master, out_dir, base) -> int:
-    mdp, _ = _load_mdp(doc["mdp"], base)
-    objective = _parse_objective(task["objective"])
-    s = _state(mdp, task["state"])
+    mdp, _ = _load_mdp(_field(doc, "mdp", "scenario"), base)
+    objective = _parse_objective(_field(task, "objective", "task"))
+    s = _state(mdp, _field(task, "state", "task"))
     if isinstance(mdp, FiniteMdp):
         if objective.kind == Objective.REACH:
             vm = reach_value(mdp, objective.states)
@@ -157,11 +167,11 @@ def _task_solve(doc, task, master, out_dir, base) -> int:
 
 
 def _task_synthesize(doc, task, master, out_dir, base) -> int:
-    mdp, _ = _load_mdp(doc["mdp"], base)
+    mdp, _ = _load_mdp(_field(doc, "mdp", "scenario"), base)
     method = task.get("method")
     epsilon = float(task.get("epsilon", 0.1))
     if method == "transience_md":
-        s0 = _state(mdp, task["state"])
+        s0 = _state(mdp, _field(task, "state", "task"))
         budgets = TransienceBudgets(
             radius=int(task.get("radius", 40)), seed=derive_seed(master, "syn")
         )
@@ -186,8 +196,8 @@ def _task_synthesize(doc, task, master, out_dir, base) -> int:
         from .core import truncate
         from .synthesis import one_bit_tables
 
-        s0 = _state(mdp, task["state"])
-        goal = _parse_objective(task["objective"])
+        s0 = _state(mdp, _field(task, "state", "task"))
+        goal = _parse_objective(_field(task, "objective", "task"))
         goal_set = goal.predicate or goal.states
         schedule = BubbleSchedule(seed=derive_seed(master, "bubble"))
         strategy, plan = buchi_transience_one_bit(mdp, [s0], goal_set, epsilon, schedule)
@@ -199,7 +209,7 @@ def _task_synthesize(doc, task, master, out_dir, base) -> int:
     if method == "plastering":
         if not isinstance(mdp, FiniteMdp):
             raise ScenarioError("plastering runs on finite MDPs")
-        phi = _parse_objective(task["objective"])
+        phi = _parse_objective(_field(task, "objective", "task"))
         sigma, state = plastering_uniformize(mdp, phi, epsilon)
         _write_json(out_dir, "strategy.json", sigma.to_json())
         path = _write_json(out_dir, "plastering_audit.json", state.to_json())
@@ -208,13 +218,13 @@ def _task_synthesize(doc, task, master, out_dir, base) -> int:
     if method == "optimal_md":
         if not isinstance(mdp, FiniteMdp):
             raise ScenarioError("optimal_md runs on finite MDPs")
-        phi = _parse_objective(task["objective"])
+        phi = _parse_objective(_field(task, "objective", "task"))
         sigma = optimal_md_where_exists(mdp, phi)
         path = _write_json(out_dir, "strategy.json", sigma.to_json())
         print(f"optimal-where-exists strategy -> {path}")
         return 0
     if method == "safety_md":
-        phi = _parse_objective(task["objective"])
+        phi = _parse_objective(_field(task, "objective", "task"))
         roots = [_state(mdp, o) for o in task.get("roots", [task.get("state", 0)])]
         schedule = SafetySchedule()
         sigma = safety_md_universally_transient(
@@ -229,8 +239,8 @@ def _task_synthesize(doc, task, master, out_dir, base) -> int:
 
 def _task_sweep(doc, task, master, out_dir) -> int:
     gadget = task.get("gadget") or doc.get("mdp", {}).get("gadget")
-    param = task["param"]
-    values = task["values"]
+    param = _field(task, "param", "sweep task")
+    values = _field(task, "values", "sweep task")
     est_cfg = task.get("estimate", {})
     rows = []
     for v in values:

@@ -13,15 +13,18 @@ branching raises ``InfiniteBranching`` instead of silently truncating.
 from __future__ import annotations
 
 import json
+import math
 from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from functools import cached_property
+from typing import Callable, Hashable, Iterable, Iterator, Mapping, Sequence, TypeVar
 
 from .errors import InfiniteBranching, NotSink, NotTail
 
 PROB_TOL = 1e-9
+Node = TypeVar("Node", bound=Hashable)
 
 
 class StateKind(Enum):
@@ -180,6 +183,8 @@ class FiniteMdp(Mdp):
 
     ``sinks`` are designated subsets closed under the transition relation.
     Truncations additionally carry their frontier state and policy tag.
+    No code mutates a FiniteMdp after construction, so the index form that
+    ``compiled`` builds on first use stays valid.
     """
 
     def __init__(
@@ -214,6 +219,11 @@ class FiniteMdp(Mdp):
 
     def controlled_states(self) -> list[StateId]:
         return [s for s in self.states if self.kinds[s] is StateKind.CONTROLLED]
+
+    @cached_property
+    def compiled(self) -> "CompiledMdp":
+        """The index form the solvers work on, built on first use."""
+        return CompiledMdp(self)
 
     def validate(self) -> None:
         if len(self.by_ordinal) != len(self.states):
@@ -280,6 +290,44 @@ class FiniteMdp(Mdp):
     def load(cls, path) -> "FiniteMdp":
         with open(path) as fh:
             return cls.from_json(json.load(fh))
+
+
+class CompiledMdp:
+    """A FiniteMdp compiled to indices: state ``i`` is ``states[i]`` and
+    ``index`` maps back.  The successors of ``i`` are
+    ``succ[indptr[i]:indptr[i + 1]]`` in successor order, with probabilities
+    at the same positions of ``prob`` (NaN on controlled edges): compressed
+    sparse rows.  All fields are plain lists, which scalar loops index
+    fastest."""
+
+    __slots__ = ("states", "index", "ordinal", "controlled", "indptr", "succ", "prob")
+
+    def __init__(self, fm: FiniteMdp):
+        states, kinds, transitions = fm.states, fm.kinds, fm.transitions
+        self.states = states
+        self.index = index = {s: i for i, s in enumerate(states)}
+        self.ordinal = [s.ordinal for s in states]
+        self.controlled = [kinds[s] is StateKind.CONTROLLED for s in states]
+        indptr, succ, prob = [0], [], []
+        for s in states:
+            out = transitions[s]
+            try:
+                if isinstance(out, Distribution):
+                    for t, p in out.support:
+                        succ.append(index[t])
+                        prob.append(p)
+                else:
+                    for t in out:
+                        succ.append(index[t])
+                        prob.append(math.nan)
+            except KeyError as exc:
+                raise ValueError(f"an edge of {s} leaves the state space") from exc
+            indptr.append(len(succ))
+        self.indptr, self.succ, self.prob = indptr, succ, prob
+
+    def row(self, i: int) -> list[int]:
+        """Successor indices of state ``i``."""
+        return self.succ[self.indptr[i]:self.indptr[i + 1]]
 
 
 def require_sink(mdp: Mdp, states: Iterable[StateId]) -> frozenset[StateId]:
@@ -583,14 +631,16 @@ def reachable(mdp: Mdp, roots: Iterable[StateId]) -> set[StateId]:
 
 
 def _backward_reach(
-    succ: Mapping[StateId, Iterable[StateId]],
-    seeds: Iterable[StateId],
-    admit: Callable[[StateId], bool] | None = None,
-) -> dict[StateId, int]:
+    succ: Mapping[Node, Iterable[Node]],
+    seeds: Iterable[Node],
+    admit: Callable[[Node], bool] | None = None,
+) -> dict[Node, int]:
     """Breadth-first search backwards from ``seeds`` along the edges of
     ``succ`` (state -> successor states).  Returns the distance of every state
-    reached, seeds at 0; ``admit(s)``, when given, may refuse a state."""
-    preds: dict[StateId, list[StateId]] = {}
+    reached, seeds at 0; ``admit(s)``, when given, may refuse a state.  States
+    are any hashable keys: StateIds, indices of a CompiledMdp, product
+    states."""
+    preds: dict[Node, list[Node]] = {}
     for s, targets in succ.items():
         for t in targets:
             preds.setdefault(t, []).append(s)
@@ -606,36 +656,39 @@ def _backward_reach(
 
 
 def _stay_region(
-    mdp: Mdp,
-    region: Iterable[StateId],
-    allowed: Callable[[StateId, StateId], bool] | None = None,
-) -> set[StateId]:
-    """Largest subset of ``region`` where the controller can stay forever
-    along allowed edges (all edges when ``allowed`` is None): a controlled
+    cm: CompiledMdp,
+    region: Iterable[int],
+    allowed: Sequence[bool] | None = None,
+) -> set[int]:
+    """Largest subset of ``region`` (state indices of ``cm``) where the
+    controller can stay forever along allowed edges (``allowed[k]`` for the
+    edge at position k of ``cm.succ``; all edges when None): a controlled
     state keeps one allowed edge inside, and a random state needs all of its
     edges allowed and inside.  Each state counts its allowed edges into the
     kept set; a worklist removes the states whose count runs out."""
+    indptr, succ, controlled = cm.indptr, cm.succ, cm.controlled
     keep = set(region)
-    preds: dict[StateId, list[StateId]] = {}
-    live: dict[StateId, int] = {}
+    preds: dict[int, list[int]] = {}
+    live: dict[int, int] = {}
     dropped = []
-    for s in keep:
-        targets = successor_states(mdp, s)
-        ok = [t for t in targets if t in keep and (allowed is None or allowed(s, t))]
-        random = mdp.kind_of(s) is not StateKind.CONTROLLED
-        if not ok or (random and len(ok) < len(targets)):
-            dropped.append(s)
+    for i in keep:
+        lo, hi = indptr[i], indptr[i + 1]
+        ok = [succ[k] for k in range(lo, hi)
+              if succ[k] in keep and (allowed is None or allowed[k])]
+        random = not controlled[i]
+        if not ok or (random and len(ok) < hi - lo):
+            dropped.append(i)
             continue
-        live[s] = 1 if random else len(ok)
+        live[i] = 1 if random else len(ok)
         for t in ok:
-            preds.setdefault(t, []).append(s)
+            preds.setdefault(t, []).append(i)
     keep.difference_update(dropped)
     while dropped:
         t = dropped.pop()
-        for s in preds.get(t, ()):
-            if s in keep:
-                live[s] -= 1
-                if live[s] == 0:
-                    keep.discard(s)
-                    dropped.append(s)
+        for i in preds.get(t, ()):
+            if i in keep:
+                live[i] -= 1
+                if live[i] == 0:
+                    keep.discard(i)
+                    dropped.append(i)
     return keep

@@ -33,6 +33,10 @@ class TooLarge(TransientMdpError):
     """An exhaustive operation exceeded its size caps."""
 
 
+class SingularSystem(TransientMdpError):
+    """A linear system of an exact evaluation is singular to working precision."""
+
+
 class NoFiniteCostPolicy(TransientMdpError):
     """No policy attains finite expected total cost from the designated root."""
 

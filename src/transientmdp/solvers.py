@@ -12,6 +12,13 @@ graph precomputation plus policy iteration: the almost-sure attractor of the
 zero-cost region separates the states whose cost is exactly ``math.inf``
 (there is no sweep cap and no 1e15 cut-off), and policy iteration with exact
 linear solves, started from the proper attractor policy, settles the rest.
+
+The solvers run on the index form of a finite MDP (``FiniteMdp.compiled``)
+and translate StateIds only on entry and exit.  Every linear system is
+assembled as sparse triplets and solved by ``_linsolve``: dense LAPACK below
+``SPARSE_MIN_ROWS`` rows, sparse LU at or above it, with scipy imported on
+first use.  The sparse path may differ from a dense solve in the last bits.
+A system singular to working precision raises ``SingularSystem``.
 """
 from __future__ import annotations
 
@@ -23,7 +30,7 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from .core import (
-    Distribution,
+    CompiledMdp,
     FiniteMdp,
     MdStrategy,
     Mdp,
@@ -36,12 +43,10 @@ from .core import (
     _restrict,
     _stay_region,
     require_sink,
-    successor_states,
     truncate,
 )
-from .errors import NoFiniteCostPolicy, TooLarge
+from .errors import NoFiniteCostPolicy, SingularSystem, TooLarge
 
-VI_TOL = 1e-9
 TIE_TOL = 1e-12
 # Relative margin by which a policy-iteration switch must improve, so that
 # rounding in the linear solve cannot pass for an improvement.
@@ -50,11 +55,10 @@ IMPROVE_TOL = 1e-12
 
 @dataclass
 class ValueMap:
-    """State values for one objective; residual of the fixed point <= tolerance."""
+    """State values for one objective, from exact linear solves."""
 
     values: dict[StateId, float]
     objective: Objective | str
-    tolerance: float = VI_TOL
 
     def __getitem__(self, s: StateId) -> float:
         return self.values[s]
@@ -129,13 +133,111 @@ class BoundedRewardSpec:
 
 
 # ---------------------------------------------------------------------------
+# Linear solves
+
+# Systems of at least this many rows are solved by sparse LU.  A dense solve
+# holds 16n² bytes (the matrix and LAPACK's copy of it) and takes O(n³) time;
+# the sparse path pays about 30 MB and 0.4 s once to import scipy, and more
+# than LAPACK per call on small systems.  The two break even at roughly
+# n = 1,000-1,400 rows.
+SPARSE_MIN_ROWS = 1024
+
+
+def _linsolve(n: int, rows: list[int], cols: list[int], vals: list[float], b) -> np.ndarray:
+    """Solution of A x = b for the n x n matrix A that is the sum of the COO
+    triplets (rows[k], cols[k], vals[k]); entries at one position add up in
+    triplet order.  Dense LAPACK below SPARSE_MIN_ROWS, sparse LU from there
+    on, with scipy imported on first use.  A singular A raises
+    SingularSystem."""
+    b = np.asarray(b, dtype=float)
+    if n < SPARSE_MIN_ROWS:
+        a = np.zeros((n, n))
+        np.add.at(a, (rows, cols), vals)
+        try:
+            # A module attribute looked up per call, so wrappers see it.
+            return np.linalg.solve(a, b)
+        except np.linalg.LinAlgError as exc:
+            raise SingularSystem(f"{n}-row system: {exc}") from exc
+    from scipy.sparse import csc_matrix
+    from scipy.sparse.linalg import splu
+
+    try:
+        return splu(csc_matrix((vals, (rows, cols)), shape=(n, n))).solve(b)
+    except RuntimeError as exc:
+        raise SingularSystem(f"{n}-row system: {exc}") from exc
+
+
+def _solve_chain(
+    chain: Mapping[int, list[tuple[int, float, float]]], solve: list[int]
+) -> np.ndarray:
+    """Expected total reward on ``solve`` of a Markov chain given by its
+    edges (successor, probability, reward) per state: x = b + Q x, where Q
+    keeps the edges between ``solve`` states and b sums p * reward over all
+    edges.  An edge leaving ``solve`` pays its reward and ends the run; the
+    chain must leave ``solve`` almost surely."""
+    m = len(solve)
+    pos = {i: k for k, i in enumerate(solve)}
+    rows, cols, vals = list(range(m)), list(range(m)), [1.0] * m
+    b = [0.0] * m
+    for k, i in enumerate(solve):
+        for t, p, r in chain[i]:
+            b[k] += p * r
+            j = pos.get(t)
+            if j is not None:
+                rows.append(k)
+                cols.append(j)
+                vals.append(-p)
+    return _linsolve(m, rows, cols, vals, b)
+
+
+# ---------------------------------------------------------------------------
 # Exact policy evaluation
+#
+# The solvers work on the index form of a FiniteMdp (``fm.compiled``): states
+# are indices, a policy maps each controlled state to a successor index, and
+# values are lists.  StateIds are translated only on entry and exit.
 
 
-def _chain_edges(fm: FiniteMdp, sigma: MdStrategy, s: StateId):
-    if fm.kind_of(s) is StateKind.CONTROLLED:
-        return [(sigma.successor(fm, s), 1.0)]
-    return list(fm.successors_of(s))
+def _fixed(cm: CompiledMdp, values: Mapping[StateId, float]) -> dict[int, float]:
+    """``values`` by index, restricted to the states of ``cm``."""
+    index = cm.index
+    return {index[s]: v for s, v in values.items() if s in index}
+
+
+def _absorption(
+    cm: CompiledMdp, pick: Mapping[int, int | None], fixed: Mapping[int, float]
+) -> list[float]:
+    """Exact absorption values, by index, of the Markov chain in which
+    controlled state i moves to ``pick[i]``.  The ``fixed`` states absorb
+    with their values; states that cannot reach them get the
+    least-fixed-point value 0."""
+    indptr, succ, prob, controlled = cm.indptr, cm.succ, cm.prob, cm.controlled
+    n = len(cm.states)
+    # Entering a fixed state pays its value and ends the run.
+    chain = {}
+    for i in range(n):
+        if i in fixed:
+            continue
+        if controlled[i]:
+            t = pick[i]
+            chain[i] = [(t, 1.0, fixed.get(t, 0.0))]
+        else:
+            chain[i] = [
+                (succ[k], prob[k], fixed.get(succ[k], 0.0))
+                for k in range(indptr[i], indptr[i + 1])
+            ]
+    reach = _backward_reach(
+        {i: [t for t, p, _ in out if p > 0.0] for i, out in chain.items()}, fixed
+    )
+    x = [0.0] * n
+    for i, v in fixed.items():
+        x[i] = v
+    solve = [i for i in chain if i in reach]
+    if solve:
+        top = max(fixed.values(), default=1.0)
+        for i, v in zip(solve, _solve_chain(chain, solve)):
+            x[i] = float(min(max(v, 0.0), top))
+    return x
 
 
 def evaluate_md(
@@ -148,32 +250,14 @@ def evaluate_md(
     Boundary states are treated as absorbing with the given values; states
     that cannot reach the boundary get the least-fixed-point value 0.
     """
-    boundary = dict(boundary)
-    inner = [s for s in fm.states if s not in boundary]
-    # Backward reachability to the boundary along chain edges.
-    can_reach = _backward_reach(
-        {s: [t for t, p in _chain_edges(fm, sigma, s) if p > 0.0] for s in inner},
-        boundary,
-    )
-
-    values = {s: 0.0 for s in fm.states}
+    cm = fm.compiled
+    # A pick outside the state space (index None) counts as value 0.
+    pick = {
+        i: cm.index.get(sigma.successor(fm, s))
+        for i, s in enumerate(cm.states) if cm.controlled[i]
+    }
+    values = dict(zip(cm.states, _absorption(cm, pick, _fixed(cm, boundary))))
     values.update(boundary)
-    solve_states = [s for s in inner if s in can_reach]
-    if solve_states:
-        idx = {s: i for i, s in enumerate(solve_states)}
-        n = len(solve_states)
-        a = np.eye(n)
-        b = np.zeros(n)
-        for s in solve_states:
-            for t, p in _chain_edges(fm, sigma, s):
-                if t in boundary:
-                    b[idx[s]] += p * boundary[t]
-                elif t in idx:
-                    a[idx[s], idx[t]] -= p
-                # edges to non-reaching states contribute value 0
-        x = np.linalg.solve(a, b)
-        for s, v in zip(solve_states, x):
-            values[s] = float(min(max(v, 0.0), max(boundary.values(), default=1.0)))
     return values
 
 
@@ -194,61 +278,43 @@ def evaluate_md_cost(
 ) -> dict[StateId, float]:
     """Exact expected total cost under ``sigma``; math.inf where some
     positive-cost recurrent class is reachable."""
-    succ = {s: [(t, p) for t, p in _chain_edges(fm, sigma, s) if p > 0.0] for s in fm.states}
-    comps = _bottom_sccs(succ)
-    infinite: set[StateId] = set()
-    boundary: set[StateId] = set()
-    for comp in comps:
-        costly = any(cost.of(s, t) > 0.0 for s in comp for t, _ in succ[s] if t in comp)
+    cm = fm.compiled
+    states = cm.states
+    chain = {}
+    for i, s in enumerate(states):
+        if cm.controlled[i]:
+            t = sigma.successor(fm, s)
+            chain[i] = [(cm.index.get(t), 1.0, cost.of(s, t))]
+        else:
+            lo, hi = cm.indptr[i], cm.indptr[i + 1]
+            chain[i] = [
+                (t, p, cost.of(s, states[t]))
+                for t, p in zip(cm.succ[lo:hi], cm.prob[lo:hi]) if p > 0.0
+            ]
+    targets = {i: [t for t, _, _ in out] for i, out in chain.items()}
+    infinite: set[int] = set()
+    boundary: set[int] = set()
+    for comp in _bottom_sccs(targets):
+        costly = any(c > 0.0 for i in comp for t, _, c in chain[i] if t in comp)
         (infinite if costly else boundary).update(comp)
     # Positive-probability reachability of an infinite-cost class propagates.
-    infinite = set(_backward_reach(
-        {s: [t for t, _ in out] for s, out in succ.items()}, infinite
-    ))
-
-    solve_states = [s for s in fm.states if s not in infinite and s not in boundary]
-    values = _solve_costs(succ, solve_states, cost)
-    for s in boundary:
-        values[s] = 0.0
-    for s in infinite:
-        values[s] = math.inf
-    return values
+    infinite = set(_backward_reach(targets, infinite))
+    values = [math.inf if i in infinite else 0.0 for i in range(len(states))]
+    solve = [i for i in chain if i not in infinite and i not in boundary]
+    if solve:
+        for i, v in zip(solve, _solve_chain(chain, solve)):
+            values[i] = float(max(v, 0.0))
+    return dict(zip(states, values))
 
 
-def _solve_costs(
-    succ: Mapping[StateId, list[tuple[StateId, float]]],
-    solve_states: list[StateId],
-    cost: CostLabel,
-) -> dict[StateId, float]:
-    """Exact expected total cost on ``solve_states`` of the chain ``succ``;
-    edges leaving ``solve_states`` pay their cost and then count as value 0.
-    The chain must leave ``solve_states`` almost surely."""
-    values: dict[StateId, float] = {}
-    if not solve_states:
-        return values
-    idx = {s: i for i, s in enumerate(solve_states)}
-    n = len(solve_states)
-    a = np.eye(n)
-    b = np.zeros(n)
-    for s in solve_states:
-        for t, p in succ[s]:
-            b[idx[s]] += p * cost.of(s, t)
-            if t in idx:
-                a[idx[s], idx[t]] -= p
-    x = np.linalg.solve(a, b)
-    for s, v in zip(solve_states, x):
-        values[s] = float(max(v, 0.0))
-    return values
-
-
-def _bottom_sccs(succ: Mapping[StateId, list]) -> list[set[StateId]]:
-    """Bottom strongly connected components of the chain graph."""
-    order: list[StateId] = []
-    seen: set[StateId] = set()
+def _bottom_sccs(succ: Mapping[int, list[int]]) -> list[set[int]]:
+    """Bottom strongly connected components of the graph ``succ``."""
+    order: list[int] = []
+    seen: set[int] = set()
     for root in succ:
         if root in seen:
             continue
-        stack = [(root, iter([t for t, _ in succ[root]]))]
+        stack = [(root, iter(succ[root]))]
         seen.add(root)
         while stack:
             node, it = stack[-1]
@@ -256,19 +322,19 @@ def _bottom_sccs(succ: Mapping[StateId, list]) -> list[set[StateId]]:
             for t in it:
                 if t not in seen:
                     seen.add(t)
-                    stack.append((t, iter([u for u, _ in succ[t]])))
+                    stack.append((t, iter(succ[t])))
                     advanced = True
                     break
             if not advanced:
                 order.append(node)
                 stack.pop()
     # Kosaraju second pass on the reverse graph.
-    rev: dict[StateId, list[StateId]] = {s: [] for s in succ}
+    rev: dict[int, list[int]] = {s: [] for s in succ}
     for s, out in succ.items():
-        for t, _ in out:
+        for t in out:
             rev[t].append(s)
-    comp_of: dict[StateId, int] = {}
-    comps: list[set[StateId]] = []
+    comp_of: dict[int, int] = {}
+    comps: list[set[int]] = []
     for root in reversed(order):
         if root in comp_of:
             continue
@@ -283,11 +349,7 @@ def _bottom_sccs(succ: Mapping[StateId, list]) -> list[set[StateId]]:
                     comp_of[t] = len(comps)
                     stack2.append(t)
         comps.append(comp)
-    bottoms = []
-    for comp in comps:
-        if all(t in comp for s in comp for t, _ in succ[s]):
-            bottoms.append(comp)
-    return bottoms
+    return [comp for comp in comps if all(t in comp for s in comp for t in succ[s])]
 
 
 # ---------------------------------------------------------------------------
@@ -301,142 +363,146 @@ def optimal_boundary_value(
 ) -> tuple[dict[StateId, float], MdStrategy]:
     """Least fixed point of the Bellman operator with fixed boundary values,
     plus an MD strategy attaining it."""
-    boundary = dict(boundary)
-    inner = [s for s in fm.states if s not in boundary]
-    values = {s: 0.0 for s in fm.states}
-    values.update(boundary)
+    cm = fm.compiled
+    fixed = _fixed(cm, boundary)
+    indptr, succ, prob, controlled = cm.indptr, cm.succ, cm.prob, cm.controlled
+    n = len(cm.states)
+    inner = [i for i in range(n) if i not in fixed]
+    x = [0.0] * n
+    for i, v in fixed.items():
+        x[i] = v
 
     if maximize:
         # States that cannot graph-reach the boundary keep value 0.
-        live = _backward_reach({s: successor_states(fm, s) for s in inner}, boundary)
-        active = [s for s in inner if s in live]
-        frozen_zero = {s for s in inner if s not in live}
+        live = _backward_reach({i: cm.row(i) for i in inner}, fixed)
+        active = [i for i in inner if i in live]
+        frozen_zero = {i for i in inner if i not in live}
     else:
         # Largest closed set from which the boundary is surely avoidable.
-        frozen_zero = _stay_region(fm, inner)
-        active = [s for s in inner if s not in frozen_zero]
+        frozen_zero = _stay_region(cm, inner)
+        active = [i for i in inner if i not in frozen_zero]
 
-    order = sorted(active, key=lambda s: s.ordinal)
+    # The active states by ordinal, each with its successors and, for a
+    # random state, its weighted edges (None for a controlled state).
+    sweep = []
+    for i in sorted(active, key=cm.ordinal.__getitem__):
+        lo, hi = indptr[i], indptr[i + 1]
+        edges = None if controlled[i] else list(zip(succ[lo:hi], prob[lo:hi]))
+        sweep.append((i, succ[lo:hi], edges))
+    order = [i for i, _, _ in sweep]
     better = max if maximize else min
-    has_choice = any(
-        fm.kind_of(s) is StateKind.CONTROLLED and len(list(fm.successors_of(s))) > 1
-        for s in order
-    )
+    has_choice = any(edges is None and len(targets) > 1 for _, targets, edges in sweep)
     # Short Gauss-Seidel warmup; Howard iteration below does the real work.
     warmup = 200 if has_choice else 0
-    for sweep in range(warmup):
+    at = x.__getitem__
+    for _ in range(warmup):
         residual = 0.0
-        for s in order:
-            succ = fm.successors_of(s)
-            if isinstance(succ, Distribution):
-                new = sum(p * values[t] for t, p in succ)
+        for i, targets, edges in sweep:
+            if edges is None:
+                new = better(map(at, targets))
             else:
-                new = better(values[t] for t in succ)
-            residual = max(residual, abs(new - values[s]))
-            values[s] = new
+                new = 0.0
+                for t, p in edges:
+                    new += p * x[t]
+            change = abs(new - x[i])
+            if change > residual:
+                residual = change
+            x[i] = new
         if residual <= 1e-10:
             break
 
     # Policy iteration with exact linear-solve evaluations: extract a greedy
     # policy, evaluate it exactly, repeat until no Bellman improvement.
-    sigma = _extract_policy(fm, values, boundary, frozen_zero, maximize)
-    exact = evaluate_md(fm, sigma, boundary)
+    pick = _extract_policy(cm, x, fixed, frozen_zero, maximize)
+    exact = _absorption(cm, pick, fixed)
     for _ in range(200):
-        improvable = False
-        for s in order:
-            if fm.kind_of(s) is not StateKind.CONTROLLED:
-                continue
-            succ = list(fm.successors_of(s))
-            best = better(exact[t] for t in succ)
-            gain = best - exact[s] if maximize else exact[s] - best
-            if gain > 1e-11:
-                improvable = True
-                break
-        if not improvable:
+        at = exact.__getitem__
+        for i, targets, edges in sweep:
+            if edges is None:
+                best = better(map(at, targets))
+                gain = best - exact[i] if maximize else exact[i] - best
+                if gain > 1e-11:
+                    break
+        else:
             break
-        sigma = _extract_policy(fm, exact, boundary, frozen_zero, maximize)
-        nxt = evaluate_md(fm, sigma, boundary)
-        if all(abs(nxt[s] - exact[s]) <= 1e-13 for s in order):
-            exact = nxt
-            break
+        pick = _extract_policy(cm, exact, fixed, frozen_zero, maximize)
+        nxt = _absorption(cm, pick, fixed)
+        settled = all(abs(nxt[i] - exact[i]) <= 1e-13 for i in order)
         exact = nxt
+        if settled:
+            break
     else:
         raise ArithmeticError("policy iteration did not settle")
+    states = cm.states
+    return dict(zip(states, exact)), MdStrategy({states[i]: states[t] for i, t in pick.items()})
 
-    result = {s: (boundary[s] if s in boundary else exact[s]) for s in fm.states}
-    return result, sigma
 
-
-def _extract_policy(fm, values, boundary, frozen_zero, maximize) -> MdStrategy:
+def _extract_policy(cm, values, fixed, frozen_zero, maximize) -> dict[int, int]:
     # Candidate edges: value-optimal successors.  Ties are broken toward the
     # boundary (BFS distance through candidate edges), then smallest ordinal;
     # distance-based progress prevents value-preserving cycles that never
     # absorb.
-    candidates: dict[StateId, list[StateId]] = {}
-    for s in fm.states:
-        if s in boundary or fm.kind_of(s) is not StateKind.CONTROLLED:
+    better = max if maximize else min
+    candidates: dict[int, list[int]] = {}
+    graph: dict[int, list[int]] = {}
+    for i in range(len(cm.states)):
+        if i in fixed:
             continue
-        succ = list(fm.successors_of(s))
-        if s in frozen_zero:
+        succ = cm.row(i)
+        if not cm.controlled[i]:
+            graph[i] = succ
+            continue
+        if i in frozen_zero:
             if maximize:
                 pool = succ  # everything is value 0 here
             else:
                 pool = [t for t in succ if t in frozen_zero] or succ
         else:
-            best = (max if maximize else min)(values[t] for t in succ)
+            best = better(values[t] for t in succ)
             pool = [t for t in succ if abs(values[t] - best) <= TIE_TOL]
-        candidates[s] = pool
+        candidates[i] = graph[i] = pool
 
-    dist = _backward_reach(
-        {
-            s: candidates.get(s, []) if fm.kind_of(s) is StateKind.CONTROLLED
-            else fm.successors_of(s).states()
-            for s in fm.states if s not in boundary
-        },
-        boundary,
-    )
-
-    choice = {}
-    for s, pool in candidates.items():
-        choice[s] = min(
-            pool, key=lambda t: (dist.get(t, math.inf), t.ordinal)
-        )
-    return MdStrategy(choice)
+    dist = _backward_reach(graph, fixed)
+    ordinal = cm.ordinal
+    return {
+        i: min(pool, key=lambda t: (dist.get(t, math.inf), ordinal[t]))
+        for i, pool in candidates.items()
+    }
 
 
 # ---------------------------------------------------------------------------
 # Public solver operations
 
 
-def reach_value(fm: FiniteMdp, target: Iterable[StateId], tol: float = VI_TOL) -> ValueMap:
+def reach_value(fm: FiniteMdp, target: Iterable[StateId]) -> ValueMap:
     """Least fixed point of the max-Bellman operator for Reach(target);
     target must be a sink."""
     target = frozenset(target)
     require_sink(fm, target)
     values, _ = optimal_boundary_value(fm, {t: 1.0 for t in target}, True)
-    return ValueMap(values, Objective.reach(target), tol)
+    return ValueMap(values, Objective.reach(target))
 
 
-def reach_strategy(fm: FiniteMdp, target: Iterable[StateId], tol: float = VI_TOL):
+def reach_strategy(fm: FiniteMdp, target: Iterable[StateId]):
     target = frozenset(target)
     require_sink(fm, target)
     values, sigma = optimal_boundary_value(fm, {t: 1.0 for t in target}, True)
-    return ValueMap(values, Objective.reach(target), tol), sigma
+    return ValueMap(values, Objective.reach(target)), sigma
 
 
-def safety_value(fm: FiniteMdp, avoid: Iterable[StateId], tol: float = VI_TOL) -> ValueMap:
+def safety_value(fm: FiniteMdp, avoid: Iterable[StateId]) -> ValueMap:
     """Greatest fixed point for Safety(avoid), via the exact complement
     1 - min-reach(avoid) on finite MDPs."""
-    values, _ = safety_strategy(fm, avoid, tol)
+    values, _ = safety_strategy(fm, avoid)
     return values
 
 
-def safety_strategy(fm: FiniteMdp, avoid: Iterable[StateId], tol: float = VI_TOL):
+def safety_strategy(fm: FiniteMdp, avoid: Iterable[StateId]):
     avoid = frozenset(avoid)
     fm_abs = _absorb(fm, avoid)
     reach_min, sigma = optimal_boundary_value(fm_abs, {t: 1.0 for t in avoid}, False)
     values = {s: 1.0 - reach_min[s] for s in fm.states}
-    return ValueMap(values, Objective.safety(avoid), tol), sigma
+    return ValueMap(values, Objective.safety(avoid)), sigma
 
 
 def interval_value(
@@ -505,8 +571,10 @@ def _ring_estimate(fm: FiniteMdp, values, lower: float, exclude) -> float:
         return lower
     if lower >= 1.0 - 1e-12:
         return 1.0
-    ring = {q for q in fm.states if q != fm.frontier and fm.frontier in successor_states(fm, q)}
-    rho = max((values[t] for t in ring if t not in exclude), default=0.0)
+    cm = fm.compiled
+    f = cm.index[fm.frontier]
+    ring = [q for i, q in enumerate(cm.states) if i != f and f in cm.row(i)]
+    rho = max((values[q] for q in ring if q not in exclude), default=0.0)
     return min(1.0, lower + (1.0 - lower) * rho)
 
 
@@ -561,77 +629,93 @@ def min_expected_cost_md(
     policy, which is proper, and switches a controlled state only on a
     strict improvement, so every policy it evaluates stays proper.
     """
+    cm = fm.compiled
+    states, ordinal, controlled = cm.states, cm.ordinal, cm.controlled
+    indptr, succ, prob = cm.indptr, cm.succ, cm.prob
+    n = len(states)
+    # The cost of the edge at each position of cm.succ.  A policy picks one
+    # edge position per controlled state.
+    ecost = [
+        cost.of(states[i], states[succ[k]])
+        for i in range(n) for k in range(indptr[i], indptr[i + 1])
+    ]
     # The zero-cost region: where cost 0 can be sustained forever.
-    free = _stay_region(fm, fm.states, lambda s, t: cost.of(s, t) == 0.0)
-    rank = _almost_sure_attractor(fm, free)
+    free = _stay_region(cm, range(n), [c == 0.0 for c in ecost])
+    rank = _almost_sure_attractor(cm, free)
     if root is not None:
         if not free:
             raise NoFiniteCostPolicy("no zero-cost absorbing region exists")
-        if root not in rank:
+        if cm.index.get(root) not in rank:
             raise NoFiniteCostPolicy(
                 f"zero-cost region unreachable almost surely from {root}"
             )
 
-    values = {s: 0.0 if s in free else math.inf for s in fm.states}
-    solve = [s for s in fm.states if s in rank and s not in free]
+    values = [0.0 if i in free else math.inf for i in range(n)]
+    solve = [i for i in range(n) if i in rank and i not in free]
     options = {
-        s: [t for t in fm.successors_of(s) if t in rank]
-        for s in solve if fm.kind_of(s) is StateKind.CONTROLLED
+        i: [k for k in range(indptr[i], indptr[i + 1]) if succ[k] in rank]
+        for i in solve if controlled[i]
     }
-    policy = {s: min(opts, key=lambda t: (rank[t], t.ordinal)) for s, opts in options.items()}
+    policy = {
+        i: min(opts, key=lambda k: (rank[succ[k]], ordinal[succ[k]]))
+        for i, opts in options.items()
+    }
     # Rounding can make two equal-cost policies each look better than the
     # other; a repeated policy ends the iteration.
     seen = set()
-    chain = {s: list(fm.successors_of(s)) for s in solve}
+    chain = {
+        i: [(succ[k], prob[k], ecost[k]) for k in range(indptr[i], indptr[i + 1])]
+        for i in solve
+    }
     while True:
         seen.add(tuple(policy.values()))
-        chain.update((s, [(t, 1.0)]) for s, t in policy.items())
-        values.update(_solve_costs(chain, solve, cost))
+        chain.update((i, [(succ[k], 1.0, ecost[k])]) for i, k in policy.items())
+        for i, v in zip(solve, _solve_chain(chain, solve)):
+            values[i] = float(max(v, 0.0))
         switched = False
-        for s, opts in options.items():
-            current = cost.of(s, policy[s]) + values[policy[s]]
-            best = min(opts, key=lambda t: (cost.of(s, t) + values[t], t.ordinal))
-            if cost.of(s, best) + values[best] < current * (1.0 - IMPROVE_TOL):
-                policy[s] = best
+        for i, opts in options.items():
+            current = ecost[policy[i]] + values[succ[policy[i]]]
+            best = min(opts, key=lambda k: (ecost[k] + values[succ[k]], ordinal[succ[k]]))
+            if ecost[best] + values[succ[best]] < current * (1.0 - IMPROVE_TOL):
+                policy[i] = best
                 switched = True
         if not switched or tuple(policy.values()) in seen:
             break
 
     choice = {}
-    for s in fm.states:
-        if fm.kind_of(s) is not StateKind.CONTROLLED:
+    for i in range(n):
+        if not controlled[i]:
             continue
-        succ = list(fm.successors_of(s))
-        if s in free:
-            pool = [t for t in succ if t in free and cost.of(s, t) == 0.0] or succ
-            choice[s] = min(pool, key=lambda t: t.ordinal)
-            continue
-        scored = [(cost.of(s, t) + values[t], t) for t in succ]
-        best = min(v for v, _ in scored)
-        pool = [t for v, t in scored if v <= best + TIE_TOL * min(best, 1.0)]
-        choice[s] = min(pool, key=lambda t: t.ordinal)
-    sigma = MdStrategy(choice)
+        edges = range(indptr[i], indptr[i + 1])
+        if i in free:
+            pool = [k for k in edges if succ[k] in free and ecost[k] == 0.0] or edges
+        else:
+            scored = [(ecost[k] + values[succ[k]], k) for k in edges]
+            best = min(v for v, _ in scored)
+            pool = [k for v, k in scored if v <= best + TIE_TOL * min(best, 1.0)]
+        choice[i] = min(pool, key=lambda k: ordinal[succ[k]])
+    sigma = MdStrategy({states[i]: states[succ[k]] for i, k in choice.items()})
     exact = evaluate_md_cost(fm, sigma, cost)
     if root is not None and not math.isfinite(exact[root]):
         raise NoFiniteCostPolicy(f"extracted policy has infinite cost from {root}")
     return sigma, exact
 
 
-def _almost_sure_attractor(fm: FiniteMdp, target: set[StateId]) -> dict[StateId, int]:
-    """States from which some MD strategy reaches ``target`` with probability
-    one, mapped to their attractor rank (the usual nested fixpoint: shrink
-    the kept set to the states that reach ``target`` while no random state
-    can leave it, until it is stable).  A state of rank k > 0 has a successor
-    of rank k - 1, and a random one has all its successors inside."""
-    succ = {s: successor_states(fm, s) for s in fm.states if s not in target}
-    keep = set(fm.states)
+def _almost_sure_attractor(cm: CompiledMdp, target: set[int]) -> dict[int, int]:
+    """States (indices of ``cm``) from which some MD strategy reaches
+    ``target`` with probability one, mapped to their attractor rank (the
+    usual nested fixpoint: shrink the kept set to the states that reach
+    ``target`` while no random state can leave it, until it is stable).  A
+    state of rank k > 0 has a successor of rank k - 1, and a random one has
+    all its successors inside."""
+    controlled = cm.controlled
+    succ = {i: cm.row(i) for i in range(len(cm.states)) if i not in target}
+    keep = set(range(len(cm.states)))
     while True:
         rank = _backward_reach(
             succ,
             target,
-            lambda s: s in keep and (
-                fm.kind_of(s) is StateKind.CONTROLLED or all(t in keep for t in succ[s])
-            ),
+            lambda i: i in keep and (controlled[i] or all(t in keep for t in succ[i])),
         )
         if len(rank) == len(keep):
             return rank

@@ -227,6 +227,19 @@ def test_bad_scenario_input_is_a_scenario_error(tmp_path, capsys, mdp, task):
     assert capsys.readouterr().err.startswith("scenario error: ")
 
 
+@pytest.mark.parametrize(
+    "task",
+    [{"kind": "simulate", "state": 99}, {"kind": "simulate"}],
+    ids=["unknown_state", "missing_state"],
+)
+def test_bad_state_is_a_scenario_error(tmp_path, capsys, task):
+    random_finite_mdp(9, n_states=7).dump(tmp_path / "mdp.json")
+    scenario = tmp_path / "bad.json"
+    scenario.write_text(json.dumps({"seed": 1, "mdp": {"file": "mdp.json"}, "task": task}))
+    assert run_cli(["--out-dir", tmp_path / "out", "run", scenario]) == 1
+    assert capsys.readouterr().err.startswith("scenario error: ")
+
+
 def test_console_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "transientmdp.cli", "list-gadgets"],

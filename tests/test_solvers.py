@@ -1,10 +1,13 @@
 import math
+import subprocess
+import sys
 
+import numpy as np
 import pytest
 
 from transientmdp import Distribution, FiniteMdp, Objective, StateId, StateKind
 from transientmdp.core import successor_states
-from transientmdp.errors import NoFiniteCostPolicy, NotSink, TooLarge
+from transientmdp.errors import NoFiniteCostPolicy, NotSink, SingularSystem, TooLarge
 from transientmdp.gadgets import gamblers_ruin
 from transientmdp.simulate import derive_seed, mean_visits
 from transientmdp.solvers import (
@@ -19,6 +22,7 @@ from transientmdp.solvers import (
     safety_value,
 )
 from transientmdp.verify import random_finite_mdp, random_transient_core_mdp
+from transientmdp import solvers
 
 
 def S(i, label=""):
@@ -417,3 +421,78 @@ def test_bound_queries_build_one_truncation(monkeypatch):
     built.clear()
     return_probability(mdp, w1, [50, 100])
     assert len(built) == 1
+
+
+def test_compiled_form_is_built_on_first_use():
+    a, b, c = S(0, "a"), S(1, "b"), S(2, "c")
+    fm = tiny(
+        {a: [b, c], b: Distribution([(a, 0.25), (c, 0.75)]), c: Distribution([(c, 1.0)])},
+        {a: StateKind.CONTROLLED, b: StateKind.RANDOM, c: StateKind.RANDOM},
+    )
+    assert "compiled" not in vars(fm)
+    cm = fm.compiled
+    assert fm.compiled is cm
+    assert cm.controlled == [True, False, False]
+    assert (cm.indptr, cm.succ) == ([0, 2, 4, 5], [1, 2, 0, 2, 2])
+    assert math.isnan(cm.prob[0]) and math.isnan(cm.prob[1])
+    assert cm.prob[2:] == [0.25, 0.75, 1.0]
+
+
+def _nearly_absorbing():
+    # a keeps itself with probability 1.0 and leaks 1e-17 to b: a valid
+    # distribution within PROB_TOL whose absorption system is singular.
+    a, b = S(0, "a"), S(1, "b")
+    return tiny(
+        {a: Distribution([(a, 1.0), (b, 1e-17)]), b: Distribution([(b, 1.0)])},
+        {a: StateKind.RANDOM, b: StateKind.RANDOM},
+        [{b}],
+    ), b
+
+
+@pytest.mark.parametrize("sparse_min_rows", [solvers.SPARSE_MIN_ROWS, 1], ids=["dense", "sparse"])
+def test_singular_system_raises_typed_error(monkeypatch, sparse_min_rows):
+    monkeypatch.setattr(solvers, "SPARSE_MIN_ROWS", sparse_min_rows)
+    fm, b = _nearly_absorbing()
+    with pytest.raises(SingularSystem):
+        reach_value(fm, {b})
+
+
+def test_linsolve_dense_and_sparse_agree(monkeypatch):
+    # The absorption system of a lazy walk on 40 states, with a duplicate
+    # entry at every diagonal position.
+    n = 40
+    rows, cols, vals = list(range(n)), list(range(n)), [1.0] * n
+    for i in range(n):
+        rows += [i, i]
+        cols += [i, min(i + 1, n - 1)]
+        vals += [-0.25, -0.5 if i + 1 < n else -0.0]
+    b = [0.25 if i + 1 == n else 0.0 for i in range(n)]
+    dense = solvers._linsolve(n, rows, cols, vals, b)
+    monkeypatch.setattr(solvers, "SPARSE_MIN_ROWS", 1)
+    sparse = solvers._linsolve(n, rows, cols, vals, b)
+    assert np.max(np.abs(dense - sparse)) <= 1e-12
+
+
+def test_sparse_truncation_matches_gambler_closed_form():
+    # Radius 3200 puts the truncation far above SPARSE_MIN_ROWS.
+    p = 0.6
+    mdp, _ = gamblers_ruin(p)
+    w0 = StateId(0, "w_0")
+    for k in (1, 3):
+        iv = interval_value(mdp, StateId(k, f"w_{k}"), Objective.reach({w0}), [3200])
+        assert iv.contains(((1.0 - p) / p) ** k)
+
+
+def test_small_solves_leave_scipy_unloaded():
+    code = (
+        "import sys\n"
+        "import transientmdp\n"
+        "from transientmdp.solvers import reach_value\n"
+        "from transientmdp.verify import random_finite_mdp\n"
+        "fm = random_finite_mdp(3, n_states=120)\n"
+        "reach_value(fm, {fm.states[-1]})\n"
+        "print('scipy' in sys.modules)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          check=True)
+    assert proc.stdout.strip() == "False"
