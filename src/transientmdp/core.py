@@ -128,9 +128,6 @@ class InfiniteSuccessors:
         return self.items()
 
 
-Successors = "list[StateId] | Distribution | InfiniteSuccessors"
-
-
 class Mdp:
     """Oracle view of a countable MDP.
 
@@ -461,35 +458,6 @@ class OneBitStrategy:
     controlled: Callable[[int, StateId], tuple[int, StateId]]
     random_update: Callable[[int, StateId, StateId], int]
 
-    def with_initial_mode(self, mode: int) -> "OneBitStrategy":
-        return OneBitStrategy(mode, self.controlled, self.random_update)
-
-    @classmethod
-    def from_tables(
-        cls,
-        initial_mode: int,
-        controlled_table: Mapping[tuple[int, StateId], tuple[int, StateId]],
-        random_table: Mapping[tuple[int, StateId], int] | None = None,
-        mdp: Mdp | None = None,
-    ) -> "OneBitStrategy":
-        """Dict-backed strategy; unlisted states keep the mode and use the
-        smallest-ordinal successor (requires ``mdp`` for the fallback)."""
-        fallback = MdStrategy({})
-        random_table = dict(random_table or {})
-
-        def controlled(mode: int, s: StateId) -> tuple[int, StateId]:
-            hit = controlled_table.get((mode, s))
-            if hit is not None:
-                return hit
-            if mdp is None:
-                raise KeyError(f"no choice for mode {mode} at {s}")
-            return mode, fallback.successor(mdp, s)
-
-        def random_update(mode: int, s: StateId, realized: StateId) -> int:
-            return random_table.get((mode, s), mode)
-
-        return cls(initial_mode, controlled, random_update)
-
     @staticmethod
     def tables_to_json(
         initial_mode: int,
@@ -509,14 +477,11 @@ class GeneralStrategy:
     """History-dependent strategy: partial run ending in a controlled state
     maps to a distribution over its successors.
 
-    ``decide`` receives the simulator's live run sequence and must not
-    mutate it.
+    ``decide`` receives the run so far, ending in the controlled state, as a
+    list the simulator keeps extending; it must not mutate it.
     """
 
     decide: Callable[[Sequence[StateId]], Distribution]
-
-
-Strategy = "MdStrategy | OneBitStrategy | GeneralStrategy | None"
 
 
 # ---------------------------------------------------------------------------

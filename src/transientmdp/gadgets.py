@@ -228,7 +228,8 @@ def lazy_self_loop_example() -> tuple[Mdp, GeneralStrategy, GadgetMeta]:
         here = history[-1]
         if here.ordinal != 0:
             return Distribution([(s(here.ordinal + 1), 1.0)])
-        visits = sum(1 for q in history if q.ordinal == 0)
+        # A run that leaves s_0 never returns, so the whole history is s_0.
+        visits = len(history)
         # Decision points sit at cumulative visit counts 1, 1+2, 1+2+4, ...
         c, i = 1, 1
         while c < visits:

@@ -4,6 +4,12 @@
 bit-identical for identical inputs.  Batch estimators derive one seed per run
 from the batch seed and the run index, so results never depend on scheduling.
 
+Every per-run estimate goes through one stepper, ``_walk``.  It resolves the
+strategy to a memory machine once per run and reads each state's kind and
+successors from a table that the runs of one estimator call share, so each
+state's oracles are asked once per call.  Markov chains with a vectorized
+step model run on the numpy engine ``_vector_estimate`` instead.
+
 Transience is a tail event, so no finite-horizon predicate equals it; the two
 proxies here (FreshTail, RevisitCap) are labeled estimators, not certificates.
 """
@@ -59,17 +65,49 @@ class RevisitCap:
     max_visits: int
 
 
-def _require_legal(mdp: Mdp, s: StateId, t: StateId) -> None:
-    """Strategies must pick actual successors; a stray state id (ordinals of
-    internal sinks alias host states) would silently corrupt the run."""
+def _controller(mdp: Mdp, strategy):
+    """``(memory, choose, observe)`` of a strategy, resolved once per run.
+
+    ``choose(memory, s)`` returns the next memory and the pick at controlled
+    ``s``: a state, or a Distribution to sample.  ``observe(memory, s, t)``
+    returns the memory after random ``s`` moved to ``t``; None when the
+    strategy ignores random moves.
+    """
+    if strategy is None:
+        def choose(memory, s):
+            raise ValueError(f"controlled state {s} but no strategy given")
+        return None, choose, None
+    if isinstance(strategy, MdStrategy):
+        successor = strategy.successor
+        return None, lambda memory, s: (memory, successor(mdp, s)), None
+    if isinstance(strategy, OneBitStrategy):
+        return strategy.initial_mode, strategy.controlled, strategy.random_update
+    if isinstance(strategy, GeneralStrategy):
+        decide = strategy.decide
+
+        def choose(history, s):
+            history.append(s)
+            return history, decide(history)
+
+        def observe(history, s, t):
+            history.append(s)
+            return history
+
+        return [], choose, observe
+    raise TypeError(f"unsupported strategy {type(strategy)!r}")
+
+
+def _state_entry(mdp: Mdp, s: StateId):
+    """``(controlled, successors)`` of ``s`` for the per-state table: the
+    frozenset of successor ordinals of a controlled state (None for an
+    infinite family, whose membership is not finitely checkable), or the
+    successor object of a random state."""
     succ = mdp.successors_of(s)
+    if mdp.kind_of(s) is StateKind.RANDOM:
+        return False, succ
     if isinstance(succ, InfiniteSuccessors):
-        return  # membership is not finitely checkable
-    if t not in _states_of(succ, s):
-        raise ValueError(
-            f"strategy picked {t.label or t.ordinal}, not a successor of "
-            f"{s.label or s.ordinal}"
-        )
+        return True, None
+    return True, frozenset(t.ordinal for t in _states_of(succ, s))
 
 
 def _sample_random(rng: random.Random, succ) -> StateId:
@@ -88,6 +126,64 @@ def _sample_random(rng: random.Random, succ) -> StateId:
     raise TypeError("random state without a distribution")
 
 
+def _walk(mdp, s0, strategy, horizon, seed, cap, table):
+    """One seeded run: ``(run, counts, finished)``, with visit counts keyed
+    by ordinal.
+
+    The run stops early, unfinished, at the first step that takes a state's
+    visit count above ``cap``.  A random step draws one uniform; a controlled
+    step draws one only when the strategy answers with a Distribution.
+    ``table`` maps ordinals to ``_state_entry`` results; oracles are pure, so
+    the runs of one estimator call share it and ask each state once.
+    """
+    if horizon < 0:
+        raise ValueError("horizon must be non-negative")
+    rng = random.Random(seed)
+    memory, choose, observe = _controller(mdp, strategy)
+    run = [s0]
+    counts = {s0.ordinal: 1}
+    s = s0
+    for _ in range(horizon):
+        entry = table.get(s.ordinal)
+        if entry is None:
+            entry = table[s.ordinal] = _state_entry(mdp, s)
+        controlled, succ = entry
+        if controlled:
+            memory, t = choose(memory, s)
+            if isinstance(t, Distribution):
+                t = t.sample(rng.random())
+            if succ is not None and t.ordinal not in succ:
+                # A stray id (ordinals of internal sinks alias host states)
+                # would silently corrupt the run.
+                raise ValueError(
+                    f"strategy picked {t.label or t.ordinal}, not a successor of "
+                    f"{s.label or s.ordinal}"
+                )
+        else:
+            t = _sample_random(rng, succ)
+            if observe is not None:
+                memory = observe(memory, s, t)
+        run.append(t)
+        c = counts[t.ordinal] = counts.get(t.ordinal, 0) + 1
+        if c > cap:
+            return run, counts, False
+        s = t
+    return run, counts, True
+
+
+def _fresh_tail(run: list[StateId], window: int) -> bool:
+    """Whether every state of the last ``window`` steps of ``run`` is new
+    there (the FreshTail rule)."""
+    start = max(0, len(run) - window)
+    return set(run[:start]).isdisjoint(run[start:])
+
+
+def _proportion(hits: int, runs: int) -> tuple[float, float]:
+    """Fraction with its normal-approximation 95% confidence half-width."""
+    p = hits / runs
+    return p, 1.96 * math.sqrt(max(p * (1.0 - p), 0.0) / runs)
+
+
 def simulate(
     mdp: Mdp,
     s0: StateId,
@@ -102,85 +198,28 @@ def simulate(
     None for Markov chains (an error is raised if a controlled state is then
     encountered).  ``fresh_window`` enables the fresh-tail statistic.
     """
-    if horizon < 0:
-        raise ValueError("horizon must be non-negative")
-    rng = random.Random(seed)
-    run = [s0]
-    counts: Counter[StateId] = Counter([s0])
-    first_seen = {s0: 0}
-    mode = strategy.initial_mode if isinstance(strategy, OneBitStrategy) else None
-
-    s = s0
-    for step in range(horizon):
-        if mdp.kind_of(s) is StateKind.CONTROLLED:
-            if isinstance(strategy, MdStrategy):
-                t = strategy.successor(mdp, s)
-            elif isinstance(strategy, OneBitStrategy):
-                mode, t = strategy.controlled(mode, s)
-            elif isinstance(strategy, GeneralStrategy):
-                t = strategy.decide(run).sample(rng.random())
-            elif strategy is None:
-                raise ValueError(f"controlled state {s} but no strategy given")
-            else:
-                raise TypeError(f"unsupported strategy {type(strategy)!r}")
-            _require_legal(mdp, s, t)
-        else:
-            t = _sample_random(rng, mdp.successors_of(s))
-            if isinstance(strategy, OneBitStrategy):
-                mode = strategy.random_update(mode, s, t)
-        run.append(t)
-        counts[t] += 1
-        first_seen.setdefault(t, step + 1)
-        s = t
-
-    fresh: bool | None = None
-    if fresh_window is not None:
-        start = max(0, horizon - fresh_window + 1)
-        fresh = all(first_seen[q] >= start for q in set(run[start:]))
+    run, _, _ = _walk(mdp, s0, strategy, horizon, seed, math.inf, {})
+    counts = dict(Counter(run))
     stats = RunStats(
         horizon=horizon,
-        visit_counts=dict(counts),
+        visit_counts=counts,
         max_revisits=max(counts.values()) - 1,
-        fresh_tail=fresh,
+        fresh_tail=None if fresh_window is None else _fresh_tail(run, fresh_window),
     )
     return run, stats
 
 
-def _run_is_transient(mdp, s0, strategy, horizon, proxy, run_seed) -> bool:
-    if isinstance(proxy, FreshTail):
-        _, stats = simulate(mdp, s0, strategy, horizon, run_seed, fresh_window=proxy.window)
-        return bool(stats.fresh_tail)
-    # RevisitCap with early exit: once a state exceeds the cap, the run is
-    # classified recurrent regardless of its continuation.
-    cap = proxy.max_visits
-    rng = random.Random(run_seed)
-    counts: Counter[StateId] = Counter([s0])
-    mode = strategy.initial_mode if isinstance(strategy, OneBitStrategy) else None
-    run = [s0]
-    s = s0
-    for _ in range(horizon):
-        if mdp.kind_of(s) is StateKind.CONTROLLED:
-            if isinstance(strategy, MdStrategy):
-                t = strategy.successor(mdp, s)
-            elif isinstance(strategy, OneBitStrategy):
-                mode, t = strategy.controlled(mode, s)
-            elif isinstance(strategy, GeneralStrategy):
-                t = strategy.decide(run).sample(rng.random())
-            elif strategy is None:
-                raise ValueError(f"controlled state {s} but no strategy given")
-            else:
-                raise TypeError(f"unsupported strategy {type(strategy)!r}")
-            _require_legal(mdp, s, t)
-        else:
-            t = _sample_random(rng, mdp.successors_of(s))
-            if isinstance(strategy, OneBitStrategy):
-                mode = strategy.random_update(mode, s, t)
-        counts[t] += 1
-        if counts[t] > cap:
-            return False
-        run.append(t)
-        s = t
-    return True
+def _run_is_transient(mdp, s0, strategy, horizon, proxy, run_seed, table, accept=None) -> bool:
+    """Whether one seeded run is classified transient by ``proxy`` and, given
+    ``accept``, also satisfies ``accept(run)``.  RevisitCap stops the run at
+    the first count above the cap: its continuation cannot undo the verdict."""
+    fresh = isinstance(proxy, FreshTail)
+    run, _, finished = _walk(
+        mdp, s0, strategy, horizon, run_seed, math.inf if fresh else proxy.max_visits, table
+    )
+    if not finished or (fresh and not _fresh_tail(run, proxy.window)):
+        return False
+    return accept is None or accept(run)
 
 
 def estimate_transience(
@@ -209,13 +248,12 @@ def estimate_transience(
     if strategy is None and chain is not None and chain() is not None:
         hits = _vector_estimate(chain(), s0, horizon, runs, proxy, seed)
     else:
+        table = {}
         hits = sum(
-            _run_is_transient(mdp, s0, strategy, horizon, proxy, derive_seed(seed, i))
+            _run_is_transient(mdp, s0, strategy, horizon, proxy, derive_seed(seed, i), table)
             for i in range(runs)
         )
-    p = hits / runs
-    half = 1.96 * math.sqrt(max(p * (1.0 - p), 0.0) / runs)
-    return p, half
+    return _proportion(hits, runs)
 
 
 @dataclass(frozen=True)
@@ -301,22 +339,18 @@ def estimate_buchi_transience(
     goal family within the final ``goal_window`` steps (the finite-horizon
     stand-in for visiting it infinitely often)."""
     goal_pred = goal if callable(goal) else (lambda s, gs=frozenset(goal): s in gs)
-    fresh = isinstance(proxy, FreshTail)
-    hits = 0
-    for i in range(runs):
-        run, stats = simulate(mdp, s0, strategy, horizon, derive_seed(seed, i),
-                              fresh_window=proxy.window if fresh else None)
-        # The rule of _run_is_transient, read off the whole run.
-        if fresh:
-            transient = stats.fresh_tail
-        else:
-            counts = stats.visit_counts
-            transient = all(counts[q] <= proxy.max_visits for q in set(run[1:]))
-        if transient and any(goal_pred(s) for s in run[max(0, horizon - goal_window):]):
-            hits += 1
-    p = hits / runs
-    half = 1.96 * math.sqrt(max(p * (1.0 - p), 0.0) / runs)
-    return p, half
+    tail = max(0, horizon - goal_window)
+
+    def visits_goal(run):
+        return any(goal_pred(s) for s in run[tail:])
+
+    table = {}
+    hits = sum(
+        _run_is_transient(mdp, s0, strategy, horizon, proxy, derive_seed(seed, i), table,
+                          visits_goal)
+        for i in range(runs)
+    )
+    return _proportion(hits, runs)
 
 
 def mean_visits(
@@ -330,10 +364,11 @@ def mean_visits(
 ) -> tuple[float, float]:
     """Monte Carlo mean number of visits to ``target`` with its standard
     error; used to cross-check expected-visit bounds."""
+    table = {}
     samples = []
     for i in range(runs):
-        _, stats = simulate(mdp, s0, strategy, horizon, derive_seed(seed, i))
-        samples.append(stats.visit_counts.get(target, 0))
+        _, counts, _ = _walk(mdp, s0, strategy, horizon, derive_seed(seed, i), math.inf, table)
+        samples.append(counts.get(target.ordinal, 0))
     n = len(samples)
     mean = sum(samples) / n
     var = sum((x - mean) ** 2 for x in samples) / max(n - 1, 1)

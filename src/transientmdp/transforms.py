@@ -72,9 +72,6 @@ class _ReducedMdp(Mdp):
     def original(self, rs: StateId) -> StateId | None:
         return self._orig_of.get(rs)
 
-    def is_gadget(self, rs: StateId) -> bool:
-        return rs in self._gadget
-
     def _mint(self, family: str, host: StateId, i: int) -> StateId:
         c = _cantor(host.ordinal, i)
         if family == "ell":

@@ -4,7 +4,11 @@ import pytest
 from transientmdp import (
     Distribution,
     FiniteMdp,
+    GeneralStrategy,
+    LazyMdp,
+    MdStrategy,
     Objective,
+    OneBitStrategy,
     StateId,
     StateKind,
     bubble,
@@ -16,16 +20,20 @@ from transientmdp.errors import InfiniteBranching, NotSink, NotTail
 from transientmdp.gadgets import (
     acyclic_chain,
     gamblers_ruin,
+    ladder_exit_strategy,
     ladder_state,
     no_optimal_ladder,
     safety_fan,
+    transience_fan,
 )
 from transientmdp.simulate import (
     FreshTail,
     RevisitCap,
     _vector_estimate,
     derive_seed,
+    estimate_buchi_transience,
     estimate_transience,
+    mean_visits,
 )
 from transientmdp.solvers import optimal_boundary_value
 
@@ -279,3 +287,150 @@ def test_recurrent_walk_mean_visits_grow():
 def test_derive_seed_stable():
     assert derive_seed(1, 2) == derive_seed(1, 2)
     assert derive_seed(1, 2) != derive_seed(1, 3)
+
+
+def _ladder_one_bit() -> OneBitStrategy:
+    """Stay on the ladder, exit from level 2 up in mode 1; every downward
+    random move flips the mode."""
+
+    def controlled(mode, s):
+        o = s.ordinal
+        if o % 4 == 1:  # ell_i
+            i = (o - 1) // 4
+            if i == 0:
+                return mode, ladder_state("ell", 1)
+            return mode, ladder_state("r" if mode == 1 and i >= 2 else "ellp", i)
+        return mode, ladder_state("x", o // 4)  # x_i, ordinal 4i + 4
+
+    return OneBitStrategy(0, controlled, lambda mode, s, t: mode ^ (t.ordinal < s.ordinal))
+
+
+def _fan_general() -> GeneralStrategy:
+    b = [StateId(3 * j, f"b_{j}") for j in range(4)]
+    return GeneralStrategy(
+        lambda run: Distribution([(b[1], 0.25), (b[2], 0.25), (b[3], 0.5)])
+    )
+
+
+def _pin_case(name):
+    """(mdp, s0, strategy, goal, target) of one pinned scalar-stream case."""
+    if name == "none-gambler":
+        g, _ = gamblers_ruin(0.75)
+        mdp = LazyMdp(g.kind_of, g.successors_of)  # no vector chain
+        return mdp, w(0), None, lambda s: s.ordinal % 5 == 0, w(1)
+    ladder, _ = no_optimal_ladder()
+    ell0, ell1 = ladder_state("ell", 0), ladder_state("ell", 1)
+    on_x = lambda s: s.ordinal % 4 == 0 and s.ordinal > 0  # noqa: E731
+    if name == "md-ladder":
+        return ladder, ell0, ladder_exit_strategy(3), on_x, ell1
+    if name == "one-bit-ladder":
+        return ladder, ell0, _ladder_one_bit(), on_x, ell1
+    fan, _ = transience_fan()
+    return fan, StateId(0, "fan"), _fan_general(), lambda s: s.ordinal % 3 == 1, StateId(1, "a_0")
+
+
+def _scalar_streams(mdp, s0, strategy, goal, target):
+    """Every per-run estimator's output on one case, floats as ``float.hex``."""
+    floats = []
+    for proxy in (RevisitCap(3), FreshTail(8)):
+        floats += estimate_transience(mdp, s0, strategy, 40, 30, proxy, seed=21)
+        floats += estimate_buchi_transience(mdp, s0, strategy, goal, 40, 30, proxy, 10, seed=22)
+    floats += mean_visits(mdp, s0, target, strategy, 40, 30, seed=23)
+    run, stats = simulate(mdp, s0, strategy, 20, seed=24, fresh_window=5)
+    counts = [(s.ordinal, c) for s, c in stats.visit_counts.items()]
+    return ([x.hex() for x in floats], [s.ordinal for s in run], counts,
+            stats.max_revisits, stats.fresh_tail)
+
+
+# Recorded from the per-run engine before it was rewritten as one stepper: any
+# change to the order or number of uniforms drawn shows up here.
+SCALAR_STREAMS = {
+    "none-gambler": (
+        [
+            "0x1.ddddddddddddep-3", "0x1.35f7d9112ead8p-3", "0x1.1111111111111p-2",
+            "0x1.44160e1da514dp-3", "0x1.3333333333333p-2", "0x1.4fd78f2479ebep-3",
+            "0x1.5555555555555p-2", "0x1.597a1ca86e9cfp-3", "0x1.599999999999ap+1",
+            "0x1.0f505cbb5cf54p-1",
+        ],
+        [0, 1, 0, 1, 0, 1, 2, 3, 2, 3, 4, 5, 4, 5, 4, 3, 4, 5, 4, 5, 6],
+        [
+            (0, 3), (1, 3), (2, 2), (3, 3), (4, 5), (5, 4), (6, 1),
+        ],
+        4, False,
+    ),
+    "md-ladder": (
+        [
+            "0x1.bbbbbbbbbbbbcp-2", "0x1.6b297236f713dp-3", "0x1.ddddddddddddep-2",
+            "0x1.6d9e555d29944p-3", "0x1.6666666666666p-1", "0x1.4fd78f2479ebfp-3",
+            "0x1.8888888888889p-1", "0x1.35f7d9112ead8p-3", "0x1.9dddddddddddep+1",
+            "0x1.200c7be658071p-1",
+        ],
+        [1, 5, 6, 9, 10, 13, 15, 16, 20, 24, 28, 32, 36, 40, 44, 48, 52, 56, 60, 64, 68],
+        [
+            (1, 1), (5, 1), (6, 1), (9, 1), (10, 1), (13, 1), (15, 1),
+            (16, 1), (20, 1), (24, 1), (28, 1), (32, 1), (36, 1), (40, 1),
+            (44, 1), (48, 1), (52, 1), (56, 1), (60, 1), (64, 1), (68, 1),
+        ],
+        0, True,
+    ),
+    "one-bit-ladder": (
+        [
+            "0x1.1111111111111p-1", "0x1.6d9e555d29944p-3", "0x1.ddddddddddddep-2",
+            "0x1.6d9e555d29944p-3", "0x1.8888888888889p-1", "0x1.35f7d9112ead8p-3",
+            "0x1.3333333333333p-1", "0x1.6707bd254efb9p-3", "0x1.4cccccccccccdp+1",
+            "0x1.715f2394b3edep-2",
+        ],
+        [1, 5, 6, 9, 10, 13, 14, 9, 11, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0],
+        [
+            (1, 1), (5, 1), (6, 1), (9, 2), (10, 1), (13, 1), (14, 1),
+            (11, 1), (0, 12),
+        ],
+        11, False,
+    ),
+    "general-fan": (
+        [
+            "0x1.999999999999ap-1", "0x1.25259eda4e490p-3", "0x1.7777777777777p-1",
+            "0x1.44160e1da514dp-3", "0x1.999999999999ap-1", "0x1.25259eda4e490p-3",
+            "0x1.7777777777777p-1", "0x1.44160e1da514dp-3", "0x1.aaaaaaaaaaaabp-1",
+            "0x1.1b763f60b2fecp-4",
+        ],
+        [0, 9, 1, 4, 7, 10, 13, 16, 19, 22, 25, 28, 31, 34, 37, 40, 43, 46, 49, 52, 55],
+        [
+            (0, 1), (9, 1), (1, 1), (4, 1), (7, 1), (10, 1), (13, 1),
+            (16, 1), (19, 1), (22, 1), (25, 1), (28, 1), (31, 1), (34, 1),
+            (37, 1), (40, 1), (43, 1), (46, 1), (49, 1), (52, 1), (55, 1),
+        ],
+        0, True,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", ["none-gambler", "md-ladder", "one-bit-ladder", "general-fan"])
+def test_scalar_streams_pinned(name):
+    assert _scalar_streams(*_pin_case(name)) == SCALAR_STREAMS[name]
+
+
+def test_strategy_must_pick_a_successor():
+    c, d, stray = StateId(0, "c"), StateId(1, "d"), StateId(2, "stray")
+    fm = FiniteMdp(
+        [c, d], {c: StateKind.CONTROLLED, d: StateKind.RANDOM},
+        {c: [c, d], d: Distribution([(d, 1.0)])}, sinks=[{d}],
+    )
+    at_once = GeneralStrategy(lambda run: Distribution([(stray, 1.0)]))
+    # Loops once at c, so the stray pick comes on a state met before.
+    on_return = GeneralStrategy(lambda run: Distribution([(c if len(run) == 1 else stray, 1.0)]))
+    for strategy in (at_once, on_return):
+        with pytest.raises(ValueError, match="picked stray, not a successor of c"):
+            simulate(fm, c, strategy, 5, seed=0)
+        with pytest.raises(ValueError, match="picked stray, not a successor of c"):
+            estimate_transience(fm, c, strategy, 5, 3, RevisitCap(9), seed=0)
+    with pytest.raises(ValueError, match="no strategy given"):
+        simulate(fm, c, None, 5, seed=0)
+    assert simulate(fm, d, None, 5, seed=0)[0] == [d] * 6  # never controlled
+
+
+def test_md_choice_on_infinite_family_is_not_checked():
+    fan, _ = transience_fan()
+    root, far = StateId(0, "fan"), StateId(3 * 40, "b_40")
+    run, _ = simulate(fan, root, MdStrategy({root: far}), 3, seed=0)
+    assert run[:2] == [root, far]
