@@ -53,7 +53,7 @@ def _parse_objective(doc: dict) -> Objective:
             prefix = doc["label_prefix"]
             pred = lambda s, p=prefix: s.label.startswith(p)
             return getattr(Objective, kind)(pred)
-        states = {StateId(int(o)) for o in doc.get("states", ())}
+        states = {StateId(_number(int, o, "objective state")) for o in doc.get("states", ())}
         if not states:
             raise ScenarioError(f"objective {kind!r} needs 'states' or 'label_prefix'")
         return getattr(Objective, kind)(states)
@@ -93,6 +93,14 @@ def _state(mdp, ordinal: int) -> StateId:
         raise ScenarioError(f"no state {ordinal!r} in the MDP") from exc
 
 
+def _number(convert, value, what: str):
+    """``convert(value)``; a value it rejects is a scenario error."""
+    try:
+        return convert(value)
+    except (TypeError, ValueError) as exc:
+        raise ScenarioError(f"{what} must be a number, not {value!r}") from exc
+
+
 def _field(doc: dict, key: str, where: str):
     """``doc[key]``; a missing key is a scenario error."""
     if key not in doc:
@@ -113,7 +121,7 @@ def run_scenario(path: Path, seed: int | None, out_dir: Path) -> int:
         doc = json.loads(Path(path).read_text())
     except (OSError, json.JSONDecodeError) as exc:
         raise ScenarioError(f"cannot parse scenario {path}: {exc}") from exc
-    master = seed if seed is not None else int(doc.get("seed", 0))
+    master = seed if seed is not None else _number(int, doc.get("seed", 0), "seed")
     task = doc.get("task")
     if not isinstance(task, dict) or "kind" not in task:
         raise ScenarioError("scenario needs a 'task' object with a 'kind'")
@@ -156,7 +164,7 @@ def _task_solve(doc, task, master, out_dir, base) -> int:
         path = _write_json(out_dir, "values.json", vm.to_json())
         print(f"val({s.label or s.ordinal}) = {vm[s]:.6f} -> {path}")
         return 0
-    radii = [int(r) for r in task.get("radii", [50, 200])]
+    radii = [_number(int, r, "radius") for r in task.get("radii", [50, 200])]
     iv = interval_value(mdp, s, objective, radii)
     path = _write_json(out_dir, "interval.json", iv.to_json())
     print(
@@ -169,11 +177,12 @@ def _task_solve(doc, task, master, out_dir, base) -> int:
 def _task_synthesize(doc, task, master, out_dir, base) -> int:
     mdp, _ = _load_mdp(_field(doc, "mdp", "scenario"), base)
     method = task.get("method")
-    epsilon = float(task.get("epsilon", 0.1))
+    epsilon = _number(float, task.get("epsilon", 0.1), "epsilon")
     if method == "transience_md":
         s0 = _state(mdp, _field(task, "state", "task"))
         budgets = TransienceBudgets(
-            radius=int(task.get("radius", 40)), seed=derive_seed(master, "syn")
+            radius=_number(int, task.get("radius", 40), "radius"),
+            seed=derive_seed(master, "syn"),
         )
         sigma, partition = transience_md(mdp, s0, epsilon, budgets=budgets)
         _write_json(out_dir, "strategy.json", sigma.to_json())

@@ -1,8 +1,14 @@
 """Countable and finite MDP models, objectives, strategies, and graph operations.
 
-States are identified by a non-negative ordinal (the enumeration of the state
-space) plus a human-readable label; equality and hashing use the ordinal only,
-so labels never have to round-trip exactly through transformations.
+States live in two namespaces.  A host state (``StateId``) is a
+non-negative ordinal (the enumeration of the host state space) plus a
+human-readable label; its equality and hashing use the ordinal only, so labels
+never have to round-trip exactly through transformations.  A synthetic state
+(``SyntheticState``, minted only by ``mint``) is one that a construction adds:
+a truncation frontier, a split entry copy, an exit sink, a conditioned MDP's
+pair and bottom states, a prefix tail stub.  It equals another synthetic state
+of the same kind and ordinal and never a host state, whatever the ordinals;
+both namespaces sort together by ordinal.
 
 A countable MDP is given by two pure oracles (state kind and successor family);
 a finite MDP is the same interface backed by explicit tables.  Infinite
@@ -39,6 +45,44 @@ class StateId:
 
     def __repr__(self) -> str:
         return f"StateId({self.ordinal}, {self.label!r})"
+
+
+@dataclass(frozen=True)
+class SyntheticState(StateId):
+    """A state that a construction adds to the MDP it works on.
+
+    Equality and hashing use the ordinal and the ``kind``; the dataclass
+    ``__eq__`` of each class answers only for its own class, so a synthetic
+    state never equals a host state.  The ordinal still has to be unique
+    among the states of any finite MDP the state joins.  Ordering is by
+    ordinal against every StateId.
+    """
+
+    kind: str = ""
+
+    def __lt__(self, other):
+        return self.ordinal < other.ordinal if isinstance(other, StateId) else NotImplemented
+
+    def __le__(self, other):
+        return self.ordinal <= other.ordinal if isinstance(other, StateId) else NotImplemented
+
+    def __gt__(self, other):
+        return self.ordinal > other.ordinal if isinstance(other, StateId) else NotImplemented
+
+    def __ge__(self, other):
+        return self.ordinal >= other.ordinal if isinstance(other, StateId) else NotImplemented
+
+
+def mint(kind: str, ordinal: int, label: str | None = None) -> SyntheticState:
+    """A synthetic state of ``kind`` ("frontier", "entry", "exit", "pair",
+    "bottom", "tail_stub") at ``ordinal``, labelled ``label`` (default: the
+    kind)."""
+    return SyntheticState(ordinal, kind if label is None else label, kind)
+
+
+def is_synthetic(s: StateId, kind: str) -> bool:
+    """Whether ``s`` is a synthetic state of ``kind``."""
+    return isinstance(s, SyntheticState) and s.kind == kind
 
 
 class Distribution:
@@ -526,7 +570,7 @@ def truncate(
     if frontier not in (OPTIMISTIC, PESSIMISTIC):
         raise ValueError(f"unknown frontier policy {frontier!r}")
     inside = bubble(mdp, roots, radius)
-    fr = StateId(max(s.ordinal for s in inside) + 1, "frontier")
+    fr = mint("frontier", max(s.ordinal for s in inside) + 1)
     fm = _restrict(mdp, inside, fr, frontier)
     fm.validate()
     return fm

@@ -98,16 +98,18 @@ def _controller(mdp: Mdp, strategy):
 
 
 def _state_entry(mdp: Mdp, s: StateId):
-    """``(controlled, successors)`` of ``s`` for the per-state table: the
-    frozenset of successor ordinals of a controlled state (None for an
-    infinite family, whose membership is not finitely checkable), or the
-    successor object of a random state."""
+    """``(controlled, successors)`` of ``s`` for the per-state table: for a
+    controlled state, the class (host or synthetic) of each successor by
+    ordinal, None for an infinite family, whose membership is not finitely
+    checkable; for a random state, its successor object.  Ordinals are
+    unique among an MDP's states, so a pick is a successor exactly when its
+    ordinal is there with its class."""
     succ = mdp.successors_of(s)
     if mdp.kind_of(s) is StateKind.RANDOM:
         return False, succ
     if isinstance(succ, InfiniteSuccessors):
         return True, None
-    return True, frozenset(t.ordinal for t in _states_of(succ, s))
+    return True, {t.ordinal: type(t) for t in _states_of(succ, s)}
 
 
 def _sample_random(rng: random.Random, succ) -> StateId:
@@ -152,9 +154,7 @@ def _walk(mdp, s0, strategy, horizon, seed, cap, table):
             memory, t = choose(memory, s)
             if isinstance(t, Distribution):
                 t = t.sample(rng.random())
-            if succ is not None and t.ordinal not in succ:
-                # A stray id (ordinals of internal sinks alias host states)
-                # would silently corrupt the run.
+            if succ is not None and succ.get(t.ordinal) is not type(t):
                 raise ValueError(
                     f"strategy picked {t.label or t.ordinal}, not a successor of "
                     f"{s.label or s.ordinal}"

@@ -42,6 +42,7 @@ from .core import (
     _backward_reach,
     _restrict,
     _stay_region,
+    mint,
     require_sink,
     truncate,
 )
@@ -279,77 +280,35 @@ def evaluate_md_cost(
     """Exact expected total cost under ``sigma``; math.inf where some
     positive-cost recurrent class is reachable."""
     cm = fm.compiled
-    states = cm.states
+    states, indptr, succ = cm.states, cm.indptr, cm.succ
     chain = {}
+    free_edge = [False] * len(succ)
     for i, s in enumerate(states):
+        lo, hi = indptr[i], indptr[i + 1]
         if cm.controlled[i]:
             t = sigma.successor(fm, s)
-            chain[i] = [(cm.index.get(t), 1.0, cost.of(s, t))]
+            j, c = cm.index.get(t), cost.of(s, t)
+            chain[i] = [(j, 1.0, c)]
+            for k in range(lo, hi):
+                free_edge[k] = succ[k] == j and c == 0.0
         else:
-            lo, hi = cm.indptr[i], cm.indptr[i + 1]
-            chain[i] = [
-                (t, p, cost.of(s, states[t]))
-                for t, p in zip(cm.succ[lo:hi], cm.prob[lo:hi]) if p > 0.0
-            ]
+            out = [(t, p, cost.of(s, states[t]))
+                   for t, p in zip(succ[lo:hi], cm.prob[lo:hi])]
+            free_edge[lo:hi] = [c == 0.0 for _, _, c in out]
+            chain[i] = [edge for edge in out if edge[1] > 0.0]
     targets = {i: [t for t, _, _ in out] for i, out in chain.items()}
-    infinite: set[int] = set()
-    boundary: set[int] = set()
-    for comp in _bottom_sccs(targets):
-        costly = any(c > 0.0 for i in comp for t, _, c in chain[i] if t in comp)
-        (infinite if costly else boundary).update(comp)
-    # Positive-probability reachability of an infinite-cost class propagates.
-    infinite = set(_backward_reach(targets, infinite))
+    # Runs that stay in ``free`` pay nothing; runs that can never reach it
+    # end in a positive-cost recurrent class, and so does, with positive
+    # probability, every run that can reach such a state.
+    free = _stay_region(cm, range(len(states)), free_edge)
+    reach_free = _backward_reach(targets, free)
+    infinite = _backward_reach(targets, [i for i in chain if i not in reach_free])
     values = [math.inf if i in infinite else 0.0 for i in range(len(states))]
-    solve = [i for i in chain if i not in infinite and i not in boundary]
+    solve = [i for i in chain if i not in infinite and i not in free]
     if solve:
         for i, v in zip(solve, _solve_chain(chain, solve)):
             values[i] = float(max(v, 0.0))
     return dict(zip(states, values))
-
-
-def _bottom_sccs(succ: Mapping[int, list[int]]) -> list[set[int]]:
-    """Bottom strongly connected components of the graph ``succ``."""
-    order: list[int] = []
-    seen: set[int] = set()
-    for root in succ:
-        if root in seen:
-            continue
-        stack = [(root, iter(succ[root]))]
-        seen.add(root)
-        while stack:
-            node, it = stack[-1]
-            advanced = False
-            for t in it:
-                if t not in seen:
-                    seen.add(t)
-                    stack.append((t, iter(succ[t])))
-                    advanced = True
-                    break
-            if not advanced:
-                order.append(node)
-                stack.pop()
-    # Kosaraju second pass on the reverse graph.
-    rev: dict[int, list[int]] = {s: [] for s in succ}
-    for s, out in succ.items():
-        for t in out:
-            rev[t].append(s)
-    comp_of: dict[int, int] = {}
-    comps: list[set[int]] = []
-    for root in reversed(order):
-        if root in comp_of:
-            continue
-        comp = set()
-        stack2 = [root]
-        comp_of[root] = len(comps)
-        while stack2:
-            node = stack2.pop()
-            comp.add(node)
-            for t in rev[node]:
-                if t not in comp_of:
-                    comp_of[t] = len(comps)
-                    stack2.append(t)
-        comps.append(comp)
-    return [comp for comp in comps if all(t in comp for s in comp for t in succ[s])]
 
 
 # ---------------------------------------------------------------------------
@@ -529,7 +488,7 @@ def interval_value(
         raise ValueError("empty radius schedule")
     last = radii[-1]
     fm = truncate(mdp, {s}, last, PESSIMISTIC)
-    members = objective.members_in([q for q in fm.states if q is not fm.frontier])
+    members = objective.members_in([q for q in fm.states if q != fm.frontier])
     if objective.kind == Objective.REACH:
         # First-visit semantics: boundary states absorb, so the target need
         # not be a sink inside the truncation.
@@ -550,7 +509,7 @@ def interval_value(
         if safe_core is not None:
             # Sound lower bound: reach the declared safe core before the
             # avoid set or the frontier.
-            core = {q for q in fm.states if q is not fm.frontier and safe_core(q)}
+            core = {q for q in fm.states if q != fm.frontier and safe_core(q)}
             boundary = {t: 1.0 for t in core if t not in avoid}
             boundary.update({t: 0.0 for t in avoid})
             if fm.frontier is not None:
@@ -598,7 +557,7 @@ def return_probability(mdp: Mdp, s: StateId, radii: Iterable[int]) -> ReturnAnal
         raise ValueError("empty radius schedule")
     radius = radii[-1]
     fm = truncate(mdp, {s}, radius, PESSIMISTIC)
-    entry = StateId(max(q.ordinal for q in fm.states) + 1, f"entry({s.label or s.ordinal})")
+    entry = mint("entry", max(q.ordinal for q in fm.states) + 1, f"entry({s.label or s.ordinal})")
     copied = FiniteMdp(fm.states + [entry], {**fm.kinds, entry: fm.kinds[s]},
                        {**fm.transitions, entry: fm.transitions[s]}, check=False)
     split = _absorb(copied, {s})
@@ -728,7 +687,7 @@ def bounded_total_reward_md(
     """MD policy maximizing the expected terminal reward collected on first
     entry to the reward frontier of the induced finite MDP; leaving the
     subspace yields 0."""
-    exit_sink = StateId(max(s.ordinal for s in fm.states) + 1, "exit")
+    exit_sink = mint("exit", max(s.ordinal for s in fm.states) + 1)
     induced = _absorb(_restrict(fm, spec.subspace, exit_sink), spec.terminal_rewards)
     boundary = dict(spec.terminal_rewards)
     if induced.frontier is not None:
@@ -736,8 +695,7 @@ def bounded_total_reward_md(
     values, sigma = optimal_boundary_value(induced, boundary, True)
     values.pop(exit_sink, None)
     # The exit sink exists only inside the induced MDP; a choice pointing at
-    # it means "leave the subspace" and must not escape as an explicit entry
-    # (its ordinal aliases arbitrary host states).
+    # it means "leave the subspace" and must not escape as an explicit entry.
     sigma = MdStrategy({s: t for s, t in sigma.choice.items() if t != exit_sink})
     return sigma, values
 

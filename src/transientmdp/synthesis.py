@@ -14,6 +14,7 @@
 """
 from __future__ import annotations
 
+import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass, field
@@ -24,6 +25,7 @@ from .core import (
     FiniteMdp,
     GeneralStrategy,
     InfiniteSuccessors,
+    LazyMdp,
     MdStrategy,
     Mdp,
     Objective,
@@ -35,12 +37,14 @@ from .core import (
     _absorb,
     _backward_reach,
     bubble,
+    mint,
     successor_states,
     truncate,
 )
 from .errors import (
     BudgetExhausted,
     EmptyFrontier,
+    InfiniteBranching,
     NoFiniteCostPolicy,
     NotTail,
     NotUniversallyTransient,
@@ -326,13 +330,7 @@ def _uniform_reference(mdp: Mdp) -> GeneralStrategy:
         succ = mdp.successors_of(here)
         if isinstance(succ, InfiniteSuccessors):
             # geometric over the enumeration; finite-support surrogate
-            states = []
-            it = succ.iter_states()
-            for _ in range(8):
-                try:
-                    states.append(next(it))
-                except StopIteration:
-                    break
+            states = list(itertools.islice(succ.iter_states(), 8))
             weights = [2.0 ** -(i + 1) for i in range(len(states))]
             weights[-1] += 1.0 - sum(weights)
             return Distribution(list(zip(states, weights)), check=False)
@@ -433,6 +431,12 @@ def buchi_transience_one_bit(
     return strategy, plan
 
 
+def _half_width(frac: float, runs: int) -> float:
+    """Normal-approximation 95% half-width of a fraction over ``runs`` runs,
+    with the variance floored at 1e-9 so that it stays positive at 0 and 1."""
+    return 1.96 * math.sqrt(max(frac * (1 - frac), 1e-9) / runs)
+
+
 def _grow_goal_radius(mdp, initial, goal_pred, L_prev, l_prev, runs, eps_i, schedule):
     k = l_prev + 1
     while k <= schedule.max_radius:
@@ -445,8 +449,7 @@ def _grow_goal_radius(mdp, initial, goal_pred, L_prev, l_prev, runs, eps_i, sche
                            for t in range(min(k + 1, len(run)))):
                     misses += 1
             frac = misses / len(runs)
-            half = 1.96 * math.sqrt(max(frac * (1 - frac), 1e-9) / len(runs))
-            if frac + half <= eps_i or k == schedule.max_radius:
+            if frac + _half_width(frac, len(runs)) <= eps_i or k == schedule.max_radius:
                 return k, K, F, frac
         k += 1
     K = bubble(mdp, initial, schedule.max_radius)
@@ -467,8 +470,7 @@ def _grow_quiet_radius(mdp, initial, K_i, k_i, runs, eps_i, schedule):
     l = k_i + 1
     while l < schedule.max_radius:
         frac = sum(1 for t in last_visit if t >= l) / len(runs)
-        half = 1.96 * math.sqrt(max(frac * (1 - frac), 1e-9) / len(runs))
-        if frac + half <= eps_i:
+        if frac + _half_width(frac, len(runs)) <= eps_i:
             break
         l += 1
     frac = sum(1 for t in last_visit if t >= l) / len(runs)
@@ -674,7 +676,7 @@ def transience_md(
     bad = {
         s
         for s in fm.states
-        if s is not frontier and not good_modes.get(s)
+        if s != frontier and not good_modes.get(s)
     }
     if root in bad:
         # The 1-bit strategy is trapped everywhere: value 0 from the root, and
@@ -705,10 +707,9 @@ def transience_md(
             transient_runs += 1
     r_hat = {s: visits[s] / budgets.mc_runs for s in visits}
     frac = transient_runs / budgets.mc_runs
-    half = 1.96 * math.sqrt(max(frac * (1 - frac), 1e-9) / budgets.mc_runs)
-    v_hat = max(0.0, frac - half)
+    v_hat = max(0.0, frac - _half_width(frac, budgets.mc_runs))
 
-    good = {s for s in fm.states if s not in bad and s is not frontier}
+    good = {s for s in fm.states if s not in bad and s != frontier}
     good_prime = {s for s in good if r_hat.get(s, 0.0) > 0.0}
     partition = GoodBadPartition(bad, good, good_prime, r_hat, repairs, v_hat)
 
@@ -724,7 +725,7 @@ def transience_md(
         for t in successor_states(m_prime, s):
             if t in bad:
                 cost_map[(s, t)] = bad_cost
-            elif t is frontier:
+            elif t == frontier:
                 cost_map[(s, t)] = 0.0
             elif t in good_prime:
                 cost_map[(s, t)] = 2.0 ** -min(rank[t], 900) / r_hat[t]
@@ -739,11 +740,9 @@ def transience_md(
         ) from exc
 
     # Choices aimed at the truncation frontier are meaningless outside the
-    # bubble (the frontier ordinal aliases host states); drop them so the
-    # default rule takes over beyond the synthesis radius.
-    sigma = MdStrategy(
-        {s: t for s, t in sigma.choice.items() if t is not frontier}
-    )
+    # bubble; drop them so the default rule takes over beyond the synthesis
+    # radius.
+    sigma = MdStrategy({s: t for s, t in sigma.choice.items() if t != frontier})
     lowered = maps.lower_md(sigma)
     return lowered, partition
 
@@ -751,8 +750,6 @@ def transience_md(
 def _reduction_if_needed(mdp: Mdp, s0: StateId, probe_radius: int):
     """Reduce only when infinite branching is actually reachable within the
     working radius; otherwise the identity keeps original state ids."""
-    from .errors import InfiniteBranching
-
     try:
         bubble(mdp, {s0}, probe_radius)
     except InfiniteBranching:
@@ -764,7 +761,7 @@ def _frontier_reaching_modes(fm: FiniteMdp, one_bit: OneBitStrategy) -> dict[Sta
     """Modes from which the 1-bit strategy's product chain can reach the
     frontier; backward graph reachability on (mode, state)."""
     frontier = fm.frontier
-    result: dict[StateId, set[int]] = {s: set() for s in fm.states if s is not frontier}
+    result: dict[StateId, set[int]] = {s: set() for s in fm.states if s != frontier}
     if frontier is None:
         return result
 
@@ -855,6 +852,10 @@ def safety_md_universally_transient(
 
     if not roots:
         raise ValueError("countable synthesis needs root states")
+    # Random states are walked through the prefix view that the certificate
+    # uses, so an infinitely branching one leads to its first branches and the
+    # tail stub; choices are made only at controlled states.
+    view = _prefix_restricted(mdp, schedule)
     choice: dict[StateId, StateId] = {}
     seen: set[StateId] = set()
     queue = list(roots)
@@ -865,7 +866,7 @@ def safety_md_universally_transient(
         if s in seen or steps[s] > horizon:
             continue
         seen.add(s)
-        if mdp.kind_of(s) is StateKind.CONTROLLED:
+        if view.kind_of(s) is StateKind.CONTROLLED:
             succ = mdp.successors_of(s)
             if isinstance(succ, InfiniteSuccessors):
                 picked = _pick_slack_successor_lazy(
@@ -880,7 +881,7 @@ def safety_md_universally_transient(
             choice[s] = picked
             nexts = [picked]
         else:
-            nexts = successor_states(mdp, s)
+            nexts = successor_states(view, s)
         for t in nexts:
             if t not in seen:
                 steps[t] = steps[s] + 1
@@ -892,8 +893,6 @@ def _slack(mdp, s, epsilon, schedule, assume_transient) -> float:
     if assume_transient:
         r_bound = 1.0
     else:
-        from .errors import InfiniteBranching
-
         try:
             analysis = return_probability(mdp, s, list(schedule.radii))
         except InfiniteBranching:
@@ -902,9 +901,7 @@ def _slack(mdp, s, epsilon, schedule, assume_transient) -> float:
             # absorbing (never-returning) stub.  The certificate is relative
             # to the prefix.
             analysis = return_probability(
-                _prefix_restricted(mdp, schedule.branch_budget // 16 or 16),
-                s,
-                list(schedule.radii),
+                _prefix_restricted(mdp, schedule), s, list(schedule.radii)
             )
         if analysis.re.lower >= 1.0 - 1e-9:
             raise NotUniversallyTransient(
@@ -924,13 +921,15 @@ def _slack_at(s: StateId, epsilon: float, r_bound: float) -> float:
     return math.ldexp(epsilon / r_bound, -(s.ordinal + 1))
 
 
-def _prefix_restricted(mdp: Mdp, cap: int) -> Mdp:
+def _prefix_restricted(mdp: Mdp, schedule: SafetySchedule) -> Mdp:
     """View of ``mdp`` with infinite successor families cut to their first
-    ``cap`` members; the residual probability mass of random families goes to
-    a fresh absorbing stub."""
-    from .core import LazyMdp
+    ``branch_budget // 16`` members (16 when that is 0); the residual
+    probability mass of random families goes to a fresh absorbing stub."""
+    cap = schedule.branch_budget // 16 or 16
 
-    stub = StateId(2**62, "tail_stub")
+    # An ordinal above every host state's keeps the stub's ordinal unique
+    # in each truncation of the view.
+    stub = mint("tail_stub", 1 << 62)
 
     def kind(s: StateId) -> StateKind:
         if s == stub:
@@ -954,14 +953,7 @@ def _prefix_restricted(mdp: Mdp, cap: int) -> Mdp:
             if total < 1.0 - 1e-12:
                 kept.append((stub, 1.0 - total))
             return Distribution(kept, check=False)
-        states = []
-        it = succ.iter_states()
-        for _ in range(cap):
-            try:
-                states.append(next(it))
-            except StopIteration:
-                break
-        return states
+        return list(itertools.islice(succ.iter_states(), cap))
 
     return LazyMdp(kind, successors)
 
@@ -989,12 +981,7 @@ def _pick_slack_successor_lazy(mdp, s, succ: InfiniteSuccessors, objective, epsi
     # 1 is the only sound upper bound, which makes the rule demand
     # lb >= 1 - slack.  The value supremum guarantees a qualifier whenever
     # val(s) = 1; otherwise the enumeration budget runs out.
-    it = succ.iter_states()
-    for _ in range(schedule.branch_budget):
-        try:
-            t = next(it)
-        except StopIteration:
-            break
+    for t in itertools.islice(succ.iter_states(), schedule.branch_budget):
         lb = interval_value(mdp, t, objective, radii, safe_core).lower
         if lb >= 1.0 - slack - 1e-12:
             return t

@@ -28,6 +28,8 @@ from .core import (
     Objective,
     StateId,
     StateKind,
+    is_synthetic,
+    mint,
 )
 from .errors import HitBottom, NotTail, ZeroValueRoot
 from .solvers import ValueMap
@@ -356,10 +358,10 @@ class ConditionedMdp:
     positive: set[StateId]
 
     def is_pair(self, s: StateId) -> bool:
-        return s.label.startswith("pair(")
+        return is_synthetic(s, "pair")
 
     def is_bottom(self, s: StateId) -> bool:
-        return s.label.startswith("s_bot")
+        return is_synthetic(s, "bottom")
 
     def md_to_conditioned(self, sigma: MdStrategy) -> MdStrategy:
         """Interpret an MD strategy of the base MDP in the conditioned MDP."""
@@ -440,11 +442,12 @@ def conditioned(
         for t in fm.successors_of(s)
     )
     pair_of = {
-        edge: StateId(top + 1 + i, f"pair({edge[0].label},{edge[1].label})")
+        edge: mint("pair", top + 1 + i, f"pair({edge[0].label},{edge[1].label})")
         for i, edge in enumerate(pair_edges)
     }
-    bottom_base = top + 1 + len(pair_edges)
-    bottom_state = StateId(bottom_base, "s_bot" if bottom == SELF_LOOP else "s_bot_1")
+    bottom_state = mint(
+        "bottom", top + 1 + len(pair_edges), "s_bot" if bottom == SELF_LOOP else "s_bot_1"
+    )
 
     kinds: dict[StateId, StateKind] = {}
     transitions: dict[StateId, object] = {}
@@ -488,16 +491,13 @@ def conditioned(
         finite = None
 
         def chain_kind(s: StateId) -> StateKind:
-            if s.label.startswith("s_bot"):
-                return StateKind.RANDOM
-            return kinds[s]
+            return StateKind.RANDOM if is_synthetic(s, "bottom") else kinds[s]
 
         def chain_successors(s: StateId):
-            if s.label.startswith("s_bot"):
-                k = s.ordinal - bottom_base + 1
-                return Distribution(
-                    [(StateId(bottom_base + k, f"s_bot_{k + 1}"), 1.0)]
-                )
+            if is_synthetic(s, "bottom"):
+                # s_bot_k sits at the ordinal of s_bot_1 plus k - 1.
+                k = s.ordinal - bottom_state.ordinal + 2
+                return Distribution([(mint("bottom", s.ordinal + 1, f"s_bot_{k}"), 1.0)])
             return transitions[s]
 
         mdp = LazyMdp(chain_kind, chain_successors)

@@ -216,13 +216,24 @@ SOLVE = {"kind": "solve", "objective": {"type": "reach", "states": [0]}, "state"
         (GADGET, {"kind": "simulate", "state": 0, "runs": 0}),
         (GADGET, {"kind": "simulate", "state": 0, "horizon": 50,
                   "proxy": {"type": "fresh_tail", "window": 50}}),
+        (GADGET, {**SOLVE, "objective": {"type": "reach", "states": ["w0"]}}),
+        (GADGET, {"kind": "synthesize", "method": "transience_md", "state": 0,
+                  "epsilon": "x"}),
     ],
-    ids=["missing_mdp_file", "malformed_mdp_file", "zero_runs", "horizon_within_window"],
+    ids=["missing_mdp_file", "malformed_mdp_file", "zero_runs", "horizon_within_window",
+         "non_numeric_objective_state", "non_numeric_epsilon"],
 )
 def test_bad_scenario_input_is_a_scenario_error(tmp_path, capsys, mdp, task):
     (tmp_path / "broken.json").write_text('{"states": [')
     scenario = tmp_path / "bad.json"
     scenario.write_text(json.dumps({"seed": 1, "mdp": mdp, "task": task}))
+    assert run_cli(["--out-dir", tmp_path, "run", scenario]) == 1
+    assert capsys.readouterr().err.startswith("scenario error: ")
+
+
+def test_non_numeric_seed_is_a_scenario_error(tmp_path, capsys):
+    scenario = tmp_path / "bad.json"
+    scenario.write_text(json.dumps({"seed": "x", "mdp": GADGET, "task": SOLVE}))
     assert run_cli(["--out-dir", tmp_path, "run", scenario]) == 1
     assert capsys.readouterr().err.startswith("scenario error: ")
 

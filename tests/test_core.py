@@ -15,7 +15,7 @@ from transientmdp import (
     simulate,
     truncate,
 )
-from transientmdp.core import OPTIMISTIC, PESSIMISTIC, require_sink, require_tail
+from transientmdp.core import OPTIMISTIC, PESSIMISTIC, mint, require_sink, require_tail
 from transientmdp.errors import InfiniteBranching, NotSink, NotTail
 from transientmdp.gadgets import (
     acyclic_chain,
@@ -115,6 +115,17 @@ def test_truncate_chain_structure():
     assert fm.frontier is not None
 
 
+def test_truncation_frontier_is_no_host_state():
+    # The frontier takes the ordinal after the bubble, 4, which the host
+    # state w_4 outside the bubble also has; the two must stay distinct.
+    mdp, _ = gamblers_ruin(0.7)
+    fm = truncate(mdp, {w(0)}, 3)
+    assert fm.frontier.ordinal == 4
+    assert fm.frontier != w(4) and w(4) != fm.frontier
+    assert w(4) not in set(fm.states)
+    assert [s.ordinal for s in sorted([w(5), fm.frontier, w(3)])] == [3, 4, 5]
+
+
 def test_truncate_saturation_is_isomorphic():
     fm, a, b = two_state_chain()
     trunc = truncate(fm, {a}, 10, OPTIMISTIC)
@@ -132,7 +143,7 @@ def test_truncation_bracketing_monotone_in_radius():
     for radius in (3, 5, 8, 12):
         fm_p = truncate(lad, {root}, radius, PESSIMISTIC)
         fm_o = truncate(lad, {root}, radius, OPTIMISTIC)
-        tgt_p = obj.members_in([s for s in fm_p.states if s is not fm_p.frontier])
+        tgt_p = obj.members_in([s for s in fm_p.states if s != fm_p.frontier])
         tgt_o = obj.members_in(fm_o.states) | {fm_o.frontier}
         lo, _ = optimal_boundary_value(fm_p, {t: 1.0 for t in tgt_p})
         hi, _ = optimal_boundary_value(fm_o, {t: 1.0 for t in tgt_o})
@@ -419,7 +430,9 @@ def test_strategy_must_pick_a_successor():
     at_once = GeneralStrategy(lambda run: Distribution([(stray, 1.0)]))
     # Loops once at c, so the stray pick comes on a state met before.
     on_return = GeneralStrategy(lambda run: Distribution([(c if len(run) == 1 else stray, 1.0)]))
-    for strategy in (at_once, on_return):
+    # A synthetic state with the ordinal of the successor d is no successor.
+    aliased = GeneralStrategy(lambda run: Distribution([(mint("frontier", 1, "stray"), 1.0)]))
+    for strategy in (at_once, on_return, aliased):
         with pytest.raises(ValueError, match="picked stray, not a successor of c"):
             simulate(fm, c, strategy, 5, seed=0)
         with pytest.raises(ValueError, match="picked stray, not a successor of c"):

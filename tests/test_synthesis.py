@@ -1,19 +1,20 @@
+import itertools
+
 import pytest
 
 from transientmdp import (
     Distribution,
     FiniteMdp,
+    LazyMdp,
     Objective,
     StateId,
     StateKind,
 )
-from transientmdp.core import truncate
+from transientmdp.core import InfiniteSuccessors, truncate
 from transientmdp.errors import (
     EmptyFrontier,
-    InfiniteBranching,
     NotUniversallyTransient,
     RadiusExhausted,
-    TransientMdpError,
 )
 from transientmdp.gadgets import (
     acyclic_chain,
@@ -352,20 +353,58 @@ def test_safety_slack_large_ordinals(assume_transient):
     assert sigma.choice[a] == w
 
 
-def test_safety_slack_infinite_random_branching_raises_typed_error():
+def test_safety_slack_walks_past_infinite_random_branching():
     # The root of the geometric fan is a random state with infinitely many
-    # successors; enumerating them must fail with the package's own error,
-    # not a TypeError from iterating the lazy family.
+    # successors and no controlled state behind it: the walk cuts the family
+    # to its first branches and returns the empty strategy.
     fan, _ = geometric_fan()
-    with pytest.raises(InfiniteBranching) as info:
-        safety_md_universally_transient(
-            fan,
-            Objective.safety({StateId(2, "trap")}),
-            0.1,
-            roots=[StateId(5, "root")],
-            assume_transient=True,
-        )
-    assert isinstance(info.value, TransientMdpError)
+    sigma = safety_md_universally_transient(
+        fan,
+        Objective.safety({StateId(2, "trap")}),
+        0.1,
+        roots=[StateId(5, "root")],
+        assume_transient=True,
+    )
+    assert sigma.choice == {}
+
+
+def random_fan_of_choices():
+    """Random root r_0 over controlled c_j (weight 2^-j, j >= 1), each
+    choosing between the absorbing ``safe`` and ``bad``.  The oracles refuse
+    any other state, the prefix view's tail stub included."""
+    root, safe, bad = StateId(0, "r_0"), StateId(1, "safe"), StateId(2, "bad")
+
+    def kind(s):
+        if s.ordinal % 3 == 0 and s.ordinal > 0:
+            return StateKind.CONTROLLED
+        assert s in (root, safe, bad), s
+        return StateKind.RANDOM
+
+    def successors(s):
+        if s == root:
+            return InfiniteSuccessors(
+                lambda: ((StateId(3 * j, f"c_{j}"), 2.0**-j) for j in itertools.count(1)),
+                random=True,
+            )
+        if kind(s) is StateKind.CONTROLLED:
+            return [safe, bad]
+        return Distribution([(s, 1.0)])
+
+    return LazyMdp(kind, successors), root, safe, bad
+
+
+def test_safety_slack_chooses_behind_infinite_random_branching():
+    mdp, root, safe, bad = random_fan_of_choices()
+    sigma = safety_md_universally_transient(
+        mdp,
+        Objective.safety({bad}),
+        0.1,
+        SafetySchedule(radii=(4,), synthesis_radius=3, branch_budget=64),
+        roots=[root],
+        assume_transient=True,
+    )
+    # branch_budget // 16 = 4 branches of the family are walked.
+    assert sigma.choice == {StateId(3 * j): safe for j in range(1, 5)}
 
 
 def test_safety_fan_scan_past_underflow_exhausts_budget():

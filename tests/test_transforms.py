@@ -277,6 +277,36 @@ def test_contract_run_examples():
         cm.contract_run([s, pair, cm.bottom])
 
 
+def host_named_like_bottom():
+    """The controlled pair example with ``t`` labelled like a bottom state."""
+    fm, s, t, win, lose = controlled_pair_example()
+    t2 = StateId(t.ordinal, "s_bottom_line")
+    succ = {
+        s: [t2, win],
+        t2: fm.successors_of(t),
+        win: fm.successors_of(win),
+        lose: fm.successors_of(lose),
+    }
+    fm2 = FiniteMdp([s, t2, win, lose], {q: fm.kind_of(q) for q in fm.states}, succ,
+                    [{win}, {lose}])
+    return fm2, t2, win
+
+
+def test_contract_run_keeps_host_state_labelled_like_bottom():
+    fm, t, win = host_named_like_bottom()
+    cm = conditioned(fm, Objective.reach({win}), reach_value(fm, {win}))
+    assert not cm.is_bottom(t) and not cm.is_pair(t)
+    assert cm.contract_run([t, win]) == [t, win]
+
+
+def test_infinite_chain_keeps_host_state_labelled_like_bottom():
+    fm, t, win = host_named_like_bottom()
+    cm = conditioned(fm, Objective.reach({win}), reach_value(fm, {win}),
+                     bottom=INFINITE_CHAIN)
+    assert cm.mdp.kind_of(t) is StateKind.RANDOM
+    assert [(q.label, p) for q, p in cm.mdp.successors_of(t)] == [("win", 1.0)]
+
+
 def test_contract_run_is_legal_in_base():
     fm = random_finite_mdp(99, n_states=8)
     phi = win_objective(fm)
