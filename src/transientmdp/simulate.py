@@ -65,21 +65,31 @@ class RevisitCap:
     max_visits: int
 
 
-def _controller(mdp: Mdp, strategy):
+def _controller(mdp: Mdp, strategy, table):
     """``(memory, choose, observe)`` of a strategy, resolved once per run.
 
     ``choose(memory, s)`` returns the next memory and the pick at controlled
     ``s``: a state, or a Distribution to sample.  ``observe(memory, s, t)``
     returns the memory after random ``s`` moved to ``t``; None when the
-    strategy ignores random moves.
+    strategy ignores random moves.  A plain MdStrategy takes its default
+    pick outside ``choice`` from ``s``'s ``table`` entry, which the stepper
+    fills before it asks.
     """
     if strategy is None:
         def choose(memory, s):
             raise ValueError(f"controlled state {s} but no strategy given")
         return None, choose, None
     if isinstance(strategy, MdStrategy):
-        successor = strategy.successor
-        return None, lambda memory, s: (memory, successor(mdp, s)), None
+        if type(strategy).successor is not MdStrategy.successor:
+            successor = strategy.successor
+            return None, lambda memory, s: (memory, successor(mdp, s)), None
+        choice = strategy.choice
+
+        def choose(memory, s):
+            t = choice.get(s)
+            return memory, table[s.ordinal][2] if t is None else t
+
+        return None, choose, None
     if isinstance(strategy, OneBitStrategy):
         return strategy.initial_mode, strategy.controlled, strategy.random_update
     if isinstance(strategy, GeneralStrategy):
@@ -98,18 +108,21 @@ def _controller(mdp: Mdp, strategy):
 
 
 def _state_entry(mdp: Mdp, s: StateId):
-    """``(controlled, successors)`` of ``s`` for the per-state table: for a
-    controlled state, the class (host or synthetic) of each successor by
-    ordinal, None for an infinite family, whose membership is not finitely
-    checkable; for a random state, its successor object.  Ordinals are
-    unique among an MDP's states, so a pick is a successor exactly when its
-    ordinal is there with its class."""
+    """``(controlled, successors, default)`` of ``s`` for the per-state
+    table.  For a controlled state: the class (host or synthetic) of each
+    successor by ordinal, None for an infinite family, whose membership is
+    not finitely checkable; and MdStrategy's default pick, the successor
+    with the smallest ordinal (the first enumerated one of an infinite
+    family).  For a random state: its successor object and None.  Ordinals
+    are unique among an MDP's states, so a pick is a successor exactly when
+    its ordinal is there with its class."""
     succ = mdp.successors_of(s)
     if mdp.kind_of(s) is StateKind.RANDOM:
-        return False, succ
+        return False, succ, None
     if isinstance(succ, InfiniteSuccessors):
-        return True, None
-    return True, {t.ordinal: type(t) for t in _states_of(succ, s)}
+        return True, None, next(succ.iter_states())
+    states = _states_of(succ, s)
+    return True, {t.ordinal: type(t) for t in states}, min(states, key=lambda t: t.ordinal)
 
 
 def _sample_random(rng: random.Random, succ) -> StateId:
@@ -141,7 +154,7 @@ def _walk(mdp, s0, strategy, horizon, seed, cap, table):
     if horizon < 0:
         raise ValueError("horizon must be non-negative")
     rng = random.Random(seed)
-    memory, choose, observe = _controller(mdp, strategy)
+    memory, choose, observe = _controller(mdp, strategy, table)
     run = [s0]
     counts = {s0.ordinal: 1}
     s = s0
@@ -149,7 +162,7 @@ def _walk(mdp, s0, strategy, horizon, seed, cap, table):
         entry = table.get(s.ordinal)
         if entry is None:
             entry = table[s.ordinal] = _state_entry(mdp, s)
-        controlled, succ = entry
+        controlled, succ, _ = entry
         if controlled:
             memory, t = choose(memory, s)
             if isinstance(t, Distribution):

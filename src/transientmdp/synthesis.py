@@ -18,7 +18,7 @@ import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from .core import (
     Distribution,
@@ -38,6 +38,7 @@ from .core import (
     _backward_reach,
     bubble,
     mint,
+    require_tail,
     successor_states,
     truncate,
 )
@@ -161,60 +162,42 @@ class PlasteringState:
 
 
 def plastering_uniformize(
-    fm: FiniteMdp,
-    phi: Objective,
-    epsilon: float,
-    md_oracle: Callable[[FiniteMdp, StateId, float], MdStrategy] | None = None,
+    fm: FiniteMdp, phi: Objective, epsilon: float
 ) -> tuple[MdStrategy, PlasteringState]:
     """Uniformly epsilon-optimal MD strategy by round-based fixing.
 
-    Round i runs with budget eps_i = (eps/2) 2^{-i}: take an eps_i^2-optimal
-    MD strategy from the round's pivot state in the current overlay MDP, fix
-    it on the set G of states where it is eps_i-optimal, and continue.  On
-    finite MDPs every state is fixed after its own round turns up, so the
-    limit MD strategy is reached after |S| rounds.
+    Round i runs with budget eps_i = (eps/2) 2^{-i}: take an optimal MD
+    strategy of the current overlay MDP (exact, so eps_i^2-optimal from the
+    round's pivot), fix it on the set G of states where it is eps_i-optimal,
+    and continue.  On finite MDPs every state is fixed after its own round
+    turns up, so the limit MD strategy is reached after |S| rounds.  Each
+    overlay is solved and evaluated once: its optimal strategy comes with
+    its values, and a round that fixes no new choice keeps the overlay.
     """
-    from .core import require_tail
-
     require_tail(fm, phi)
     params = SynthesisParams(epsilon)
     state = PlasteringState()
-    order = sorted(fm.states, key=lambda s: s.ordinal)
     current = fm
-    values, _ = _optimal(current, phi)
-
-    for i, pivot in enumerate(order, start=1):
+    values, sigma = _optimal(current, phi)
+    attained = _evaluate(current, sigma, phi)
+    for i, pivot in enumerate(sorted(fm.states, key=lambda s: s.ordinal), start=1):
         eps_i = params.plastering_epsilon(i)
-        if md_oracle is not None:
-            sigma = md_oracle(current, pivot, eps_i**2)
-        else:
-            _, sigma = _optimal(current, phi)  # exact optimum, trivially eps^2-optimal
-        attained = _evaluate(current, sigma, phi)
-        g = {
-            s
-            for s in current.states
-            if attained[s] >= values[s] - eps_i - 1e-12
-        }
+        g = {s for s in current.states if attained[s] >= values[s] - eps_i - 1e-12}
         escape = _escape_probability(current, sigma, g, pivot)
-        for s in g:
-            if current.kind_of(s) is StateKind.CONTROLLED and s not in state.fixed:
-                state.fixed[s] = sigma.successor(current, s)
-        nxt = fix_choices(fm, state.fixed)
-        nxt_values, _ = _optimal(nxt, phi)
-        drop = max(values[s] - nxt_values[s] for s in current.states)
-        state.rounds.append(
-            PlasteringRound(
-                index=i,
-                pivot=pivot,
-                epsilon_i=eps_i,
-                g_size=len(g),
-                escape_probability=escape,
-                max_value_drop=drop,
-            )
-        )
-        current = nxt
-        values = nxt_values
-
+        new = {
+            s: sigma.successor(current, s)
+            for s in g
+            if current.kind_of(s) is StateKind.CONTROLLED and s not in state.fixed
+        }
+        drop = 0.0  # an unchanged overlay keeps its values
+        if new:
+            state.fixed.update(new)
+            current = fix_choices(fm, state.fixed)
+            nxt_values, sigma = _optimal(current, phi)
+            drop = max(values[s] - nxt_values[s] for s in current.states)
+            values = nxt_values
+            attained = _evaluate(current, sigma, phi)
+        state.rounds.append(PlasteringRound(i, pivot, eps_i, len(g), escape, drop))
     return MdStrategy(dict(state.fixed)), state
 
 

@@ -447,3 +447,27 @@ def test_md_choice_on_infinite_family_is_not_checked():
     root, far = StateId(0, "fan"), StateId(3 * 40, "b_40")
     run, _ = simulate(fan, root, MdStrategy({root: far}), 3, seed=0)
     assert run[:2] == [root, far]
+
+
+@pytest.mark.parametrize("choice", [{}, ladder_exit_strategy(3).choice])
+def test_md_default_pick_asks_each_state_once(choice):
+    # Outside ``choice`` an MD strategy takes the smallest-ordinal successor
+    # (the first enumerated one of an infinite family); the stepper reads it
+    # from its per-call table, so each state's successors are asked for once
+    # per estimator call, not once per visit.
+    ladder, _ = no_optimal_ladder()
+    asked = []
+
+    def successors(s):
+        asked.append(s)
+        return ladder.successors_of(s)
+
+    counted = LazyMdp(ladder.kind_of, successors)
+    s0, strategy = ladder_state("ell", 0), MdStrategy(dict(choice))
+    est = estimate_transience(counted, s0, strategy, 200, 20, RevisitCap(30), seed=5)
+    assert est == estimate_transience(ladder, s0, strategy, 200, 20, RevisitCap(30), seed=5)
+    assert len(asked) == len(set(asked))
+    run, _ = simulate(ladder, s0, strategy, 40, seed=6)
+    for s, t in zip(run, run[1:]):
+        if ladder.kind_of(s) is StateKind.CONTROLLED and s not in choice:
+            assert t == strategy.successor(ladder, s)

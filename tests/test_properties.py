@@ -3,20 +3,31 @@
 Hypothesis draws the generator seeds, derandomized so that every run checks
 the same examples.
 """
+import itertools
+import math
+import random
 from contextlib import ExitStack
 from unittest import mock
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from transientmdp import Distribution, StateId
+from transientmdp import Distribution, LazyMdp, Objective, StateId, StateKind
 from transientmdp import core, solvers, transforms
+from transientmdp.core import InfiniteSuccessors, successor_states
+from transientmdp.gadgets import geometric_fan, safety_fan, transience_fan
 from transientmdp.solvers import (
     BoundedRewardSpec,
+    CostLabel,
     bounded_total_reward_md,
+    evaluate_md_reach,
+    md_policy_oracle,
+    min_expected_cost_md,
     reach_value,
     return_probability,
+    safety_value,
 )
+from transientmdp.synthesis import plastering_uniformize
 from transientmdp.transforms import INFINITE_CHAIN, conditioned
 from transientmdp.verify import random_finite_mdp, win_objective
 
@@ -79,3 +90,99 @@ def test_conditioned_rows_sum_to_one(seed, n):
         succ = cm.finite.successors_of(s)
         if isinstance(succ, Distribution):
             assert abs(sum(p for _, p in succ) - 1.0) <= 1e-9
+
+
+# Two of the states are sinks, so at most 6 are controlled.
+ORACLE_SIZES = st.integers(min_value=3, max_value=8)
+
+
+def _close(a, b):
+    if math.isinf(a) or math.isinf(b):
+        return a == b
+    return abs(a - b) <= 1e-6
+
+
+@PROPERTY
+@given(seed=SEEDS, n=ORACLE_SIZES)
+def test_solvers_match_md_policy_oracle(seed, n):
+    fm = random_finite_mdp(seed, n_states=n)
+    win, lose = fm.states[-1], fm.states[-2]
+    rng = random.Random(seed)
+    cost = CostLabel({
+        (s, t): rng.choice([0.0, 0.5, 1.0, 2.0])
+        for s in fm.states for t in successor_states(fm, s) if t != s
+    })
+    solved = {
+        "reach": reach_value(fm, {win}),
+        "safety": safety_value(fm, {lose}),
+        "cost": min_expected_cost_md(fm, cost)[1],
+    }
+    oracle = {
+        "reach": md_policy_oracle(fm, Objective.reach({win})).values,
+        "safety": md_policy_oracle(fm, Objective.safety({lose})).values,
+        "cost": md_policy_oracle(fm, cost=cost).values,
+    }
+    for name, values in solved.items():
+        for s in fm.states:
+            assert _close(values[s], oracle[name][s]), (name, s)
+
+
+@PROPERTY
+@given(seed=SEEDS, n=SIZES, epsilon=st.sampled_from([0.5, 0.1, 0.05, 1e-3]))
+def test_plastering_attains_value_minus_epsilon(seed, n, epsilon):
+    fm = random_finite_mdp(seed, n_states=n)
+    phi = win_objective(fm)
+    values = reach_value(fm, phi.states)
+    sigma, state = plastering_uniformize(fm, phi, epsilon)
+    attained = evaluate_md_reach(fm, sigma, phi.states)
+    assert len(state.rounds) == n
+    for s in fm.states:
+        assert attained[s] >= values[s] - epsilon - 1e-9
+
+
+def _branch(j):
+    return StateId(3 * j, f"b_{j}")
+
+
+@PROPERTY
+@given(
+    fan=st.sampled_from([safety_fan, transience_fan, geometric_fan]),
+    head=st.lists(st.floats(min_value=0.0, max_value=1.0), max_size=5),
+    ratio=st.floats(min_value=0.05, max_value=0.95),
+    n=st.integers(min_value=1, max_value=40),
+)
+def test_adjusted_probabilities_reproduce_fan_weights(fan, head, ratio, n):
+    # A random root over the fan's branches b_j: its weights break the stick
+    # at the fractions ``head``, then geometrically with ``ratio``.  The
+    # reduction's z-chain leaves at level i with p_i', so reaching and
+    # leaving there has probability p_i' prod_{j<i} (1 - p_j') = p_i.
+    base, _ = fan()
+    root = StateId(-1, "root")  # no fan has a state below ordinal 0
+
+    def fraction(j):
+        return head[j - 1] if j <= len(head) else 1.0 - ratio
+
+    def weighted():
+        rest = 1.0
+        for j in itertools.count(1):
+            yield _branch(j), rest * fraction(j)
+            rest *= 1.0 - fraction(j)
+
+    mdp = LazyMdp(
+        lambda s: StateKind.RANDOM if s == root else base.kind_of(s),
+        lambda s: InfiniteSuccessors(weighted, random=True) if s == root else base.successors_of(s),
+    )
+    maps = transforms.reduce_to_finitely_branching(mdp)
+    adjusted = maps.adjusted_probs(root, n)
+    weights = [p for _, p in itertools.islice(weighted(), n)]
+    reached = 1.0
+    (z, _), = maps.reduced.successors_of(maps.embed(root))
+    for q, p, j in zip(adjusted, weights, itertools.count(1)):
+        assert 0.0 <= q <= 1.0
+        assert abs(reached * q - p) <= 1e-11
+        step = dict(maps.reduced.successors_of(z))
+        assert step.get(maps.embed(_branch(j)), 0.0) == q
+        reached *= 1.0 - q
+        if reached == 0.0:
+            break
+        z = next(t for t in step if t != maps.embed(_branch(j)))

@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import json
 
 import pytest
 
@@ -10,6 +12,8 @@ from transientmdp import (
     StateId,
     StateKind,
 )
+from transientmdp import synthesis
+from transientmdp.cli import main as cli_main
 from transientmdp.core import InfiniteSuccessors, truncate
 from transientmdp.errors import (
     EmptyFrontier,
@@ -127,6 +131,109 @@ def test_plastering_uniform_on_random_corpus():
         for r in state.rounds:
             assert r.escape_probability <= r.epsilon_i + 1e-9
             assert r.max_value_drop <= r.epsilon_i + 1e-9
+
+
+def _counting_optimal(monkeypatch):
+    """Count the calls to ``synthesis._optimal`` from here on."""
+    calls = []
+    real = synthesis._optimal
+
+    def counting(fm, phi):
+        calls.append(fm)
+        return real(fm, phi)
+
+    monkeypatch.setattr(synthesis, "_optimal", counting)
+    return calls
+
+
+def test_plastering_solves_each_overlay_once(monkeypatch):
+    # Round 1 fixes every controlled state, since the exact optimum is
+    # optimal everywhere; the 11 later rounds fix nothing and keep the
+    # overlay, so only fm and the overlay of round 1 are solved.
+    fm = random_finite_mdp(derive_seed("plas", 0), n_states=12)
+    calls = _counting_optimal(monkeypatch)
+    sigma, state = plastering_uniformize(fm, win_objective(fm), 0.05)
+    assert len(calls) <= 2
+    assert len(state.rounds) == 12
+    assert all(r.max_value_drop == 0.0 for r in state.rounds[1:])
+    assert set(sigma.choice) == set(fm.controlled_states())
+
+
+def test_plastering_solves_an_overlay_that_fixes_a_new_choice(monkeypatch):
+    # Drop the first evaluation at one controlled state below its budget:
+    # it stays out of G in round 1 and is fixed in round 2, on a third solve.
+    fm = random_finite_mdp(derive_seed("plas", 0), n_states=12)
+    phi = win_objective(fm)
+    late = fm.controlled_states()[0]
+    real = synthesis._evaluate
+    evaluations = []
+
+    def first_short(current, sigma, objective):
+        attained = real(current, sigma, objective)
+        if not evaluations:
+            attained = {**attained, late: attained[late] - 1.0}
+        evaluations.append(current)
+        return attained
+
+    monkeypatch.setattr(synthesis, "_evaluate", first_short)
+    calls = _counting_optimal(monkeypatch)
+    sigma, state = plastering_uniformize(fm, phi, 0.05)
+    assert len(calls) == 3 and len(evaluations) == 3
+    assert [r.g_size for r in state.rounds[:2]] == [11, 12]
+    assert late in state.fixed
+    values = reach_value(fm, phi.states)
+    attained = evaluate_md_reach(fm, sigma, phi.states)
+    assert all(attained[s] >= values[s] - 0.05 - 1e-9 for s in fm.states)
+
+
+def _eps_rounds(n):
+    """The audit rows of ``n`` rounds at epsilon 0.05 in which G is every
+    state and no value moves: eps_i = 0.025 * 2^-i."""
+    return [
+        {
+            "index": i, "pivot": i - 1, "epsilon_i": float.fromhex(f"0x1.999999999999ap-{6 + i}"),
+            "g_size": n, "escape_probability": 0.0, "max_value_drop": 0.0,
+        }
+        for i in range(1, n + 1)
+    ]
+
+
+# Recorded from the implementation that solved every overlay twice per round.
+PLASTERING_PINS = {
+    3: {"2": 6, "5": 9},
+    7: {"4": 5, "6": 4, "8": 7, "9": 5},
+    19: {"4": 6, "5": 7, "6": 9, "7": 1, "8": 2, "9": 1},
+}
+
+
+@pytest.mark.parametrize("seed", sorted(PLASTERING_PINS))
+def test_plastering_pinned(seed):
+    fm = random_finite_mdp(derive_seed("plas-pin", seed), n_states=12)
+    sigma, state = plastering_uniformize(fm, win_objective(fm), 0.05)
+    assert sigma.to_json() == PLASTERING_PINS[seed]
+    assert state.to_json() == {"rounds": _eps_rounds(12), "fixed": PLASTERING_PINS[seed]}
+
+
+def test_cli_plastering_audit_bytes_pinned(tmp_path):
+    # The sha256 of plastering_audit.json was recorded from the
+    # implementation that solved every overlay twice per round.
+    fm = random_finite_mdp(4, n_states=8)
+    fm.dump(tmp_path / "mdp.json")
+    scenario = tmp_path / "plaster.json"
+    scenario.write_text(json.dumps({
+        "seed": 1,
+        "mdp": {"file": str(tmp_path / "mdp.json")},
+        "task": {
+            "kind": "synthesize", "method": "plastering", "epsilon": 0.05,
+            "objective": {"type": "reach", "states": [fm.states[-1].ordinal]},
+        },
+    }))
+    assert cli_main(["--out-dir", str(tmp_path), "run", str(scenario)]) == 0
+    audit = (tmp_path / "plastering_audit.json").read_bytes()
+    assert json.loads(audit) == {"rounds": _eps_rounds(8), "fixed": {"0": 7, "5": 5}}
+    assert hashlib.sha256(audit).hexdigest() == (
+        "a0fccb5d6b8758fa8b472b9cb701f9f293a88481adf994f9c2021016e61d5b95"
+    )
 
 
 def test_optimal_md_where_exists_exact_on_corpus():
