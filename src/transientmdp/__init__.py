@@ -1,5 +1,12 @@
 """Transience objectives in countable MDPs: models, gadgets, transformations,
-solvers, strategy synthesis, and a brute-force verification harness."""
+solvers, strategy synthesis, and a brute-force verification harness.
+
+``transientmdp.simulate`` names the re-exported function ``simulate``, not the
+submodule of the same name: ``import transientmdp.simulate as m`` and
+``mock.patch("transientmdp.simulate....")`` reach the function.  Code that
+reads or patches the module takes it from
+``importlib.import_module("transientmdp.simulate")``.
+"""
 
 from .core import (
     Distribution,

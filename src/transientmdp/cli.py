@@ -16,7 +16,7 @@ import sys
 from pathlib import Path
 
 from .core import FiniteMdp, Objective, StateId
-from .errors import ScenarioError, TransientMdpError
+from .errors import BadParameter, ScenarioError, TransientMdpError
 from .gadgets import REGISTRY, build_gadget
 from .simulate import FreshTail, RevisitCap, derive_seed, estimate_transience
 from .solvers import interval_value, reach_value, safety_value
@@ -34,26 +34,36 @@ from .verify import run_suite
 
 
 def _load_mdp(spec: dict, base: Path):
+    spec = _object(spec, "mdp")
     if "gadget" in spec:
-        mdp, meta = build_gadget(spec["gadget"], spec.get("params"))
-        return mdp, meta
-    if "file" in spec:
-        path = base / spec["file"]
+        name = spec["gadget"]
         try:
+            return build_gadget(name, spec.get("params"))
+        except (BadParameter, TypeError) as exc:
+            raise ScenarioError(f"cannot build gadget {name!r}: {exc}") from exc
+    if "file" in spec:
+        try:
+            path = base / spec["file"]
             return FiniteMdp.load(path), None
         except (OSError, KeyError, TypeError, ValueError) as exc:
-            raise ScenarioError(f"cannot load MDP file {path}: {exc!r}") from exc
+            raise ScenarioError(f"cannot load MDP file {spec['file']!r}: {exc!r}") from exc
     raise ScenarioError("mdp needs a 'gadget' name or a 'file' path")
 
 
 def _parse_objective(doc: dict) -> Objective:
+    doc = _object(doc, "objective")
     kind = doc.get("type")
     if kind in ("reach", "safety", "buechi"):
         if "label_prefix" in doc:
             prefix = doc["label_prefix"]
+            if not isinstance(prefix, str):
+                raise ScenarioError(f"label_prefix must be a string, not {prefix!r}")
             pred = lambda s, p=prefix: s.label.startswith(p)
             return getattr(Objective, kind)(pred)
-        states = {StateId(_number(int, o, "objective state")) for o in doc.get("states", ())}
+        states = doc.get("states", [])
+        if not isinstance(states, list):
+            raise ScenarioError(f"objective states must be a list, not {states!r}")
+        states = {StateId(_number(int, o, "objective state")) for o in states}
         if not states:
             raise ScenarioError(f"objective {kind!r} needs 'states' or 'label_prefix'")
         return getattr(Objective, kind)(states)
@@ -63,11 +73,11 @@ def _parse_objective(doc: dict) -> Objective:
 
 
 def _parse_proxy(doc: dict | None):
-    doc = doc or {"type": "revisit_cap", "max_visits": 30}
+    doc = _object(doc or {"type": "revisit_cap", "max_visits": 30}, "proxy")
     if doc.get("type") == "revisit_cap":
-        return RevisitCap(int(doc.get("max_visits", 30)))
+        return RevisitCap(_number(int, doc.get("max_visits", 30), "max_visits"))
     if doc.get("type") == "fresh_tail":
-        return FreshTail(int(_field(doc, "window", "fresh_tail proxy")))
+        return FreshTail(_number(int, _field(doc, "window", "fresh_tail proxy"), "window"))
     raise ScenarioError(f"unknown proxy {doc.get('type')!r}")
 
 
@@ -75,11 +85,11 @@ def _estimate(mdp, s0, strategy, cfg: dict, horizon: int, runs: int, seed: int):
     """``estimate_transience`` with the scenario's ``horizon``, ``runs`` and
     ``proxy`` (defaults ``horizon`` and ``runs``); settings it rejects are
     scenario errors."""
+    horizon = _number(int, cfg.get("horizon", horizon), "horizon")
+    runs = _number(int, cfg.get("runs", runs), "runs")
+    proxy = _parse_proxy(cfg.get("proxy"))
     try:
-        return estimate_transience(
-            mdp, s0, strategy, int(cfg.get("horizon", horizon)),
-            int(cfg.get("runs", runs)), _parse_proxy(cfg.get("proxy")), seed,
-        )
+        return estimate_transience(mdp, s0, strategy, horizon, runs, proxy, seed)
     except ValueError as exc:
         raise ScenarioError(str(exc)) from exc
 
@@ -89,7 +99,7 @@ def _state(mdp, ordinal: int) -> StateId:
         if isinstance(mdp, FiniteMdp):
             return mdp.by_ordinal[ordinal]
         return StateId(int(ordinal))
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ScenarioError(f"no state {ordinal!r} in the MDP") from exc
 
 
@@ -97,8 +107,15 @@ def _number(convert, value, what: str):
     """``convert(value)``; a value it rejects is a scenario error."""
     try:
         return convert(value)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ScenarioError(f"{what} must be a number, not {value!r}") from exc
+
+
+def _object(value, what: str) -> dict:
+    """``value`` if it is a JSON object; anything else is a scenario error."""
+    if not isinstance(value, dict):
+        raise ScenarioError(f"{what} must be an object, not {value!r}")
+    return value
 
 
 def _field(doc: dict, key: str, where: str):
@@ -155,6 +172,8 @@ def _task_simulate(doc, task, master, out_dir, base) -> int:
 def _task_solve(doc, task, master, out_dir, base) -> int:
     mdp, _ = _load_mdp(_field(doc, "mdp", "scenario"), base)
     objective = _parse_objective(_field(task, "objective", "task"))
+    if objective.kind not in (Objective.REACH, Objective.SAFETY):
+        raise ScenarioError(f"solve supports reach and safety objectives, not {objective.kind!r}")
     s = _state(mdp, _field(task, "state", "task"))
     if isinstance(mdp, FiniteMdp):
         if objective.kind == Objective.REACH:
@@ -164,7 +183,10 @@ def _task_solve(doc, task, master, out_dir, base) -> int:
         path = _write_json(out_dir, "values.json", vm.to_json())
         print(f"val({s.label or s.ordinal}) = {vm[s]:.6f} -> {path}")
         return 0
-    radii = [_number(int, r, "radius") for r in task.get("radii", [50, 200])]
+    radii = task.get("radii", [50, 200])
+    if not isinstance(radii, list) or not radii:
+        raise ScenarioError(f"radii must be a non-empty list, not {radii!r}")
+    radii = [_number(int, r, "radius") for r in radii]
     iv = interval_value(mdp, s, objective, radii)
     path = _write_json(out_dir, "interval.json", iv.to_json())
     print(

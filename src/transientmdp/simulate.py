@@ -7,8 +7,10 @@ from the batch seed and the run index, so results never depend on scheduling.
 Every per-run estimate goes through one stepper, ``_walk``.  It resolves the
 strategy to a memory machine once per run and reads each state's kind and
 successors from a table that the runs of one estimator call share, so each
-state's oracles are asked once per call.  Markov chains with a vectorized
-step model run on the numpy engine ``_vector_estimate`` instead.
+state's oracles are asked once per call.  The sampling loops of the bubble
+1-bit construction and of ``transience_md`` call ``_walk`` directly, with one
+table per loop.  Markov chains with a vectorized step model run on the numpy
+engine ``_vector_estimate`` instead.
 
 Transience is a tail event, so no finite-horizon predicate equals it; the two
 proxies here (FreshTail, RevisitCap) are labeled estimators, not certificates.

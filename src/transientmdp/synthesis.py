@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -51,7 +50,7 @@ from .errors import (
     NotUniversallyTransient,
     RadiusExhausted,
 )
-from .simulate import derive_seed, simulate
+from .simulate import _walk, derive_seed
 from .solvers import (
     BoundedRewardSpec,
     CostLabel,
@@ -308,19 +307,29 @@ class BubbleSchedule:
 
 
 def _uniform_reference(mdp: Mdp) -> GeneralStrategy:
+    """Uniform choice among a controlled state's successors, geometric over
+    the first 8 of an infinite family; one distribution per state ordinal."""
+    dists: dict[int, Distribution] = {}
+
     def decide(run: Sequence[StateId]) -> Distribution:
         here = run[-1]
-        succ = mdp.successors_of(here)
-        if isinstance(succ, InfiniteSuccessors):
-            # geometric over the enumeration; finite-support surrogate
-            states = list(itertools.islice(succ.iter_states(), 8))
-            weights = [2.0 ** -(i + 1) for i in range(len(states))]
-            weights[-1] += 1.0 - sum(weights)
-            return Distribution(list(zip(states, weights)), check=False)
-        states = list(succ)
-        return Distribution([(t, 1.0 / len(states)) for t in states], check=False)
+        dist = dists.get(here.ordinal)
+        if dist is None:
+            dist = dists[here.ordinal] = _uniform_over(mdp.successors_of(here))
+        return dist
 
     return GeneralStrategy(decide)
+
+
+def _uniform_over(succ) -> Distribution:
+    if isinstance(succ, InfiniteSuccessors):
+        # geometric over the enumeration; finite-support surrogate
+        states = list(itertools.islice(succ.iter_states(), 8))
+        weights = [2.0 ** -(i + 1) for i in range(len(states))]
+        weights[-1] += 1.0 - sum(weights)
+        return Distribution(list(zip(states, weights)), check=False)
+    states = list(succ)
+    return Distribution([(t, 1.0 / len(states)) for t in states], check=False)
 
 
 def buchi_transience_one_bit(
@@ -356,22 +365,23 @@ def buchi_transience_one_bit(
     # being budgeted are intersections with the objective, so only runs the
     # transience proxy classifies as candidate satisfying runs count against
     # the budgets (a trap-absorbed run visits no fresh states and never
-    # satisfies the objective).
+    # satisfies the objective).  Run 0 is sampled even with no run budget:
+    # it stands in when no run qualifies.
+    table = {}
     runs = []
-    for i in range(schedule.mc_runs):
-        run, stats = simulate(
+    for i in range(max(schedule.mc_runs, 1)):
+        run, counts, _ = _walk(
             mdp, initial[i % len(initial)], reference, schedule.mc_horizon,
-            derive_seed(schedule.seed, "bubble", i),
+            derive_seed(schedule.seed, "bubble", i), math.inf, table,
         )
-        if stats.max_revisits < schedule.proxy_visits and (
+        if i == 0:
+            first = run
+        if max(counts.values()) - 1 < schedule.proxy_visits and (
             callable(goal) or any(goal_pred(s) for s in run)
         ):
             runs.append(run)
     if not runs:
-        runs = [
-            simulate(mdp, initial[0], reference, schedule.mc_horizon,
-                     derive_seed(schedule.seed, "bubble", 0))[0]
-        ]
+        runs = [first]
 
     levels: list[BubbleLevel] = []
     capped = False
@@ -421,17 +431,18 @@ def _half_width(frac: float, runs: int) -> float:
 
 
 def _grow_goal_radius(mdp, initial, goal_pred, L_prev, l_prev, runs, eps_i, schedule):
+    # Each run's first visit to a goal state outside L_prev; a run misses
+    # radius k when that visit comes after step k.
+    first_goal = [
+        next((t for t, s in enumerate(run) if goal_pred(s) and s not in L_prev), math.inf)
+        for run in runs
+    ]
     k = l_prev + 1
     while k <= schedule.max_radius:
         K = bubble(mdp, initial, k)
         F = {s for s in K if goal_pred(s) and s not in L_prev}
         if F:
-            misses = 0
-            for run in runs:
-                if not any(goal_pred(run[t]) and run[t] not in L_prev
-                           for t in range(min(k + 1, len(run)))):
-                    misses += 1
-            frac = misses / len(runs)
+            frac = sum(1 for t in first_goal if t > k) / len(runs)
             if frac + _half_width(frac, len(runs)) <= eps_i or k == schedule.max_radius:
                 return k, K, F, frac
         k += 1
@@ -510,12 +521,13 @@ def _assemble_one_bit(mdp, initial, plan: BubblePlan, schedule: BubbleSchedule):
 
     max_level = levels[-1].index
     fallback = MdStrategy({})
+    level_at: dict[StateId, int] = {}
+    for lv in levels:
+        for s in lv.K:
+            level_at.setdefault(s, lv.index)  # the first level holding s
 
     def level_of(s: StateId) -> int:
-        for lv in levels:
-            if s in lv.K:
-                return lv.index
-        return max_level + 1
+        return level_at.get(s, max_level + 1)
 
     def arrival_mode(mode: int, s: StateId) -> int:
         i = level_of(s)
@@ -676,19 +688,21 @@ def transience_md(
             repairs[s] = next(iter(modes))
     repaired = _truncated_one_bit(_repaired_one_bit(one_bit, repairs), m_prime)
 
-    # Monte Carlo visit estimates under the repaired strategy.
-    visits: Counter[StateId] = Counter()
+    # Monte Carlo visit estimates under the repaired strategy, keyed by
+    # ordinal in first-seen order.
+    table = {}
+    visits: dict[int, int] = {}
     transient_runs = 0
     for i in range(budgets.mc_runs):
-        run, stats = simulate(
+        run, counts, _ = _walk(
             m_prime, root, repaired, budgets.mc_horizon,
-            derive_seed(budgets.seed, "visits", i),
+            derive_seed(budgets.seed, "visits", i), math.inf, table,
         )
-        for s, c in stats.visit_counts.items():
-            visits[s] += c
+        for o, c in counts.items():
+            visits[o] = visits.get(o, 0) + c
         if frontier is not None and run[-1] == frontier:
             transient_runs += 1
-    r_hat = {s: visits[s] / budgets.mc_runs for s in visits}
+    r_hat = {m_prime.by_ordinal[o]: c / budgets.mc_runs for o, c in visits.items()}
     frac = transient_runs / budgets.mc_runs
     v_hat = max(0.0, frac - _half_width(frac, budgets.mc_runs))
 

@@ -219,9 +219,34 @@ SOLVE = {"kind": "solve", "objective": {"type": "reach", "states": [0]}, "state"
         (GADGET, {**SOLVE, "objective": {"type": "reach", "states": ["w0"]}}),
         (GADGET, {"kind": "synthesize", "method": "transience_md", "state": 0,
                   "epsilon": "x"}),
+        (3, SOLVE),
+        ({"file": None}, SOLVE),
+        ({"gadget": "nope"}, SOLVE),
+        ({"gadget": {}}, SOLVE),
+        ({"gadget": "gamblers_ruin", "params": {"p": 2}}, SOLVE),
+        ({"gadget": "gamblers_ruin", "params": {"p": "x"}}, SOLVE),
+        ({"gadget": "gamblers_ruin", "params": {"q": 0.6}}, SOLVE),
+        (GADGET, {"kind": "simulate", "state": 0, "runs": None}),
+        (GADGET, {"kind": "simulate", "state": 0, "horizon": float("inf")}),
+        (GADGET, {"kind": "simulate", "state": float("inf")}),
+        (GADGET, {"kind": "simulate", "state": 0, "proxy": {"type": "revisit_cap",
+                                                             "max_visits": None}}),
+        (GADGET, {**SOLVE, "objective": 0.5}),
+        (GADGET, {**SOLVE, "objective": {"type": "reach", "states": 3}}),
+        (GADGET, {**SOLVE, "objective": {"type": "reach", "label_prefix": 3}}),
+        (GADGET, {**SOLVE, "objective": {"type": "transience"}}),
+        (GADGET, {**SOLVE, "radii": 50}),
+        (GADGET, {**SOLVE, "radii": []}),
+        (GADGET, {**SOLVE, "radii": [float("inf")]}),
     ],
     ids=["missing_mdp_file", "malformed_mdp_file", "zero_runs", "horizon_within_window",
-         "non_numeric_objective_state", "non_numeric_epsilon"],
+         "non_numeric_objective_state", "non_numeric_epsilon", "mdp_not_an_object",
+         "mdp_file_not_a_path", "unknown_gadget", "unhashable_gadget_name",
+         "gadget_param_out_of_range", "gadget_param_not_a_number", "unknown_gadget_param",
+         "null_runs", "infinite_horizon", "infinite_state", "null_max_visits",
+         "objective_not_an_object", "objective_states_not_a_list",
+         "label_prefix_not_a_string", "solve_transience", "radii_not_a_list", "empty_radii",
+         "infinite_radius"],
 )
 def test_bad_scenario_input_is_a_scenario_error(tmp_path, capsys, mdp, task):
     (tmp_path / "broken.json").write_text('{"states": [')

@@ -1,12 +1,17 @@
-"""Property tests over seeded random finite MDPs.
+"""Property tests over seeded random finite MDPs and scenario documents.
 
-Hypothesis draws the generator seeds, derandomized so that every run checks
-the same examples.
+Hypothesis draws the generator seeds and scenario fields, derandomized so
+that every run checks the same examples.
 """
+import contextlib
+import io
 import itertools
+import json
 import math
 import random
+import tempfile
 from contextlib import ExitStack
+from pathlib import Path
 from unittest import mock
 
 from hypothesis import given, settings
@@ -14,6 +19,7 @@ from hypothesis import strategies as st
 
 from transientmdp import Distribution, LazyMdp, Objective, StateId, StateKind
 from transientmdp import core, solvers, transforms
+from transientmdp.cli import main as cli_main
 from transientmdp.core import InfiniteSuccessors, successor_states
 from transientmdp.gadgets import geometric_fan, safety_fan, transience_fan
 from transientmdp.solvers import (
@@ -186,3 +192,61 @@ def test_adjusted_probabilities_reproduce_fan_weights(fan, head, ratio, n):
         if reached == 0.0:
             break
         z = next(t for t in step if t != maps.embed(_branch(j)))
+
+
+# Scenario fields: absent, well-formed, or ill-typed JSON.
+ABSENT = object()
+JUNK = st.one_of(
+    st.none(), st.booleans(), st.integers(min_value=-3, max_value=3),
+    st.sampled_from([0.5, math.inf, math.nan]), st.text(max_size=3),
+    st.lists(st.integers(min_value=-1, max_value=3), max_size=2), st.just({}),
+)
+
+
+def _maybe(values):
+    return st.one_of(st.just(ABSENT), values, JUNK)
+
+
+SCENARIO_MDPS = st.one_of(
+    st.builds(lambda p: {"gadget": "gamblers_ruin", "params": {"p": p}},
+              st.one_of(st.sampled_from([0.3, 0.7]), JUNK)),
+    st.just({"gadget": "acyclic_chain"}),
+    st.builds(lambda name, params: {"gadget": name, "params": params}, JUNK, JUNK),
+    st.builds(lambda path: {"file": path}, JUNK),
+)
+SCENARIO_OBJECTIVES = st.one_of(
+    st.builds(lambda kind, states: {"type": kind, "states": states},
+              st.sampled_from(["reach", "safety", "buechi", "transience", "nope"]),
+              st.one_of(st.lists(st.one_of(st.integers(min_value=0, max_value=40), JUNK),
+                                 max_size=3), JUNK)),
+    st.builds(lambda prefix: {"type": "reach", "label_prefix": prefix},
+              st.one_of(st.just("w_1"), JUNK)),
+)
+
+
+@PROPERTY
+@given(
+    kind=st.sampled_from(["simulate", "solve"]),
+    mdp=_maybe(SCENARIO_MDPS),
+    state=_maybe(st.integers(min_value=0, max_value=40)),
+    objective=_maybe(SCENARIO_OBJECTIVES),
+    radii=_maybe(st.lists(st.one_of(st.integers(min_value=0, max_value=12), JUNK), max_size=3)),
+    runs=_maybe(st.integers(min_value=-1, max_value=30)),
+    horizon=_maybe(st.integers(min_value=-1, max_value=60)),
+)
+def test_cli_run_never_raises_an_untyped_exception(kind, mdp, state, objective, radii, runs,
+                                                   horizon):
+    fields = {"state": state, "objective": objective, "radii": radii, "runs": runs,
+              "horizon": horizon}
+    task = {"kind": kind, **{k: v for k, v in fields.items() if v is not ABSENT}}
+    doc = {"seed": 1, "task": task}
+    if mdp is not ABSENT:
+        doc["mdp"] = mdp
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as out:
+        scenario = Path(out) / "scenario.json"
+        scenario.write_text(json.dumps(doc))
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = cli_main(["--out-dir", out, "run", str(scenario)])
+    assert code == 0 or (code == 1 and err.getvalue().startswith("scenario error: ")), (
+        code, err.getvalue())

@@ -1,6 +1,9 @@
 import hashlib
+import importlib
 import itertools
 import json
+import sys
+from collections import Counter
 
 import pytest
 
@@ -14,7 +17,7 @@ from transientmdp import (
 )
 from transientmdp import synthesis
 from transientmdp.cli import main as cli_main
-from transientmdp.core import InfiniteSuccessors, truncate
+from transientmdp.core import InfiniteSuccessors, successor_states, truncate
 from transientmdp.errors import (
     EmptyFrontier,
     NotUniversallyTransient,
@@ -28,6 +31,7 @@ from transientmdp.gadgets import (
     no_optimal_ladder,
     safety_fan,
     safety_fan_avoid,
+    transience_fan,
 )
 from transientmdp.simulate import (
     RevisitCap,
@@ -61,6 +65,8 @@ from transientmdp.verify import (
     random_transient_core_mdp,
     win_objective,
 )
+
+SIMULATE = importlib.import_module("transientmdp.simulate")
 
 
 def test_synthesis_params_exact_constants():
@@ -395,6 +401,172 @@ def test_transience_md_degenerate_losing_loop():
     sigma, partition = transience_md(fm, s, 0.2, budgets=TransienceBudgets(radius=5))
     assert s in partition.s_bad
     assert sigma.choice == {}  # any strategy attains the value 0
+
+
+def _small_budgets(seed):
+    return TransienceBudgets(
+        radius=12, mc_runs=30, mc_horizon=300, seed=seed,
+        one_bit_schedule=BubbleSchedule(max_radius=24, mc_horizon=200, mc_runs=20, seed=seed + 1),
+    )
+
+
+def _md_pin(mdp, s0, epsilon, seed):
+    """transience_md's strategy and partition, floats as ``float.hex``."""
+    sigma, part = transience_md(mdp, s0, epsilon, budgets=_small_budgets(seed))
+    return (
+        sigma.to_json(),
+        [sorted(s.ordinal for s in states)
+         for states in (part.s_bad, part.s_good, part.s_good_prime)],
+        [(s.ordinal, v.hex()) for s, v in part.visit_estimates.items()],
+        {s.ordinal: m for s, m in part.mode_repairs.items()},
+        part.v_hat.hex(),
+    )
+
+
+def _one_bit_pin(goal, proxy_visits):
+    """The plan of a 1-bit strategy on the drifting walk, and the sha256 of
+    its moves in both modes on every state of a radius-100 truncation."""
+    walk, _ = gamblers_ruin(0.7)
+    w0 = StateId(0, "w_0")
+    schedule = BubbleSchedule(max_radius=48, mc_horizon=400, mc_runs=40,
+                              proxy_visits=proxy_visits, seed=8)
+    strategy, plan = buchi_transience_one_bit(walk, [w0], goal, 0.1, schedule)
+    fm = truncate(walk, [w0], 100, "pessimistic")
+    rows = []
+    for s in fm.states:
+        for mode in (0, 1):
+            if fm.kind_of(s) is StateKind.CONTROLLED:
+                m, t = strategy.controlled(mode, s)
+                rows.append((mode, s.ordinal, m, t.ordinal))
+            else:
+                for t in successor_states(fm, s):
+                    rows.append((mode, s.ordinal, t.ordinal, strategy.random_update(mode, s, t)))
+    return plan.to_json(), hashlib.sha256(repr(rows).encode()).hexdigest(), len(rows)
+
+
+def _levels(*rows):
+    keys = ("index", "k", "l", "K_size", "L_size", "F_size", "epsilon_i",
+            "residual_far_goal", "residual_late_return")
+    return [dict(zip(keys, row)) for row in rows]
+
+
+ONE = "0x1.0000000000000p+0"
+THIRD = "0x1.5555555555555p-2"
+# Recorded from the implementation that sampled every run through a fresh
+# ``simulate`` call: any change to the uniforms drawn or to their order
+# shows up here.
+MONTE_CARLO_PINS = {
+    "fan": (
+        {},
+        [[4],
+         [0, 1, 2, 6, 8, 9, 11, 12, 14, 18, 20, 21, 23, 24, 26, 30, 32, 37, 38, 39, 44, 50, 57,
+          59, 81, 83, 109],
+         [0, 1, 2, 6, 8, 9, 14, 20, 26, 32, 38, 44, 50]],
+        [(0, ONE), (1, ONE), (9, ONE), (6, ONE), (4, "0x1.8c00000000000p+7"), (2, THIRD),
+         (8, THIRD), (14, THIRD), (20, THIRD), (26, THIRD), (32, THIRD), (38, THIRD),
+         (44, THIRD), (50, THIRD), (110, "0x1.8000000000000p+6")],
+        {}, "0x1.51308e023c0dbp-3",
+    ),
+    "ladder": (
+        {"1": 5, "5": 6, "8": 12, "9": 10, "12": 16, "13": 14, "16": 20, "17": 18, "20": 24,
+         "21": 22, "24": 28, "25": 26, "28": 32, "32": 36, "36": 40, "40": 44},
+        [[0],
+         [1, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19, 20, 21, 22, 23, 24, 25, 26,
+          27, 28, 32, 36, 40, 44],
+         [1, 5, 6, 9, 10, 13, 14, 17, 18, 21, 23, 24, 28, 32, 36, 40, 44]],
+        [(1, "0x1.8cccccccccccdp+2"), (5, "0x1.3bbbbbbbbbbbcp+3"), (6, "0x1.3bbbbbbbbbbbcp+3"),
+         (9, "0x1.e000000000000p+2"), (10, "0x1.e000000000000p+2"), (13, "0x1.4cccccccccccdp+2"),
+         (14, "0x1.4cccccccccccdp+2"), (17, "0x1.2eeeeeeeeeeefp+1"),
+         (18, "0x1.2eeeeeeeeeeefp+1"), (21, ONE), (23, ONE), (24, ONE), (28, ONE), (32, ONE),
+         (36, ONE), (40, ONE), (44, ONE), (45, "0x1.d9ddddddddddep+7")],
+        {}, "0x1.fffe844bbd4bep-1",
+    ),
+    "chain": (
+        {},
+        [[], list(range(13)), list(range(13))],
+        [(o, ONE) for o in range(13)] + [(13, "0x1.2000000000000p+8")],
+        {}, "0x1.fffe844bbd4bep-1",
+    ),
+    "one-bit-goal-set": (
+        {"epsilon": 0.1, "reference": "uniform", "reward_depth": 3, "capped": True,
+         "levels": _levels((1, 1, 18, 2, 19, 1, 0.025, 0.0, 0.0),
+                           (2, 48, 49, 49, 50, 10, 0.0125, 0.425, 1.0))},
+        "7b514a65c9e7fde29f28cbe071c917c91ecb3b33c228dbc51120f651efab8b79", 404,
+    ),
+    # No reference run passes a revisit cap of 0, so run 0 stands in.
+    "one-bit-no-run-qualifies": (
+        {"epsilon": 0.1, "reference": "uniform", "reward_depth": 3, "capped": False,
+         "levels": _levels((1, 1, 2, 2, 3, 2, 0.025, 0.0, 0.0),
+                           (2, 3, 4, 4, 5, 1, 0.0125, 0.0, 0.0),
+                           (3, 5, 6, 6, 7, 1, 0.00625, 0.0, 0.0))},
+        "931b80407eafce963de24fd6b1e124f80c4ca3dcfd6c62b424d6676cd8235e30", 404,
+    ),
+}
+
+
+def test_synthesis_monte_carlo_pinned():
+    fan, _ = transience_fan()
+    ladder, _ = no_optimal_ladder()
+    chain, _ = acyclic_chain()
+    got = {
+        "fan": _md_pin(fan, StateId(0, "fan"), 0.2, 5),
+        "ladder": _md_pin(ladder, ladder_state("ell", 0), 0.1, 6),
+        "chain": _md_pin(chain, StateId(0, "c_0"), 0.1, 7),
+        "one-bit-goal-set": _one_bit_pin({StateId(3 * i) for i in range(100)}, 20),
+        "one-bit-no-run-qualifies": _one_bit_pin(lambda s: True, 0),
+    }
+    for name, pin in MONTE_CARLO_PINS.items():
+        assert got[name] == pin, name
+
+
+def _asked_by(mdp, caller):
+    """``mdp`` with the ordinal of every ``successors_of`` call made from a
+    function named ``caller`` recorded in the returned list."""
+    asked = []
+
+    def successors(s):
+        # frame 1 is LazyMdp.successors_of, frame 2 its caller
+        if sys._getframe(2).f_code.co_name == caller:
+            asked.append(s.ordinal)
+        return mdp.successors_of(s)
+
+    return LazyMdp(mdp.kind_of, successors), asked
+
+
+def _stepper_entries(monkeypatch):
+    """Every (MDP, ordinal) whose per-state table entry the stepper builds."""
+    entries, real = [], SIMULATE._state_entry
+
+    def recording(mdp, s):
+        entries.append((mdp, s.ordinal))
+        return real(mdp, s)
+
+    monkeypatch.setattr(SIMULATE, "_state_entry", recording)
+    return entries
+
+
+def _asked_twice(entries):
+    counts = Counter((id(mdp), o) for mdp, o in entries)  # entries keep the MDPs alive
+    return [key for key, c in counts.items() if c > 1]
+
+
+def test_synthesis_sampling_loops_ask_each_state_once(monkeypatch):
+    # The reference runs of the 1-bit construction and the visit runs of
+    # transience_md share one stepper table per loop, and the uniform
+    # reference keeps one distribution per state.
+    ladder, _ = no_optimal_ladder()
+    root = ladder_state("ell", 0)
+    entries = _stepper_entries(monkeypatch)
+    counted, decided = _asked_by(ladder, "decide")
+    schedule = BubbleSchedule(max_radius=24, mc_horizon=200, mc_runs=20, seed=2)
+    buchi_transience_one_bit(counted, [root], lambda s: True, 0.05, schedule)
+    assert entries and not _asked_twice(entries)
+    assert decided and len(decided) == len(set(decided))
+
+    del entries[:]
+    transience_md(ladder, root, 0.1, budgets=_small_budgets(6))
+    assert len({id(mdp) for mdp, _ in entries}) == 2  # the 1-bit and the visit loop
+    assert not _asked_twice(entries)
 
 
 # ---------------------------------------------------------------------------
