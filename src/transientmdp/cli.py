@@ -94,13 +94,18 @@ def _estimate(mdp, s0, strategy, cfg: dict, horizon: int, runs: int, seed: int):
         raise ScenarioError(str(exc)) from exc
 
 
-def _state(mdp, ordinal: int) -> StateId:
+def _state(mdp, meta, ordinal: int) -> StateId:
+    """The state of ``mdp`` with ``ordinal``: one of an MDP file, or one
+    that the gadget of ``meta`` declares."""
     try:
         if isinstance(mdp, FiniteMdp):
             return mdp.by_ordinal[ordinal]
-        return StateId(int(ordinal))
+        s = StateId(int(ordinal))
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ScenarioError(f"no state {ordinal!r} in the MDP") from exc
+    if not meta.is_state(s.ordinal):
+        raise ScenarioError(f"no state {ordinal!r} in gadget {meta.name!r}")
+    return s
 
 
 def _number(convert, value, what: str):
@@ -160,8 +165,8 @@ def run_scenario(path: Path, seed: int | None, out_dir: Path) -> int:
 
 
 def _task_simulate(doc, task, master, out_dir, base) -> int:
-    mdp, _ = _load_mdp(_field(doc, "mdp", "scenario"), base)
-    s0 = _state(mdp, _field(task, "state", "task"))
+    mdp, meta = _load_mdp(_field(doc, "mdp", "scenario"), base)
+    s0 = _state(mdp, meta, _field(task, "state", "task"))
     est, half = _estimate(mdp, s0, None, task, 10_000, 1000, derive_seed(master, "simulate"))
     result = {"estimate": est, "half_width_95": half, "proxy": task.get("proxy")}
     path = _write_json(out_dir, "estimate.json", result)
@@ -170,11 +175,11 @@ def _task_simulate(doc, task, master, out_dir, base) -> int:
 
 
 def _task_solve(doc, task, master, out_dir, base) -> int:
-    mdp, _ = _load_mdp(_field(doc, "mdp", "scenario"), base)
+    mdp, meta = _load_mdp(_field(doc, "mdp", "scenario"), base)
     objective = _parse_objective(_field(task, "objective", "task"))
     if objective.kind not in (Objective.REACH, Objective.SAFETY):
         raise ScenarioError(f"solve supports reach and safety objectives, not {objective.kind!r}")
-    s = _state(mdp, _field(task, "state", "task"))
+    s = _state(mdp, meta, _field(task, "state", "task"))
     if isinstance(mdp, FiniteMdp):
         if objective.kind == Objective.REACH:
             vm = reach_value(mdp, objective.states)
@@ -197,11 +202,11 @@ def _task_solve(doc, task, master, out_dir, base) -> int:
 
 
 def _task_synthesize(doc, task, master, out_dir, base) -> int:
-    mdp, _ = _load_mdp(_field(doc, "mdp", "scenario"), base)
+    mdp, meta = _load_mdp(_field(doc, "mdp", "scenario"), base)
     method = task.get("method")
     epsilon = _number(float, task.get("epsilon", 0.1), "epsilon")
     if method == "transience_md":
-        s0 = _state(mdp, _field(task, "state", "task"))
+        s0 = _state(mdp, meta, _field(task, "state", "task"))
         budgets = TransienceBudgets(
             radius=_number(int, task.get("radius", 40), "radius"),
             seed=derive_seed(master, "syn"),
@@ -227,7 +232,7 @@ def _task_synthesize(doc, task, master, out_dir, base) -> int:
         from .core import truncate
         from .synthesis import one_bit_tables
 
-        s0 = _state(mdp, _field(task, "state", "task"))
+        s0 = _state(mdp, meta, _field(task, "state", "task"))
         goal = _parse_objective(_field(task, "objective", "task"))
         goal_set = goal.predicate or goal.states
         schedule = BubbleSchedule(seed=derive_seed(master, "bubble"))
@@ -256,7 +261,7 @@ def _task_synthesize(doc, task, master, out_dir, base) -> int:
         return 0
     if method == "safety_md":
         phi = _parse_objective(_field(task, "objective", "task"))
-        roots = [_state(mdp, o) for o in task.get("roots", [task.get("state", 0)])]
+        roots = [_state(mdp, meta, o) for o in task.get("roots", [task.get("state", 0)])]
         schedule = SafetySchedule()
         sigma = safety_md_universally_transient(
             mdp, phi, epsilon, schedule, roots,
@@ -275,8 +280,8 @@ def _task_sweep(doc, task, master, out_dir) -> int:
     est_cfg = task.get("estimate", {})
     rows = []
     for v in values:
-        mdp, _ = build_gadget(gadget, {param: v})
-        s0 = _state(mdp, task.get("state", 0))
+        mdp, meta = build_gadget(gadget, {param: v})
+        s0 = _state(mdp, meta, task.get("state", 0))
         est, half = _estimate(mdp, s0, None, est_cfg, 5000, 1000, derive_seed(master, "sweep", v))
         rows.append({param: v, "estimate": est, "half_width_95": half})
     path = out_dir / "sweep.csv"

@@ -59,3 +59,7 @@ class RadiusExhausted(TransientMdpError):
 
 class ScenarioError(TransientMdpError):
     """A scenario file failed to parse or validate."""
+
+
+class PolicyIterationStalled(TransientMdpError):
+    """Policy iteration revisited a policy: rounding keeps it from settling."""

@@ -33,6 +33,10 @@ class KnownValue:
     note: str
 
 
+def _natural(ordinal: int) -> bool:
+    return ordinal >= 0
+
+
 @dataclass
 class GadgetMeta:
     name: str
@@ -40,6 +44,8 @@ class GadgetMeta:
     known_values: list[KnownValue] = field(default_factory=list)
     universally_transient: bool | None = None
     transient_condition: str = ""
+    # Which ordinals name states of the gadget.
+    is_state: Callable[[int], bool] = _natural
 
     def value(self, label: str, objective: str) -> float:
         for kv in self.known_values:
@@ -185,6 +191,8 @@ def no_optimal_ladder() -> tuple[Mdp, GadgetMeta]:
         known_values=known,
         universally_transient=False,
         transient_condition="bottom sink is recurrent",
+        # bot, ell_0, then every family from level 1 (ell_1 is ordinal 5).
+        is_state=lambda o: o in (0, 1) or o >= 5,
     )
     return mdp, meta
 
@@ -387,6 +395,8 @@ def transience_fan() -> tuple[Mdp, GadgetMeta]:
         known_values=known,
         universally_transient=False,
         transient_condition="trap state is recurrent",
+        # The root 0, the trap 2, b_j = 3j and a_k = 3k + 1.
+        is_state=lambda o: o >= 0 and (o % 3 != 2 or o == 2),
     )
     return mdp, meta
 
@@ -423,6 +433,8 @@ def geometric_fan() -> tuple[Mdp, GadgetMeta]:
         ],
         universally_transient=False,
         transient_condition="trap state is recurrent",
+        # The transience fan without its root, plus this root.
+        is_state=lambda o: o in (2, 5) or (o > 0 and o % 3 != 2),
     )
     return mdp, meta
 

@@ -34,6 +34,7 @@ from .core import (
     StateKind,
     _states_of,
 )
+from .errors import BadParameter
 
 
 def derive_seed(*parts) -> int:
@@ -296,6 +297,9 @@ def _vector_estimate(chain: VectorChain, s0: StateId, horizon, runs, proxy, seed
     import numpy as np
 
     bound = int(chain.ordinal_bound(s0.ordinal, horizon)) + 1
+    if not 0 <= s0.ordinal < bound:
+        # Its cells would fall in another run's row of the table.
+        raise BadParameter(f"start ordinal {s0.ordinal} outside [0, {bound})")
     batch = max(1, min(runs, max(1, 64_000_000 // max(bound, 1))))
     revisit = isinstance(proxy, RevisitCap)
     # A run leaves once a count passes the cap, so no cell exceeds

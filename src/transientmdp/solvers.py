@@ -1,17 +1,27 @@
 """Exact value computation on finite MDPs and certified bounds on truncations.
 
-The optimal-value engine runs qualitative graph precomputation, Gauss-Seidel
-value iteration in ordinal order, greedy policy extraction (value-maximal
-edges, ties broken by distance-to-boundary then smallest ordinal), and a final
-exact linear-solve evaluation of the extracted policy.  The returned values are
-the exact evaluation, which matches the iterated fixed point within 1e-9 on
-the tested corpora; md_policy_oracle provides the independent cross-check.
+Max-reach with a boundary, min-reach (for Safety) and minimum expected total
+cost all run through one Howard policy-iteration kernel, ``_howard``
+(Howard, *Dynamic Programming and Markov Processes*, 1960; Puterman,
+*Markov Decision Processes*, 1994, ch. 7):
 
-Minimum expected total cost is a stochastic shortest-path problem decided by
-graph precomputation plus policy iteration: the almost-sure attractor of the
-zero-cost region separates the states whose cost is exactly ``math.inf``
-(there is no sweep cap and no 1e15 cut-off), and policy iteration with exact
-linear solves, started from the proper attractor policy, settles the rest.
+* qualitative graph precomputation fixes the states of value 0 for min-reach
+  (where the boundary is surely avoidable) and of value ``math.inf`` for cost
+  (outside the almost-sure attractor of the zero-cost region; there is no
+  sweep cap and no 1e15 cut-off);
+* a start policy: for reachability the choices that the boundary values
+  alone give, for cost the attractor policy, which is proper;
+* rounds of exact evaluation by linear solve, where a state switches only
+  when its best edge beats its current one by more than ``IMPROVE_TOL``
+  relative; a policy that comes back raises ``PolicyIterationStalled``;
+* one extraction of the MD strategy from the final exact values, with one
+  tie rule: the edges within ``TIE_TOL`` relative of the best, then the
+  successor nearest to the boundary (for cost, the zero-cost region) by
+  breadth-first distance, then the smallest ordinal.
+
+So the strategy depends only on the final values, not on the start policy or
+the rounds that led there.  ``md_policy_oracle`` is the independent
+cross-check.
 
 The solvers run on the index form of a finite MDP (``FiniteMdp.compiled``)
 and translate StateIds only on entry and exit.  Every linear system is
@@ -46,7 +56,7 @@ from .core import (
     require_sink,
     truncate,
 )
-from .errors import NoFiniteCostPolicy, SingularSystem, TooLarge
+from .errors import NoFiniteCostPolicy, PolicyIterationStalled, SingularSystem, TooLarge
 
 TIE_TOL = 1e-12
 # Relative margin by which a policy-iteration switch must improve, so that
@@ -312,6 +322,82 @@ def evaluate_md_cost(
 
 
 # ---------------------------------------------------------------------------
+# Policy iteration
+#
+# A policy maps a controlled state (index) to one of its options, an edge
+# (successor index, edge cost); the value of an edge is its cost plus the
+# value of its successor.  Reachability has cost 0 on every edge.
+
+
+def _howard(cm: CompiledMdp, options, policy, evaluate, seeds, maximize: bool):
+    """Howard's policy iteration from the MD ``policy``, then one extraction.
+
+    ``evaluate(policy)`` returns the exact values of ``policy`` by index.
+    Each round, a state of ``policy`` switches to its best option only when
+    that improves on its current edge by more than IMPROVE_TOL relative, so
+    rounding cannot pass for an improvement.  When no state switches, returns
+    the final values and the MD strategy of the choices ``_extract`` makes
+    from them.  A policy that comes back means rounding keeps it from
+    settling, and raises PolicyIterationStalled.
+    """
+    sign = -1.0 if maximize else 1.0
+    seen = set()
+    while True:
+        key = tuple(policy.values())
+        if key in seen:
+            raise PolicyIterationStalled(
+                f"policy iteration revisited a policy after {len(seen)} rounds"
+            )
+        seen.add(key)
+        x = evaluate(policy)
+        switched = False
+        for i, (t, c) in policy.items():
+            current = sign * (c + x[t])
+            best, top = None, current
+            for edge in options[i]:
+                v = sign * (edge[1] + x[edge[0]])
+                if v < top:
+                    best, top = edge, v
+            if top < current - IMPROVE_TOL * abs(current):
+                policy[i] = best
+                switched = True
+        if not switched:
+            states = cm.states
+            choice = _extract(cm, x, options, seeds, maximize)
+            return x, MdStrategy({states[i]: states[t] for i, (t, _) in choice.items()})
+
+
+def _extract(cm: CompiledMdp, x, options, seeds, maximize: bool) -> dict:
+    """The MD choice of every state of ``options`` from the values ``x``.
+
+    The candidates of a state are its options whose value lies within
+    TIE_TOL, relative, of the best.  Among them it takes the one whose
+    successor is nearest to ``seeds`` by BFS through random edges and
+    candidate edges, then the smallest ordinal.  Progress in distance keeps
+    tied choices from closing a cycle that never reaches the seeds."""
+    sign = -1.0 if maximize else 1.0
+    controlled = cm.controlled
+    pools, graph = {}, {}
+    for i in range(len(cm.states)):
+        opts = options.get(i)
+        if opts is None:
+            if not controlled[i]:
+                graph[i] = cm.row(i)
+            continue
+        scored = [(sign * (c + x[t]), (t, c)) for t, c in opts]
+        best = min(v for v, _ in scored)
+        bar = best + TIE_TOL * abs(best)
+        pools[i] = pool = [edge for v, edge in scored if v <= bar]
+        graph[i] = [t for t, _ in pool]
+    dist = _backward_reach(graph, seeds)
+    ordinal = cm.ordinal
+    return {
+        i: min(pool, key=lambda edge: (dist.get(edge[0], math.inf), ordinal[edge[0]]))
+        for i, pool in pools.items()
+    }
+
+
+# ---------------------------------------------------------------------------
 # Optimal values with boundary conditions
 
 
@@ -324,109 +410,31 @@ def optimal_boundary_value(
     plus an MD strategy attaining it."""
     cm = fm.compiled
     fixed = _fixed(cm, boundary)
-    indptr, succ, prob, controlled = cm.indptr, cm.succ, cm.prob, cm.controlled
-    n = len(cm.states)
-    inner = [i for i in range(n) if i not in fixed]
-    x = [0.0] * n
-    for i, v in fixed.items():
-        x[i] = v
-
-    if maximize:
-        # States that cannot graph-reach the boundary keep value 0.
-        live = _backward_reach({i: cm.row(i) for i in inner}, fixed)
-        active = [i for i in inner if i in live]
-        frozen_zero = {i for i in inner if i not in live}
-    else:
-        # Largest closed set from which the boundary is surely avoidable.
-        frozen_zero = _stay_region(cm, inner)
-        active = [i for i in inner if i not in frozen_zero]
-
-    # The active states by ordinal, each with its successors and, for a
-    # random state, its weighted edges (None for a controlled state).
-    sweep = []
-    for i in sorted(active, key=cm.ordinal.__getitem__):
-        lo, hi = indptr[i], indptr[i + 1]
-        edges = None if controlled[i] else list(zip(succ[lo:hi], prob[lo:hi]))
-        sweep.append((i, succ[lo:hi], edges))
-    order = [i for i, _, _ in sweep]
-    better = max if maximize else min
-    has_choice = any(edges is None and len(targets) > 1 for _, targets, edges in sweep)
-    # Short Gauss-Seidel warmup; Howard iteration below does the real work.
-    warmup = 200 if has_choice else 0
-    at = x.__getitem__
-    for _ in range(warmup):
-        residual = 0.0
-        for i, targets, edges in sweep:
-            if edges is None:
-                new = better(map(at, targets))
-            else:
-                new = 0.0
-                for t, p in edges:
-                    new += p * x[t]
-            change = abs(new - x[i])
-            if change > residual:
-                residual = change
-            x[i] = new
-        if residual <= 1e-10:
-            break
-
-    # Policy iteration with exact linear-solve evaluations: extract a greedy
-    # policy, evaluate it exactly, repeat until no Bellman improvement.
-    pick = _extract_policy(cm, x, fixed, frozen_zero, maximize)
-    exact = _absorption(cm, pick, fixed)
-    for _ in range(200):
-        at = exact.__getitem__
-        for i, targets, edges in sweep:
-            if edges is None:
-                best = better(map(at, targets))
-                gain = best - exact[i] if maximize else exact[i] - best
-                if gain > 1e-11:
-                    break
-        else:
-            break
-        pick = _extract_policy(cm, exact, fixed, frozen_zero, maximize)
-        nxt = _absorption(cm, pick, fixed)
-        settled = all(abs(nxt[i] - exact[i]) <= 1e-13 for i in order)
-        exact = nxt
-        if settled:
-            break
-    else:
-        raise ArithmeticError("policy iteration did not settle")
-    states = cm.states
-    return dict(zip(states, exact)), MdStrategy({states[i]: states[t] for i, t in pick.items()})
+    options, policy, evaluate = _boundary_problem(cm, fixed, maximize)
+    x, sigma = _howard(cm, options, policy, evaluate, fixed, maximize)
+    return dict(zip(cm.states, x)), sigma
 
 
-def _extract_policy(cm, values, fixed, frozen_zero, maximize) -> dict[int, int]:
-    # Candidate edges: value-optimal successors.  Ties are broken toward the
-    # boundary (BFS distance through candidate edges), then smallest ordinal;
-    # distance-based progress prevents value-preserving cycles that never
-    # absorb.
-    better = max if maximize else min
-    candidates: dict[int, list[int]] = {}
-    graph: dict[int, list[int]] = {}
-    for i in range(len(cm.states)):
-        if i in fixed:
-            continue
-        succ = cm.row(i)
-        if not cm.controlled[i]:
-            graph[i] = succ
-            continue
-        if i in frozen_zero:
-            if maximize:
-                pool = succ  # everything is value 0 here
-            else:
-                pool = [t for t in succ if t in frozen_zero] or succ
-        else:
-            best = better(values[t] for t in succ)
-            pool = [t for t in succ if abs(values[t] - best) <= TIE_TOL]
-        candidates[i] = graph[i] = pool
-
-    dist = _backward_reach(graph, fixed)
-    ordinal = cm.ordinal
-    return {
-        i: min(pool, key=lambda t: (dist.get(t, math.inf), ordinal[t]))
-        for i, pool in candidates.items()
+def _boundary_problem(cm: CompiledMdp, fixed: Mapping[int, float], maximize: bool):
+    """Max- or min-reach with the boundary ``fixed`` (index -> value) as
+    input to ``_howard``: the options of every controlled state outside the
+    boundary, the start policy and the exact evaluation.  The start takes
+    the choices of the boundary values alone: toward the boundary when
+    maximizing, away from it when minimizing."""
+    inner = [i for i in range(len(cm.states)) if i not in fixed]
+    # For min-reach, a state from which the boundary is surely avoidable
+    # (the largest such closed set) must keep to such states: value 0.
+    zero = set() if maximize else _stay_region(cm, inner)
+    options = {
+        i: [(t, 0.0) for t in cm.row(i) if i not in zero or t in zero]
+        for i in inner if cm.controlled[i]
     }
+    x = [fixed.get(i, 0.0) for i in range(len(cm.states))]
+
+    def evaluate(policy):
+        return _absorption(cm, {i: t for i, (t, _) in policy.items()}, fixed)
+
+    return options, _extract(cm, x, options, fixed, maximize), evaluate
 
 
 # ---------------------------------------------------------------------------
@@ -586,21 +594,11 @@ def min_expected_cost_md(
     those states get exactly ``math.inf`` and a root there raises
     NoFiniteCostPolicy.  Inside, policy iteration starts from the attractor
     policy, which is proper, and switches a controlled state only on a
-    strict improvement, so every policy it evaluates stays proper.
+    strict improvement, so every policy it evaluates stays proper.  The
+    returned values are the exact evaluation of the extracted strategy.
     """
     cm = fm.compiled
-    states, ordinal, controlled = cm.states, cm.ordinal, cm.controlled
-    indptr, succ, prob = cm.indptr, cm.succ, cm.prob
-    n = len(states)
-    # The cost of the edge at each position of cm.succ.  A policy picks one
-    # edge position per controlled state.
-    ecost = [
-        cost.of(states[i], states[succ[k]])
-        for i in range(n) for k in range(indptr[i], indptr[i + 1])
-    ]
-    # The zero-cost region: where cost 0 can be sustained forever.
-    free = _stay_region(cm, range(n), [c == 0.0 for c in ecost])
-    rank = _almost_sure_attractor(cm, free)
+    options, policy, evaluate, free, rank = _cost_problem(cm, cost)
     if root is not None:
         if not free:
             raise NoFiniteCostPolicy("no zero-cost absorbing region exists")
@@ -608,56 +606,52 @@ def min_expected_cost_md(
             raise NoFiniteCostPolicy(
                 f"zero-cost region unreachable almost surely from {root}"
             )
-
-    values = [0.0 if i in free else math.inf for i in range(n)]
-    solve = [i for i in range(n) if i in rank and i not in free]
-    options = {
-        i: [k for k in range(indptr[i], indptr[i + 1]) if succ[k] in rank]
-        for i in solve if controlled[i]
-    }
-    policy = {
-        i: min(opts, key=lambda k: (rank[succ[k]], ordinal[succ[k]]))
-        for i, opts in options.items()
-    }
-    # Rounding can make two equal-cost policies each look better than the
-    # other; a repeated policy ends the iteration.
-    seen = set()
-    chain = {
-        i: [(succ[k], prob[k], ecost[k]) for k in range(indptr[i], indptr[i + 1])]
-        for i in solve
-    }
-    while True:
-        seen.add(tuple(policy.values()))
-        chain.update((i, [(succ[k], 1.0, ecost[k])]) for i, k in policy.items())
-        for i, v in zip(solve, _solve_chain(chain, solve)):
-            values[i] = float(max(v, 0.0))
-        switched = False
-        for i, opts in options.items():
-            current = ecost[policy[i]] + values[succ[policy[i]]]
-            best = min(opts, key=lambda k: (ecost[k] + values[succ[k]], ordinal[succ[k]]))
-            if ecost[best] + values[succ[best]] < current * (1.0 - IMPROVE_TOL):
-                policy[i] = best
-                switched = True
-        if not switched or tuple(policy.values()) in seen:
-            break
-
-    choice = {}
-    for i in range(n):
-        if not controlled[i]:
-            continue
-        edges = range(indptr[i], indptr[i + 1])
-        if i in free:
-            pool = [k for k in edges if succ[k] in free and ecost[k] == 0.0] or edges
-        else:
-            scored = [(ecost[k] + values[succ[k]], k) for k in edges]
-            best = min(v for v, _ in scored)
-            pool = [k for v, k in scored if v <= best + TIE_TOL * min(best, 1.0)]
-        choice[i] = min(pool, key=lambda k: ordinal[succ[k]])
-    sigma = MdStrategy({states[i]: states[succ[k]] for i, k in choice.items()})
+    _, sigma = _howard(cm, options, policy, evaluate, free, False)
     exact = evaluate_md_cost(fm, sigma, cost)
     if root is not None and not math.isfinite(exact[root]):
         raise NoFiniteCostPolicy(f"extracted policy has infinite cost from {root}")
     return sigma, exact
+
+
+def _cost_problem(cm: CompiledMdp, cost: CostLabel):
+    """Minimum expected total cost as input to ``_howard``: the options of
+    every controlled state, the start policy and the exact evaluation, plus
+    the zero-cost region and its almost-sure attractor with ranks."""
+    states, ordinal, controlled = cm.states, cm.ordinal, cm.controlled
+    indptr, succ, prob = cm.indptr, cm.succ, cm.prob
+    n = len(states)
+    ecost = [
+        cost.of(states[i], states[succ[k]])
+        for i in range(n) for k in range(indptr[i], indptr[i + 1])
+    ]
+    # The zero-cost region: where cost 0 can be sustained forever.
+    free = _stay_region(cm, range(n), [c == 0.0 for c in ecost])
+    rank = _almost_sure_attractor(cm, free)
+    options = {
+        i: [(succ[k], ecost[k]) for k in range(indptr[i], indptr[i + 1])]
+        for i in range(n) if controlled[i]
+    }
+    solve = [i for i in range(n) if i in rank and i not in free]
+    # A successor of lower rank in the attractor, for every controlled state
+    # to solve: a proper policy.
+    policy = {
+        i: min((e for e in options[i] if e[0] in rank), key=lambda e: (rank[e[0]], ordinal[e[0]]))
+        for i in solve if controlled[i]
+    }
+    chain = {
+        i: [(succ[k], prob[k], ecost[k]) for k in range(indptr[i], indptr[i + 1])]
+        for i in solve
+    }
+
+    def evaluate(policy):
+        chain.update((i, [(t, 1.0, c)]) for i, (t, c) in policy.items())
+        x = [0.0 if i in free else math.inf for i in range(n)]
+        if solve:
+            for i, v in zip(solve, _solve_chain(chain, solve)):
+                x[i] = float(max(v, 0.0))
+        return x
+
+    return options, policy, evaluate, free, rank
 
 
 def _almost_sure_attractor(cm: CompiledMdp, target: set[int]) -> dict[int, int]:

@@ -388,13 +388,14 @@ def buchi_transience_one_bit(
     l_prev = 0
     # F_1 = goal ∩ K_1 with no subtraction; only F_{i+1} removes L_i.
     L_prev: set[StateId] = set()
+    layers = _Layers(mdp, initial)
     for i in range(1, schedule.max_levels + 1):
         eps_i = epsilon * 2.0 ** -(i + 1)
         if l_prev >= schedule.max_radius:
             capped = True
             break
         k_i, K_i, F_i, far = _grow_goal_radius(
-            mdp, initial, goal_pred, L_prev, l_prev, runs, eps_i, schedule
+            layers, goal_pred, L_prev, l_prev, runs, eps_i, schedule
         )
         if F_i is None:
             if i == 1:
@@ -405,7 +406,7 @@ def buchi_transience_one_bit(
                 )
             capped = True
             break
-        l_i, L_i, late = _grow_quiet_radius(mdp, initial, K_i, k_i, runs, eps_i, schedule)
+        l_i, L_i, late = _grow_quiet_radius(layers, K_i, k_i, runs, eps_i, schedule)
         capped = capped or far > eps_i or late > eps_i
         levels.append(
             BubbleLevel(i, k_i, l_i, K_i, L_i, F_i, eps_i, far, late)
@@ -430,30 +431,50 @@ def _half_width(frac: float, runs: int) -> float:
     return 1.96 * math.sqrt(max(frac * (1 - frac), 1e-9) / runs)
 
 
-def _grow_goal_radius(mdp, initial, goal_pred, L_prev, l_prev, runs, eps_i, schedule):
+class _Layers:
+    """Breadth-first layers of the states reachable from ``roots``, grown on
+    demand: layer d holds the states first reached in d steps, and
+    ``within(k)`` is ``bubble(mdp, roots, k)``."""
+
+    def __init__(self, mdp: Mdp, roots: Iterable[StateId]):
+        self.mdp = mdp
+        self.seen = set(roots)
+        self.layers = [set(self.seen)]
+
+    def layer(self, d: int) -> set[StateId]:
+        while len(self.layers) <= d:
+            nxt = set()
+            for s in self.layers[-1]:
+                for t in successor_states(self.mdp, s):
+                    if t not in self.seen:
+                        self.seen.add(t)
+                        nxt.add(t)
+            self.layers.append(nxt)
+        return self.layers[d]
+
+    def within(self, k: int) -> set[StateId]:
+        self.layer(k)
+        return set().union(*self.layers[: k + 1])
+
+
+def _grow_goal_radius(layers: _Layers, goal_pred, L_prev, l_prev, runs, eps_i, schedule):
     # Each run's first visit to a goal state outside L_prev; a run misses
     # radius k when that visit comes after step k.
     first_goal = [
         next((t for t, s in enumerate(run) if goal_pred(s) and s not in L_prev), math.inf)
         for run in runs
     ]
-    k = l_prev + 1
-    while k <= schedule.max_radius:
-        K = bubble(mdp, initial, k)
-        F = {s for s in K if goal_pred(s) and s not in L_prev}
-        if F:
+    F = set()  # the goal states outside L_prev within radius k
+    for k in range(schedule.max_radius + 1):
+        F.update(s for s in layers.layer(k) if goal_pred(s) and s not in L_prev)
+        if k > l_prev and F:
             frac = sum(1 for t in first_goal if t > k) / len(runs)
             if frac + _half_width(frac, len(runs)) <= eps_i or k == schedule.max_radius:
-                return k, K, F, frac
-        k += 1
-    K = bubble(mdp, initial, schedule.max_radius)
-    F = {s for s in K if goal_pred(s) and s not in L_prev}
-    if not F:
-        return schedule.max_radius, K, None, 1.0
-    return schedule.max_radius, K, F, 1.0
+                return k, layers.within(k), F, frac
+    return schedule.max_radius, None, None, 1.0
 
 
-def _grow_quiet_radius(mdp, initial, K_i, k_i, runs, eps_i, schedule):
+def _grow_quiet_radius(layers: _Layers, K_i, k_i, runs, eps_i, schedule):
     last_visit = []
     for run in runs:
         last = -1
@@ -468,7 +489,7 @@ def _grow_quiet_radius(mdp, initial, K_i, k_i, runs, eps_i, schedule):
             break
         l += 1
     frac = sum(1 for t in last_visit if t >= l) / len(runs)
-    return l, bubble(mdp, initial, l), frac
+    return l, layers.within(l), frac
 
 
 def _assemble_one_bit(mdp, initial, plan: BubblePlan, schedule: BubbleSchedule):

@@ -31,7 +31,7 @@ from .core import (
     is_synthetic,
     mint,
 )
-from .errors import HitBottom, NotTail, ZeroValueRoot
+from .errors import BadParameter, HitBottom, NotTail, ZeroValueRoot
 from .solvers import ValueMap
 
 SELF_LOOP = "self_loop"
@@ -461,7 +461,7 @@ def conditioned(
                     entries.append((t, p * values[t] / values[s]))
             total = sum(p for _, p in entries)
             if abs(total - 1.0) > 1e-6:
-                raise ArithmeticError(
+                raise BadParameter(
                     f"conditioned probabilities at {s.label} sum to {total}; "
                     "values do not satisfy the tail value equation"
                 )

@@ -54,6 +54,24 @@ def test_sweep_is_byte_identical(tmp_path, capsys):
     )
 
 
+def test_documented_argument_order(tmp_path, capsys):
+    # README: transientmdp [--seed N] [--out-dir DIR] run scenario.json
+    def scenario(name, seed):
+        path = tmp_path / name
+        path.write_text(json.dumps({
+            "seed": seed,
+            "mdp": {"gadget": "gamblers_ruin", "params": {"p": 0.6}},
+            "task": {"kind": "simulate", "state": 0, "horizon": 200, "runs": 50},
+        }))
+        return path
+
+    assert run_cli(["--seed", 3, "--out-dir", tmp_path / "a", "run", scenario("s1.json", 1)]) == 0
+    assert run_cli(["--out-dir", tmp_path / "b", "run", scenario("s3.json", 3)]) == 0
+    assert (tmp_path / "a" / "estimate.json").read_bytes() == (
+        tmp_path / "b" / "estimate.json"
+    ).read_bytes()
+
+
 def test_solve_interval_on_gadget(tmp_path, capsys):
     scenario = tmp_path / "solve.json"
     scenario.write_text(
@@ -238,6 +256,9 @@ SOLVE = {"kind": "solve", "objective": {"type": "reach", "states": [0]}, "state"
         (GADGET, {**SOLVE, "radii": 50}),
         (GADGET, {**SOLVE, "radii": []}),
         (GADGET, {**SOLVE, "radii": [float("inf")]}),
+        (GADGET, {"kind": "simulate", "state": -1}),
+        (GADGET, {**SOLVE, "state": -1}),
+        ({"gadget": "geometric_fan"}, {"kind": "simulate", "state": 0}),
     ],
     ids=["missing_mdp_file", "malformed_mdp_file", "zero_runs", "horizon_within_window",
          "non_numeric_objective_state", "non_numeric_epsilon", "mdp_not_an_object",
@@ -246,7 +267,8 @@ SOLVE = {"kind": "solve", "objective": {"type": "reach", "states": [0]}, "state"
          "null_runs", "infinite_horizon", "infinite_state", "null_max_visits",
          "objective_not_an_object", "objective_states_not_a_list",
          "label_prefix_not_a_string", "solve_transience", "radii_not_a_list", "empty_radii",
-         "infinite_radius"],
+         "infinite_radius", "negative_gadget_state", "solve_negative_gadget_state",
+         "ordinal_not_a_gadget_state"],
 )
 def test_bad_scenario_input_is_a_scenario_error(tmp_path, capsys, mdp, task):
     (tmp_path / "broken.json").write_text('{"states": [')

@@ -16,7 +16,7 @@ from transientmdp import (
     truncate,
 )
 from transientmdp.core import OPTIMISTIC, PESSIMISTIC, mint, require_sink, require_tail
-from transientmdp.errors import InfiniteBranching, NotSink, NotTail
+from transientmdp.errors import BadParameter, InfiniteBranching, NotSink, NotTail
 from transientmdp.gadgets import (
     acyclic_chain,
     gamblers_ruin,
@@ -284,6 +284,12 @@ def test_vector_engine_matches_reference_across_batches(family, proxy):
     chain, s0 = mdp.vector_chain(), StateId(1_000_000)
     want = _reference_vector_hits(chain.step, chain.ordinal_bound, s0, 100, 150, proxy, 4)
     assert _vector_estimate(chain, s0, 100, 150, proxy, 4) == want
+
+
+def test_vector_engine_refuses_a_start_outside_its_table():
+    chain = gamblers_ruin(0.7)[0].vector_chain()
+    with pytest.raises(BadParameter, match="outside"):
+        _vector_estimate(chain, StateId(-1), 100, 10, RevisitCap(5), 1)
 
 
 def test_recurrent_walk_mean_visits_grow():

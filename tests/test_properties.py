@@ -26,12 +26,15 @@ from transientmdp.solvers import (
     BoundedRewardSpec,
     CostLabel,
     bounded_total_reward_md,
+    evaluate_md_cost,
     evaluate_md_reach,
+    evaluate_md_safety,
     md_policy_oracle,
     min_expected_cost_md,
+    reach_strategy,
     reach_value,
     return_probability,
-    safety_value,
+    safety_strategy,
 )
 from transientmdp.synthesis import plastering_uniformize
 from transientmdp.transforms import INFINITE_CHAIN, conditioned
@@ -108,29 +111,71 @@ def _close(a, b):
     return abs(a - b) <= 1e-6
 
 
+def _random_cost(fm, seed):
+    rng = random.Random(seed)
+    return CostLabel({
+        (s, t): rng.choice([0.0, 0.5, 1.0, 2.0])
+        for s in fm.states for t in successor_states(fm, s) if t != s
+    })
+
+
 @PROPERTY
 @given(seed=SEEDS, n=ORACLE_SIZES)
 def test_solvers_match_md_policy_oracle(seed, n):
     fm = random_finite_mdp(seed, n_states=n)
     win, lose = fm.states[-1], fm.states[-2]
-    rng = random.Random(seed)
-    cost = CostLabel({
-        (s, t): rng.choice([0.0, 0.5, 1.0, 2.0])
-        for s in fm.states for t in successor_states(fm, s) if t != s
-    })
-    solved = {
-        "reach": reach_value(fm, {win}),
-        "safety": safety_value(fm, {lose}),
-        "cost": min_expected_cost_md(fm, cost)[1],
-    }
+    cost = _random_cost(fm, seed)
+    reach, reach_sigma = reach_strategy(fm, {win})
+    safety, safety_sigma = safety_strategy(fm, {lose})
+    cost_sigma, cost_values = min_expected_cost_md(fm, cost)
+    solved = {"reach": reach, "safety": safety, "cost": cost_values}
     oracle = {
         "reach": md_policy_oracle(fm, Objective.reach({win})).values,
         "safety": md_policy_oracle(fm, Objective.safety({lose})).values,
         "cost": md_policy_oracle(fm, cost=cost).values,
     }
+    attained = {
+        "reach": evaluate_md_reach(fm, reach_sigma, {win}),
+        "safety": evaluate_md_safety(fm, safety_sigma, {lose}),
+        "cost": evaluate_md_cost(fm, cost_sigma, cost),
+    }
     for name, values in solved.items():
         for s in fm.states:
             assert _close(values[s], oracle[name][s]), (name, s)
+            got = attained[name][s]
+            assert got == values[s] or abs(got - values[s]) <= 1e-9, (name, s)
+
+
+@PROPERTY
+@given(seed=SEEDS, n=SIZES)
+def test_howard_result_does_not_depend_on_the_start_policy(seed, n):
+    # Each problem is solved from its own start (the choices of the boundary
+    # values alone, or for cost the attractor policy) and from the
+    # smallest-ordinal start; for cost that start takes the smallest ordinal
+    # among the successors of lower attractor rank, so that it stays proper.
+    fm = random_finite_mdp(seed, n_states=n)
+    cm = fm.compiled
+    ordinal = cm.ordinal
+    win, lose = cm.index[fm.states[-1]], cm.index[fm.states[-2]]
+    options, start, evaluate, free, rank = solvers._cost_problem(cm, _random_cost(fm, seed))
+    problems = [
+        (solvers._boundary_problem(cm, {win: 1.0}, True), {win: 1.0}, True, None),
+        (solvers._boundary_problem(cm, {lose: 1.0}, False), {lose: 1.0}, False, None),
+        ((options, start, evaluate), free, False, rank),
+    ]
+    for (options, start, evaluate), seeds, maximize, rank in problems:
+        first = {
+            i: min(
+                (e for e in options[i] if rank is None or rank.get(e[0], math.inf) < rank[i]),
+                key=lambda e: ordinal[e[0]],
+            )
+            for i in start
+        }
+        x, sigma = solvers._howard(cm, options, dict(start), evaluate, seeds, maximize)
+        y, other = solvers._howard(cm, options, first, evaluate, seeds, maximize)
+        assert sigma.choice == other.choice
+        for u, v in zip(x, y):
+            assert u == v or abs(u - v) <= 1e-14
 
 
 @PROPERTY

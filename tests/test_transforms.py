@@ -11,10 +11,10 @@ from transientmdp import (
     estimate_transience,
 )
 from transientmdp.core import successor_states
-from transientmdp.errors import HitBottom, NotTail, ZeroValueRoot
+from transientmdp.errors import BadParameter, HitBottom, NotTail, ZeroValueRoot
 from transientmdp.gadgets import geometric_fan, transience_fan
 from transientmdp.simulate import RevisitCap, derive_seed
-from transientmdp.solvers import evaluate_md_reach, reach_value
+from transientmdp.solvers import ValueMap, evaluate_md_reach, reach_value
 from transientmdp.transforms import (
     INFINITE_CHAIN,
     conditioned,
@@ -249,6 +249,18 @@ def test_conditioned_requires_tail_and_positive_root():
         conditioned(fm, Objective.reach({s0}), values)  # not a sink
     with pytest.raises(ZeroValueRoot):
         conditioned(fm, Objective.reach({win}), values, root=lose)
+
+
+def test_conditioned_refuses_values_off_the_tail_equation():
+    fm = random_finite_mdp(3, n_states=8)
+    phi = win_objective(fm)
+    values = reach_value(fm, phi.states)
+    halved = ValueMap(
+        {s: v if s in phi.states else v / 2 for s, v in values.values.items()},
+        values.objective,
+    )
+    with pytest.raises(BadParameter, match="tail value equation"):
+        conditioned(fm, phi, halved)
 
 
 def test_conditioned_distribution_sums_random_corpus():
