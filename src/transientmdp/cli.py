@@ -94,18 +94,18 @@ def _estimate(mdp, s0, strategy, cfg: dict, horizon: int, runs: int, seed: int):
         raise ScenarioError(str(exc)) from exc
 
 
-def _state(mdp, meta, ordinal: int) -> StateId:
-    """The state of ``mdp`` with ``ordinal``: one of an MDP file, or one
-    that the gadget of ``meta`` declares."""
-    try:
-        if isinstance(mdp, FiniteMdp):
-            return mdp.by_ordinal[ordinal]
-        s = StateId(int(ordinal))
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise ScenarioError(f"no state {ordinal!r} in the MDP") from exc
-    if not meta.is_state(s.ordinal):
+def _state(mdp, meta, ordinal) -> StateId:
+    """The state of ``mdp`` with the integer ``ordinal``: one of an MDP
+    file, or one that the gadget of ``meta`` declares."""
+    if type(ordinal) is not int:
+        raise ScenarioError(f"state {ordinal!r} is not an integer ordinal")
+    if isinstance(mdp, FiniteMdp):
+        if ordinal not in mdp.by_ordinal:
+            raise ScenarioError(f"no state {ordinal!r} in the MDP")
+        return mdp.by_ordinal[ordinal]
+    if not meta.is_state(ordinal):
         raise ScenarioError(f"no state {ordinal!r} in gadget {meta.name!r}")
-    return s
+    return StateId(ordinal)
 
 
 def _number(convert, value, what: str):

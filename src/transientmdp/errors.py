@@ -46,7 +46,7 @@ class EmptyFrontier(TransientMdpError):
 
 
 class BudgetExhausted(TransientMdpError):
-    """Monte Carlo estimates failed to stabilize within the given budgets."""
+    """No finite-cost MD policy exists on the truncation within the radius."""
 
 
 class NotUniversallyTransient(TransientMdpError):

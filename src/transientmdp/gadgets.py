@@ -421,7 +421,7 @@ def geometric_fan() -> tuple[Mdp, GadgetMeta]:
                 random=True,
             )
         if s.ordinal == 0:
-            raise AssertionError("fan root is unreachable from the geometric root")
+            raise BadParameter("ordinal 0 is not a state of the geometric fan")
         return base.successors_of(s)
 
     mdp = LazyMdp(kind, successors)

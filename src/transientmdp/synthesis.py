@@ -4,8 +4,9 @@
   assembled into a deterministic 1-bit strategy with a normal/next mode
   discipline that flips on first entry to each level's goal frontier.
 * Cost-labeled MD extraction: classify bad states under a 1-bit strategy,
-  repair memory modes, estimate expected visits, label edges with costs, and
-  take the min-expected-cost MD policy.
+  repair memory modes, solve the expected visits on the (mode, state)
+  product chain, label edges with costs, and take the min-expected-cost MD
+  policy.
 * Ornstein plastering: per-round fixing of a near-optimal MD strategy on the
   set of states where it does well, with the round budgets eps_i = (eps/2) 2^-i.
 * Safety slack rule for universally transient MDPs: pick successors whose
@@ -29,7 +30,6 @@ from .core import (
     Mdp,
     Objective,
     OneBitStrategy,
-    OPTIMISTIC,
     PESSIMISTIC,
     StateId,
     StateKind,
@@ -55,6 +55,7 @@ from .solvers import (
     BoundedRewardSpec,
     CostLabel,
     ValueMap,
+    _linsolve,
     bounded_total_reward_md,
     evaluate_md,
     evaluate_md_reach,
@@ -641,14 +642,16 @@ def revisit_violations(plan: BubblePlan, run: Sequence[StateId]) -> bool:
 class GoodBadPartition:
     s_bad: set[StateId]
     s_good: set[StateId]
-    s_good_prime: set[StateId]
-    visit_estimates: dict[StateId, float]
+    s_good_prime: set[StateId]  # the good states reached from the root
+    expected_visits: dict[StateId, float]  # under the repaired 1-bit strategy
     mode_repairs: dict[StateId, int] = field(default_factory=dict)
-    v_hat: float = 0.0  # Monte Carlo lower estimate of the 1-bit attainment
+    attainment: float = 0.0  # P(reach the frontier) under the same strategy
 
 
 @dataclass
 class TransienceBudgets:
+    """``mc_runs`` and ``mc_horizon`` are unused; callers may still pass them."""
+
     radius: int = 40
     mc_runs: int = 240
     mc_horizon: int = 2500
@@ -668,8 +671,10 @@ def transience_md(
     Pipeline: reduce to finite branching, take an eps/2-optimal 1-bit
     strategy, classify the states where it attains zero in both memory modes
     (graph-trapped in the truncation bubble), make them losing sinks, repair
-    memory modes, estimate expected visits by Monte Carlo, label edges with
-    costs, and extract the min-expected-cost MD policy.
+    memory modes, solve the expected visits and the attainment exactly on
+    the (mode, state) product chain, label edges with costs, and extract the
+    min-expected-cost MD policy.  ``budgets.seed`` matters only through the
+    1-bit schedule it seeds.
     """
     budgets = budgets or TransienceBudgets()
     params = SynthesisParams(epsilon)
@@ -685,15 +690,18 @@ def transience_md(
             work, [root], lambda s: True, params.epsilon_prime, schedule
         )
 
-    fm = truncate(work, {root}, budgets.radius, OPTIMISTIC)
-    frontier = fm.frontier
-
-    good_modes = _frontier_reaching_modes(fm, one_bit)
-    bad = {
-        s
-        for s in fm.states
-        if s != frontier and not good_modes.get(s)
+    fm = truncate(work, {root}, budgets.radius)
+    cm, frontier = fm.compiled, fm.frontier
+    states = cm.states
+    f = cm.index.get(frontier)  # None when nothing leaves the bubble
+    product = _one_bit_product(fm, one_bit)
+    reaching = _backward_reach({k: [j for j, _ in row] for k, row in enumerate(product)},
+                               [2 * f + m for m in (0, 1) if f is not None])
+    good_modes = {
+        i: [m for m in (0, 1) if 2 * i + m in reaching]
+        for i in range(len(states)) if i != f
     }
+    bad = {states[i] for i, modes in good_modes.items() if not modes}
     if root in bad:
         # The 1-bit strategy is trapped everywhere: value 0 from the root, and
         # any strategy attains it.
@@ -702,40 +710,35 @@ def transience_md(
     # M': bad states become losing self-loop sinks.
     m_prime = _absorb(fm, bad)
 
-    # Memory-mode repair: force the working mode where only one attains > 0.
-    repairs: dict[StateId, int] = {}
-    for s, modes in good_modes.items():
-        if modes and len(modes) == 1:
-            repairs[s] = next(iter(modes))
-    repaired = _truncated_one_bit(_repaired_one_bit(one_bit, repairs), m_prime)
+    # Memory-mode repair: where only one mode reaches the frontier, product
+    # row (m, s) becomes row (repairs[s], s).  Then every node reached from
+    # the root reaches the frontier, so the chain is absorbing and I - Q is
+    # invertible.  A reached node outside the sinks has a good state, so its
+    # row is the row of a good node.  Every node on that node's path to the
+    # frontier is good too, so it is a good mode of a good state, and the
+    # repair keeps its row, because a repair keeps the only good mode.
+    fix = {i: modes[0] for i, modes in good_modes.items() if len(modes) == 1}
+    repairs = {states[i]: m for i, m in fix.items()}
+    repaired = [product[k - k % 2 + fix.get(k // 2, k % 2)] for k in range(len(product))]
+    sinks = {k for k in range(len(product)) if k // 2 == f or not good_modes[k // 2]}
+    node_visits = _expected_visits(
+        repaired, 2 * cm.index[root] + one_bit.initial_mode, sinks
+    )
+    visits: dict[StateId, float] = {}
+    attainment = 0.0
+    for k, r in node_visits.items():
+        visits[states[k // 2]] = visits.get(states[k // 2], 0.0) + r
+        attainment += r * sum(p for j, p in repaired[k] if j // 2 == f)
 
-    # Monte Carlo visit estimates under the repaired strategy, keyed by
-    # ordinal in first-seen order.
-    table = {}
-    visits: dict[int, int] = {}
-    transient_runs = 0
-    for i in range(budgets.mc_runs):
-        run, counts, _ = _walk(
-            m_prime, root, repaired, budgets.mc_horizon,
-            derive_seed(budgets.seed, "visits", i), math.inf, table,
-        )
-        for o, c in counts.items():
-            visits[o] = visits.get(o, 0) + c
-        if frontier is not None and run[-1] == frontier:
-            transient_runs += 1
-    r_hat = {m_prime.by_ordinal[o]: c / budgets.mc_runs for o, c in visits.items()}
-    frac = transient_runs / budgets.mc_runs
-    v_hat = max(0.0, frac - _half_width(frac, budgets.mc_runs))
-
-    good = {s for s in fm.states if s not in bad and s != frontier}
-    good_prime = {s for s in good if r_hat.get(s, 0.0) > 0.0}
-    partition = GoodBadPartition(bad, good, good_prime, r_hat, repairs, v_hat)
+    good = {states[i] for i, modes in good_modes.items() if modes}
+    good_prime = {s for s, r in visits.items() if r > 0.0}
+    partition = GoodBadPartition(bad, good, good_prime, visits, repairs, attainment)
 
     # Cost labels.  iota is the rank within the truncation (an enumeration of
     # the finite working space; raw ordinals of reduced states overflow the
     # 2^-iota scale).
     rank = {s: i for i, s in enumerate(sorted(good, key=lambda q: q.ordinal))}
-    bad_cost = params.big_k / (1.0 - v_hat + params.epsilon_prime)
+    bad_cost = params.big_k / (1.0 - attainment + params.epsilon_prime)
     cost_map: dict[tuple[StateId, StateId], float] = {}
     for s in m_prime.states:
         if s in bad:
@@ -746,7 +749,7 @@ def transience_md(
             elif t == frontier:
                 cost_map[(s, t)] = 0.0
             elif t in good_prime:
-                cost_map[(s, t)] = 2.0 ** -min(rank[t], 900) / r_hat[t]
+                cost_map[(s, t)] = 2.0 ** -min(rank[t], 900) / visits[t]
             else:
                 cost_map[(s, t)] = 1.0
     label = CostLabel(cost_map)
@@ -775,62 +778,54 @@ def _reduction_if_needed(mdp: Mdp, s0: StateId, probe_radius: int):
     return _identity_reduction(mdp)
 
 
-def _frontier_reaching_modes(fm: FiniteMdp, one_bit: OneBitStrategy) -> dict[StateId, set[int]]:
-    """Modes from which the 1-bit strategy's product chain can reach the
-    frontier; backward graph reachability on (mode, state)."""
-    frontier = fm.frontier
-    result: dict[StateId, set[int]] = {s: set() for s in fm.states if s != frontier}
-    if frontier is None:
-        return result
-
-    inside = set(fm.states)
-    succ: dict[tuple[int, StateId], list[tuple[int, StateId]]] = {}
-    for s in fm.states:
-        if s == frontier:
-            continue
+def _one_bit_product(fm: FiniteMdp, one_bit: OneBitStrategy) -> list[list[tuple[int, float]]]:
+    """The (mode, state) product chain of a 1-bit strategy on a truncation:
+    the edges (node, probability) of node 2i + mode, for state i of
+    ``fm.compiled``.  A controlled row holds the one pick, a pick outside
+    ``fm`` going to the frontier; a random row holds the positive edges with
+    their updated modes; the frontier stays put."""
+    cm = fm.compiled
+    index, states, indptr, succ, prob = cm.index, cm.states, cm.indptr, cm.succ, cm.prob
+    f = index.get(fm.frontier)
+    rows = []
+    for i, s in enumerate(states):
         for mode in (0, 1):
-            if fm.kind_of(s) is StateKind.CONTROLLED:
+            if i == f:
+                rows.append([(2 * i + mode, 1.0)])
+            elif cm.controlled[i]:
                 m2, t = one_bit.controlled(mode, s)
-                if t not in inside:
-                    t = frontier  # choice leaves the bubble
-                succ[(mode, s)] = [(m2, t)]
+                rows.append([(2 * index.get(t, f) + m2, 1.0)])
             else:
-                succ[(mode, s)] = [
-                    (one_bit.random_update(mode, s, t), t)
-                    for t, p in fm.successors_of(s) if p > 0.0
-                ]
-
-    for mode, s in _backward_reach(succ, [(0, frontier), (1, frontier)]):
-        if s != frontier:
-            result[s].add(mode)
-    return result
+                rows.append([
+                    (2 * succ[k] + one_bit.random_update(mode, s, states[succ[k]]), prob[k])
+                    for k in range(indptr[i], indptr[i + 1]) if prob[k] > 0.0
+                ])
+    return rows
 
 
-def _repaired_one_bit(one_bit: OneBitStrategy, repairs: dict[StateId, int]) -> OneBitStrategy:
-    def fix(mode: int, s: StateId) -> int:
-        return repairs.get(s, mode)
-
-    def controlled(mode: int, s: StateId):
-        return one_bit.controlled(fix(mode, s), s)
-
-    def random_update(mode: int, s: StateId, realized: StateId) -> int:
-        return one_bit.random_update(fix(mode, s), s, realized)
-
-    return OneBitStrategy(one_bit.initial_mode, controlled, random_update)
-
-
-def _truncated_one_bit(one_bit: OneBitStrategy, fm: FiniteMdp) -> OneBitStrategy:
-    """Adapter interpreting a countable-MDP 1-bit strategy on a truncation:
-    controlled choices leaving the bubble go to the frontier sink."""
-    inside = set(fm.states)
-
-    def controlled(mode: int, s: StateId):
-        m2, t = one_bit.controlled(mode, s)
-        if t not in inside:
-            t = fm.frontier
-        return m2, t
-
-    return OneBitStrategy(one_bit.initial_mode, controlled, one_bit.random_update)
+def _expected_visits(rows: list[list[tuple[int, float]]], start: int,
+                     sinks: set[int]) -> dict[int, float]:
+    """Expected visits from ``start`` to each node of a Markov chain (edges
+    (node, probability) per node) that it reaches before ``sinks``: the
+    ``start`` row of the fundamental matrix N = (I - Q)^-1, by the solve
+    (I - Q)^T r = e_start over the reached nodes."""
+    order, pos = [start], {start: 0}
+    for k in order:
+        for j, _ in rows[k]:
+            if j not in pos and j not in sinks:
+                pos[j] = len(order)
+                order.append(j)
+    n = len(order)
+    r_idx, c_idx, vals = list(range(n)), list(range(n)), [1.0] * n
+    for a, k in enumerate(order):
+        for j, p in rows[k]:
+            b = pos.get(j)
+            if b is not None:
+                r_idx.append(b)
+                c_idx.append(a)
+                vals.append(-p)
+    e = [1.0] + [0.0] * (n - 1)
+    return dict(zip(order, _linsolve(n, r_idx, c_idx, vals, e).tolist()))
 
 
 # ---------------------------------------------------------------------------

@@ -267,15 +267,22 @@ def reduce_to_finitely_branching(mdp: Mdp, ladder_cap: int = 1000) -> ReductionM
 
     reduced = _ReducedMdp(mdp)
 
-    def contract(run: Sequence[StateId]) -> list[StateId]:
-        out = []
-        for rs in run:
-            orig = reduced.original(rs)
-            if orig is not None:
-                out.append(orig)
-        return out
-
     def lift(alpha: GeneralStrategy) -> GeneralStrategy:
+        carried: list = [None, 0, []]  # a run, its length then, its contraction
+
+        def contract(run: Sequence[StateId]) -> list[StateId]:
+            # The stepper extends one list per run, so the contraction of the
+            # part already seen carries over: each state is looked up once.
+            if run is not carried[0] or len(run) < carried[1]:
+                carried[:] = [run, 0, []]
+            out = carried[2]
+            for rs in run[carried[1]:]:
+                orig = reduced.original(rs)
+                if orig is not None:
+                    out.append(orig)
+            carried[1] = len(run)
+            return out
+
         def decide(run: Sequence[StateId]) -> Distribution:
             here = run[-1]
             info = reduced._gadget.get(here)

@@ -259,6 +259,9 @@ SOLVE = {"kind": "solve", "objective": {"type": "reach", "states": [0]}, "state"
         (GADGET, {"kind": "simulate", "state": -1}),
         (GADGET, {**SOLVE, "state": -1}),
         ({"gadget": "geometric_fan"}, {"kind": "simulate", "state": 0}),
+        (GADGET, {**SOLVE, "state": 2.7}),
+        (GADGET, {**SOLVE, "state": "3"}),
+        ({"file": "finite.json"}, {**SOLVE, "state": True}),
     ],
     ids=["missing_mdp_file", "malformed_mdp_file", "zero_runs", "horizon_within_window",
          "non_numeric_objective_state", "non_numeric_epsilon", "mdp_not_an_object",
@@ -268,10 +271,12 @@ SOLVE = {"kind": "solve", "objective": {"type": "reach", "states": [0]}, "state"
          "objective_not_an_object", "objective_states_not_a_list",
          "label_prefix_not_a_string", "solve_transience", "radii_not_a_list", "empty_radii",
          "infinite_radius", "negative_gadget_state", "solve_negative_gadget_state",
-         "ordinal_not_a_gadget_state"],
+         "ordinal_not_a_gadget_state", "fractional_gadget_state", "string_gadget_state",
+         "boolean_file_state"],
 )
 def test_bad_scenario_input_is_a_scenario_error(tmp_path, capsys, mdp, task):
     (tmp_path / "broken.json").write_text('{"states": [')
+    random_finite_mdp(4, n_states=8).dump(tmp_path / "finite.json")
     scenario = tmp_path / "bad.json"
     scenario.write_text(json.dumps({"seed": 1, "mdp": mdp, "task": task}))
     assert run_cli(["--out-dir", tmp_path, "run", scenario]) == 1

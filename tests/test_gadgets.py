@@ -8,6 +8,7 @@ from transientmdp.gadgets import (
     acyclic_chain,
     build_gadget,
     gamblers_ruin,
+    geometric_fan,
     ladder_exit_strategy,
     ladder_state,
     lazy_self_loop_example,
@@ -119,6 +120,13 @@ def test_ladder_distribution_sums_exact():
         d = lad.successors_of(ladder_state("r", i))
         assert sum(d.exact.values()) == 1
         assert abs(sum(p for _, p in d) - 1.0) <= 1e-12
+
+
+def test_geometric_fan_refuses_ordinal_zero():
+    mdp, meta = geometric_fan()
+    assert not meta.is_state(0)
+    with pytest.raises(BadParameter):
+        mdp.successors_of(StateId(0))
 
 
 def test_lazy_self_loop_round_strategy():

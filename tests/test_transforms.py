@@ -4,11 +4,13 @@ from transientmdp import (
     Distribution,
     FiniteMdp,
     GeneralStrategy,
+    LazyMdp,
     MdStrategy,
     Objective,
     StateId,
     StateKind,
     estimate_transience,
+    simulate,
 )
 from transientmdp.core import successor_states
 from transientmdp.errors import BadParameter, HitBottom, NotTail, ZeroValueRoot
@@ -169,6 +171,24 @@ def test_reduction_preserves_transience_monte_carlo(family):
         seed=derive_seed(family, 2),
     )
     assert abs(est_base - est_red) <= 2.0 * (half_base + half_red) + 0.02
+
+
+def test_lifted_strategy_contracts_each_state_once():
+    # A controlled chain: the lifted strategy decides at every step, and the
+    # lookups of original states must grow linearly with the horizon.
+    chain = LazyMdp(lambda s: StateKind.CONTROLLED, lambda s: [StateId(s.ordinal + 1)])
+    maps = reduce_to_finitely_branching(chain)
+    lookups = []
+    original = maps.reduced.original
+    maps.reduced.original = lambda rs: lookups.append(rs) or original(rs)
+    beta = maps.lift_strategy(
+        GeneralStrategy(lambda run: Distribution([(StateId(run[-1].ordinal + 1), 1.0)]))
+    )
+    for horizon in (100, 200, 400):
+        del lookups[:]
+        run, _ = simulate(maps.reduced, maps.embed(StateId(0)), beta, horizon, seed=1)
+        assert len(run) == horizon + 1
+        assert horizon <= len(lookups) <= horizon + 1
 
 
 # ---------------------------------------------------------------------------
