@@ -223,9 +223,11 @@ class FiniteMdp(Mdp):
     """Explicitly materialized finite MDP.
 
     ``sinks`` are designated subsets closed under the transition relation.
-    Truncations additionally carry their frontier state and policy tag.
-    No code mutates a FiniteMdp after construction, so the index form that
-    ``compiled`` builds on first use stays valid.
+    Truncations additionally carry their frontier state and the optimistic
+    or pessimistic tag they were asked for; the tag has no effect on the
+    MDP, and no code reads it.  No code mutates a FiniteMdp after
+    construction, so the index form that ``compiled`` builds on first use
+    (or that ``truncate`` stores there) stays valid.
     """
 
     def __init__(
@@ -264,7 +266,7 @@ class FiniteMdp(Mdp):
     @cached_property
     def compiled(self) -> "CompiledMdp":
         """The index form the solvers work on, built on first use."""
-        return CompiledMdp(self)
+        return CompiledMdp.of(self)
 
     def validate(self) -> None:
         if len(self.by_ordinal) != len(self.states):
@@ -343,12 +345,18 @@ class CompiledMdp:
 
     __slots__ = ("states", "index", "ordinal", "controlled", "indptr", "succ", "prob")
 
-    def __init__(self, fm: FiniteMdp):
-        states, kinds, transitions = fm.states, fm.kinds, fm.transitions
+    def __init__(self, states, controlled, indptr, succ, prob, index=None):
         self.states = states
-        self.index = index = {s: i for i, s in enumerate(states)}
+        self.index = {s: i for i, s in enumerate(states)} if index is None else index
         self.ordinal = [s.ordinal for s in states]
-        self.controlled = [kinds[s] is StateKind.CONTROLLED for s in states]
+        self.controlled = controlled
+        self.indptr, self.succ, self.prob = indptr, succ, prob
+
+    @classmethod
+    def of(cls, fm: FiniteMdp) -> "CompiledMdp":
+        """The index form of ``fm``, rows in the order of ``fm.states``."""
+        states, kinds, transitions = fm.states, fm.kinds, fm.transitions
+        index = {s: i for i, s in enumerate(states)}
         indptr, succ, prob = [0], [], []
         for s in states:
             out = transitions[s]
@@ -364,7 +372,20 @@ class CompiledMdp:
             except KeyError as exc:
                 raise ValueError(f"an edge of {s} leaves the state space") from exc
             indptr.append(len(succ))
-        self.indptr, self.succ, self.prob = indptr, succ, prob
+        controlled = [kinds[s] is StateKind.CONTROLLED for s in states]
+        return cls(states, controlled, indptr, succ, prob, index)
+
+    def extended(self, s: StateId, like: int) -> "CompiledMdp":
+        """Copy with the new last state ``s``, whose kind and row are those
+        of state ``like``."""
+        lo, hi = self.indptr[like], self.indptr[like + 1]
+        index = dict(self.index)
+        index[s] = len(self.states)
+        return CompiledMdp(
+            self.states + [s], self.controlled + [self.controlled[like]],
+            self.indptr + [len(self.succ) + hi - lo], self.succ + self.succ[lo:hi],
+            self.prob + self.prob[lo:hi], index,
+        )
 
     def row(self, i: int) -> list[int]:
         """Successor indices of state ``i``."""
@@ -532,23 +553,61 @@ class GeneralStrategy:
 # Graph operations
 
 
+class _Layers:
+    """Breadth-first layers of the states reachable from ``roots``, grown on
+    demand: layer d holds the states first reached in d steps, so
+    ``within(k)`` is the radius-k bubble.
+
+    Growing layer d + 1 asks the oracle for the successors of every state of
+    layer d, once.  ``order`` lists the states in the order they were first
+    reached, ``ids`` maps each state to its position there, layer d is
+    ``order[ends[d - 1]:ends[d]]``, and ``answers[i]`` and ``targets[i]``
+    keep the successor answer of ``order[i]`` and the positions of its
+    successors."""
+
+    def __init__(self, mdp: Mdp, roots: Iterable[StateId]):
+        self.mdp = mdp
+        self.order = list(set(roots))
+        if not self.order:
+            raise ValueError("bubble of an empty set")
+        self.ids = {s: i for i, s in enumerate(self.order)}
+        self.ends = [len(self.order)]
+        self.answers: list = []
+        self.targets: list[list[int]] = []
+
+    def grow(self, d: int) -> None:
+        """Reach layer ``d``, or stop at the first empty layer."""
+        mdp, order, ids = self.mdp, self.order, self.ids
+        while len(self.ends) <= d and len(self.answers) < len(order):
+            for i in range(len(self.answers), self.ends[-1]):
+                s = order[i]
+                answer = mdp.successors_of(s)
+                row = []
+                for t in _states_of(answer, s):
+                    j = ids.get(t)
+                    if j is None:
+                        j = ids[t] = len(order)
+                        order.append(t)
+                    row.append(j)
+                self.answers.append(answer)
+                self.targets.append(row)
+            self.ends.append(len(order))
+
+    def end(self, d: int) -> int:
+        """The number of states within ``d`` steps."""
+        self.grow(d)
+        return self.ends[min(d, len(self.ends) - 1)]
+
+    def layer(self, d: int) -> set[StateId]:
+        return set(self.order[self.end(d - 1) if d else 0:self.end(d)])
+
+    def within(self, k: int) -> set[StateId]:
+        return set(self.order[:self.end(k)])
+
+
 def bubble(mdp: Mdp, roots: Iterable[StateId], k: int) -> set[StateId]:
     """States reachable from ``roots`` within at most ``k`` steps."""
-    frontier = set(roots)
-    if not frontier:
-        raise ValueError("bubble of an empty set")
-    seen = set(frontier)
-    for _ in range(k):
-        nxt = set()
-        for s in frontier:
-            for t in successor_states(mdp, s):
-                if t not in seen:
-                    seen.add(t)
-                    nxt.add(t)
-        if not nxt:
-            break
-        frontier = nxt
-    return seen
+    return _Layers(mdp, roots).within(k)
 
 
 OPTIMISTIC = "optimistic"
@@ -562,17 +621,95 @@ def truncate(
     frontier: str = PESSIMISTIC,
 ) -> FiniteMdp:
     """Finite restriction of ``mdp`` to the radius-``radius`` bubble around
-    ``roots``; transitions leaving the bubble are redirected to a fresh
-    absorbing frontier sink tagged optimistic (winning) or pessimistic
-    (losing).  When nothing leaves the bubble the copy is exact and no
-    frontier state is added.
+    ``roots``.  Random mass leaving the bubble is lumped, in support order,
+    into one edge to a fresh absorbing frontier sink, and the controlled
+    edges leaving it become one edge to that sink.  When nothing leaves the
+    bubble the copy is exact and no frontier state is added.  The
+    ``frontier`` tag (optimistic or pessimistic) is only recorded in
+    ``frontier_policy``; it changes nothing, and callers that want the sink
+    to win or lose say so in the boundary they solve with.
+
+    One breadth-first search asks each kept state's ``kind_of`` and
+    ``successors_of`` once and builds the index form, stored as
+    ``compiled``, in the same pass: rows in ordinal order with the frontier
+    last, successors in oracle order.  A state with no edge leaving the
+    bubble keeps the oracle's own successor object.  The checks of
+    ``FiniteMdp.validate`` run on each oracle answer, with its exception
+    types.
     """
     if frontier not in (OPTIMISTIC, PESSIMISTIC):
         raise ValueError(f"unknown frontier policy {frontier!r}")
-    inside = bubble(mdp, roots, radius)
-    fr = mint("frontier", max(s.ordinal for s in inside) + 1)
-    fm = _restrict(mdp, inside, fr, frontier)
-    fm.validate()
+    layers = _Layers(mdp, roots)
+    layers.grow(radius + 1)  # asks the states of layer ``radius`` too
+    n = layers.end(radius)
+    order, answers, targets = layers.order, layers.answers, layers.targets
+    # Positions in ``order`` from n on lie outside the bubble: where -1.
+    rank = sorted(range(n), key=lambda i: order[i].ordinal)
+    where = [-1] * len(order)
+    for k, i in enumerate(rank):
+        where[i] = k
+    states = [order[i] for i in rank]
+    sink = mint("frontier", states[-1].ordinal + 1)
+    kinds: dict[StateId, StateKind] = {}
+    transitions: dict[StateId, object] = {}
+    controlled, indptr, succ, prob = [], [0], [], []
+    used_sink = False
+    for i, s in zip(rank, states):
+        kind = kinds[s] = mdp.kind_of(s)
+        answer = answers[i]
+        if len(answer) == 0:
+            raise ValueError(f"state {s} has no successor")
+        is_dist = isinstance(answer, Distribution)
+        if kind is StateKind.RANDOM and not is_dist:
+            raise ValueError(f"random state {s} lacks a distribution")
+        if kind is StateKind.CONTROLLED and is_dist:
+            raise ValueError(f"controlled state {s} carries a distribution")
+        controlled.append(kind is StateKind.CONTROLLED)
+        ks = [where[j] for j in targets[i]]
+        if min(ks) >= 0:
+            succ += ks
+            prob += [p for _, p in answer.support] if is_dist else [math.nan] * len(ks)
+            transitions[s] = answer
+        elif is_dist:
+            kept, out_mass = [], 0
+            for k, (t, p) in zip(ks, answer.support):
+                if k < 0:
+                    out_mass += p
+                else:
+                    kept.append((t, p))
+                    succ.append(k)
+                    prob.append(p)
+            if out_mass > 0.0:
+                kept.append((sink, out_mass))
+                succ.append(n)
+                prob.append(out_mass)
+                used_sink = True
+            transitions[s] = Distribution(kept, check=False)
+        else:
+            kept_c = [t for k, t in zip(ks, answer) if k >= 0]
+            succ += [k for k in ks if k >= 0]
+            kept_c.append(sink)
+            succ.append(n)
+            prob += [math.nan] * len(kept_c)
+            used_sink = True
+            transitions[s] = kept_c
+        indptr.append(len(succ))
+
+    if used_sink:
+        states.append(sink)
+        kinds[sink] = StateKind.RANDOM
+        transitions[sink] = Distribution([(sink, 1.0)])
+        controlled.append(False)
+        succ.append(n)
+        prob.append(1.0)
+        indptr.append(len(succ))
+        fm = FiniteMdp(states, kinds, transitions, [{sink}], frontier=sink,
+                       frontier_policy=frontier, check=False)
+    else:
+        fm = FiniteMdp(states, kinds, transitions, check=False)
+    if len(fm.by_ordinal) != len(fm.states):
+        raise ValueError("state ordinals are not unique")
+    fm.compiled = CompiledMdp(fm.states, controlled, indptr, succ, prob)
     return fm
 
 

@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
@@ -408,7 +409,12 @@ def optimal_boundary_value(
 ) -> tuple[dict[StateId, float], MdStrategy]:
     """Least fixed point of the Bellman operator with fixed boundary values,
     plus an MD strategy attaining it."""
-    cm = fm.compiled
+    return _boundary_value(fm.compiled, boundary, maximize)
+
+
+def _boundary_value(cm: CompiledMdp, boundary: Mapping[StateId, float], maximize: bool):
+    """``optimal_boundary_value`` on the index form ``cm``.  The rows of
+    boundary states are never read, so they may be anything."""
     fixed = _fixed(cm, boundary)
     options, policy, evaluate = _boundary_problem(cm, fixed, maximize)
     x, sigma = _howard(cm, options, policy, evaluate, fixed, maximize)
@@ -465,9 +471,9 @@ def safety_value(fm: FiniteMdp, avoid: Iterable[StateId]) -> ValueMap:
 
 
 def safety_strategy(fm: FiniteMdp, avoid: Iterable[StateId]):
+    # Boundary rows are never read, so ``avoid`` need not be made absorbing.
     avoid = frozenset(avoid)
-    fm_abs = _absorb(fm, avoid)
-    reach_min, sigma = optimal_boundary_value(fm_abs, {t: 1.0 for t in avoid}, False)
+    reach_min, sigma = optimal_boundary_value(fm, {t: 1.0 for t in avoid}, False)
     values = {s: 1.0 - reach_min[s] for s in fm.states}
     return ValueMap(values, Objective.safety(avoid)), sigma
 
@@ -539,8 +545,10 @@ def _ring_estimate(fm: FiniteMdp, values, lower: float, exclude) -> float:
     if lower >= 1.0 - 1e-12:
         return 1.0
     cm = fm.compiled
-    f = cm.index[fm.frontier]
-    ring = [q for i, q in enumerate(cm.states) if i != f and f in cm.row(i)]
+    f, indptr = cm.index[fm.frontier], cm.indptr
+    # The rows holding an edge to the frontier, in one scan of the edges.
+    rows = [bisect_right(indptr, k) - 1 for k, t in enumerate(cm.succ) if t == f]
+    ring = [cm.states[i] for i in rows if i != f]
     rho = max((values[q] for q in ring if q not in exclude), default=0.0)
     return min(1.0, lower + (1.0 - lower) * rho)
 
@@ -549,7 +557,9 @@ def return_probability(mdp: Mdp, s: StateId, radii: Iterable[int]) -> ReturnAnal
     """Interval for Re(s), the supremum probability of revisiting ``s`` after
     at least one step, reduced to reachability by state splitting: a fresh
     entry copy of ``s`` keeps its transitions while the original becomes the
-    target sink.
+    target.  The entry is one row appended to the truncation's index form;
+    the original needs no absorbing copy, because boundary rows are never
+    read.
 
     The lower end (returns inside the bubble) is sound unconditionally.  A
     truncation-sound upper bound is vacuously 1 whenever escape has positive
@@ -566,10 +576,8 @@ def return_probability(mdp: Mdp, s: StateId, radii: Iterable[int]) -> ReturnAnal
     radius = radii[-1]
     fm = truncate(mdp, {s}, radius, PESSIMISTIC)
     entry = mint("entry", max(q.ordinal for q in fm.states) + 1, f"entry({s.label or s.ordinal})")
-    copied = FiniteMdp(fm.states + [entry], {**fm.kinds, entry: fm.kinds[s]},
-                       {**fm.transitions, entry: fm.transitions[s]}, check=False)
-    split = _absorb(copied, {s})
-    values, _ = optimal_boundary_value(split, {s: 1.0}, True)
+    cm = fm.compiled
+    values, _ = _boundary_value(cm.extended(entry, cm.index[s]), {s: 1.0}, True)
     lower = values[entry]
     upper = _ring_estimate(fm, values, lower, {s})
     interval = ValueInterval(lower=min(lower, upper), upper=max(lower, upper), radius=radius)

@@ -33,6 +33,7 @@ from .core import (
     PESSIMISTIC,
     StateId,
     StateKind,
+    _Layers,
     _absorb,
     _backward_reach,
     bubble,
@@ -430,32 +431,6 @@ def _half_width(frac: float, runs: int) -> float:
     """Normal-approximation 95% half-width of a fraction over ``runs`` runs,
     with the variance floored at 1e-9 so that it stays positive at 0 and 1."""
     return 1.96 * math.sqrt(max(frac * (1 - frac), 1e-9) / runs)
-
-
-class _Layers:
-    """Breadth-first layers of the states reachable from ``roots``, grown on
-    demand: layer d holds the states first reached in d steps, and
-    ``within(k)`` is ``bubble(mdp, roots, k)``."""
-
-    def __init__(self, mdp: Mdp, roots: Iterable[StateId]):
-        self.mdp = mdp
-        self.seen = set(roots)
-        self.layers = [set(self.seen)]
-
-    def layer(self, d: int) -> set[StateId]:
-        while len(self.layers) <= d:
-            nxt = set()
-            for s in self.layers[-1]:
-                for t in successor_states(self.mdp, s):
-                    if t not in self.seen:
-                        self.seen.add(t)
-                        nxt.add(t)
-            self.layers.append(nxt)
-        return self.layers[d]
-
-    def within(self, k: int) -> set[StateId]:
-        self.layer(k)
-        return set().union(*self.layers[: k + 1])
 
 
 def _grow_goal_radius(layers: _Layers, goal_pred, L_prev, l_prev, runs, eps_i, schedule):

@@ -1,3 +1,6 @@
+import itertools
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -15,7 +18,14 @@ from transientmdp import (
     simulate,
     truncate,
 )
-from transientmdp.core import OPTIMISTIC, PESSIMISTIC, mint, require_sink, require_tail
+from transientmdp.core import (
+    OPTIMISTIC,
+    PESSIMISTIC,
+    InfiniteSuccessors,
+    mint,
+    require_sink,
+    require_tail,
+)
 from transientmdp.errors import BadParameter, InfiniteBranching, NotSink, NotTail
 from transientmdp.gadgets import (
     acyclic_chain,
@@ -131,6 +141,85 @@ def test_truncate_saturation_is_isomorphic():
     trunc = truncate(fm, {a}, 10, OPTIMISTIC)
     assert trunc.frontier is None
     assert set(trunc.states) == {a, b}
+
+
+def _counting(mdp):
+    """``mdp`` behind a LazyMdp that counts its oracle calls per state."""
+    kind_calls, succ_calls = Counter(), Counter()
+
+    def kind(s):
+        kind_calls[s] += 1
+        return mdp.kind_of(s)
+
+    def successors(s):
+        succ_calls[s] += 1
+        return mdp.successors_of(s)
+
+    return LazyMdp(kind, successors), kind_calls, succ_calls
+
+
+@pytest.mark.parametrize("case", ["gambler", "ladder"])
+def test_truncate_asks_each_kept_state_once(case):
+    if case == "gambler":
+        mdp, root, radius = gamblers_ruin(0.6)[0], w(0), 200
+    else:
+        mdp, root, radius = no_optimal_ladder()[0], ladder_state("ell", 0), 30
+    counted, kind_calls, succ_calls = _counting(mdp)
+    fm = truncate(counted, {root}, radius)
+    kept = {s for s in fm.states if s != fm.frontier}
+    assert fm.frontier is not None and len(kept) > radius
+    assert kind_calls == Counter(kept)
+    assert succ_calls == Counter(kept)
+
+
+def test_truncate_builds_the_compiled_layout():
+    # Rows in ordinal order with the frontier last, successors in oracle
+    # order, and the mass leaving the bubble lumped into one frontier edge.
+    mdp, _ = gamblers_ruin(0.75)
+    fm = truncate(mdp, {w(1)}, 1)
+    cm = fm.compiled
+    assert [s.label for s in cm.states] == ["w_0", "w_1", "w_2", "frontier"]
+    assert (cm.indptr, cm.succ) == ([0, 1, 3, 5, 6], [1, 2, 0, 1, 3, 3])
+    assert cm.prob == [1.0, 0.75, 0.25, 0.25, 0.75, 1.0]
+    assert cm.controlled == [False] * 4
+    # w_0 and w_1 keep everything: their rows are the oracle's own answers.
+    assert fm.transitions[w(1)].support == ((w(2), 0.75), (w(0), 0.25))
+    assert fm.transitions[fm.frontier].support == ((fm.frontier, 1.0),)
+
+
+def _walk_with_w3(kind, answer):
+    """The walk w_0 -> w_1 -> ..., except that w_3 has ``kind`` and answers
+    ``answer``."""
+    return LazyMdp(
+        lambda s: kind if s.ordinal == 3 else StateKind.RANDOM,
+        lambda s: answer if s.ordinal == 3 else Distribution([(w(s.ordinal + 1), 1.0)]),
+    )
+
+
+MALFORMED = {
+    "random-list": (StateKind.RANDOM, [w(4)], ValueError),
+    "controlled-distribution": (StateKind.CONTROLLED, Distribution([(w(4), 1.0)]), ValueError),
+    "empty-list": (StateKind.CONTROLLED, [], ValueError),
+    "controlled-family": (
+        StateKind.CONTROLLED,
+        InfiniteSuccessors(lambda: (w(k) for k in itertools.count(4)), random=False),
+        InfiniteBranching,
+    ),
+    "random-family": (
+        StateKind.RANDOM,
+        InfiniteSuccessors(lambda: ((w(k), 0.5 ** (k - 3)) for k in itertools.count(4)), random=True),
+        InfiniteBranching,
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+@pytest.mark.parametrize("radius", [3, 5])
+def test_truncate_rejects_malformed_answers(case, radius):
+    # w_3 lies on the last layer at radius 3 and inside the region at 5.
+    kind, answer, error = MALFORMED[case]
+    with pytest.raises(error):
+        truncate(_walk_with_w3(kind, answer), {w(0)}, radius)
 
 
 def test_truncation_bracketing_monotone_in_radius():

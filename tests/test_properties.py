@@ -147,6 +147,39 @@ def test_solvers_match_md_policy_oracle(seed, n):
 
 
 @PROPERTY
+@given(seed=SEEDS, n=SIZES, radius=st.integers(min_value=0, max_value=3))
+def test_unabsorbed_boundaries_match_the_absorb_route(seed, n, radius):
+    # return_probability and safety_strategy solve with boundary rows left
+    # as they are; making the boundary absorbing first must give the same
+    # values and MD choices, bit for bit.
+    fm = random_finite_mdp(seed, n_states=n)
+    rng = random.Random(seed)
+    avoid = frozenset(rng.sample(fm.states, rng.randint(1, n - 1)))
+    values, sigma = safety_strategy(fm, avoid)
+    reach_min, old_sigma = solvers.optimal_boundary_value(
+        core._absorb(fm, avoid), {t: 1.0 for t in avoid}, False
+    )
+    assert values.values == {s: 1.0 - reach_min[s] for s in fm.states}
+    assert sigma.choice == old_sigma.choice
+
+    s = rng.choice(fm.states)
+    trunc = core.truncate(fm, {s}, radius)
+    entry = core.mint("entry", max(q.ordinal for q in trunc.states) + 1)
+    split = core._absorb(core.FiniteMdp(
+        trunc.states + [entry], {**trunc.kinds, entry: trunc.kinds[s]},
+        {**trunc.transitions, entry: trunc.transitions[s]}, check=False,
+    ), {s})
+    old, old_sigma = solvers.optimal_boundary_value(split, {s: 1.0}, True)
+    cm = trunc.compiled
+    new, sigma = solvers._boundary_value(cm.extended(entry, cm.index[s]), {s: 1.0}, True)
+    assert new == old and sigma.choice == old_sigma.choice
+    lower = old[entry]
+    upper = solvers._ring_estimate(trunc, old, lower, {s})
+    analysis = return_probability(fm, s, [radius])
+    assert (analysis.re.lower, analysis.re.upper) == (min(lower, upper), max(lower, upper))
+
+
+@PROPERTY
 @given(seed=SEEDS, n=SIZES)
 def test_howard_result_does_not_depend_on_the_start_policy(seed, n):
     # Each problem is solved from its own start (the choices of the boundary
