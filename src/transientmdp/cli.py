@@ -237,7 +237,7 @@ def _task_synthesize(doc, task, master, out_dir, base) -> int:
         goal_set = goal.predicate or goal.states
         schedule = BubbleSchedule(seed=derive_seed(master, "bubble"))
         strategy, plan = buchi_transience_one_bit(mdp, [s0], goal_set, epsilon, schedule)
-        fm = truncate(mdp, [s0], plan.levels[-1].k + 1, "pessimistic")
+        fm = truncate(mdp, [s0], plan.levels[-1].k + 1)
         _write_json(out_dir, "strategy.json", one_bit_tables(strategy, fm))
         path = _write_json(out_dir, "bubble_plan.json", plan.to_json())
         print(f"1-bit strategy over {len(plan.levels)} levels -> {path}")

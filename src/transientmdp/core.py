@@ -343,7 +343,7 @@ class CompiledMdp:
     sparse rows.  All fields are plain lists, which scalar loops index
     fastest."""
 
-    __slots__ = ("states", "index", "ordinal", "controlled", "indptr", "succ", "prob")
+    __slots__ = ("states", "index", "ordinal", "controlled", "indptr", "succ", "prob", "_preds")
 
     def __init__(self, states, controlled, indptr, succ, prob, index=None):
         self.states = states
@@ -351,6 +351,7 @@ class CompiledMdp:
         self.ordinal = [s.ordinal for s in states]
         self.controlled = controlled
         self.indptr, self.succ, self.prob = indptr, succ, prob
+        self._preds = None
 
     @classmethod
     def of(cls, fm: FiniteMdp) -> "CompiledMdp":
@@ -390,6 +391,21 @@ class CompiledMdp:
     def row(self, i: int) -> list[int]:
         """Successor indices of state ``i``."""
         return self.succ[self.indptr[i]:self.indptr[i + 1]]
+
+    def random_preds(self) -> dict[int, list[int]]:
+        """The predecessors along positive random edges: ``t`` maps to the
+        random states, in index order, with an edge of positive probability
+        to ``t``.  Built on first use and kept."""
+        if self._preds is None:
+            indptr, succ, prob = self.indptr, self.succ, self.prob
+            preds: dict[int, list[int]] = {}
+            for i, is_controlled in enumerate(self.controlled):
+                if not is_controlled:
+                    for k in range(indptr[i], indptr[i + 1]):
+                        if prob[k] > 0.0:
+                            preds.setdefault(succ[k], []).append(i)
+            self._preds = preds
+        return self._preds
 
 
 def require_sink(mdp: Mdp, states: Iterable[StateId]) -> frozenset[StateId]:
@@ -777,27 +793,34 @@ def reachable(mdp: Mdp, roots: Iterable[StateId]) -> set[StateId]:
 
 
 def _backward_reach(
-    succ: Mapping[Node, Iterable[Node]],
+    succ: Mapping[Node, Iterable[Node]] | None,
     seeds: Iterable[Node],
     admit: Callable[[Node], bool] | None = None,
+    preds: Sequence[Mapping[Node, Sequence[Node]]] = (),
 ) -> dict[Node, int]:
     """Breadth-first search backwards from ``seeds`` along the edges of
-    ``succ`` (state -> successor states).  Returns the distance of every state
-    reached, seeds at 0; ``admit(s)``, when given, may refuse a state.  States
-    are any hashable keys: StateIds, indices of a CompiledMdp, product
-    states."""
-    preds: dict[Node, list[Node]] = {}
-    for s, targets in succ.items():
-        for t in targets:
-            preds.setdefault(t, []).append(s)
+    ``succ`` (state -> successor states) and of ``preds``, mappings that
+    already list the predecessors of each state (such as
+    ``CompiledMdp.random_preds``); ``succ`` may be None.  Returns the
+    distance of every state reached, seeds at 0; ``admit(s)``, when given,
+    may refuse a state.  States are any hashable keys: StateIds, indices of a
+    CompiledMdp, product states."""
+    if succ is not None:
+        inverse: dict[Node, list[Node]] = {}
+        for s, targets in succ.items():
+            for t in targets:
+                inverse.setdefault(t, []).append(s)
+        preds = (*preds, inverse)
     dist = {s: 0 for s in seeds}
     queue = deque(dist)
     while queue:
         t = queue.popleft()
-        for s in preds.get(t, ()):
-            if s not in dist and (admit is None or admit(s)):
-                dist[s] = dist[t] + 1
-                queue.append(s)
+        d = dist[t] + 1
+        for inverse in preds:
+            for s in inverse.get(t, ()):
+                if s not in dist and (admit is None or admit(s)):
+                    dist[s] = d
+                    queue.append(s)
     return dist
 
 

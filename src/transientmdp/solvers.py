@@ -24,11 +24,12 @@ the rounds that led there.  ``md_policy_oracle`` is the independent
 cross-check.
 
 The solvers run on the index form of a finite MDP (``FiniteMdp.compiled``)
-and translate StateIds only on entry and exit.  Every linear system is
-assembled as sparse triplets and solved by ``_linsolve``: dense LAPACK below
-``SPARSE_MIN_ROWS`` rows, sparse LU at or above it, with scipy imported on
-first use.  The sparse path may differ from a dense solve in the last bits.
-A system singular to working precision raises ``SingularSystem``.
+and translate StateIds only on entry and exit.  Every policy evaluation is
+assembled straight from its compressed sparse rows as sparse triplets and
+solved by ``_linsolve``: dense LAPACK below ``SPARSE_MIN_ROWS`` (512) rows,
+sparse LU at or above it, with scipy imported on first use.  The sparse path
+may differ from a dense solve in the last bits.  A system singular to
+working precision raises ``SingularSystem``.
 """
 from __future__ import annotations
 
@@ -46,7 +47,6 @@ from .core import (
     MdStrategy,
     Mdp,
     Objective,
-    PESSIMISTIC,
     StateId,
     StateKind,
     _absorb,
@@ -149,10 +149,13 @@ class BoundedRewardSpec:
 
 # Systems of at least this many rows are solved by sparse LU.  A dense solve
 # holds 16n² bytes (the matrix and LAPACK's copy of it) and takes O(n³) time;
-# the sparse path pays about 30 MB and 0.4 s once to import scipy, and more
-# than LAPACK per call on small systems.  The two break even at roughly
-# n = 1,000-1,400 rows.
-SPARSE_MIN_ROWS = 1024
+# the sparse path pays about 40 MB of peak resident memory and 0.3 s once to
+# import scipy.  On the tridiagonal gambler systems (one BLAS thread) sparse
+# LU is already faster at 201 rows (0.54 ms against 0.72 ms dense) and far
+# faster at 801 rows (1.0 ms against 20.4 ms).  The cutoff stays above the
+# systems of the finite_solvers and mc_synthesis benchmarks (at most 177
+# rows on seeds 1, 11 and 12), so that they never import scipy.
+SPARSE_MIN_ROWS = 512
 
 
 def _linsolve(n: int, rows: list[int], cols: list[int], vals: list[float], b) -> np.ndarray:
@@ -179,26 +182,51 @@ def _linsolve(n: int, rows: list[int], cols: list[int], vals: list[float], b) ->
         raise SingularSystem(f"{n}-row system: {exc}") from exc
 
 
-def _solve_chain(
-    chain: Mapping[int, list[tuple[int, float, float]]], solve: list[int]
+def _chain_values(
+    cm: CompiledMdp,
+    solve: list[int],
+    policy: Mapping[int, tuple[int | None, float]],
+    fixed: Mapping[int, float],
+    cost: list[float] | None = None,
 ) -> np.ndarray:
-    """Expected total reward on ``solve`` of a Markov chain given by its
-    edges (successor, probability, reward) per state: x = b + Q x, where Q
-    keeps the edges between ``solve`` states and b sums p * reward over all
-    edges.  An edge leaving ``solve`` pays its reward and ends the run; the
-    chain must leave ``solve`` almost surely."""
+    """Expected total reward on the states ``solve`` (indices, ascending) of
+    the Markov chain in which controlled state i moves to ``policy[i]`` =
+    (successor index or None, edge cost) and random state i follows its row
+    of ``cm``, the edge at position k of ``cm.succ`` costing ``cost[k]`` (0
+    when ``cost`` is None).  An edge pays its cost plus, when it enters a
+    ``fixed`` state, that state's value.  So x = b + Q x, where Q keeps the
+    edges between ``solve`` states and b sums p * reward over all edges; an
+    edge leaving ``solve`` ends the run, and the chain must leave ``solve``
+    almost surely.  The triplets are the diagonal, then the edges row by
+    row in CSR order."""
+    indptr, succ, prob, controlled = cm.indptr, cm.succ, cm.prob, cm.controlled
     m = len(solve)
-    pos = {i: k for k, i in enumerate(solve)}
+    pos = dict(zip(solve, range(m)))
     rows, cols, vals = list(range(m)), list(range(m)), [1.0] * m
     b = [0.0] * m
     for k, i in enumerate(solve):
-        for t, p, r in chain[i]:
-            b[k] += p * r
+        if controlled[i]:
+            t, c = policy[i]
+            b[k] = c + fixed.get(t, 0.0)
+            j = pos.get(t)
+            if j is not None:
+                rows.append(k)
+                cols.append(j)
+                vals.append(-1.0)
+            continue
+        acc = 0.0
+        for e in range(indptr[i], indptr[i + 1]):
+            t, p = succ[e], prob[e]
+            if cost is not None:
+                acc += p * cost[e]
+            if t in fixed:
+                acc += p * fixed[t]
             j = pos.get(t)
             if j is not None:
                 rows.append(k)
                 cols.append(j)
                 vals.append(-p)
+        b[k] = acc
     return _linsolve(m, rows, cols, vals, b)
 
 
@@ -217,37 +245,25 @@ def _fixed(cm: CompiledMdp, values: Mapping[StateId, float]) -> dict[int, float]
 
 
 def _absorption(
-    cm: CompiledMdp, pick: Mapping[int, int | None], fixed: Mapping[int, float]
+    cm: CompiledMdp, policy: Mapping[int, tuple[int | None, float]], fixed: Mapping[int, float]
 ) -> list[float]:
     """Exact absorption values, by index, of the Markov chain in which
-    controlled state i moves to ``pick[i]``.  The ``fixed`` states absorb
-    with their values; states that cannot reach them get the
+    controlled state i outside ``fixed`` moves to ``policy[i]`` = (successor
+    index or None, 0.0).  The ``fixed`` states absorb with their values, and
+    their rows are never read; states that cannot reach them get the
     least-fixed-point value 0."""
-    indptr, succ, prob, controlled = cm.indptr, cm.succ, cm.prob, cm.controlled
+    picked: dict[int | None, list[int]] = {}
+    for i, (t, _) in policy.items():
+        picked.setdefault(t, []).append(i)
+    reach = _backward_reach(None, fixed, preds=(cm.random_preds(), picked))
     n = len(cm.states)
-    # Entering a fixed state pays its value and ends the run.
-    chain = {}
-    for i in range(n):
-        if i in fixed:
-            continue
-        if controlled[i]:
-            t = pick[i]
-            chain[i] = [(t, 1.0, fixed.get(t, 0.0))]
-        else:
-            chain[i] = [
-                (succ[k], prob[k], fixed.get(succ[k], 0.0))
-                for k in range(indptr[i], indptr[i + 1])
-            ]
-    reach = _backward_reach(
-        {i: [t for t, p, _ in out if p > 0.0] for i, out in chain.items()}, fixed
-    )
     x = [0.0] * n
     for i, v in fixed.items():
         x[i] = v
-    solve = [i for i in chain if i in reach]
+    solve = [i for i in range(n) if i in reach and i not in fixed]
     if solve:
         top = max(fixed.values(), default=1.0)
-        for i, v in zip(solve, _solve_chain(chain, solve)):
+        for i, v in zip(solve, _chain_values(cm, solve, policy, fixed)):
             x[i] = float(min(max(v, 0.0), top))
     return x
 
@@ -263,12 +279,14 @@ def evaluate_md(
     that cannot reach the boundary get the least-fixed-point value 0.
     """
     cm = fm.compiled
-    # A pick outside the state space (index None) counts as value 0.
-    pick = {
-        i: cm.index.get(sigma.successor(fm, s))
-        for i, s in enumerate(cm.states) if cm.controlled[i]
+    fixed = _fixed(cm, boundary)
+    # Boundary rows are never read, so ``sigma`` is asked only outside the
+    # boundary.  A pick outside the state space (index None) counts as value 0.
+    policy = {
+        i: (cm.index.get(sigma.successor(fm, s)), 0.0)
+        for i, s in enumerate(cm.states) if cm.controlled[i] and i not in fixed
     }
-    values = dict(zip(cm.states, _absorption(cm, pick, _fixed(cm, boundary))))
+    values = dict(zip(cm.states, _absorption(cm, policy, fixed)))
     values.update(boundary)
     return values
 
@@ -279,9 +297,9 @@ def evaluate_md_reach(fm: FiniteMdp, sigma: MdStrategy, target: Iterable[StateId
 
 def evaluate_md_safety(fm: FiniteMdp, sigma: MdStrategy, avoid: Iterable[StateId]) -> dict:
     """Exact safety values under ``sigma``: 1 - P(F avoid) on the chain with
-    ``avoid`` made absorbing."""
-    fm_abs = _absorb(fm, avoid)
-    reach = evaluate_md(fm_abs, sigma, {t: 1.0 for t in avoid})
+    ``avoid`` made absorbing (boundary rows are never read, so no absorbing
+    copy is made)."""
+    reach = evaluate_md(fm, sigma, {t: 1.0 for t in avoid})
     return {s: 1.0 - reach[s] for s in fm.states}
 
 
@@ -291,33 +309,35 @@ def evaluate_md_cost(
     """Exact expected total cost under ``sigma``; math.inf where some
     positive-cost recurrent class is reachable."""
     cm = fm.compiled
-    states, indptr, succ = cm.states, cm.indptr, cm.succ
-    chain = {}
+    states, index, indptr, succ = cm.states, cm.index, cm.indptr, cm.succ
+    n = len(states)
+    policy, picked = {}, {}
+    ecost = [0.0] * len(succ)
     free_edge = [False] * len(succ)
     for i, s in enumerate(states):
         lo, hi = indptr[i], indptr[i + 1]
         if cm.controlled[i]:
             t = sigma.successor(fm, s)
-            j, c = cm.index.get(t), cost.of(s, t)
-            chain[i] = [(j, 1.0, c)]
+            j, c = index.get(t), cost.of(s, t)
+            policy[i] = (j, c)
+            picked.setdefault(j, []).append(i)
             for k in range(lo, hi):
                 free_edge[k] = succ[k] == j and c == 0.0
         else:
-            out = [(t, p, cost.of(s, states[t]))
-                   for t, p in zip(succ[lo:hi], cm.prob[lo:hi])]
-            free_edge[lo:hi] = [c == 0.0 for _, _, c in out]
-            chain[i] = [edge for edge in out if edge[1] > 0.0]
-    targets = {i: [t for t, _, _ in out] for i, out in chain.items()}
+            for k in range(lo, hi):
+                ecost[k] = c = cost.of(s, states[succ[k]])
+                free_edge[k] = c == 0.0
+    preds = (cm.random_preds(), picked)
     # Runs that stay in ``free`` pay nothing; runs that can never reach it
     # end in a positive-cost recurrent class, and so does, with positive
     # probability, every run that can reach such a state.
-    free = _stay_region(cm, range(len(states)), free_edge)
-    reach_free = _backward_reach(targets, free)
-    infinite = _backward_reach(targets, [i for i in chain if i not in reach_free])
-    values = [math.inf if i in infinite else 0.0 for i in range(len(states))]
-    solve = [i for i in chain if i not in infinite and i not in free]
+    free = _stay_region(cm, range(n), free_edge)
+    reach_free = _backward_reach(None, free, preds=preds)
+    infinite = _backward_reach(None, [i for i in range(n) if i not in reach_free], preds=preds)
+    values = [math.inf if i in infinite else 0.0 for i in range(n)]
+    solve = [i for i in range(n) if i not in infinite and i not in free]
     if solve:
-        for i, v in zip(solve, _solve_chain(chain, solve)):
+        for i, v in zip(solve, _chain_values(cm, solve, policy, {}, ecost)):
             values[i] = float(max(v, 0.0))
     return dict(zip(states, values))
 
@@ -373,24 +393,21 @@ def _extract(cm: CompiledMdp, x, options, seeds, maximize: bool) -> dict:
 
     The candidates of a state are its options whose value lies within
     TIE_TOL, relative, of the best.  Among them it takes the one whose
-    successor is nearest to ``seeds`` by BFS through random edges and
-    candidate edges, then the smallest ordinal.  Progress in distance keeps
-    tied choices from closing a cycle that never reaches the seeds."""
+    successor is nearest to ``seeds`` by BFS through positive random edges
+    and candidate edges, then the smallest ordinal.  Progress in distance
+    keeps tied choices from closing a cycle that never reaches the seeds."""
+    if not options:
+        return {}
     sign = -1.0 if maximize else 1.0
-    controlled = cm.controlled
-    pools, graph = {}, {}
-    for i in range(len(cm.states)):
-        opts = options.get(i)
-        if opts is None:
-            if not controlled[i]:
-                graph[i] = cm.row(i)
-            continue
+    pools, candidates = {}, {}
+    for i, opts in options.items():
         scored = [(sign * (c + x[t]), (t, c)) for t, c in opts]
         best = min(v for v, _ in scored)
         bar = best + TIE_TOL * abs(best)
         pools[i] = pool = [edge for v, edge in scored if v <= bar]
-        graph[i] = [t for t, _ in pool]
-    dist = _backward_reach(graph, seeds)
+        for t, _ in pool:
+            candidates.setdefault(t, []).append(i)
+    dist = _backward_reach(None, seeds, preds=(cm.random_preds(), candidates))
     ordinal = cm.ordinal
     return {
         i: min(pool, key=lambda edge: (dist.get(edge[0], math.inf), ordinal[edge[0]]))
@@ -438,7 +455,7 @@ def _boundary_problem(cm: CompiledMdp, fixed: Mapping[int, float], maximize: boo
     x = [fixed.get(i, 0.0) for i in range(len(cm.states))]
 
     def evaluate(policy):
-        return _absorption(cm, {i: t for i, (t, _) in policy.items()}, fixed)
+        return _absorption(cm, policy, fixed)
 
     return options, _extract(cm, x, options, fixed, maximize), evaluate
 
@@ -501,7 +518,7 @@ def interval_value(
     if not radii:
         raise ValueError("empty radius schedule")
     last = radii[-1]
-    fm = truncate(mdp, {s}, last, PESSIMISTIC)
+    fm = truncate(mdp, {s}, last)
     members = objective.members_in([q for q in fm.states if q != fm.frontier])
     if objective.kind == Objective.REACH:
         # First-visit semantics: boundary states absorb, so the target need
@@ -574,7 +591,7 @@ def return_probability(mdp: Mdp, s: StateId, radii: Iterable[int]) -> ReturnAnal
     if not radii:
         raise ValueError("empty radius schedule")
     radius = radii[-1]
-    fm = truncate(mdp, {s}, radius, PESSIMISTIC)
+    fm = truncate(mdp, {s}, radius)
     entry = mint("entry", max(q.ordinal for q in fm.states) + 1, f"entry({s.label or s.ordinal})")
     cm = fm.compiled
     values, _ = _boundary_value(cm.extended(entry, cm.index[s]), {s: 1.0}, True)
@@ -626,7 +643,7 @@ def _cost_problem(cm: CompiledMdp, cost: CostLabel):
     every controlled state, the start policy and the exact evaluation, plus
     the zero-cost region and its almost-sure attractor with ranks."""
     states, ordinal, controlled = cm.states, cm.ordinal, cm.controlled
-    indptr, succ, prob = cm.indptr, cm.succ, cm.prob
+    indptr, succ = cm.indptr, cm.succ
     n = len(states)
     ecost = [
         cost.of(states[i], states[succ[k]])
@@ -646,16 +663,11 @@ def _cost_problem(cm: CompiledMdp, cost: CostLabel):
         i: min((e for e in options[i] if e[0] in rank), key=lambda e: (rank[e[0]], ordinal[e[0]]))
         for i in solve if controlled[i]
     }
-    chain = {
-        i: [(succ[k], prob[k], ecost[k]) for k in range(indptr[i], indptr[i + 1])]
-        for i in solve
-    }
 
     def evaluate(policy):
-        chain.update((i, [(t, 1.0, c)]) for i, (t, c) in policy.items())
         x = [0.0 if i in free else math.inf for i in range(n)]
         if solve:
-            for i, v in zip(solve, _solve_chain(chain, solve)):
+            for i, v in zip(solve, _chain_values(cm, solve, policy, {}, ecost)):
                 x[i] = float(max(v, 0.0))
         return x
 

@@ -30,7 +30,6 @@ from .core import (
     Mdp,
     Objective,
     OneBitStrategy,
-    PESSIMISTIC,
     StateId,
     StateKind,
     _Layers,
@@ -471,7 +470,7 @@ def _grow_quiet_radius(layers: _Layers, K_i, k_i, runs, eps_i, schedule):
 def _assemble_one_bit(mdp, initial, plan: BubblePlan, schedule: BubbleSchedule):
     levels = plan.levels
     top_k = levels[-1].k + 1
-    fm = truncate(mdp, initial, top_k, PESSIMISTIC)
+    fm = truncate(mdp, initial, top_k)
 
     # For subspace and pattern purposes both K_0 and K_{-1} are empty: the
     # two-levels-back avoidance starts at level 3 (avoiding K_1), so the

@@ -179,6 +179,135 @@ def test_unabsorbed_boundaries_match_the_absorb_route(seed, n, radius):
     assert (analysis.re.lower, analysis.re.upper) == (min(lower, upper), max(lower, upper))
 
 
+def _reference_solve_chain(chain, solve):
+    # The dict-of-tuples assembly the solvers used before they read the
+    # compressed rows directly: chain[i] lists (successor, probability,
+    # reward) per state.
+    m = len(solve)
+    pos = {i: k for k, i in enumerate(solve)}
+    rows, cols, vals = list(range(m)), list(range(m)), [1.0] * m
+    b = [0.0] * m
+    for k, i in enumerate(solve):
+        for t, p, r in chain[i]:
+            b[k] += p * r
+            j = pos.get(t)
+            if j is not None:
+                rows.append(k)
+                cols.append(j)
+                vals.append(-p)
+    return solvers._linsolve(m, rows, cols, vals, b)
+
+
+def _reference_absorption(cm, pick, fixed):
+    indptr, succ, prob, controlled = cm.indptr, cm.succ, cm.prob, cm.controlled
+    n = len(cm.states)
+    chain = {}
+    for i in range(n):
+        if i in fixed:
+            continue
+        if controlled[i]:
+            t = pick[i]
+            chain[i] = [(t, 1.0, fixed.get(t, 0.0))]
+        else:
+            chain[i] = [
+                (succ[k], prob[k], fixed.get(succ[k], 0.0))
+                for k in range(indptr[i], indptr[i + 1])
+            ]
+    reach = core._backward_reach(
+        {i: [t for t, p, _ in out if p > 0.0] for i, out in chain.items()}, fixed
+    )
+    x = [0.0] * n
+    for i, v in fixed.items():
+        x[i] = v
+    solve = [i for i in chain if i in reach]
+    if solve:
+        top = max(fixed.values(), default=1.0)
+        for i, v in zip(solve, _reference_solve_chain(chain, solve)):
+            x[i] = float(min(max(v, 0.0), top))
+    return x
+
+
+def _reference_evaluate_md(fm, sigma, boundary):
+    cm = fm.compiled
+    pick = {
+        i: cm.index.get(sigma.successor(fm, s))
+        for i, s in enumerate(cm.states) if cm.controlled[i]
+    }
+    fixed = {cm.index[s]: v for s, v in boundary.items() if s in cm.index}
+    values = dict(zip(cm.states, _reference_absorption(cm, pick, fixed)))
+    values.update(boundary)
+    return values
+
+
+def _reference_cost(fm, sigma, cost):
+    cm = fm.compiled
+    states, indptr, succ = cm.states, cm.indptr, cm.succ
+    chain = {}
+    free_edge = [False] * len(succ)
+    for i, s in enumerate(states):
+        lo, hi = indptr[i], indptr[i + 1]
+        if cm.controlled[i]:
+            t = sigma.successor(fm, s)
+            j, c = cm.index.get(t), cost.of(s, t)
+            chain[i] = [(j, 1.0, c)]
+            for k in range(lo, hi):
+                free_edge[k] = succ[k] == j and c == 0.0
+        else:
+            out = [(t, p, cost.of(s, states[t]))
+                   for t, p in zip(succ[lo:hi], cm.prob[lo:hi])]
+            free_edge[lo:hi] = [c == 0.0 for _, _, c in out]
+            chain[i] = [edge for edge in out if edge[1] > 0.0]
+    targets = {i: [t for t, _, _ in out] for i, out in chain.items()}
+    free = core._stay_region(cm, range(len(states)), free_edge)
+    reach_free = core._backward_reach(targets, free)
+    infinite = core._backward_reach(targets, [i for i in chain if i not in reach_free])
+    values = [math.inf if i in infinite else 0.0 for i in range(len(states))]
+    solve = [i for i in chain if i not in infinite and i not in free]
+    if solve:
+        for i, v in zip(solve, _reference_solve_chain(chain, solve)):
+            values[i] = float(max(v, 0.0))
+    return dict(zip(states, values))
+
+
+@PROPERTY
+@given(seed=SEEDS, n=SIZES)
+def test_csr_assembly_matches_the_dict_of_tuples_reference(seed, n):
+    # Policy evaluation assembles its system straight from the compressed
+    # rows; on the dense path the values must equal the old dict-of-tuples
+    # assembly bit for bit.  Among the random picks, one lies outside its
+    # row and one outside the state space (index None).
+    fm = random_finite_mdp(seed, n_states=n, p_controlled=0.7)
+    cm = fm.compiled
+    assert len(cm.states) < solvers.SPARSE_MIN_ROWS
+    rng = random.Random(seed)
+    pick = {i: rng.choice(cm.row(i)) for i in range(n) if cm.controlled[i]}
+    odd = rng.sample(sorted(pick), min(2, len(pick)))
+    if odd:
+        outside = [t for t in range(n) if t not in cm.row(odd[0])]
+        if outside:
+            pick[odd[0]] = rng.choice(outside)
+        pick[odd[-1]] = None
+    stranger = StateId(10 * n, "outside")
+    sigma = core.MdStrategy({
+        cm.states[i]: stranger if t is None else cm.states[t] for i, t in pick.items()
+    })
+
+    # Values that do not sum exactly, so that a change of summation order
+    # shows in the last bits.
+    boundary = {s: rng.random() for s in rng.sample(fm.states, rng.randint(1, n - 1))}
+    fixed = {cm.index[s]: v for s, v in boundary.items()}
+    policy = {i: (t, 0.0) for i, t in pick.items() if i not in fixed}
+    assert solvers._absorption(cm, policy, fixed) == _reference_absorption(cm, pick, fixed)
+
+    cost = _random_cost(fm, seed)
+    assert evaluate_md_cost(fm, sigma, cost) == _reference_cost(fm, sigma, cost)
+
+    # The old safety route evaluated an absorbing copy of the MDP.
+    avoid = frozenset(boundary)
+    reach = _reference_evaluate_md(core._absorb(fm, avoid), sigma, {t: 1.0 for t in avoid})
+    assert evaluate_md_safety(fm, sigma, avoid) == {s: 1.0 - reach[s] for s in fm.states}
+
+
 @PROPERTY
 @given(seed=SEEDS, n=SIZES)
 def test_howard_result_does_not_depend_on_the_start_policy(seed, n):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from transientmdp import Distribution, FiniteMdp, Objective, StateId, StateKind
-from transientmdp.core import successor_states
+from transientmdp.core import successor_states, truncate
 from transientmdp.errors import NoFiniteCostPolicy, NotSink, SingularSystem, TooLarge
 from transientmdp.gadgets import gamblers_ruin
 from transientmdp.simulate import derive_seed, mean_visits
@@ -473,26 +473,74 @@ def test_linsolve_dense_and_sparse_agree(monkeypatch):
     assert np.max(np.abs(dense - sparse)) <= 1e-12
 
 
-def test_sparse_truncation_matches_gambler_closed_form():
-    # Radius 3200 puts the truncation far above SPARSE_MIN_ROWS.
+def test_sparse_truncation_matches_gambler_closed_form(monkeypatch):
+    # Radii 800 and 3200 put the truncations above SPARSE_MIN_ROWS, so no
+    # solve may reach LAPACK.
+    def dense(*args):
+        raise AssertionError("dense solve of a walk-sized system")
+
+    monkeypatch.setattr(np.linalg, "solve", dense)
     p = 0.6
     mdp, _ = gamblers_ruin(p)
     w0 = StateId(0, "w_0")
-    for k in (1, 3):
-        iv = interval_value(mdp, StateId(k, f"w_{k}"), Objective.reach({w0}), [3200])
-        assert iv.contains(((1.0 - p) / p) ** k)
+    for radius in (800, 3200):
+        for k in (1, 3):
+            iv = interval_value(mdp, StateId(k, f"w_{k}"), Objective.reach({w0}), [radius])
+            want = ((1.0 - p) / p) ** k
+            assert abs(iv.lower - want) <= 1e-14 and abs(iv.upper - want) <= 1e-14
+        re = return_probability(mdp, w0, [radius]).re
+        want = (1.0 - p) / p
+        assert abs(re.lower - want) <= 1e-14 and abs(re.upper - want) <= 1e-14
 
 
-def test_small_solves_leave_scipy_unloaded():
-    code = (
-        "import sys\n"
-        "import transientmdp\n"
+def test_markov_chain_reach_searches_the_graph_once(monkeypatch):
+    # A Markov chain has nothing to choose: no extraction searches the graph,
+    # and its one evaluation searches the cached predecessor lists once.
+    calls = []
+    search = solvers._backward_reach
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return search(*args, **kwargs)
+
+    monkeypatch.setattr(solvers, "_backward_reach", counting)
+    mdp, _ = gamblers_ruin(0.6)
+    fm = truncate(mdp, {StateId(1, "w_1")}, 200)
+    assert not any(fm.compiled.controlled)
+    values = reach_value(fm, {fm.frontier})
+    assert len(calls) == 1
+    # The walk restarts from w_0, so it reaches the frontier surely.
+    assert abs(values[StateId(1, "w_1")] - 1.0) <= 1e-9
+
+
+_SMALL_SOLVES = {
+    "finite-120": (
         "from transientmdp.solvers import reach_value\n"
         "from transientmdp.verify import random_finite_mdp\n"
         "fm = random_finite_mdp(3, n_states=120)\n"
         "reach_value(fm, {fm.states[-1]})\n"
-        "print('scipy' in sys.modules)\n"
-    )
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          check=True)
-    assert proc.stdout.strip() == "False"
+    ),
+    "below-cutoff": (
+        "from transientmdp import solvers\n"
+        "n = solvers.SPARSE_MIN_ROWS - 1\n"
+        "x = solvers._linsolve(n, list(range(n)), list(range(n)), [2.0] * n, [1.0] * n)\n"
+        "assert list(x) == [0.5] * n\n"
+    ),
+    # The transience fan at the radius of the mc_synthesis benchmark budget.
+    "fan-radius-40": (
+        "from transientmdp import StateId\n"
+        "from transientmdp.gadgets import transience_fan\n"
+        "from transientmdp.synthesis import TransienceBudgets, transience_md\n"
+        "fan, _ = transience_fan()\n"
+        "budgets = TransienceBudgets(radius=40, seed=1)\n"
+        "transience_md(fan, StateId(0, 'fan'), 0.2, budgets=budgets)\n"
+    ),
+}
+
+
+def test_small_solves_leave_scipy_unloaded():
+    for name, solve in _SMALL_SOLVES.items():
+        code = "import sys\nimport transientmdp\n" + solve + "print('scipy' in sys.modules)\n"
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              check=True)
+        assert proc.stdout.strip() == "False", name
