@@ -10,6 +10,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterator
 
+import numpy as np
+
 from .core import (
     Distribution,
     GeneralStrategy,
@@ -85,10 +87,10 @@ def gamblers_ruin(p: float) -> tuple[Mdp, GadgetMeta]:
         return Distribution([(w(i + 1), p), (w(i - 1), 1.0 - p)])
 
     def vstep(pos, u):
-        import numpy as np
-
-        # w_0 goes to w_1 on either branch: |0 - 1| = 1.
-        return np.abs(np.where(u < p, pos + 1, pos - 1))
+        # pos - 1 + 2 [u < p], then w_0 goes to w_1 on either branch: |0 - 1| = 1.
+        out = pos - 1
+        out += 2 * (u < p)
+        return np.abs(out, out=out)
 
     mdp = ChainMdp(
         lambda s: StateKind.RANDOM,

@@ -257,6 +257,8 @@ def estimate_transience(
     """
     if runs < 1:
         raise ValueError("need at least one run")
+    if horizon < 0:
+        raise ValueError("horizon must be non-negative")
     if isinstance(proxy, FreshTail) and horizon <= proxy.window:
         raise ValueError("horizon must exceed the fresh-tail window")
 
@@ -298,13 +300,18 @@ def _vector_estimate(chain: VectorChain, s0: StateId, horizon, runs, proxy, seed
 
     bound = int(chain.ordinal_bound(s0.ordinal, horizon)) + 1
     if not 0 <= s0.ordinal < bound:
-        # Its cells would fall in another run's row of the table.
+        # Its cells would fall outside the table or on another ordinal's.
         raise BadParameter(f"start ordinal {s0.ordinal} outside [0, {bound})")
     batch = max(1, min(runs, max(1, 64_000_000 // max(bound, 1))))
     revisit = isinstance(proxy, RevisitCap)
-    # A run leaves once a count passes the cap, so no cell exceeds
-    # max_visits + 1 (2 at s0 under a cap of 0, which uint8 still holds).
-    dtype = np.min_scalar_type(proxy.max_visits + 1) if revisit else np.bool_
+    if revisit:
+        # No count passes horizon + 1, so a larger cap acts as that one and
+        # cannot push the table onto a wide (or object) dtype.  A run leaves
+        # once a count passes the cap, so no cell exceeds cap + 1.
+        cap = min(proxy.max_visits, horizon + 1)
+        dtype = np.min_scalar_type(cap + 1)
+    else:
+        dtype = np.bool_
     window_start = 0 if revisit else max(0, horizon - proxy.window + 1)
     hits = 0
     done = 0
@@ -312,31 +319,37 @@ def _vector_estimate(chain: VectorChain, s0: StateId, horizon, runs, proxy, seed
     while done < runs:
         n = min(batch, runs - done)
         rng = np.random.default_rng(derive_seed(seed, "vec", index))
-        # Flat (run, ordinal) table: visit counts, or FreshTail's
-        # visited-before-the-window marks; row r starts at r * bound.
+        # Flat (ordinal, run) table of visit counts, or of FreshTail's
+        # visited-before-the-window marks: cell o * n + r.  Ordinal-major, so
+        # that when the live runs occupy a band of nearby ordinals (every
+        # chain here), one step's cells share one narrow band of the table
+        # instead of one page per run.
         table = np.zeros(n * bound, dtype=dtype)
         live = np.arange(n)
-        row = live * bound
         pos = np.full(n, s0.ordinal, dtype=np.int64)
-        table[row + pos] = 1
+        table[s0.ordinal * n:(s0.ordinal + 1) * n] = 1
         u = np.empty(n)
         for step in range(horizon):
             rng.random(out=u)
             pos = chain.step(pos, u if len(live) == n else u[live])
-            cell = row + pos
+            cell = pos * n
+            cell += live
             if revisit:
                 c = table[cell] + 1
                 table[cell] = c
-                keep = c <= proxy.max_visits
+                if c.max() <= cap:
+                    continue
+                keep = c <= cap
             elif step + 1 < window_start:
                 table[cell] = True
                 continue
             else:
                 keep = ~table[cell]
-            if not keep.all():
-                live, row, pos = live[keep], row[keep], pos[keep]
-                if len(live) == 0:
-                    break
+                if keep.all():
+                    continue
+            live, pos = live[keep], pos[keep]
+            if len(live) == 0:
+                break
         hits += len(live)
         done += n
         index += 1

@@ -262,6 +262,7 @@ SOLVE = {"kind": "solve", "objective": {"type": "reach", "states": [0]}, "state"
         (GADGET, {**SOLVE, "state": 2.7}),
         (GADGET, {**SOLVE, "state": "3"}),
         ({"file": "finite.json"}, {**SOLVE, "state": True}),
+        (GADGET, {"kind": "simulate", "state": 0, "horizon": -4}),
     ],
     ids=["missing_mdp_file", "malformed_mdp_file", "zero_runs", "horizon_within_window",
          "non_numeric_objective_state", "non_numeric_epsilon", "mdp_not_an_object",
@@ -272,7 +273,7 @@ SOLVE = {"kind": "solve", "objective": {"type": "reach", "states": [0]}, "state"
          "label_prefix_not_a_string", "solve_transience", "radii_not_a_list", "empty_radii",
          "infinite_radius", "negative_gadget_state", "solve_negative_gadget_state",
          "ordinal_not_a_gadget_state", "fractional_gadget_state", "string_gadget_state",
-         "boolean_file_state"],
+         "boolean_file_state", "negative_horizon"],
 )
 def test_bad_scenario_input_is_a_scenario_error(tmp_path, capsys, mdp, task):
     (tmp_path / "broken.json").write_text('{"states": [')

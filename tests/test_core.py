@@ -375,6 +375,22 @@ def test_vector_engine_matches_reference_across_batches(family, proxy):
     assert _vector_estimate(chain, s0, 100, 150, proxy, 4) == want
 
 
+def test_an_oversized_revisit_cap_allocates_no_object_table(monkeypatch):
+    # No count passes horizon + 1, so a cap of 2**64 must not size the table
+    # by itself: min_scalar_type(2**64 + 1) is object, 8-byte boxed cells.
+    chain = gamblers_ruin(0.55)[0].vector_chain()
+    horizon, dtypes, zeros = 300, [], np.zeros
+
+    def recording(shape, dtype=float, *args, **kwargs):
+        dtypes.append(np.dtype(dtype))
+        return zeros(shape, dtype, *args, **kwargs)
+
+    monkeypatch.setattr(np, "zeros", recording)
+    hits = _vector_estimate(chain, w(0), horizon, 120, RevisitCap(2**64), 9)
+    assert dtypes and object not in dtypes
+    assert hits == _vector_estimate(chain, w(0), horizon, 120, RevisitCap(horizon + 1), 9)
+
+
 def test_vector_engine_refuses_a_start_outside_its_table():
     chain = gamblers_ruin(0.7)[0].vector_chain()
     with pytest.raises(BadParameter, match="outside"):

@@ -21,7 +21,8 @@ from transientmdp import Distribution, LazyMdp, Objective, StateId, StateKind
 from transientmdp import core, solvers, transforms
 from transientmdp.cli import main as cli_main
 from transientmdp.core import InfiniteSuccessors, successor_states
-from transientmdp.gadgets import geometric_fan, safety_fan, transience_fan
+from transientmdp.gadgets import gamblers_ruin, geometric_fan, safety_fan, transience_fan
+from transientmdp.simulate import FreshTail, RevisitCap, _vector_estimate
 from transientmdp.solvers import (
     BoundedRewardSpec,
     CostLabel,
@@ -39,6 +40,8 @@ from transientmdp.solvers import (
 from transientmdp.synthesis import plastering_uniformize
 from transientmdp.transforms import INFINITE_CHAIN, conditioned
 from transientmdp.verify import random_finite_mdp, win_objective
+
+from test_core import _reference_vector_hits
 
 SEEDS = st.integers(min_value=0, max_value=10_000)
 SIZES = st.integers(min_value=3, max_value=9)
@@ -457,3 +460,35 @@ def test_cli_run_never_raises_an_untyped_exception(kind, mdp, state, objective, 
             code = cli_main(["--out-dir", out, "run", str(scenario)])
     assert code == 0 or (code == 1 and err.getvalue().startswith("scenario error: ")), (
         code, err.getvalue())
+
+
+@st.composite
+def _vector_cases(draw):
+    horizon = draw(st.integers(min_value=2, max_value=150))
+    proxy = draw(st.one_of(
+        st.builds(RevisitCap, st.one_of(
+            st.sampled_from([0, 1, 2, 254, 255]),
+            st.integers(min_value=horizon + 1, max_value=horizon + 300))),
+        st.builds(FreshTail, st.integers(min_value=1, max_value=horizon - 1)),
+    ))
+    return horizon, proxy
+
+
+@PROPERTY
+@given(
+    p=st.floats(min_value=0.05, max_value=0.95),
+    case=_vector_cases(),
+    runs=st.integers(min_value=1, max_value=200),
+    start=st.integers(min_value=10**6 - 500, max_value=10**6 + 500),
+    seed=SEEDS,
+)
+def test_ordinal_major_vector_engine_matches_the_run_major_reference(p, case, runs, start,
+                                                                      seed):
+    # From ordinal ~10^6 a batch holds 63 or 64 runs, so runs retire while the
+    # rest of their batch steps on; a cell whose stride ignored the batch
+    # width would land on another (ordinal, run).
+    horizon, proxy = case
+    chain, s0 = gamblers_ruin(p)[0].vector_chain(), StateId(start)
+    want = _reference_vector_hits(chain.step, chain.ordinal_bound, s0, horizon, runs, proxy,
+                                  seed)
+    assert _vector_estimate(chain, s0, horizon, runs, proxy, seed) == want
