@@ -21,7 +21,6 @@ from .gadgets import REGISTRY, build_gadget
 from .simulate import FreshTail, RevisitCap, derive_seed, estimate_transience
 from .solvers import interval_value, reach_value, safety_value
 from .synthesis import (
-    BubbleSchedule,
     SafetySchedule,
     TransienceBudgets,
     buchi_transience_one_bit,
@@ -74,10 +73,13 @@ def _parse_objective(doc: dict) -> Objective:
 
 def _parse_proxy(doc: dict | None):
     doc = _object(doc or {"type": "revisit_cap", "max_visits": 30}, "proxy")
-    if doc.get("type") == "revisit_cap":
-        return RevisitCap(_number(int, doc.get("max_visits", 30), "max_visits"))
-    if doc.get("type") == "fresh_tail":
-        return FreshTail(_number(int, _field(doc, "window", "fresh_tail proxy"), "window"))
+    try:
+        if doc.get("type") == "revisit_cap":
+            return RevisitCap(_number(int, doc.get("max_visits", 30), "max_visits"))
+        if doc.get("type") == "fresh_tail":
+            return FreshTail(_number(int, _field(doc, "window", "fresh_tail proxy"), "window"))
+    except BadParameter as exc:
+        raise ScenarioError(str(exc)) from exc
     raise ScenarioError(f"unknown proxy {doc.get('type')!r}")
 
 
@@ -207,10 +209,7 @@ def _task_synthesize(doc, task, master, out_dir, base) -> int:
     epsilon = _number(float, task.get("epsilon", 0.1), "epsilon")
     if method == "transience_md":
         s0 = _state(mdp, meta, _field(task, "state", "task"))
-        budgets = TransienceBudgets(
-            radius=_number(int, task.get("radius", 40), "radius"),
-            seed=derive_seed(master, "syn"),
-        )
+        budgets = TransienceBudgets(radius=_number(int, task.get("radius", 40), "radius"))
         sigma, partition = transience_md(mdp, s0, epsilon, budgets=budgets)
         _write_json(out_dir, "strategy.json", sigma.to_json())
         attained, half = _estimate(
@@ -235,8 +234,7 @@ def _task_synthesize(doc, task, master, out_dir, base) -> int:
         s0 = _state(mdp, meta, _field(task, "state", "task"))
         goal = _parse_objective(_field(task, "objective", "task"))
         goal_set = goal.predicate or goal.states
-        schedule = BubbleSchedule(seed=derive_seed(master, "bubble"))
-        strategy, plan = buchi_transience_one_bit(mdp, [s0], goal_set, epsilon, schedule)
+        strategy, plan = buchi_transience_one_bit(mdp, [s0], goal_set, epsilon)
         fm = truncate(mdp, [s0], plan.levels[-1].k + 1)
         _write_json(out_dir, "strategy.json", one_bit_tables(strategy, fm))
         path = _write_json(out_dir, "bubble_plan.json", plan.to_json())

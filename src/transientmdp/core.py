@@ -635,6 +635,7 @@ def truncate(
     roots: Iterable[StateId],
     radius: int,
     frontier: str = PESSIMISTIC,
+    layers: _Layers | None = None,
 ) -> FiniteMdp:
     """Finite restriction of ``mdp`` to the radius-``radius`` bubble around
     ``roots``.  Random mass leaving the bubble is lumped, in support order,
@@ -651,11 +652,13 @@ def truncate(
     last, successors in oracle order.  A state with no edge leaving the
     bubble keeps the oracle's own successor object.  The checks of
     ``FiniteMdp.validate`` run on each oracle answer, with its exception
-    types.
+    types.  A caller that already searched from ``roots`` may pass its
+    ``layers``, which are grown as far as needed instead of searched again.
     """
     if frontier not in (OPTIMISTIC, PESSIMISTIC):
         raise ValueError(f"unknown frontier policy {frontier!r}")
-    layers = _Layers(mdp, roots)
+    if layers is None:
+        layers = _Layers(mdp, roots)
     layers.grow(radius + 1)  # asks the states of layer ``radius`` too
     n = layers.end(radius)
     order, answers, targets = layers.order, layers.answers, layers.targets

@@ -7,10 +7,8 @@ from the batch seed and the run index, so results never depend on scheduling.
 Every per-run estimate goes through one stepper, ``_walk``.  It resolves the
 strategy to a memory machine once per run and reads each state's kind and
 successors from a table that the runs of one estimator call share, so each
-state's oracles are asked once per call.  The sampling loop of the bubble
-1-bit construction calls ``_walk`` directly, with one table for the loop.
-Markov chains with a vectorized step model run on the numpy engine
-``_vector_estimate`` instead.
+state's oracles are asked once per call.  Markov chains with a vectorized
+step model run on the numpy engine ``_vector_estimate`` instead.
 
 Transience is a tail event, so no finite-horizon predicate equals it; the two
 proxies here (FreshTail, RevisitCap) are labeled estimators, not certificates.
@@ -59,6 +57,10 @@ class FreshTail:
 
     window: int
 
+    def __post_init__(self):
+        if self.window < 0:
+            raise BadParameter(f"fresh-tail window must be non-negative, got {self.window}")
+
 
 @dataclass(frozen=True)
 class RevisitCap:
@@ -66,6 +68,10 @@ class RevisitCap:
     visits."""
 
     max_visits: int
+
+    def __post_init__(self):
+        if self.max_visits < 0:
+            raise BadParameter(f"max_visits must be non-negative, got {self.max_visits}")
 
 
 def _controller(mdp: Mdp, strategy, table):

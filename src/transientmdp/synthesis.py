@@ -18,12 +18,13 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import ClassVar, Iterable, Sequence
+
+import numpy as np
 
 from .core import (
     Distribution,
     FiniteMdp,
-    GeneralStrategy,
     InfiniteSuccessors,
     LazyMdp,
     MdStrategy,
@@ -35,7 +36,6 @@ from .core import (
     _Layers,
     _absorb,
     _backward_reach,
-    bubble,
     mint,
     require_tail,
     successor_states,
@@ -50,7 +50,6 @@ from .errors import (
     NotUniversallyTransient,
     RadiusExhausted,
 )
-from .simulate import _walk, derive_seed
 from .solvers import (
     BoundedRewardSpec,
     CostLabel,
@@ -255,17 +254,29 @@ class BubbleLevel:
     L: set[StateId]
     F: set[StateId]
     epsilon_i: float
-    residual_far_goal: float  # observed P(no F_i visit within k_i)
-    residual_late_return: float  # observed P(K_i visited at time >= l_i)
+    residual_far_goal: float  # exact P(no F_i visit within k_i steps, untrapped)
+    residual_late_return: float  # exact P(a K_i visit at a step in [l_i, H], untrapped)
 
 
 @dataclass
 class BubblePlan:
+    """The levels of a 1-bit plan and how their residuals were measured.
+
+    The residuals are exact probabilities under the uniform ``reference``
+    chain, conditioned by one rule: the mass that enters a state unable to
+    reach the boundary of the explored region is dropped.  Such a state lies
+    in a finite closed set, where every run fails Transience, so each
+    residual is P(event and not yet trapped), an upper bound on P(event and
+    objective).  ``horizon`` is the H of the late-return residuals."""
+
     levels: list[BubbleLevel]
     epsilon: float
-    reference: str
     reward_depth: int
+    horizon: int
     capped: bool = False
+    reference: ClassVar[str] = "uniform"
+    conditioning: ClassVar[str] = "trapped mass dropped"
+    residuals: ClassVar[str] = "exact"
 
     def level_of(self, s: StateId) -> int | None:
         for lv in self.levels:
@@ -277,6 +288,9 @@ class BubblePlan:
         return {
             "epsilon": self.epsilon,
             "reference": self.reference,
+            "conditioning": self.conditioning,
+            "residuals": self.residuals,
+            "horizon": self.horizon,
             "reward_depth": self.reward_depth,
             "capped": self.capped,
             "levels": [
@@ -298,31 +312,34 @@ class BubblePlan:
 
 @dataclass
 class BubbleSchedule:
+    """Budgets of the 1-bit plan: at most ``max_levels`` levels with radii up
+    to ``max_radius``, late returns counted up to the horizon H =
+    ``mc_horizon``, and goal-frontier rewards looked ahead ``reward_depth``
+    levels.  ``mc_runs``, ``proxy_visits`` and ``seed`` are inert: the plan
+    samples nothing, and callers may still pass them."""
+
     max_levels: int = 3
     max_radius: int = 96
     mc_runs: int = 160
     mc_horizon: int = 1600
     reward_depth: int = 3
-    proxy_visits: int = 20  # revisit cap classifying reference runs as transient
+    proxy_visits: int = 20
     seed: int = 0
 
-
-def _uniform_reference(mdp: Mdp) -> GeneralStrategy:
-    """Uniform choice among a controlled state's successors, geometric over
-    the first 8 of an infinite family; one distribution per state ordinal."""
-    dists: dict[int, Distribution] = {}
-
-    def decide(run: Sequence[StateId]) -> Distribution:
-        here = run[-1]
-        dist = dists.get(here.ordinal)
-        if dist is None:
-            dist = dists[here.ordinal] = _uniform_over(mdp.successors_of(here))
-        return dist
-
-    return GeneralStrategy(decide)
+    @property
+    def region_radius(self) -> int:
+        """The radius the plan explores.  A run of k steps stays within
+        radius k, and one at radius d by step t cannot return to K_i
+        (radius k_i <= max_radius) before step t + d - k_i; so beyond
+        max(max_radius, (H + max_radius) // 2) no state changes a residual,
+        and the next layer is the region's boundary."""
+        m = self.max_radius
+        return max(m, (self.mc_horizon + m) // 2) + 1
 
 
 def _uniform_over(succ) -> Distribution:
+    """Uniform choice among a controlled state's successors, geometric over
+    the first 8 of an infinite family."""
     if isinstance(succ, InfiniteSuccessors):
         # geometric over the enumeration; finite-support surrogate
         states = list(itertools.islice(succ.iter_states(), 8))
@@ -333,144 +350,178 @@ def _uniform_over(succ) -> Distribution:
     return Distribution([(t, 1.0 / len(states)) for t in states], check=False)
 
 
+class _ReferenceChain:
+    """The uniform reference chain on the index form of ``layers`` grown to
+    ``radius``: a controlled state moves by ``_uniform_over`` its successors,
+    a random state by its Distribution.  The edges of the states within
+    ``radius - 1`` are kept as (row, col, prob) arrays in row order; the
+    states of layer ``radius`` are the boundary and have no edges.  An edge
+    into a trapped state, one that reaches no boundary state, carries
+    probability 0, so the mass that enters it is dropped.
+
+    A distribution after t steps lives on the states within t steps, a prefix
+    of ``layers.order``; ``ends[d]`` is that prefix's length and ``edge_end[d]``
+    the number of edges leaving it."""
+
+    def __init__(self, layers: _Layers, initial: Sequence[StateId], radius: int):
+        self.ends = [layers.end(d) for d in range(radius + 1)]
+        n_rows, n = self.ends[radius - 1], self.ends[radius]
+        rows, cols, probs, edge_end = [], [], [], [0]
+        for i in range(n_rows):
+            answer, targets = layers.answers[i], layers.targets[i]
+            dist = answer if isinstance(answer, Distribution) else _uniform_over(answer)
+            rows.extend([i] * len(targets))
+            cols.extend(targets)
+            probs.extend(p for _, p in dist)
+            edge_end.append(len(cols))
+        self.edge_end = [edge_end[e] for e in self.ends[:radius]]
+        reaching = _backward_reach(dict(enumerate(layers.targets[:n_rows])), range(n_rows, n))
+        untrapped = np.zeros(n, dtype=bool)
+        untrapped[list(reaching)] = True
+        self.rows = np.array(rows, dtype=np.intp)
+        self.cols = np.array(cols, dtype=np.intp)
+        self.probs = np.array(probs) * untrapped[self.cols]
+        start = np.zeros(self.ends[0])
+        for s in initial:
+            start[layers.ids[s]] += 1.0 / len(initial)
+        self.occupancy = [start * untrapped[:self.ends[0]]]
+        self.n = n
+
+    def push(self, x: np.ndarray, d: int) -> np.ndarray:
+        """One step forward of the mass ``x`` on the states within ``d``
+        steps."""
+        e = self.edge_end[d]
+        return np.bincount(self.cols[:e], self.probs[:e] * x[self.rows[:e]], self.ends[d + 1])
+
+    def pull(self, h: np.ndarray, d: int) -> np.ndarray:
+        """The expectation of ``h`` one step ahead, for the states within
+        ``d`` steps."""
+        e = self.edge_end[d]
+        return np.bincount(self.rows[:e], self.probs[:e] * h[self.cols[:e]], self.ends[d])
+
+    def at(self, t: int) -> np.ndarray:
+        """The untrapped mass after ``t`` steps."""
+        occ = self.occupancy
+        while len(occ) <= t:
+            occ.append(self.push(occ[-1], len(occ) - 1))
+        return occ[t]
+
+    def far(self, absorbing: np.ndarray, k: int) -> list[float]:
+        """far(j) for j <= k: the untrapped mass that has not entered an
+        ``absorbing`` state within j steps."""
+        x = self.at(0) * ~absorbing[:self.ends[0]]
+        out = [x.sum()]
+        for d in range(k):
+            x = self.push(x, d)
+            x[absorbing[:len(x)]] = 0.0
+            out.append(x.sum())
+        return out
+
+    def late(self, k: int, horizon: int, top: int) -> np.ndarray:
+        """late(l) for l <= ``top``: the untrapped mass that visits the
+        states within ``k`` steps at some step in [l, horizon].  One backward
+        pass: h_t(s) is the chance from s at step t of such a visit by the
+        horizon.  It is computed only on the states within min(t, k +
+        horizon - t) steps: no mass sits further out at step t, and from
+        further out the states within k steps are out of reach by the
+        horizon, so h_t is exactly 0 there."""
+        late = np.zeros(top + 1)
+        end_k = self.ends[k]
+        h = np.zeros(self.n)
+        h[:end_k] = 1.0
+        for t in range(horizon, k, -1):
+            if t < horizon:
+                d = min(t, k + horizon - t)
+                h[:self.ends[d]] = self.pull(h, d)
+                h[:end_k] = 1.0
+            if t <= top:
+                late[t] = self.at(t) @ h[:self.ends[t]]
+        return late
+
+
 def buchi_transience_one_bit(
     mdp: Mdp,
     initial: Iterable[StateId],
     goal,
     epsilon: float,
     schedule: BubbleSchedule | None = None,
-    reference: GeneralStrategy | None = None,
 ) -> tuple[OneBitStrategy, BubblePlan]:
     """Deterministic 1-bit strategy for Buechi(goal) intersected with
     Transience, assembled from per-level bounded-reward MD strategies.
 
-    The level radii are chosen empirically: sampled runs under a reference
-    strategy must put the residual events (goal frontier not hit within k_i;
-    the level bubble revisited at or after l_i) below the level budget
-    eps_i = eps 2^{-(i+1)}, with the schedule capping the search.  Goal
-    frontier rewards approximate the value of the remaining pattern suffix by
-    a depth-limited optimistic recursion; both approximations are recorded in
-    the plan.
+    Level i takes the smallest radius k_i past l_{i-1} whose residual far
+    event (no visit to a goal state outside L_{i-1} within k_i steps) is at
+    most the level budget eps_i = eps 2^{-(i+1)}, then the smallest l_i past
+    k_i whose late event (a visit to K_i at some step in [l_i, H]) is too,
+    with the schedule capping both.  The residuals are exact under the
+    uniform reference chain started uniformly on ``initial``, with trapped
+    mass dropped (see ``BubblePlan``).  Goal frontier rewards approximate the
+    value of the remaining pattern suffix by a depth-limited optimistic
+    recursion, recorded as ``reward_depth``.
     """
     initial = sorted(set(initial))
     if not initial:
         raise ValueError("need at least one initial state")
     goal_pred = goal if callable(goal) else (lambda s, gs=frozenset(goal): s in gs)
-    schedule = schedule or BubbleSchedule()
-    ref_name = "supplied"
-    if reference is None:
-        reference = _uniform_reference(mdp)
-        ref_name = "uniform"
+    return _one_bit_on(_Layers(mdp, initial), initial, goal_pred, epsilon,
+                       schedule or BubbleSchedule())
 
-    # Sampled reference runs drive the radius search.  The residual events
-    # being budgeted are intersections with the objective, so only runs the
-    # transience proxy classifies as candidate satisfying runs count against
-    # the budgets (a trap-absorbed run visits no fresh states and never
-    # satisfies the objective).  Run 0 is sampled even with no run budget:
-    # it stands in when no run qualifies.
-    table = {}
-    runs = []
-    for i in range(max(schedule.mc_runs, 1)):
-        run, counts, _ = _walk(
-            mdp, initial[i % len(initial)], reference, schedule.mc_horizon,
-            derive_seed(schedule.seed, "bubble", i), math.inf, table,
-        )
-        if i == 0:
-            first = run
-        if max(counts.values()) - 1 < schedule.proxy_visits and (
-            callable(goal) or any(goal_pred(s) for s in run)
-        ):
-            runs.append(run)
-    if not runs:
-        runs = [first]
+
+def _one_bit_on(layers: _Layers, initial: list[StateId], goal_pred, epsilon: float,
+                schedule: BubbleSchedule) -> tuple[OneBitStrategy, BubblePlan]:
+    """``buchi_transience_one_bit`` on the search ``layers`` from ``initial``,
+    which it grows to the schedule's region and reuses for its truncation."""
+    top = schedule.max_radius
+    chain = _ReferenceChain(layers, initial, schedule.region_radius)
+    goal_at = np.array([bool(goal_pred(s)) for s in layers.order[:chain.ends[top]]])
 
     levels: list[BubbleLevel] = []
     capped = False
     l_prev = 0
     # F_1 = goal ∩ K_1 with no subtraction; only F_{i+1} removes L_i.
-    L_prev: set[StateId] = set()
-    layers = _Layers(mdp, initial)
+    inside = 0  # L_{i-1} is the first ``inside`` states of ``layers.order``
     for i in range(1, schedule.max_levels + 1):
         eps_i = epsilon * 2.0 ** -(i + 1)
-        if l_prev >= schedule.max_radius:
+        if l_prev >= top:
             capped = True
             break
-        k_i, K_i, F_i, far = _grow_goal_radius(
-            layers, goal_pred, L_prev, l_prev, runs, eps_i, schedule
-        )
-        if F_i is None:
+        fresh = goal_at.copy()
+        fresh[:inside] = False
+        first = np.flatnonzero(fresh)
+        if not first.size:
             if i == 1:
                 # No goal state reachable within the whole schedule: value
                 # evidence that the objective has value 0 from the roots.
-                raise EmptyFrontier(
-                    f"goal frontier empty at radius {schedule.max_radius}"
-                )
+                raise EmptyFrontier(f"goal frontier empty at radius {top}")
             capped = True
             break
-        l_i, L_i, late = _grow_quiet_radius(layers, K_i, k_i, runs, eps_i, schedule)
-        capped = capped or far > eps_i or late > eps_i
-        levels.append(
-            BubbleLevel(i, k_i, l_i, K_i, L_i, F_i, eps_i, far, late)
-        )
-        l_prev, L_prev = l_i, L_i
+        # k_i: the first radius past l_prev with a fresh goal state within it
+        # and far(k_i) <= eps_i, or the largest radius
+        far = chain.far(fresh, top)
+        k_i = max(l_prev + 1, next(d for d, e in enumerate(chain.ends) if e > first[0]))
+        while k_i < top and far[k_i] > eps_i:
+            k_i += 1
+        late = chain.late(k_i, schedule.mc_horizon, top + 1)
+        l_i = k_i + 1
+        while l_i < top and late[l_i] > eps_i:
+            l_i += 1
+        F_i = {layers.order[j] for j in first if j < chain.ends[k_i]}
+        level = BubbleLevel(i, k_i, l_i, layers.within(k_i), layers.within(l_i), F_i, eps_i,
+                            float(far[k_i]), float(late[l_i]))
+        capped = capped or level.residual_far_goal > eps_i or level.residual_late_return > eps_i
+        levels.append(level)
+        l_prev, inside = l_i, chain.ends[l_i]
 
-    plan = BubblePlan(
-        levels=levels,
-        epsilon=epsilon,
-        reference=ref_name,
-        reward_depth=schedule.reward_depth,
-        capped=capped,
-    )
-
-    strategy = _assemble_one_bit(mdp, initial, plan, schedule)
+    plan = BubblePlan(levels, epsilon, schedule.reward_depth, schedule.mc_horizon, capped)
+    strategy = _assemble_one_bit(layers, initial, plan, schedule)
     return strategy, plan
 
 
-def _half_width(frac: float, runs: int) -> float:
-    """Normal-approximation 95% half-width of a fraction over ``runs`` runs,
-    with the variance floored at 1e-9 so that it stays positive at 0 and 1."""
-    return 1.96 * math.sqrt(max(frac * (1 - frac), 1e-9) / runs)
-
-
-def _grow_goal_radius(layers: _Layers, goal_pred, L_prev, l_prev, runs, eps_i, schedule):
-    # Each run's first visit to a goal state outside L_prev; a run misses
-    # radius k when that visit comes after step k.
-    first_goal = [
-        next((t for t, s in enumerate(run) if goal_pred(s) and s not in L_prev), math.inf)
-        for run in runs
-    ]
-    F = set()  # the goal states outside L_prev within radius k
-    for k in range(schedule.max_radius + 1):
-        F.update(s for s in layers.layer(k) if goal_pred(s) and s not in L_prev)
-        if k > l_prev and F:
-            frac = sum(1 for t in first_goal if t > k) / len(runs)
-            if frac + _half_width(frac, len(runs)) <= eps_i or k == schedule.max_radius:
-                return k, layers.within(k), F, frac
-    return schedule.max_radius, None, None, 1.0
-
-
-def _grow_quiet_radius(layers: _Layers, K_i, k_i, runs, eps_i, schedule):
-    last_visit = []
-    for run in runs:
-        last = -1
-        for t, s in enumerate(run):
-            if s in K_i:
-                last = t
-        last_visit.append(last)
-    l = k_i + 1
-    while l < schedule.max_radius:
-        frac = sum(1 for t in last_visit if t >= l) / len(runs)
-        if frac + _half_width(frac, len(runs)) <= eps_i:
-            break
-        l += 1
-    frac = sum(1 for t in last_visit if t >= l) / len(runs)
-    return l, layers.within(l), frac
-
-
-def _assemble_one_bit(mdp, initial, plan: BubblePlan, schedule: BubbleSchedule):
+def _assemble_one_bit(layers: _Layers, initial, plan: BubblePlan, schedule: BubbleSchedule):
+    mdp = layers.mdp
     levels = plan.levels
     top_k = levels[-1].k + 1
-    fm = truncate(mdp, initial, top_k)
+    fm = truncate(mdp, initial, top_k, layers=layers)
 
     # For subspace and pattern purposes both K_0 and K_{-1} are empty: the
     # two-levels-back avoidance starts at level 3 (avoiding K_1), so the
@@ -624,7 +675,9 @@ class GoodBadPartition:
 
 @dataclass
 class TransienceBudgets:
-    """``mc_runs`` and ``mc_horizon`` are unused; callers may still pass them."""
+    """Budgets of ``transience_md``: the truncation ``radius`` and the
+    schedule of its 1-bit plan.  ``mc_runs``, ``mc_horizon`` and ``seed``
+    are inert, since nothing is sampled; callers may still pass them."""
 
     radius: int = 40
     mc_runs: int = 240
@@ -647,24 +700,22 @@ def transience_md(
     (graph-trapped in the truncation bubble), make them losing sinks, repair
     memory modes, solve the expected visits and the attainment exactly on
     the (mode, state) product chain, label edges with costs, and extract the
-    min-expected-cost MD policy.  ``budgets.seed`` matters only through the
-    1-bit schedule it seeds.
+    min-expected-cost MD policy.  Every step is exact, so the result
+    depends on no seed.
     """
     budgets = budgets or TransienceBudgets()
     params = SynthesisParams(epsilon)
-    schedule = budgets.one_bit_schedule or BubbleSchedule(
-        seed=derive_seed(budgets.seed, "one-bit")
-    )
-    maps = _reduction_if_needed(mdp, s0, max(budgets.radius, schedule.max_radius))
+    schedule = budgets.one_bit_schedule or BubbleSchedule()
+    maps, layers = _reduction_if_needed(mdp, s0, max(budgets.radius, schedule.region_radius))
     work = maps.reduced
     root = maps.embed(s0)
 
     if one_bit is None:
-        one_bit, _ = buchi_transience_one_bit(
-            work, [root], lambda s: True, params.epsilon_prime, schedule
+        one_bit, _ = _one_bit_on(
+            layers, [root], lambda s: True, params.epsilon_prime, schedule
         )
 
-    fm = truncate(work, {root}, budgets.radius)
+    fm = truncate(work, {root}, budgets.radius, layers=layers)
     cm, frontier = fm.compiled, fm.frontier
     states = cm.states
     f = cm.index.get(frontier)  # None when nothing leaves the bubble
@@ -744,12 +795,16 @@ def transience_md(
 
 def _reduction_if_needed(mdp: Mdp, s0: StateId, probe_radius: int):
     """Reduce only when infinite branching is actually reachable within the
-    working radius; otherwise the identity keeps original state ids."""
+    working radius; otherwise the identity keeps original state ids.  Also
+    returns the breadth-first search from the working root, for the caller
+    to grow and reuse: the probe's own when nothing was reduced."""
+    layers = _Layers(mdp, [s0])
     try:
-        bubble(mdp, {s0}, probe_radius)
+        layers.grow(probe_radius)
     except InfiniteBranching:
-        return reduce_to_finitely_branching(mdp)
-    return _identity_reduction(mdp)
+        maps = reduce_to_finitely_branching(mdp)
+        return maps, _Layers(maps.reduced, [maps.embed(s0)])
+    return _identity_reduction(mdp), layers
 
 
 def _one_bit_product(fm: FiniteMdp, one_bit: OneBitStrategy) -> list[list[tuple[int, float]]]:

@@ -327,7 +327,15 @@ def reduce_to_finitely_branching(mdp: Mdp, ladder_cap: int = 1000) -> ReductionM
         return GeneralStrategy(decide)
 
     def lower(beta: MdStrategy) -> MdStrategy:
-        return _LoweredMdStrategy(reduced, beta, ladder_cap)
+        # A fresh view knows only the embedded states that beta's choices
+        # name, not every state its callers explored on ``reduced``; the
+        # lowered strategy mints again what its ladder traces need.
+        view = _ReducedMdp(mdp)
+        for rs in (*beta.choice, *beta.choice.values()):
+            orig = reduced.original(rs)
+            if orig is not None:
+                view._orig_of[rs] = orig
+        return _LoweredMdStrategy(view, beta, ladder_cap)
 
     return ReductionMaps(
         base=mdp,

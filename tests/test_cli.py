@@ -263,6 +263,12 @@ SOLVE = {"kind": "solve", "objective": {"type": "reach", "states": [0]}, "state"
         (GADGET, {**SOLVE, "state": "3"}),
         ({"file": "finite.json"}, {**SOLVE, "state": True}),
         (GADGET, {"kind": "simulate", "state": 0, "horizon": -4}),
+        ({"gadget": "gamblers_ruin", "params": {"p": 0.3}},
+         {"kind": "simulate", "state": 0, "horizon": 50, "runs": 20,
+          "proxy": {"type": "fresh_tail", "window": -5}}),
+        ({"gadget": "gamblers_ruin", "params": {"p": 0.9}},
+         {"kind": "simulate", "state": 0, "horizon": 50, "runs": 20,
+          "proxy": {"type": "revisit_cap", "max_visits": -3}}),
     ],
     ids=["missing_mdp_file", "malformed_mdp_file", "zero_runs", "horizon_within_window",
          "non_numeric_objective_state", "non_numeric_epsilon", "mdp_not_an_object",
@@ -273,7 +279,8 @@ SOLVE = {"kind": "solve", "objective": {"type": "reach", "states": [0]}, "state"
          "label_prefix_not_a_string", "solve_transience", "radii_not_a_list", "empty_radii",
          "infinite_radius", "negative_gadget_state", "solve_negative_gadget_state",
          "ordinal_not_a_gadget_state", "fractional_gadget_state", "string_gadget_state",
-         "boolean_file_state", "negative_horizon"],
+         "boolean_file_state", "negative_horizon", "negative_fresh_tail_window",
+         "negative_max_visits"],
 )
 def test_bad_scenario_input_is_a_scenario_error(tmp_path, capsys, mdp, task):
     (tmp_path / "broken.json").write_text('{"states": [')

@@ -397,6 +397,17 @@ def test_vector_engine_refuses_a_start_outside_its_table():
         _vector_estimate(chain, StateId(-1), 100, 10, RevisitCap(5), 1)
 
 
+@pytest.mark.parametrize("p, proxy", [(0.3, lambda: FreshTail(-5)),
+                                      (0.9, lambda: RevisitCap(-3))],
+                         ids=["fresh_tail_window", "revisit_cap"])
+def test_negative_proxy_parameter_is_refused(p, proxy):
+    # A negative window marked every step and read the recurrent walk as
+    # transient (1.0); a negative cap read the transient walk as recurrent.
+    mdp, _ = gamblers_ruin(p)
+    with pytest.raises(BadParameter, match="non-negative"):
+        estimate_transience(mdp, w(0), None, 50, 20, proxy(), seed=1)
+
+
 def test_recurrent_walk_mean_visits_grow():
     from transientmdp.simulate import mean_visits
 

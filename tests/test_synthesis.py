@@ -2,8 +2,6 @@ import hashlib
 import importlib
 import itertools
 import json
-import sys
-from collections import Counter
 
 import pytest
 
@@ -17,7 +15,7 @@ from transientmdp import (
 )
 from transientmdp import synthesis
 from transientmdp.cli import main as cli_main
-from transientmdp.core import InfiniteSuccessors, successor_states, truncate
+from transientmdp.core import InfiniteSuccessors, bubble, successor_states, truncate
 from transientmdp.errors import (
     EmptyFrontier,
     NotUniversallyTransient,
@@ -60,6 +58,7 @@ from transientmdp.synthesis import (
     safety_md_universally_transient,
     transience_md,
 )
+from transientmdp.transforms import reduce_to_finitely_branching
 from transientmdp.verify import (
     random_finite_mdp,
     random_transient_core_mdp,
@@ -343,6 +342,105 @@ def test_pattern_match_and_violations():
     assert conformant >= 30  # the drift walk conforms almost always
 
 
+def _dict_reference(mdp, roots):
+    """The uniform reference chain by plain dicts: ``start`` and ``step``
+    move a {state: mass} map, dropping the mass that enters a trapped state,
+    one whose forward closure is a finite closed set (up to 500 states)."""
+    untrapped = set()
+
+    def trapped(s):
+        seen, todo = {s}, [s]
+        while todo:
+            here = todo.pop()
+            if here in untrapped or len(seen) > 500:
+                untrapped.add(s)
+                return False
+            for t in successor_states(mdp, here):
+                if t not in seen:
+                    seen.add(t)
+                    todo.append(t)
+        return True
+
+    def step(dist):
+        nxt = {}
+        for s, mass in dist.items():
+            succ = mdp.successors_of(s)
+            if not isinstance(succ, Distribution):
+                succ = [(t, 1.0 / len(succ)) for t in succ]
+            for t, p in succ:
+                if not trapped(t):
+                    nxt[t] = nxt.get(t, 0.0) + mass * p
+        return nxt
+
+    start = {}
+    for r in roots:
+        if not trapped(r):
+            start[r] = start.get(r, 0.0) + 1.0 / len(roots)
+    return start, step
+
+
+def _dict_far(start, step, fresh, k):
+    """[far(0), ..., far(k)]: the mass not yet at a ``fresh`` state."""
+    dist = {s: m for s, m in start.items() if not fresh(s)}
+    out = [sum(dist.values())]
+    for _ in range(k):
+        dist = {s: m for s, m in step(dist).items() if not fresh(s)}
+        out.append(sum(dist.values()))
+    return out
+
+
+def _dict_late(start, step, K, l, horizon):
+    """The mass that visits ``K`` at some step in [l, horizon]."""
+    dist, hit = start, 0.0
+    for t in range(horizon + 1):
+        if t >= l:
+            hit += sum(m for s, m in dist.items() if s in K)
+            dist = {s: m for s, m in dist.items() if s not in K}
+        dist = step(dist)
+    return hit
+
+
+def _reduced_fan():
+    maps = reduce_to_finitely_branching(transience_fan()[0])
+    return maps.reduced, maps.embed(StateId(0, "fan"))
+
+
+EXACT_PLAN_CASES = {
+    "walk": (lambda: (gamblers_ruin(0.7)[0], StateId(0, "w_0")),
+             frozenset(StateId(3 * i) for i in range(100)), 48),
+    "ladder": (lambda: (no_optimal_ladder()[0], ladder_state("ell", 0)), None, 24),
+    "reduced-fan": (_reduced_fan, None, 24),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EXACT_PLAN_CASES))
+def test_one_bit_residuals_match_dict_iteration(name):
+    # Each level's residuals, and the radii their stopping rules pick,
+    # against an independent forward iteration over dicts.
+    build, goal, max_radius = EXACT_PLAN_CASES[name]
+    mdp, root = build()
+    schedule = BubbleSchedule(max_radius=max_radius, mc_horizon=200)
+    _, plan = buchi_transience_one_bit(
+        mdp, [root], goal if goal else (lambda s: True), 0.1, schedule
+    )
+    assert plan.to_json()["residuals"] == "exact" and len(plan.levels) >= 2
+    start, step = _dict_reference(mdp, [root])
+    L_prev, l_prev = set(), 0
+    for lv in plan.levels:
+        fresh = lambda s: (goal is None or s in goal) and s not in L_prev
+        far = _dict_far(start, step, fresh, lv.k)
+        assert abs(far[lv.k] - lv.residual_far_goal) <= 1e-12
+        # k_i is the first radius within budget, or the largest
+        assert lv.residual_far_goal <= lv.epsilon_i or lv.k == max_radius
+        for k in range(l_prev + 1, lv.k):
+            assert far[k] > lv.epsilon_i or not any(map(fresh, bubble(mdp, [root], k)))
+        late = [_dict_late(start, step, lv.K, l, 200) for l in (lv.l - 1, lv.l)]
+        assert abs(late[1] - lv.residual_late_return) <= 1e-12
+        assert lv.residual_late_return <= lv.epsilon_i or lv.l >= max_radius
+        assert lv.l == lv.k + 1 or late[0] > lv.epsilon_i
+        L_prev, l_prev = lv.L, lv.l
+
+
 # ---------------------------------------------------------------------------
 # Cost-labeled MD extraction
 
@@ -469,7 +567,7 @@ def test_transience_md_visits_match_forward_iteration(name):
     build, s0, epsilon, seed = SMALL_MD_CASES[name]
     mdp, _ = build()
     budgets = _small_budgets(seed)
-    maps = synthesis._reduction_if_needed(mdp, s0, budgets.one_bit_schedule.max_radius)
+    maps, _ = synthesis._reduction_if_needed(mdp, s0, budgets.one_bit_schedule.max_radius)
     root = maps.embed(s0)
     one_bit, _ = buchi_transience_one_bit(
         maps.reduced, [root], lambda s: True, epsilon / 2, budgets.one_bit_schedule
@@ -500,6 +598,23 @@ def test_transience_md_ignores_the_seed_under_a_fixed_schedule():
     assert part_a == part_b
 
 
+def test_transience_md_ignores_every_seed():
+    # Neither budgets.seed under the default schedule nor the seed of a given
+    # schedule reaches the 1-bit plan, which samples nothing.
+    ladder, _ = no_optimal_ladder()
+    root = ladder_state("ell", 0)
+
+    def small(seed):
+        return BubbleSchedule(max_radius=24, mc_horizon=200, mc_runs=20, seed=seed)
+
+    for budgets in ([TransienceBudgets(radius=12, seed=seed) for seed in (6, 1234)],
+                    [TransienceBudgets(radius=12, one_bit_schedule=small(seed)) for seed in (1, 2)]):
+        (sigma_a, part_a), (sigma_b, part_b) = [transience_md(ladder, root, 0.1, budgets=b)
+                                                for b in budgets]
+        assert sigma_a.to_json() == sigma_b.to_json()
+        assert part_a == part_b
+
+
 def test_transience_md_simulates_nothing_given_a_one_bit_strategy(monkeypatch):
     ladder, _ = no_optimal_ladder()
     root = ladder_state("ell", 0)
@@ -511,20 +626,17 @@ def test_transience_md_simulates_nothing_given_a_one_bit_strategy(monkeypatch):
     def no_walk(*args):
         raise AssertionError("transience_md sampled a run")
 
-    monkeypatch.setattr(synthesis, "_walk", no_walk)
+    monkeypatch.setattr(SIMULATE, "_walk", no_walk)
     sigma, part = transience_md(ladder, root, 0.1, one_bit=one_bit, budgets=budgets)
     assert part.s_good_prime and 0.0 < part.attainment <= 1.0
 
 
-def _one_bit_pin(goal, proxy_visits):
-    """The plan of a 1-bit strategy on the drifting walk, and the sha256 of
-    its moves in both modes on every state of a radius-100 truncation."""
-    walk, _ = gamblers_ruin(0.7)
-    w0 = StateId(0, "w_0")
-    schedule = BubbleSchedule(max_radius=48, mc_horizon=400, mc_runs=40,
-                              proxy_visits=proxy_visits, seed=8)
-    strategy, plan = buchi_transience_one_bit(walk, [w0], goal, 0.1, schedule)
-    fm = truncate(walk, [w0], 100, "pessimistic")
+def _one_bit_pin(mdp, root, goal):
+    """The plan of a 1-bit strategy, and the sha256 of its moves in both
+    modes on every state of a radius-100 truncation."""
+    schedule = BubbleSchedule(max_radius=48, mc_horizon=400)
+    strategy, plan = buchi_transience_one_bit(mdp, [root], goal, 0.1, schedule)
+    fm = truncate(mdp, [root], 100, "pessimistic")
     rows = []
     for s in fm.states:
         for mode in (0, 1):
@@ -543,26 +655,29 @@ def _levels(*rows):
     return [dict(zip(keys, row)) for row in rows]
 
 
-# The one-bit pins were recorded from the implementation that sampled every
-# run through a fresh ``simulate`` call: any change to the uniforms drawn or
-# to their order shows up here.  The transience_md pins come from the exact
-# product solve, which samples nothing beyond the 1-bit construction.
+# The one-bit pins come from the exact plan: its residuals are exact
+# probabilities of the uniform reference chain, so any change to the
+# propagation, to the conditioning rule or to the stopping rules shows here.
+# The transience_md pins come from the exact product solve on top of that
+# plan, so no pin depends on a seed.  "one-bit-trapped-mass-dropped" runs on
+# the ladder, whose bottom sink is a finite closed set: the reference mass
+# that falls into it is dropped from every residual.
 MONTE_CARLO_PINS = {
     "fan": (
         {},
         [[4],
          [0, 1, 2, 6, 8, 9, 11, 12, 14, 18, 20, 21, 23, 24, 26, 30, 32, 37, 38, 39, 44, 50, 57,
           59, 81, 83, 109],
-         [0, 1, 2, 6, 8, 9, 14, 20, 26, 32, 38, 44, 50]],
+         [0, 1, 9, 11, 21, 23, 37, 39, 57, 59, 81, 83, 109]],
         {},
     ),
     "ladder": (
         {"1": 5, "5": 6, "8": 12, "9": 10, "12": 16, "13": 14, "16": 20, "17": 18, "20": 24,
-         "21": 23, "24": 28, "25": 27, "28": 32, "32": 36, "36": 40, "40": 44},
+         "21": 22, "24": 28, "25": 26, "28": 32, "32": 36, "36": 40, "40": 44},
         [[0],
          [1, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19, 20, 21, 22, 23, 24, 25, 26,
           27, 28, 32, 36, 40, 44],
-         [1, 5, 6, 9, 10, 13, 14, 17, 18, 21, 23, 24, 28, 32, 36, 40, 44]],
+         [1, 5, 6, 9, 10, 13, 14, 17, 18, 21, 22, 25, 26]],
         {},
     ),
     "chain": (
@@ -571,18 +686,22 @@ MONTE_CARLO_PINS = {
         {},
     ),
     "one-bit-goal-set": (
-        {"epsilon": 0.1, "reference": "uniform", "reward_depth": 3, "capped": True,
-         "levels": _levels((1, 1, 18, 2, 19, 1, 0.025, 0.0, 0.0),
-                           (2, 48, 49, 49, 50, 10, 0.0125, 0.425, 1.0))},
-        "7b514a65c9e7fde29f28cbe071c917c91ecb3b33c228dbc51120f651efab8b79", 404,
+        {"epsilon": 0.1, "reference": "uniform", "conditioning": "trapped mass dropped",
+         "residuals": "exact", "horizon": 400, "reward_depth": 3, "capped": True,
+         "levels": _levels((1, 1, 24, 2, 25, 1, 0.025, 0.0, 0.021140117837706782),
+                           (2, 48, 49, 49, 50, 8, 0.0125, 0.8397683795853541,
+                            0.9999999790266467))},
+        "403d25c01f67ca7093a8101e7592543834a3b41ddb6ff7a71bac0e4d1255845f", 404,
     ),
-    # No reference run passes a revisit cap of 0, so run 0 stands in.
-    "one-bit-no-run-qualifies": (
-        {"epsilon": 0.1, "reference": "uniform", "reward_depth": 3, "capped": False,
-         "levels": _levels((1, 1, 2, 2, 3, 2, 0.025, 0.0, 0.0),
-                           (2, 3, 4, 4, 5, 1, 0.0125, 0.0, 0.0),
-                           (3, 5, 6, 6, 7, 1, 0.00625, 0.0, 0.0))},
-        "931b80407eafce963de24fd6b1e124f80c4ca3dcfd6c62b424d6676cd8235e30", 404,
+    "one-bit-trapped-mass-dropped": (
+        {"epsilon": 0.1, "reference": "uniform", "conditioning": "trapped mass dropped",
+         "residuals": "exact", "horizon": 400, "reward_depth": 3, "capped": True,
+         "levels": _levels((1, 1, 11, 2, 27, 2, 0.025, 0.0, 0.023505277763467686),
+                           (2, 23, 35, 57, 87, 30, 0.0125, 0.010927557945251465,
+                            0.011001775694230935),
+                           (3, 48, 49, 120, 122, 33, 0.00625, 0.00802752764231026,
+                            0.3273503511224789))},
+        "14f966d4c5215d5bf0f49254d0a7bc5028aee3c4ac2edbb0eaf017c7eece77c7", 702,
     ),
 }
 
@@ -593,61 +712,43 @@ def test_synthesis_monte_carlo_pinned():
         for name, (build, s0, epsilon, seed) in SMALL_MD_CASES.items()
     }
     got.update({
-        "one-bit-goal-set": _one_bit_pin({StateId(3 * i) for i in range(100)}, 20),
-        "one-bit-no-run-qualifies": _one_bit_pin(lambda s: True, 0),
+        "one-bit-goal-set": _one_bit_pin(gamblers_ruin(0.7)[0], StateId(0, "w_0"),
+                                         {StateId(3 * i) for i in range(100)}),
+        "one-bit-trapped-mass-dropped": _one_bit_pin(no_optimal_ladder()[0],
+                                                     ladder_state("ell", 0), lambda s: True),
     })
     for name, pin in MONTE_CARLO_PINS.items():
         assert got[name] == pin, name
 
 
-def _asked_by(mdp, caller):
-    """``mdp`` with the ordinal of every ``successors_of`` call made from a
-    function named ``caller`` recorded in the returned list."""
+def test_synthesis_samples_nothing_and_asks_each_state_once(monkeypatch):
+    # The 1-bit plan reads its residuals from exact propagation and
+    # transience_md solves its visits exactly, so neither steps a run.  The
+    # plan's one breadth-first search, which its truncation reuses, asks each
+    # state's oracle once.
+    def no_walk(*args):
+        raise AssertionError("a run was sampled")
+
+    monkeypatch.setattr(SIMULATE, "_walk", no_walk)
+    monkeypatch.setattr(synthesis, "_walk", no_walk, raising=False)
+    ladder, _ = no_optimal_ladder()
+    root = ladder_state("ell", 0)
     asked = []
 
     def successors(s):
-        # frame 1 is LazyMdp.successors_of, frame 2 its caller
-        if sys._getframe(2).f_code.co_name == caller:
-            asked.append(s.ordinal)
-        return mdp.successors_of(s)
+        asked.append(s.ordinal)
+        return ladder.successors_of(s)
 
-    return LazyMdp(mdp.kind_of, successors), asked
+    counted = LazyMdp(ladder.kind_of, successors)
+    schedule = BubbleSchedule(max_radius=24, mc_horizon=200)
+    _, plan = buchi_transience_one_bit(counted, [root], lambda s: True, 0.05, schedule)
+    assert plan.levels and asked and len(asked) == len(set(asked))
 
-
-def _stepper_entries(monkeypatch):
-    """Every (MDP, ordinal) whose per-state table entry the stepper builds."""
-    entries, real = [], SIMULATE._state_entry
-
-    def recording(mdp, s):
-        entries.append((mdp, s.ordinal))
-        return real(mdp, s)
-
-    monkeypatch.setattr(SIMULATE, "_state_entry", recording)
-    return entries
-
-
-def _asked_twice(entries):
-    counts = Counter((id(mdp), o) for mdp, o in entries)  # entries keep the MDPs alive
-    return [key for key, c in counts.items() if c > 1]
-
-
-def test_synthesis_sampling_loops_ask_each_state_once(monkeypatch):
-    # The reference runs of the 1-bit construction share one stepper table,
-    # and the uniform reference keeps one distribution per state;
-    # transience_md samples nothing beyond its 1-bit construction.
-    ladder, _ = no_optimal_ladder()
-    root = ladder_state("ell", 0)
-    entries = _stepper_entries(monkeypatch)
-    counted, decided = _asked_by(ladder, "decide")
-    schedule = BubbleSchedule(max_radius=24, mc_horizon=200, mc_runs=20, seed=2)
-    buchi_transience_one_bit(counted, [root], lambda s: True, 0.05, schedule)
-    assert entries and not _asked_twice(entries)
-    assert decided and len(decided) == len(set(decided))
-
-    del entries[:]
-    transience_md(ladder, root, 0.1, budgets=_small_budgets(6))
-    assert len({id(mdp) for mdp, _ in entries}) == 1  # the 1-bit loop only
-    assert not _asked_twice(entries)
+    _, part = transience_md(ladder, root, 0.1, budgets=_small_budgets(6))
+    assert part.s_good_prime
+    _, part = transience_md(transience_fan()[0], StateId(0, "fan"), 0.2,
+                            budgets=_small_budgets(5))
+    assert part.s_good_prime
 
 
 # ---------------------------------------------------------------------------

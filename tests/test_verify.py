@@ -129,15 +129,24 @@ def test_preserves_transience_not_applicable():
 def test_yes_certificates_imply_high_transience_under_random_strategies():
     # Empirical (1) <=> (3) consistency: a YES-certified MDP with controlled
     # states keeps the transience estimate near 1 under random strategies.
+    from transientmdp.core import GeneralStrategy
     from transientmdp.gadgets import safety_fan
     from transientmdp.simulate import RevisitCap, estimate_transience
-    from transientmdp.synthesis import _uniform_reference
+    from transientmdp.synthesis import _uniform_over
 
     fan, _ = safety_fan()
     sample = [StateId(3, "b_1"), StateId(1, "a_0"), StateId(2, "bot_0")]
     cert = certify_universal_transience(fan, sample, radii=(30,))
     assert cert.verdict == YES
-    reference = _uniform_reference(fan)
+    dists = {}  # one uniform distribution per state, as memoryless as it looks
+
+    def uniform(run):
+        here = run[-1]
+        if here not in dists:
+            dists[here] = _uniform_over(fan.successors_of(here))
+        return dists[here]
+
+    reference = GeneralStrategy(uniform)
     for i in range(20):
         est, _ = estimate_transience(
             fan, StateId(0, "fan"), reference, 1000, 40, RevisitCap(10),
