@@ -16,7 +16,7 @@ import sys
 from pathlib import Path
 
 from .core import FiniteMdp, Objective, StateId
-from .errors import BadParameter, ScenarioError, TransientMdpError
+from .errors import BadParameter, NotSink, ScenarioError, TransientMdpError
 from .gadgets import REGISTRY, build_gadget
 from .simulate import FreshTail, RevisitCap, derive_seed, estimate_transience
 from .solvers import interval_value, reach_value, safety_value
@@ -44,7 +44,7 @@ def _load_mdp(spec: dict, base: Path):
         try:
             path = base / spec["file"]
             return FiniteMdp.load(path), None
-        except (OSError, KeyError, TypeError, ValueError) as exc:
+        except (OSError, TypeError, ValueError, NotSink) as exc:  # BadModel is a ValueError
             raise ScenarioError(f"cannot load MDP file {spec['file']!r}: {exc!r}") from exc
     raise ScenarioError("mdp needs a 'gadget' name or a 'file' path")
 

@@ -11,7 +11,7 @@ of the same kind and ordinal and never a host state, whatever the ordinals;
 both namespaces sort together by ordinal.
 
 A countable MDP is given by two pure oracles (state kind and successor family);
-a finite MDP is the same interface backed by explicit tables.  Infinite
+a finite MDP is the same interface backed by compressed sparse rows.  Infinite
 successor families are represented lazily so that reductions and the safety
 synthesis can enumerate them on demand, while every operation that needs finite
 branching raises ``InfiniteBranching`` instead of silently truncating.
@@ -24,10 +24,9 @@ from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from functools import cached_property
 from typing import Callable, Hashable, Iterable, Iterator, Mapping, Sequence, TypeVar
 
-from .errors import InfiniteBranching, NotSink, NotTail
+from .errors import BadModel, InfiniteBranching, NotSink, NotTail
 
 PROB_TOL = 1e-9
 Node = TypeVar("Node", bound=Hashable)
@@ -106,13 +105,13 @@ class Distribution:
             total = 0.0
             for s, p in items:
                 if s in seen:
-                    raise ValueError(f"duplicate support entry {s}")
+                    raise BadModel(f"duplicate support entry {s}")
                 seen.add(s)
-                if p <= 0.0:
-                    raise ValueError(f"non-positive probability {p} at {s}")
+                if not p > 0.0:  # also NaN
+                    raise BadModel(f"probability {p} at {s} is not positive")
                 total += p
-            if abs(total - 1.0) > PROB_TOL:
-                raise ValueError(f"probabilities sum to {total}, not 1")
+            if not abs(total - 1.0) <= PROB_TOL:
+                raise BadModel(f"probabilities sum to {total}, not 1")
         self.support = items
         self.exact = dict(exact) if exact else None
         cum = []
@@ -206,7 +205,11 @@ class LazyMdp(Mdp):
 
 
 def successor_states(mdp: Mdp, s: StateId) -> list[StateId]:
-    """Finite successor list of ``s``; raises InfiniteBranching otherwise."""
+    """Finite successor list of ``s``; raises InfiniteBranching otherwise.
+    A finite MDP answers from its row, building no answer object."""
+    if isinstance(mdp, FiniteMdp):
+        i, states = mdp.index[s], mdp.states
+        return [states[j] for j in mdp.succ[mdp.indptr[i]:mdp.indptr[i + 1]]]
     return _states_of(mdp.successors_of(s), s)
 
 
@@ -219,15 +222,20 @@ def _states_of(succ, s: StateId) -> list[StateId]:
     return list(succ)
 
 
-class FiniteMdp(Mdp):
-    """Explicitly materialized finite MDP.
+_KINDS = (StateKind.RANDOM, StateKind.CONTROLLED)  # by ``controlled``; faster than a member
 
-    ``sinks`` are designated subsets closed under the transition relation.
-    Truncations additionally carry their frontier state and the optimistic
-    or pessimistic tag they were asked for; the tag has no effect on the
-    MDP, and no code reads it.  No code mutates a FiniteMdp after
-    construction, so the index form that ``compiled`` builds on first use
-    (or that ``truncate`` stores there) stays valid.
+
+class FiniteMdp(Mdp):
+    """Explicitly materialized finite MDP, held as compressed sparse rows.
+
+    State ``i`` is ``states[i]`` and ``index`` maps back; ``controlled[i]``
+    is its kind.  The successors of ``i`` are ``succ[indptr[i]:indptr[i +
+    1]]`` in successor order, with probabilities at the same positions of
+    ``prob`` (NaN on controlled edges).  All fields are plain lists, which
+    scalar loops index fastest.  ``sinks`` are designated subsets closed
+    under the transition relation, and a truncation carries its
+    ``frontier`` sink.  No code edits the rows after construction; a
+    derived MDP is built on copied arrays.
     """
 
     def __init__(
@@ -237,130 +245,19 @@ class FiniteMdp(Mdp):
         transitions: Mapping[StateId, object],
         sinks: Sequence[Iterable[StateId]] = (),
         frontier: StateId | None = None,
-        frontier_policy: str | None = None,
         check: bool = True,
     ):
-        self.states = list(states)
-        self.kinds = dict(kinds)
-        self.transitions = dict(transitions)
-        self.sinks = [frozenset(t) for t in sinks]
-        self.frontier = frontier
-        self.frontier_policy = frontier_policy
-        self.by_ordinal = {s.ordinal: s for s in self.states}
-        if check:
-            self.validate()
-
-    @property
-    def num_states(self) -> int:
-        return len(self.states)
-
-    def kind_of(self, s: StateId) -> StateKind:
-        return self.kinds[s]
-
-    def successors_of(self, s: StateId):
-        return self.transitions[s]
-
-    def controlled_states(self) -> list[StateId]:
-        return [s for s in self.states if self.kinds[s] is StateKind.CONTROLLED]
-
-    @cached_property
-    def compiled(self) -> "CompiledMdp":
-        """The index form the solvers work on, built on first use."""
-        return CompiledMdp.of(self)
-
-    def validate(self) -> None:
-        if len(self.by_ordinal) != len(self.states):
-            raise ValueError("state ordinals are not unique")
-        state_set = set(self.states)
-        for s in self.states:
-            succ = self.transitions.get(s)
-            if succ is None or len(succ) == 0:
-                raise ValueError(f"state {s} has no successor")
-            for t in _states_of(succ, s):
-                if t not in state_set:
-                    raise ValueError(f"edge {s} -> {t} leaves the state space")
-            if self.kinds[s] is StateKind.RANDOM and not isinstance(succ, Distribution):
-                raise ValueError(f"random state {s} lacks a distribution")
-            if self.kinds[s] is StateKind.CONTROLLED and isinstance(succ, Distribution):
-                raise ValueError(f"controlled state {s} carries a distribution")
-        for sink in self.sinks:
-            require_sink(self, sink)
-
-    def to_json(self) -> dict:
-        states = [
-            {"id": s.ordinal, "label": s.label, "kind": self.kinds[s].value}
-            for s in self.states
-        ]
-        transitions = []
-        for s in self.states:
-            succ = self.transitions[s]
-            if isinstance(succ, Distribution):
-                for t, p in succ:
-                    transitions.append({"from": s.ordinal, "to": t.ordinal, "p": p})
-            else:
-                for t in succ:
-                    transitions.append({"from": s.ordinal, "to": t.ordinal, "p": None})
-        return {
-            "states": states,
-            "transitions": transitions,
-            "sinks": [sorted(s.ordinal for s in sink) for sink in self.sinks],
-        }
-
-    @classmethod
-    def from_json(cls, doc: dict) -> "FiniteMdp":
-        states = [StateId(d["id"], d.get("label", str(d["id"]))) for d in doc["states"]]
-        by_ord = {s.ordinal: s for s in states}
-        kinds = {
-            by_ord[d["id"]]: StateKind(d["kind"]) for d in doc["states"]
-        }
-        edges: dict[StateId, list[tuple[StateId, float | None]]] = {s: [] for s in states}
-        for e in doc["transitions"]:
-            edges[by_ord[e["from"]]].append((by_ord[e["to"]], e["p"]))
-        transitions: dict[StateId, object] = {}
-        for s, out in edges.items():
-            if kinds[s] is StateKind.RANDOM:
-                transitions[s] = Distribution([(t, p) for t, p in out])
-            else:
-                transitions[s] = [t for t, _ in out]
-        sinks = [[by_ord[o] for o in sink] for sink in doc.get("sinks", [])]
-        return cls(states, kinds, transitions, sinks)
-
-    def dump(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_json(), fh, indent=1)
-
-    @classmethod
-    def load(cls, path) -> "FiniteMdp":
-        with open(path) as fh:
-            return cls.from_json(json.load(fh))
-
-
-class CompiledMdp:
-    """A FiniteMdp compiled to indices: state ``i`` is ``states[i]`` and
-    ``index`` maps back.  The successors of ``i`` are
-    ``succ[indptr[i]:indptr[i + 1]]`` in successor order, with probabilities
-    at the same positions of ``prob`` (NaN on controlled edges): compressed
-    sparse rows.  All fields are plain lists, which scalar loops index
-    fastest."""
-
-    __slots__ = ("states", "index", "ordinal", "controlled", "indptr", "succ", "prob", "_preds")
-
-    def __init__(self, states, controlled, indptr, succ, prob, index=None):
-        self.states = states
-        self.index = {s: i for i, s in enumerate(states)} if index is None else index
-        self.ordinal = [s.ordinal for s in states]
-        self.controlled = controlled
-        self.indptr, self.succ, self.prob = indptr, succ, prob
-        self._preds = None
-
-    @classmethod
-    def of(cls, fm: FiniteMdp) -> "CompiledMdp":
-        """The index form of ``fm``, rows in the order of ``fm.states``."""
-        states, kinds, transitions = fm.states, fm.kinds, fm.transitions
+        """Compile the table form: ``kinds`` and ``transitions`` (a
+        successor list or a Distribution) of every state, rows in the order
+        of ``states``.  With ``check``, every answer, the ordinals and the
+        sinks are validated."""
+        states = list(states)
         index = {s: i for i, s in enumerate(states)}
-        indptr, succ, prob = [0], [], []
+        controlled, indptr, succ, prob = [], [0], [], []
         for s in states:
-            out = transitions[s]
+            kind, out = kinds.get(s), transitions.get(s)
+            if check:
+                _check_answer(s, kind, out)
             try:
                 if isinstance(out, Distribution):
                     for t, p in out.support:
@@ -371,22 +268,55 @@ class CompiledMdp:
                         succ.append(index[t])
                         prob.append(math.nan)
             except KeyError as exc:
-                raise ValueError(f"an edge of {s} leaves the state space") from exc
+                raise BadModel(f"an edge of {s} leaves the state space") from exc
+            controlled.append(kind is StateKind.CONTROLLED)
             indptr.append(len(succ))
-        controlled = [kinds[s] is StateKind.CONTROLLED for s in states]
-        return cls(states, controlled, indptr, succ, prob, index)
+        self._adopt(states, controlled, indptr, succ, prob, sinks, frontier, index)
+        if check:
+            self.validate()
 
-    def extended(self, s: StateId, like: int) -> "CompiledMdp":
-        """Copy with the new last state ``s``, whose kind and row are those
-        of state ``like``."""
-        lo, hi = self.indptr[like], self.indptr[like + 1]
-        index = dict(self.index)
-        index[s] = len(self.states)
-        return CompiledMdp(
-            self.states + [s], self.controlled + [self.controlled[like]],
-            self.indptr + [len(self.succ) + hi - lo], self.succ + self.succ[lo:hi],
-            self.prob + self.prob[lo:hi], index,
-        )
+    def _adopt(self, states, controlled, indptr, succ, prob, sinks=(), frontier=None,
+               index=None) -> None:
+        self.states = states
+        self.index = {s: i for i, s in enumerate(states)} if index is None else index
+        self.controlled = controlled
+        self.indptr, self.succ, self.prob = indptr, succ, prob
+        self.sinks = [frozenset(t) for t in sinks]
+        self.frontier = frontier
+        self.by_ordinal = {s.ordinal: s for s in states}
+        # Derived from the rows on first use, never edited.
+        self._answers: dict[StateId, object] = {}
+        self._preds = None
+
+    @classmethod
+    def _of_rows(cls, states, controlled, indptr, succ, prob, sinks=(), frontier=None,
+                 index=None) -> "FiniteMdp":
+        """The MDP with these rows, taken as they are, unchecked."""
+        fm = cls.__new__(cls)
+        fm._adopt(states, controlled, indptr, succ, prob, sinks, frontier, index)
+        return fm
+
+    @property
+    def num_states(self) -> int:
+        return len(self.states)
+
+    def kind_of(self, s: StateId) -> StateKind:
+        return _KINDS[self.controlled[self.index[s]]]
+
+    def successors_of(self, s: StateId):
+        """The row of ``s``: a successor list if it is controlled, else a
+        Distribution in row order.  Built on first ask and kept."""
+        try:
+            return self._answers[s]
+        except KeyError:
+            pass
+        i, targets = self.index[s], successor_states(self, s)
+        answer = self._answers[s] = targets if self.controlled[i] else Distribution(
+            zip(targets, self.prob[self.indptr[i]:self.indptr[i + 1]]), check=False)
+        return answer
+
+    def controlled_states(self) -> list[StateId]:
+        return [s for s, c in zip(self.states, self.controlled) if c]
 
     def row(self, i: int) -> list[int]:
         """Successor indices of state ``i``."""
@@ -406,6 +336,80 @@ class CompiledMdp:
                             preds.setdefault(succ[k], []).append(i)
             self._preds = preds
         return self._preds
+
+    def validate(self) -> None:
+        """Unique ordinals and closed sinks; the constructor checks the rows."""
+        if len(self.by_ordinal) != len(self.states):
+            raise BadModel("state ordinals are not unique")
+        for sink in self.sinks:
+            require_sink(self, sink)
+
+    def to_json(self) -> dict:
+        states = [
+            {"id": s.ordinal, "label": s.label, "kind": self.kind_of(s).value}
+            for s in self.states
+        ]
+        transitions = []
+        for i, s in enumerate(self.states):
+            for k in range(self.indptr[i], self.indptr[i + 1]):
+                transitions.append({
+                    "from": s.ordinal, "to": self.states[self.succ[k]].ordinal,
+                    "p": None if self.controlled[i] else self.prob[k],
+                })
+        return {
+            "states": states,
+            "transitions": transitions,
+            "sinks": [sorted(s.ordinal for s in sink) for sink in self.sinks],
+        }
+
+    @classmethod
+    def from_json(cls, doc: dict) -> "FiniteMdp":
+        """The MDP of a ``to_json`` document; a malformed one raises
+        BadModel."""
+        try:
+            states = [StateId(d["id"], d.get("label", str(d["id"]))) for d in doc["states"]]
+            by_ord = {s.ordinal: s for s in states}
+
+            def state(o) -> StateId:
+                if o not in by_ord:
+                    raise BadModel(f"no state has id {o!r}")
+                return by_ord[o]
+
+            # An unknown kind is left for the constructor to refuse.
+            by_value = {k.value: k for k in StateKind}
+            kinds = {by_ord[d["id"]]: by_value.get(d["kind"], d["kind"]) for d in doc["states"]}
+            edges: dict[StateId, list] = {s: [] for s in states}
+            for e in doc["transitions"]:
+                edges[state(e["from"])].append((state(e["to"]), e["p"]))
+            transitions = {
+                s: Distribution(out) if kinds[s] is StateKind.RANDOM else [t for t, _ in out]
+                for s, out in edges.items()
+            }
+            sinks = [[state(o) for o in sink] for sink in doc.get("sinks", [])]
+        except (AttributeError, KeyError, TypeError) as exc:
+            raise BadModel(f"malformed finite MDP document: {exc!r}") from exc
+        return cls(states, kinds, transitions, sinks)
+
+    def dump(self, path) -> None:
+        with open(path, "w") as fh:
+            json.dump(self.to_json(), fh, indent=1)
+
+    @classmethod
+    def load(cls, path) -> "FiniteMdp":
+        with open(path) as fh:
+            return cls.from_json(json.load(fh))
+
+
+def _check_answer(s: StateId, kind, answer) -> None:
+    """Check one state's kind and successor answer against each other."""
+    if isinstance(answer, InfiniteSuccessors):
+        raise InfiniteBranching(f"state {s.label or s.ordinal} branches infinitely")
+    if not answer:
+        raise BadModel(f"state {s} has no successor")
+    if kind not in (StateKind.RANDOM, StateKind.CONTROLLED):
+        raise BadModel(f"state {s} has kind {kind!r}")
+    if (kind is StateKind.RANDOM) != isinstance(answer, Distribution):
+        raise BadModel(f"{kind.name.lower()} state {s} answers a {type(answer).__name__}")
 
 
 def require_sink(mdp: Mdp, states: Iterable[StateId]) -> frozenset[StateId]:
@@ -638,22 +642,19 @@ def truncate(
     layers: _Layers | None = None,
 ) -> FiniteMdp:
     """Finite restriction of ``mdp`` to the radius-``radius`` bubble around
-    ``roots``.  Random mass leaving the bubble is lumped, in support order,
-    into one edge to a fresh absorbing frontier sink, and the controlled
-    edges leaving it become one edge to that sink.  When nothing leaves the
-    bubble the copy is exact and no frontier state is added.  The
-    ``frontier`` tag (optimistic or pessimistic) is only recorded in
-    ``frontier_policy``; it changes nothing, and callers that want the sink
-    to win or lose say so in the boundary they solve with.
+    ``roots``, by the lumping rule of ``_lumped``: the edges leaving the
+    bubble go to a fresh absorbing frontier sink, which is added only when
+    some edge uses it.  The ``frontier`` tag must name a policy, optimistic
+    or pessimistic, but changes nothing; callers that want the sink to win
+    or lose say so in the boundary they solve with.
 
     One breadth-first search asks each kept state's ``kind_of`` and
-    ``successors_of`` once and builds the index form, stored as
-    ``compiled``, in the same pass: rows in ordinal order with the frontier
-    last, successors in oracle order.  A state with no edge leaving the
-    bubble keeps the oracle's own successor object.  The checks of
-    ``FiniteMdp.validate`` run on each oracle answer, with its exception
-    types.  A caller that already searched from ``roots`` may pass its
-    ``layers``, which are grown as far as needed instead of searched again.
+    ``successors_of`` once and builds the rows in the same pass: rows in
+    ordinal order with the frontier last, successors in oracle order.  Each
+    oracle answer gets the checks of the ``FiniteMdp`` constructor, with
+    its exception types.  A caller that already searched from ``roots`` may
+    pass its ``layers``, which are grown as far as needed instead of
+    searched again.
     """
     if frontier not in (OPTIMISTIC, PESSIMISTIC):
         raise ValueError(f"unknown frontier policy {frontier!r}")
@@ -668,118 +669,119 @@ def truncate(
     for k, i in enumerate(rank):
         where[i] = k
     states = [order[i] for i in rank]
-    sink = mint("frontier", states[-1].ordinal + 1)
-    kinds: dict[StateId, StateKind] = {}
-    transitions: dict[StateId, object] = {}
-    controlled, indptr, succ, prob = [], [0], [], []
-    used_sink = False
-    for i, s in zip(rank, states):
-        kind = kinds[s] = mdp.kind_of(s)
-        answer = answers[i]
-        if len(answer) == 0:
-            raise ValueError(f"state {s} has no successor")
-        is_dist = isinstance(answer, Distribution)
-        if kind is StateKind.RANDOM and not is_dist:
-            raise ValueError(f"random state {s} lacks a distribution")
-        if kind is StateKind.CONTROLLED and is_dist:
-            raise ValueError(f"controlled state {s} carries a distribution")
-        controlled.append(kind is StateKind.CONTROLLED)
-        ks = [where[j] for j in targets[i]]
-        if min(ks) >= 0:
-            succ += ks
-            prob += [p for _, p in answer.support] if is_dist else [math.nan] * len(ks)
-            transitions[s] = answer
-        elif is_dist:
-            kept, out_mass = [], 0
-            for k, (t, p) in zip(ks, answer.support):
-                if k < 0:
-                    out_mass += p
-                else:
-                    kept.append((t, p))
-                    succ.append(k)
-                    prob.append(p)
-            if out_mass > 0.0:
-                kept.append((sink, out_mass))
-                succ.append(n)
-                prob.append(out_mass)
-                used_sink = True
-            transitions[s] = Distribution(kept, check=False)
-        else:
-            kept_c = [t for k, t in zip(ks, answer) if k >= 0]
-            succ += [k for k in ks if k >= 0]
-            kept_c.append(sink)
-            succ.append(n)
-            prob += [math.nan] * len(kept_c)
-            used_sink = True
-            transitions[s] = kept_c
-        indptr.append(len(succ))
 
-    if used_sink:
-        states.append(sink)
-        kinds[sink] = StateKind.RANDOM
-        transitions[sink] = Distribution([(sink, 1.0)])
-        controlled.append(False)
-        succ.append(n)
-        prob.append(1.0)
-        indptr.append(len(succ))
-        fm = FiniteMdp(states, kinds, transitions, [{sink}], frontier=sink,
-                       frontier_policy=frontier, check=False)
-    else:
-        fm = FiniteMdp(states, kinds, transitions, check=False)
-    if len(fm.by_ordinal) != len(fm.states):
-        raise ValueError("state ordinals are not unique")
-    fm.compiled = CompiledMdp(fm.states, controlled, indptr, succ, prob)
+    def rows():
+        for i, s in zip(rank, states):
+            kind, answer = mdp.kind_of(s), answers[i]
+            _check_answer(s, kind, answer)
+            ks = [where[j] for j in targets[i]]
+            if kind is StateKind.CONTROLLED:
+                yield True, ks, [math.nan] * len(ks)
+            else:
+                yield False, ks, [p for _, p in answer.support]
+
+    fm = _lumped(states, rows(), mint("frontier", states[-1].ordinal + 1))
+    fm.validate()
     return fm
 
 
-def _restrict(
-    mdp: Mdp, inside: set[StateId], sink: StateId, policy: str | None = None
-) -> FiniteMdp:
-    """Finite restriction of ``mdp`` to ``inside``: random mass leaving it is
-    lumped into one edge to ``sink``, and controlled edges leaving it become
-    one edge to ``sink``.  The sink is added as an absorbing random state,
-    and recorded as the frontier tagged ``policy``, only when some edge uses
-    it.  The result is not validated."""
-    kinds: dict[StateId, StateKind] = {}
-    transitions: dict[StateId, object] = {}
+def _lumped(states: list[StateId], rows, sink: StateId) -> FiniteMdp:
+    """The finite MDP over ``states`` whose row i is the i-th of ``rows``,
+    (controlled, successor positions, probabilities), position -1 for a
+    successor outside ``states``.  Random mass leaving ``states`` is summed,
+    in support order, into one edge to ``sink``, and the controlled edges
+    leaving it become one edge to ``sink``.  The sink is added last, as an
+    absorbing random state recorded as the frontier, only when some edge
+    uses it.  The result is not validated.  Callers pass a generator, since
+    holding every row's lists at once triggers more garbage collections."""
+    n = len(states)
+    controlled, indptr, succ, prob = [], [0], [], []
     used_sink = False
-    states = sorted(inside)
-    for s in states:
-        kinds[s] = mdp.kind_of(s)
-        succ = mdp.successors_of(s)
-        if isinstance(succ, Distribution):
-            kept = [(t, p) for t, p in succ if t in inside]
-            out_mass = sum(p for t, p in succ if t not in inside)
-            if out_mass > 0.0:
-                kept.append((sink, out_mass))
-                used_sink = True
-            transitions[s] = Distribution(kept, check=False)
+    for is_controlled, ks, ps in rows:
+        controlled.append(is_controlled)
+        if min(ks) >= 0:
+            succ += ks
+            prob += ps
+        elif is_controlled:
+            succ += [k for k in ks if k >= 0]
+            succ.append(n)
+            prob += [math.nan] * (len(succ) - len(prob))
+            used_sink = True
         else:
-            if isinstance(succ, InfiniteSuccessors):
-                raise InfiniteBranching(f"cannot truncate across {s}")
-            kept_c = [t for t in succ if t in inside]
-            if len(kept_c) < len(list(succ)):
-                kept_c.append(sink)
+            out_mass = 0
+            for k, p in zip(ks, ps):
+                if k < 0:
+                    out_mass += p
+                else:
+                    succ.append(k)
+                    prob.append(p)
+            if out_mass > 0.0:
+                succ.append(n)
+                prob.append(out_mass)
                 used_sink = True
-            transitions[s] = kept_c
-
+        indptr.append(len(succ))
     if not used_sink:
-        return FiniteMdp(states, kinds, transitions, check=False)
-    kinds[sink] = StateKind.RANDOM
-    transitions[sink] = Distribution([(sink, 1.0)])
-    return FiniteMdp(states + [sink], kinds, transitions, [{sink}], frontier=sink,
-                     frontier_policy=policy, check=False)
+        return FiniteMdp._of_rows(states, controlled, indptr, succ, prob)
+    succ.append(n)
+    prob.append(1.0)
+    indptr.append(len(succ))
+    return FiniteMdp._of_rows(states + [sink], controlled + [False], indptr, succ, prob,
+                              [{sink}], sink)
+
+
+def _restrict(fm: FiniteMdp, inside: Iterable[StateId], sink: StateId) -> FiniteMdp:
+    """Finite restriction of ``fm`` to the states ``inside``, in ordinal
+    order, by the lumping rule of ``_lumped``."""
+    states = sorted(inside)
+    pos = {fm.index[s]: k for k, s in enumerate(states)}
+    indptr, succ, prob = fm.indptr, fm.succ, fm.prob
+    rows = (
+        (fm.controlled[i], [pos.get(j, -1) for j in succ[indptr[i]:indptr[i + 1]]],
+         prob[indptr[i]:indptr[i + 1]])
+        for i in pos
+    )
+    return _lumped(states, rows, sink)
+
+
+def _with_rows(fm: FiniteMdp, edits: Mapping[int, tuple]) -> FiniteMdp:
+    """Copy of ``fm`` whose row i is ``edits[i]`` = (controlled, successor
+    indices, probabilities) where given.  It keeps the frontier, not the
+    sinks."""
+    controlled = list(fm.controlled)
+    indptr, succ, prob = [0], [], []
+    for i in range(len(fm.states)):
+        edit = edits.get(i)
+        if edit is None:
+            lo, hi = fm.indptr[i], fm.indptr[i + 1]
+            succ += fm.succ[lo:hi]
+            prob += fm.prob[lo:hi]
+        else:
+            controlled[i], ks, ps = edit
+            succ += ks
+            prob += ps
+        indptr.append(len(succ))
+    return FiniteMdp._of_rows(fm.states, controlled, indptr, succ, prob,
+                              frontier=fm.frontier, index=fm.index)
 
 
 def _absorb(fm: FiniteMdp, states: Iterable[StateId]) -> FiniteMdp:
     """Copy of ``fm`` with ``states`` turned into absorbing random sinks."""
-    kinds = dict(fm.kinds)
-    transitions = dict(fm.transitions)
-    for s in set(states):
-        kinds[s] = StateKind.RANDOM
-        transitions[s] = Distribution([(s, 1.0)])
-    return FiniteMdp(fm.states, kinds, transitions, [], frontier=fm.frontier,
-                     frontier_policy=fm.frontier_policy, check=False)
+    index = fm.index
+    return _with_rows(fm, {index[s]: (False, [index[s]], [1.0]) for s in set(states)})
+
+
+def _extended(fm: FiniteMdp, s: StateId, like: StateId) -> FiniteMdp:
+    """Copy of ``fm`` with the new last state ``s``, whose kind and row are
+    those of ``like``.  It keeps the frontier, not the sinks."""
+    i = fm.index[like]
+    lo, hi = fm.indptr[i], fm.indptr[i + 1]
+    index = dict(fm.index)
+    index[s] = len(fm.states)
+    return FiniteMdp._of_rows(
+        fm.states + [s], fm.controlled + [fm.controlled[i]],
+        fm.indptr + [len(fm.succ) + hi - lo], fm.succ + fm.succ[lo:hi],
+        fm.prob + fm.prob[lo:hi], frontier=fm.frontier, index=index,
+    )
 
 
 def reachable(mdp: Mdp, roots: Iterable[StateId]) -> set[StateId]:
@@ -804,10 +806,10 @@ def _backward_reach(
     """Breadth-first search backwards from ``seeds`` along the edges of
     ``succ`` (state -> successor states) and of ``preds``, mappings that
     already list the predecessors of each state (such as
-    ``CompiledMdp.random_preds``); ``succ`` may be None.  Returns the
+    ``FiniteMdp.random_preds``); ``succ`` may be None.  Returns the
     distance of every state reached, seeds at 0; ``admit(s)``, when given,
     may refuse a state.  States are any hashable keys: StateIds, indices of a
-    CompiledMdp, product states."""
+    FiniteMdp, product states."""
     if succ is not None:
         inverse: dict[Node, list[Node]] = {}
         for s, targets in succ.items():
@@ -828,17 +830,17 @@ def _backward_reach(
 
 
 def _stay_region(
-    cm: CompiledMdp,
+    fm: FiniteMdp,
     region: Iterable[int],
     allowed: Sequence[bool] | None = None,
 ) -> set[int]:
-    """Largest subset of ``region`` (state indices of ``cm``) where the
+    """Largest subset of ``region`` (state indices of ``fm``) where the
     controller can stay forever along allowed edges (``allowed[k]`` for the
-    edge at position k of ``cm.succ``; all edges when None): a controlled
+    edge at position k of ``fm.succ``; all edges when None): a controlled
     state keeps one allowed edge inside, and a random state needs all of its
     edges allowed and inside.  Each state counts its allowed edges into the
     kept set; a worklist removes the states whose count runs out."""
-    indptr, succ, controlled = cm.indptr, cm.succ, cm.controlled
+    indptr, succ, controlled = fm.indptr, fm.succ, fm.controlled
     keep = set(region)
     preds: dict[int, list[int]] = {}
     live: dict[int, int] = {}

@@ -9,6 +9,11 @@ class BadParameter(TransientMdpError):
     """A constructor or operation received an out-of-range parameter."""
 
 
+class BadModel(TransientMdpError, ValueError):
+    """A finite MDP, a distribution, a model file or an oracle answer is
+    malformed.  Also a ValueError, which such input used to raise."""
+
+
 class InfiniteBranching(TransientMdpError):
     """An operation that requires finite branching met an infinite successor family."""
 

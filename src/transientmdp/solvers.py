@@ -23,8 +23,8 @@ So the strategy depends only on the final values, not on the start policy or
 the rounds that led there.  ``md_policy_oracle`` is the independent
 cross-check.
 
-The solvers run on the index form of a finite MDP (``FiniteMdp.compiled``)
-and translate StateIds only on entry and exit.  Every policy evaluation is
+The solvers run on the compressed sparse rows of a ``FiniteMdp`` and
+translate StateIds only on entry and exit.  Every policy evaluation is
 assembled straight from its compressed sparse rows as sparse triplets and
 solved by ``_linsolve``: dense LAPACK below ``SPARSE_MIN_ROWS`` (512) rows,
 sparse LU at or above it, with scipy imported on first use.  The sparse path
@@ -42,7 +42,6 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from .core import (
-    CompiledMdp,
     FiniteMdp,
     MdStrategy,
     Mdp,
@@ -51,6 +50,7 @@ from .core import (
     StateKind,
     _absorb,
     _backward_reach,
+    _extended,
     _restrict,
     _stay_region,
     mint,
@@ -183,7 +183,7 @@ def _linsolve(n: int, rows: list[int], cols: list[int], vals: list[float], b) ->
 
 
 def _chain_values(
-    cm: CompiledMdp,
+    fm: FiniteMdp,
     solve: list[int],
     policy: Mapping[int, tuple[int | None, float]],
     fixed: Mapping[int, float],
@@ -192,14 +192,14 @@ def _chain_values(
     """Expected total reward on the states ``solve`` (indices, ascending) of
     the Markov chain in which controlled state i moves to ``policy[i]`` =
     (successor index or None, edge cost) and random state i follows its row
-    of ``cm``, the edge at position k of ``cm.succ`` costing ``cost[k]`` (0
+    of ``fm``, the edge at position k of ``fm.succ`` costing ``cost[k]`` (0
     when ``cost`` is None).  An edge pays its cost plus, when it enters a
     ``fixed`` state, that state's value.  So x = b + Q x, where Q keeps the
     edges between ``solve`` states and b sums p * reward over all edges; an
     edge leaving ``solve`` ends the run, and the chain must leave ``solve``
     almost surely.  The triplets are the diagonal, then the edges row by
     row in CSR order."""
-    indptr, succ, prob, controlled = cm.indptr, cm.succ, cm.prob, cm.controlled
+    indptr, succ, prob, controlled = fm.indptr, fm.succ, fm.prob, fm.controlled
     m = len(solve)
     pos = dict(zip(solve, range(m)))
     rows, cols, vals = list(range(m)), list(range(m)), [1.0] * m
@@ -233,19 +233,19 @@ def _chain_values(
 # ---------------------------------------------------------------------------
 # Exact policy evaluation
 #
-# The solvers work on the index form of a FiniteMdp (``fm.compiled``): states
-# are indices, a policy maps each controlled state to a successor index, and
-# values are lists.  StateIds are translated only on entry and exit.
+# The solvers work on the rows of a FiniteMdp: states are indices, a policy
+# maps each controlled state to a successor index, and values are lists.
+# StateIds are translated only on entry and exit.
 
 
-def _fixed(cm: CompiledMdp, values: Mapping[StateId, float]) -> dict[int, float]:
-    """``values`` by index, restricted to the states of ``cm``."""
-    index = cm.index
+def _fixed(fm: FiniteMdp, values: Mapping[StateId, float]) -> dict[int, float]:
+    """``values`` by index, restricted to the states of ``fm``."""
+    index = fm.index
     return {index[s]: v for s, v in values.items() if s in index}
 
 
 def _absorption(
-    cm: CompiledMdp, policy: Mapping[int, tuple[int | None, float]], fixed: Mapping[int, float]
+    fm: FiniteMdp, policy: Mapping[int, tuple[int | None, float]], fixed: Mapping[int, float]
 ) -> list[float]:
     """Exact absorption values, by index, of the Markov chain in which
     controlled state i outside ``fixed`` moves to ``policy[i]`` = (successor
@@ -255,15 +255,15 @@ def _absorption(
     picked: dict[int | None, list[int]] = {}
     for i, (t, _) in policy.items():
         picked.setdefault(t, []).append(i)
-    reach = _backward_reach(None, fixed, preds=(cm.random_preds(), picked))
-    n = len(cm.states)
+    reach = _backward_reach(None, fixed, preds=(fm.random_preds(), picked))
+    n = len(fm.states)
     x = [0.0] * n
     for i, v in fixed.items():
         x[i] = v
     solve = [i for i in range(n) if i in reach and i not in fixed]
     if solve:
         top = max(fixed.values(), default=1.0)
-        for i, v in zip(solve, _chain_values(cm, solve, policy, fixed)):
+        for i, v in zip(solve, _chain_values(fm, solve, policy, fixed)):
             x[i] = float(min(max(v, 0.0), top))
     return x
 
@@ -278,15 +278,14 @@ def evaluate_md(
     Boundary states are treated as absorbing with the given values; states
     that cannot reach the boundary get the least-fixed-point value 0.
     """
-    cm = fm.compiled
-    fixed = _fixed(cm, boundary)
+    fixed = _fixed(fm, boundary)
     # Boundary rows are never read, so ``sigma`` is asked only outside the
     # boundary.  A pick outside the state space (index None) counts as value 0.
     policy = {
-        i: (cm.index.get(sigma.successor(fm, s)), 0.0)
-        for i, s in enumerate(cm.states) if cm.controlled[i] and i not in fixed
+        i: (fm.index.get(sigma.successor(fm, s)), 0.0)
+        for i, s in enumerate(fm.states) if fm.controlled[i] and i not in fixed
     }
-    values = dict(zip(cm.states, _absorption(cm, policy, fixed)))
+    values = dict(zip(fm.states, _absorption(fm, policy, fixed)))
     values.update(boundary)
     return values
 
@@ -308,15 +307,14 @@ def evaluate_md_cost(
 ) -> dict[StateId, float]:
     """Exact expected total cost under ``sigma``; math.inf where some
     positive-cost recurrent class is reachable."""
-    cm = fm.compiled
-    states, index, indptr, succ = cm.states, cm.index, cm.indptr, cm.succ
+    states, index, indptr, succ = fm.states, fm.index, fm.indptr, fm.succ
     n = len(states)
     policy, picked = {}, {}
     ecost = [0.0] * len(succ)
     free_edge = [False] * len(succ)
     for i, s in enumerate(states):
         lo, hi = indptr[i], indptr[i + 1]
-        if cm.controlled[i]:
+        if fm.controlled[i]:
             t = sigma.successor(fm, s)
             j, c = index.get(t), cost.of(s, t)
             policy[i] = (j, c)
@@ -327,17 +325,17 @@ def evaluate_md_cost(
             for k in range(lo, hi):
                 ecost[k] = c = cost.of(s, states[succ[k]])
                 free_edge[k] = c == 0.0
-    preds = (cm.random_preds(), picked)
+    preds = (fm.random_preds(), picked)
     # Runs that stay in ``free`` pay nothing; runs that can never reach it
     # end in a positive-cost recurrent class, and so does, with positive
     # probability, every run that can reach such a state.
-    free = _stay_region(cm, range(n), free_edge)
+    free = _stay_region(fm, range(n), free_edge)
     reach_free = _backward_reach(None, free, preds=preds)
     infinite = _backward_reach(None, [i for i in range(n) if i not in reach_free], preds=preds)
     values = [math.inf if i in infinite else 0.0 for i in range(n)]
     solve = [i for i in range(n) if i not in infinite and i not in free]
     if solve:
-        for i, v in zip(solve, _chain_values(cm, solve, policy, {}, ecost)):
+        for i, v in zip(solve, _chain_values(fm, solve, policy, {}, ecost)):
             values[i] = float(max(v, 0.0))
     return dict(zip(states, values))
 
@@ -350,7 +348,7 @@ def evaluate_md_cost(
 # value of its successor.  Reachability has cost 0 on every edge.
 
 
-def _howard(cm: CompiledMdp, options, policy, evaluate, seeds, maximize: bool):
+def _howard(fm: FiniteMdp, options, policy, evaluate, seeds, maximize: bool):
     """Howard's policy iteration from the MD ``policy``, then one extraction.
 
     ``evaluate(policy)`` returns the exact values of ``policy`` by index.
@@ -383,12 +381,12 @@ def _howard(cm: CompiledMdp, options, policy, evaluate, seeds, maximize: bool):
                 policy[i] = best
                 switched = True
         if not switched:
-            states = cm.states
-            choice = _extract(cm, x, options, seeds, maximize)
+            states = fm.states
+            choice = _extract(fm, x, options, seeds, maximize)
             return x, MdStrategy({states[i]: states[t] for i, (t, _) in choice.items()})
 
 
-def _extract(cm: CompiledMdp, x, options, seeds, maximize: bool) -> dict:
+def _extract(fm: FiniteMdp, x, options, seeds, maximize: bool) -> dict:
     """The MD choice of every state of ``options`` from the values ``x``.
 
     The candidates of a state are its options whose value lies within
@@ -407,10 +405,10 @@ def _extract(cm: CompiledMdp, x, options, seeds, maximize: bool) -> dict:
         pools[i] = pool = [edge for v, edge in scored if v <= bar]
         for t, _ in pool:
             candidates.setdefault(t, []).append(i)
-    dist = _backward_reach(None, seeds, preds=(cm.random_preds(), candidates))
-    ordinal = cm.ordinal
+    dist = _backward_reach(None, seeds, preds=(fm.random_preds(), candidates))
+    states = fm.states
     return {
-        i: min(pool, key=lambda edge: (dist.get(edge[0], math.inf), ordinal[edge[0]]))
+        i: min(pool, key=lambda edge: (dist.get(edge[0], math.inf), states[edge[0]].ordinal))
         for i, pool in pools.items()
     }
 
@@ -425,39 +423,34 @@ def optimal_boundary_value(
     maximize: bool = True,
 ) -> tuple[dict[StateId, float], MdStrategy]:
     """Least fixed point of the Bellman operator with fixed boundary values,
-    plus an MD strategy attaining it."""
-    return _boundary_value(fm.compiled, boundary, maximize)
+    plus an MD strategy attaining it.  The rows of boundary states are never
+    read, so they may be anything."""
+    fixed = _fixed(fm, boundary)
+    options, policy, evaluate = _boundary_problem(fm, fixed, maximize)
+    x, sigma = _howard(fm, options, policy, evaluate, fixed, maximize)
+    return dict(zip(fm.states, x)), sigma
 
 
-def _boundary_value(cm: CompiledMdp, boundary: Mapping[StateId, float], maximize: bool):
-    """``optimal_boundary_value`` on the index form ``cm``.  The rows of
-    boundary states are never read, so they may be anything."""
-    fixed = _fixed(cm, boundary)
-    options, policy, evaluate = _boundary_problem(cm, fixed, maximize)
-    x, sigma = _howard(cm, options, policy, evaluate, fixed, maximize)
-    return dict(zip(cm.states, x)), sigma
-
-
-def _boundary_problem(cm: CompiledMdp, fixed: Mapping[int, float], maximize: bool):
+def _boundary_problem(fm: FiniteMdp, fixed: Mapping[int, float], maximize: bool):
     """Max- or min-reach with the boundary ``fixed`` (index -> value) as
     input to ``_howard``: the options of every controlled state outside the
     boundary, the start policy and the exact evaluation.  The start takes
     the choices of the boundary values alone: toward the boundary when
     maximizing, away from it when minimizing."""
-    inner = [i for i in range(len(cm.states)) if i not in fixed]
+    inner = [i for i in range(len(fm.states)) if i not in fixed]
     # For min-reach, a state from which the boundary is surely avoidable
     # (the largest such closed set) must keep to such states: value 0.
-    zero = set() if maximize else _stay_region(cm, inner)
+    zero = set() if maximize else _stay_region(fm, inner)
     options = {
-        i: [(t, 0.0) for t in cm.row(i) if i not in zero or t in zero]
-        for i in inner if cm.controlled[i]
+        i: [(t, 0.0) for t in fm.row(i) if i not in zero or t in zero]
+        for i in inner if fm.controlled[i]
     }
-    x = [fixed.get(i, 0.0) for i in range(len(cm.states))]
+    x = [fixed.get(i, 0.0) for i in range(len(fm.states))]
 
     def evaluate(policy):
-        return _absorption(cm, policy, fixed)
+        return _absorption(fm, policy, fixed)
 
-    return options, _extract(cm, x, options, fixed, maximize), evaluate
+    return options, _extract(fm, x, options, fixed, maximize), evaluate
 
 
 # ---------------------------------------------------------------------------
@@ -561,11 +554,10 @@ def _ring_estimate(fm: FiniteMdp, values, lower: float, exclude) -> float:
         return lower
     if lower >= 1.0 - 1e-12:
         return 1.0
-    cm = fm.compiled
-    f, indptr = cm.index[fm.frontier], cm.indptr
+    f, indptr = fm.index[fm.frontier], fm.indptr
     # The rows holding an edge to the frontier, in one scan of the edges.
-    rows = [bisect_right(indptr, k) - 1 for k, t in enumerate(cm.succ) if t == f]
-    ring = [cm.states[i] for i in rows if i != f]
+    rows = [bisect_right(indptr, k) - 1 for k, t in enumerate(fm.succ) if t == f]
+    ring = [fm.states[i] for i in rows if i != f]
     rho = max((values[q] for q in ring if q not in exclude), default=0.0)
     return min(1.0, lower + (1.0 - lower) * rho)
 
@@ -574,9 +566,9 @@ def return_probability(mdp: Mdp, s: StateId, radii: Iterable[int]) -> ReturnAnal
     """Interval for Re(s), the supremum probability of revisiting ``s`` after
     at least one step, reduced to reachability by state splitting: a fresh
     entry copy of ``s`` keeps its transitions while the original becomes the
-    target.  The entry is one row appended to the truncation's index form;
-    the original needs no absorbing copy, because boundary rows are never
-    read.
+    target.  The entry is one row appended to a copy of the truncation's
+    rows; the original needs no absorbing copy, because boundary rows are
+    never read.
 
     The lower end (returns inside the bubble) is sound unconditionally.  A
     truncation-sound upper bound is vacuously 1 whenever escape has positive
@@ -593,8 +585,7 @@ def return_probability(mdp: Mdp, s: StateId, radii: Iterable[int]) -> ReturnAnal
     radius = radii[-1]
     fm = truncate(mdp, {s}, radius)
     entry = mint("entry", max(q.ordinal for q in fm.states) + 1, f"entry({s.label or s.ordinal})")
-    cm = fm.compiled
-    values, _ = _boundary_value(cm.extended(entry, cm.index[s]), {s: 1.0}, True)
+    values, _ = optimal_boundary_value(_extended(fm, entry, s), {s: 1.0}, True)
     lower = values[entry]
     upper = _ring_estimate(fm, values, lower, {s})
     interval = ValueInterval(lower=min(lower, upper), upper=max(lower, upper), radius=radius)
@@ -622,36 +613,35 @@ def min_expected_cost_md(
     strict improvement, so every policy it evaluates stays proper.  The
     returned values are the exact evaluation of the extracted strategy.
     """
-    cm = fm.compiled
-    options, policy, evaluate, free, rank = _cost_problem(cm, cost)
+    options, policy, evaluate, free, rank = _cost_problem(fm, cost)
     if root is not None:
         if not free:
             raise NoFiniteCostPolicy("no zero-cost absorbing region exists")
-        if cm.index.get(root) not in rank:
+        if fm.index.get(root) not in rank:
             raise NoFiniteCostPolicy(
                 f"zero-cost region unreachable almost surely from {root}"
             )
-    _, sigma = _howard(cm, options, policy, evaluate, free, False)
+    _, sigma = _howard(fm, options, policy, evaluate, free, False)
     exact = evaluate_md_cost(fm, sigma, cost)
     if root is not None and not math.isfinite(exact[root]):
         raise NoFiniteCostPolicy(f"extracted policy has infinite cost from {root}")
     return sigma, exact
 
 
-def _cost_problem(cm: CompiledMdp, cost: CostLabel):
+def _cost_problem(fm: FiniteMdp, cost: CostLabel):
     """Minimum expected total cost as input to ``_howard``: the options of
     every controlled state, the start policy and the exact evaluation, plus
     the zero-cost region and its almost-sure attractor with ranks."""
-    states, ordinal, controlled = cm.states, cm.ordinal, cm.controlled
-    indptr, succ = cm.indptr, cm.succ
+    states, controlled = fm.states, fm.controlled
+    indptr, succ = fm.indptr, fm.succ
     n = len(states)
     ecost = [
         cost.of(states[i], states[succ[k]])
         for i in range(n) for k in range(indptr[i], indptr[i + 1])
     ]
     # The zero-cost region: where cost 0 can be sustained forever.
-    free = _stay_region(cm, range(n), [c == 0.0 for c in ecost])
-    rank = _almost_sure_attractor(cm, free)
+    free = _stay_region(fm, range(n), [c == 0.0 for c in ecost])
+    rank = _almost_sure_attractor(fm, free)
     options = {
         i: [(succ[k], ecost[k]) for k in range(indptr[i], indptr[i + 1])]
         for i in range(n) if controlled[i]
@@ -660,30 +650,31 @@ def _cost_problem(cm: CompiledMdp, cost: CostLabel):
     # A successor of lower rank in the attractor, for every controlled state
     # to solve: a proper policy.
     policy = {
-        i: min((e for e in options[i] if e[0] in rank), key=lambda e: (rank[e[0]], ordinal[e[0]]))
+        i: min((e for e in options[i] if e[0] in rank),
+               key=lambda e: (rank[e[0]], states[e[0]].ordinal))
         for i in solve if controlled[i]
     }
 
     def evaluate(policy):
         x = [0.0 if i in free else math.inf for i in range(n)]
         if solve:
-            for i, v in zip(solve, _chain_values(cm, solve, policy, {}, ecost)):
+            for i, v in zip(solve, _chain_values(fm, solve, policy, {}, ecost)):
                 x[i] = float(max(v, 0.0))
         return x
 
     return options, policy, evaluate, free, rank
 
 
-def _almost_sure_attractor(cm: CompiledMdp, target: set[int]) -> dict[int, int]:
-    """States (indices of ``cm``) from which some MD strategy reaches
+def _almost_sure_attractor(fm: FiniteMdp, target: set[int]) -> dict[int, int]:
+    """States (indices of ``fm``) from which some MD strategy reaches
     ``target`` with probability one, mapped to their attractor rank (the
     usual nested fixpoint: shrink the kept set to the states that reach
     ``target`` while no random state can leave it, until it is stable).  A
     state of rank k > 0 has a successor of rank k - 1, and a random one has
     all its successors inside."""
-    controlled = cm.controlled
-    succ = {i: cm.row(i) for i in range(len(cm.states)) if i not in target}
-    keep = set(range(len(cm.states)))
+    controlled = fm.controlled
+    succ = {i: fm.row(i) for i in range(len(fm.states)) if i not in target}
+    keep = set(range(len(fm.states)))
     while True:
         rank = _backward_reach(
             succ,

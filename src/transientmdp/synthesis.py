@@ -36,6 +36,7 @@ from .core import (
     _Layers,
     _absorb,
     _backward_reach,
+    _with_rows,
     mint,
     require_tail,
     successor_states,
@@ -98,11 +99,10 @@ class SynthesisParams:
 def fix_choices(fm: FiniteMdp, fixed: dict[StateId, StateId]) -> FiniteMdp:
     """Copy of ``fm`` with the controlled states in ``fixed`` restricted to
     their single chosen successor."""
-    transitions = dict(fm.transitions)
-    for s, t in fixed.items():
-        transitions[s] = [t]
-    return FiniteMdp(fm.states, fm.kinds, transitions, [], frontier=fm.frontier,
-                     frontier_policy=fm.frontier_policy, check=False)
+    index = fm.index
+    return _with_rows(fm, {
+        index[s]: (fm.controlled[index[s]], [index[t]], [math.nan]) for s, t in fixed.items()
+    })
 
 
 def _optimal(fm: FiniteMdp, phi: Objective):
@@ -226,18 +226,19 @@ def optimal_md_where_exists(fm: FiniteMdp, phi: Objective) -> MdStrategy:
     # Restrict to states that can win almost surely in the conditioned
     # variant; on finite MDPs these are exactly its value-1 states.
     plus_values, _ = _optimal(plus, plus_phi)
-    capable = {s for s in plus.states if plus_values[s] >= 1.0 - 1e-9}
-    kinds = {s: plus.kinds[s] for s in capable}
-    transitions = {}
-    for s in capable:
-        succ = plus.successors_of(s)
-        if isinstance(succ, Distribution):
-            transitions[s] = succ
-        else:
-            kept = [t for t in succ if t in capable]
-            transitions[s] = kept if kept else list(succ)
-    restricted = FiniteMdp(sorted(capable), kinds, transitions, [], check=False)
-    sigma_plus, _ = plastering_uniformize(restricted, Objective.reach(target & capable), 0.5)
+    capable = sorted(s for s in plus.states if plus_values[s] >= 1.0 - 1e-9)
+    # Controlled states keep their edges into ``capable``, when they have any.
+    pos = {plus.index[s]: k for k, s in enumerate(capable)}
+    indptr, succ, prob = [0], [], []
+    for i in pos:
+        edges = range(plus.indptr[i], plus.indptr[i + 1])
+        if plus.controlled[i]:
+            edges = [k for k in edges if plus.succ[k] in pos] or edges
+        succ += [pos[plus.succ[k]] for k in edges]
+        prob += [plus.prob[k] for k in edges]
+        indptr.append(len(succ))
+    restricted = FiniteMdp._of_rows(capable, [plus.controlled[i] for i in pos], indptr, succ, prob)
+    sigma_plus, _ = plastering_uniformize(restricted, Objective.reach(target & set(capable)), 0.5)
     return MdStrategy(dict(sigma_plus.choice))
 
 
@@ -716,9 +717,8 @@ def transience_md(
         )
 
     fm = truncate(work, {root}, budgets.radius, layers=layers)
-    cm, frontier = fm.compiled, fm.frontier
-    states = cm.states
-    f = cm.index.get(frontier)  # None when nothing leaves the bubble
+    states, frontier = fm.states, fm.frontier
+    f = fm.index.get(frontier)  # None when nothing leaves the bubble
     product = _one_bit_product(fm, one_bit)
     reaching = _backward_reach({k: [j for j, _ in row] for k, row in enumerate(product)},
                                [2 * f + m for m in (0, 1) if f is not None])
@@ -747,7 +747,7 @@ def transience_md(
     repaired = [product[k - k % 2 + fix.get(k // 2, k % 2)] for k in range(len(product))]
     sinks = {k for k in range(len(product)) if k // 2 == f or not good_modes[k // 2]}
     node_visits = _expected_visits(
-        repaired, 2 * cm.index[root] + one_bit.initial_mode, sinks
+        repaired, 2 * fm.index[root] + one_bit.initial_mode, sinks
     )
     visits: dict[StateId, float] = {}
     attainment = 0.0
@@ -765,10 +765,10 @@ def transience_md(
     rank = {s: i for i, s in enumerate(sorted(good, key=lambda q: q.ordinal))}
     bad_cost = params.big_k / (1.0 - attainment + params.epsilon_prime)
     cost_map: dict[tuple[StateId, StateId], float] = {}
-    for s in m_prime.states:
+    for i, s in enumerate(states):
         if s in bad:
             continue  # bad self-loops cost 0
-        for t in successor_states(m_prime, s):
+        for t in (states[j] for j in m_prime.row(i)):
             if t in bad:
                 cost_map[(s, t)] = bad_cost
             elif t == frontier:
@@ -809,19 +809,18 @@ def _reduction_if_needed(mdp: Mdp, s0: StateId, probe_radius: int):
 
 def _one_bit_product(fm: FiniteMdp, one_bit: OneBitStrategy) -> list[list[tuple[int, float]]]:
     """The (mode, state) product chain of a 1-bit strategy on a truncation:
-    the edges (node, probability) of node 2i + mode, for state i of
-    ``fm.compiled``.  A controlled row holds the one pick, a pick outside
-    ``fm`` going to the frontier; a random row holds the positive edges with
-    their updated modes; the frontier stays put."""
-    cm = fm.compiled
-    index, states, indptr, succ, prob = cm.index, cm.states, cm.indptr, cm.succ, cm.prob
+    the edges (node, probability) of node 2i + mode, for state i of ``fm``.
+    A controlled row holds the one pick, a pick outside ``fm`` going to the
+    frontier; a random row holds the positive edges with their updated
+    modes; the frontier stays put."""
+    index, states, indptr, succ, prob = fm.index, fm.states, fm.indptr, fm.succ, fm.prob
     f = index.get(fm.frontier)
     rows = []
     for i, s in enumerate(states):
         for mode in (0, 1):
             if i == f:
                 rows.append([(2 * i + mode, 1.0)])
-            elif cm.controlled[i]:
+            elif fm.controlled[i]:
                 m2, t = one_bit.controlled(mode, s)
                 rows.append([(2 * index.get(t, f) + m2, 1.0)])
             else:

@@ -269,6 +269,7 @@ SOLVE = {"kind": "solve", "objective": {"type": "reach", "states": [0]}, "state"
         ({"gadget": "gamblers_ruin", "params": {"p": 0.9}},
          {"kind": "simulate", "state": 0, "horizon": 50, "runs": 20,
           "proxy": {"type": "revisit_cap", "max_visits": -3}}),
+        ({"file": "nan.json"}, {**SOLVE, "objective": {"type": "reach", "states": [7]}}),
     ],
     ids=["missing_mdp_file", "malformed_mdp_file", "zero_runs", "horizon_within_window",
          "non_numeric_objective_state", "non_numeric_epsilon", "mdp_not_an_object",
@@ -280,11 +281,14 @@ SOLVE = {"kind": "solve", "objective": {"type": "reach", "states": [0]}, "state"
          "infinite_radius", "negative_gadget_state", "solve_negative_gadget_state",
          "ordinal_not_a_gadget_state", "fractional_gadget_state", "string_gadget_state",
          "boolean_file_state", "negative_horizon", "negative_fresh_tail_window",
-         "negative_max_visits"],
+         "negative_max_visits", "nan_probability_file"],
 )
 def test_bad_scenario_input_is_a_scenario_error(tmp_path, capsys, mdp, task):
     (tmp_path / "broken.json").write_text('{"states": [')
     random_finite_mdp(4, n_states=8).dump(tmp_path / "finite.json")
+    doc = random_finite_mdp(4, n_states=8).to_json()
+    doc["transitions"][-1]["p"] = float("nan")  # the self-loop of the win sink
+    (tmp_path / "nan.json").write_text(json.dumps(doc))
     scenario = tmp_path / "bad.json"
     scenario.write_text(json.dumps({"seed": 1, "mdp": mdp, "task": task}))
     assert run_cli(["--out-dir", tmp_path, "run", scenario]) == 1

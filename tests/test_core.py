@@ -1,4 +1,5 @@
 import itertools
+import math
 from collections import Counter
 
 import numpy as np
@@ -26,7 +27,7 @@ from transientmdp.core import (
     require_sink,
     require_tail,
 )
-from transientmdp.errors import BadParameter, InfiniteBranching, NotSink, NotTail
+from transientmdp.errors import BadModel, BadParameter, InfiniteBranching, NotSink, NotTail
 from transientmdp.gadgets import (
     acyclic_chain,
     gamblers_ruin,
@@ -70,6 +71,10 @@ def test_distribution_validation():
         Distribution([(a, 0.5), (a, 0.5)])
     with pytest.raises(ValueError):
         Distribution([(a, 1.2), (b, -0.2)])
+    # NaN compares false both ways, so it must not slip past the checks.
+    for support in ([(a, math.nan)], [(a, 1.0), (b, math.nan)], [(a, math.inf)]):
+        with pytest.raises(BadModel):
+            Distribution(support)
     d = Distribution([(a, 0.25), (b, 0.75)])
     assert d.sample(0.1) == a and d.sample(0.9) == b
 
@@ -82,6 +87,43 @@ def test_finite_mdp_validation_and_json_roundtrip():
     assert back.kind_of(a) is StateKind.RANDOM
     with pytest.raises(NotSink):
         require_sink(fm, {a})
+    # Truncations, with and without a frontier sink, round-trip too.
+    truncations = [
+        truncate(gamblers_ruin(0.6)[0], {w(2)}, 3),
+        truncate(no_optimal_ladder()[0], {ladder_state("ell", 0)}, 4),
+        truncate(back, {a}, 5),
+    ]
+    assert [t.frontier is not None for t in truncations] == [True, True, False]
+    for trunc in truncations:
+        doc = trunc.to_json()
+        assert FiniteMdp.from_json(doc).to_json() == doc
+
+
+def _model_doc(**edit):
+    """The document of a controlled state 0 with successors 1 and 2, random
+    state 1 and absorbing state 2, with the fields of ``edit`` replaced."""
+    doc = {
+        "states": [{"id": 0, "kind": "C"}, {"id": 1, "kind": "R"}, {"id": 2, "kind": "R"}],
+        "transitions": [
+            {"from": 0, "to": 1, "p": None}, {"from": 0, "to": 2, "p": None},
+            {"from": 1, "to": 2, "p": 1.0}, {"from": 2, "to": 2, "p": 1.0},
+        ],
+        "sinks": [[2]],
+    }
+    for where, (i, field, value) in edit.items():
+        doc[where][i][field] = value
+    return doc
+
+
+@pytest.mark.parametrize("edit", [
+    {"transitions": (2, "to", 5)},
+    {"transitions": (2, "p", None)},
+    {"states": (1, "kind", "X")},
+], ids=["edge_to_unknown_state", "null_random_probability", "unknown_kind"])
+def test_malformed_model_document_raises_bad_model(edit):
+    FiniteMdp.from_json(_model_doc())
+    with pytest.raises(BadModel):
+        FiniteMdp.from_json(_model_doc(**edit))
 
 
 def test_bubble_zero_and_one_step():
@@ -177,14 +219,13 @@ def test_truncate_builds_the_compiled_layout():
     # order, and the mass leaving the bubble lumped into one frontier edge.
     mdp, _ = gamblers_ruin(0.75)
     fm = truncate(mdp, {w(1)}, 1)
-    cm = fm.compiled
-    assert [s.label for s in cm.states] == ["w_0", "w_1", "w_2", "frontier"]
-    assert (cm.indptr, cm.succ) == ([0, 1, 3, 5, 6], [1, 2, 0, 1, 3, 3])
-    assert cm.prob == [1.0, 0.75, 0.25, 0.25, 0.75, 1.0]
-    assert cm.controlled == [False] * 4
-    # w_0 and w_1 keep everything: their rows are the oracle's own answers.
-    assert fm.transitions[w(1)].support == ((w(2), 0.75), (w(0), 0.25))
-    assert fm.transitions[fm.frontier].support == ((fm.frontier, 1.0),)
+    assert [s.label for s in fm.states] == ["w_0", "w_1", "w_2", "frontier"]
+    assert (fm.indptr, fm.succ) == ([0, 1, 3, 5, 6], [1, 2, 0, 1, 3, 3])
+    assert fm.prob == [1.0, 0.75, 0.25, 0.25, 0.75, 1.0]
+    assert fm.controlled == [False] * 4
+    # w_0 and w_1 keep everything: their rows read back as the oracle's answers.
+    assert fm.successors_of(w(1)).support == ((w(2), 0.75), (w(0), 0.25))
+    assert fm.successors_of(fm.frontier).support == ((fm.frontier, 1.0),)
 
 
 def _walk_with_w3(kind, answer):

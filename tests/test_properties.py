@@ -21,7 +21,9 @@ from transientmdp import Distribution, LazyMdp, Objective, StateId, StateKind
 from transientmdp import core, solvers, transforms
 from transientmdp.cli import main as cli_main
 from transientmdp.core import InfiniteSuccessors, successor_states
-from transientmdp.gadgets import gamblers_ruin, geometric_fan, safety_fan, transience_fan
+from transientmdp.gadgets import (
+    gamblers_ruin, geometric_fan, ladder_state, no_optimal_ladder, safety_fan, transience_fan,
+)
 from transientmdp.simulate import FreshTail, RevisitCap, _vector_estimate
 from transientmdp.solvers import (
     BoundedRewardSpec,
@@ -37,7 +39,7 @@ from transientmdp.solvers import (
     return_probability,
     safety_strategy,
 )
-from transientmdp.synthesis import plastering_uniformize
+from transientmdp.synthesis import fix_choices, plastering_uniformize
 from transientmdp.transforms import INFINITE_CHAIN, conditioned
 from transientmdp.verify import random_finite_mdp, win_objective
 
@@ -149,6 +151,107 @@ def test_solvers_match_md_policy_oracle(seed, n):
             assert got == values[s] or abs(got - values[s]) <= 1e-9, (name, s)
 
 
+def _tables(fm):
+    """The kinds and successor answers of every state of ``fm``."""
+    return ({s: fm.kind_of(s) for s in fm.states}, {s: fm.successors_of(s) for s in fm.states})
+
+
+# Reference builders: each derived MDP as the table form the FiniteMdp
+# constructor compiles, written the way the dict-based code built it.
+
+
+def _ref_absorb(fm, states):
+    kinds, transitions = _tables(fm)
+    for s in set(states):
+        kinds[s] = StateKind.RANDOM
+        transitions[s] = Distribution([(s, 1.0)])
+    return core.FiniteMdp(fm.states, kinds, transitions, [], frontier=fm.frontier, check=False)
+
+
+def _ref_fix_choices(fm, fixed):
+    kinds, transitions = _tables(fm)
+    transitions.update({s: [t] for s, t in fixed.items()})
+    return core.FiniteMdp(fm.states, kinds, transitions, [], frontier=fm.frontier, check=False)
+
+
+def _ref_restrict(fm, inside, sink):
+    kinds, transitions, used_sink = {}, {}, False
+    for s in sorted(inside):
+        kinds[s] = fm.kind_of(s)
+        succ = fm.successors_of(s)
+        if isinstance(succ, Distribution):
+            kept = [(t, p) for t, p in succ if t in inside]
+            out_mass = sum(p for t, p in succ if t not in inside)
+            if out_mass > 0.0:
+                kept.append((sink, out_mass))
+                used_sink = True
+            transitions[s] = Distribution(kept, check=False)
+        else:
+            kept = [t for t in succ if t in inside]
+            if len(kept) < len(succ):
+                kept.append(sink)
+                used_sink = True
+            transitions[s] = kept
+    if not used_sink:
+        return core.FiniteMdp(sorted(inside), kinds, transitions, check=False)
+    kinds[sink] = StateKind.RANDOM
+    transitions[sink] = Distribution([(sink, 1.0)])
+    return core.FiniteMdp(sorted(inside) + [sink], kinds, transitions, [{sink}], frontier=sink,
+                          check=False)
+
+
+def _ref_entry_copy(fm, entry, s):
+    kinds, transitions = _tables(fm)
+    return core.FiniteMdp(fm.states + [entry], {**kinds, entry: kinds[s]},
+                          {**transitions, entry: transitions[s]}, frontier=fm.frontier,
+                          check=False)
+
+
+def _assert_same_mdp(got, want):
+    def rows(fm):
+        return fm.controlled, fm.indptr, fm.succ, [None if math.isnan(p) else p for p in fm.prob]
+
+    assert rows(got) == rows(want)
+    assert got.to_json() == want.to_json()
+    assert got.frontier == want.frontier
+    for s in want.states:
+        assert got.kind_of(s) is want.kind_of(s)
+        a, b = got.successors_of(s), want.successors_of(s)
+        assert type(a) is type(b)
+        assert (a.support == b.support) if isinstance(b, Distribution) else a == b
+
+
+@PROPERTY
+@given(seed=SEEDS, n=SIZES, source=st.sampled_from(["random", "gambler", "ladder"]))
+def test_row_edits_match_the_table_form(seed, n, source):
+    # The derived MDPs are edits of copied rows; each must equal the same
+    # MDP compiled from the table form by the reference builders above.
+    if source == "random":
+        fm = random_finite_mdp(seed, n_states=n)
+    elif source == "gambler":
+        fm = core.truncate(gamblers_ruin(0.6)[0], {StateId(seed % 5, f"w_{seed % 5}")}, n)
+    else:
+        fm = core.truncate(no_optimal_ladder()[0], {ladder_state("ell", seed % 3)}, n)
+    rng = random.Random(seed)
+    states = fm.states
+    some = rng.sample(states, rng.randint(1, len(states)))
+    _assert_same_mdp(core._absorb(fm, some), _ref_absorb(fm, some))
+
+    fixed = {s: rng.choice(successor_states(fm, s))
+             for s in fm.controlled_states() if rng.random() < 0.6}
+    _assert_same_mdp(fix_choices(fm, fixed), _ref_fix_choices(fm, fixed))
+
+    sink = core.mint("exit", max(s.ordinal for s in states) + 1)
+    inside = set(rng.sample(states, rng.randint(1, len(states))))
+    rewards = set(rng.sample(sorted(inside), rng.randint(0, len(inside))))
+    _assert_same_mdp(core._absorb(core._restrict(fm, inside, sink), rewards),
+                     _ref_absorb(_ref_restrict(fm, inside, sink), rewards))
+
+    s = rng.choice(states)
+    entry = core.mint("entry", sink.ordinal)
+    _assert_same_mdp(core._extended(fm, entry, s), _ref_entry_copy(fm, entry, s))
+
+
 @PROPERTY
 @given(seed=SEEDS, n=SIZES, radius=st.integers(min_value=0, max_value=3))
 def test_unabsorbed_boundaries_match_the_absorb_route(seed, n, radius):
@@ -168,13 +271,13 @@ def test_unabsorbed_boundaries_match_the_absorb_route(seed, n, radius):
     s = rng.choice(fm.states)
     trunc = core.truncate(fm, {s}, radius)
     entry = core.mint("entry", max(q.ordinal for q in trunc.states) + 1)
+    kinds, transitions = _tables(trunc)
     split = core._absorb(core.FiniteMdp(
-        trunc.states + [entry], {**trunc.kinds, entry: trunc.kinds[s]},
-        {**trunc.transitions, entry: trunc.transitions[s]}, check=False,
+        trunc.states + [entry], {**kinds, entry: kinds[s]},
+        {**transitions, entry: transitions[s]}, check=False,
     ), {s})
     old, old_sigma = solvers.optimal_boundary_value(split, {s: 1.0}, True)
-    cm = trunc.compiled
-    new, sigma = solvers._boundary_value(cm.extended(entry, cm.index[s]), {s: 1.0}, True)
+    new, sigma = solvers.optimal_boundary_value(core._extended(trunc, entry, s), {s: 1.0}, True)
     assert new == old and sigma.choice == old_sigma.choice
     lower = old[entry]
     upper = solvers._ring_estimate(trunc, old, lower, {s})
@@ -201,9 +304,9 @@ def _reference_solve_chain(chain, solve):
     return solvers._linsolve(m, rows, cols, vals, b)
 
 
-def _reference_absorption(cm, pick, fixed):
-    indptr, succ, prob, controlled = cm.indptr, cm.succ, cm.prob, cm.controlled
-    n = len(cm.states)
+def _reference_absorption(fm, pick, fixed):
+    indptr, succ, prob, controlled = fm.indptr, fm.succ, fm.prob, fm.controlled
+    n = len(fm.states)
     chain = {}
     for i in range(n):
         if i in fixed:
@@ -231,37 +334,35 @@ def _reference_absorption(cm, pick, fixed):
 
 
 def _reference_evaluate_md(fm, sigma, boundary):
-    cm = fm.compiled
     pick = {
-        i: cm.index.get(sigma.successor(fm, s))
-        for i, s in enumerate(cm.states) if cm.controlled[i]
+        i: fm.index.get(sigma.successor(fm, s))
+        for i, s in enumerate(fm.states) if fm.controlled[i]
     }
-    fixed = {cm.index[s]: v for s, v in boundary.items() if s in cm.index}
-    values = dict(zip(cm.states, _reference_absorption(cm, pick, fixed)))
+    fixed = {fm.index[s]: v for s, v in boundary.items() if s in fm.index}
+    values = dict(zip(fm.states, _reference_absorption(fm, pick, fixed)))
     values.update(boundary)
     return values
 
 
 def _reference_cost(fm, sigma, cost):
-    cm = fm.compiled
-    states, indptr, succ = cm.states, cm.indptr, cm.succ
+    states, indptr, succ = fm.states, fm.indptr, fm.succ
     chain = {}
     free_edge = [False] * len(succ)
     for i, s in enumerate(states):
         lo, hi = indptr[i], indptr[i + 1]
-        if cm.controlled[i]:
+        if fm.controlled[i]:
             t = sigma.successor(fm, s)
-            j, c = cm.index.get(t), cost.of(s, t)
+            j, c = fm.index.get(t), cost.of(s, t)
             chain[i] = [(j, 1.0, c)]
             for k in range(lo, hi):
                 free_edge[k] = succ[k] == j and c == 0.0
         else:
             out = [(t, p, cost.of(s, states[t]))
-                   for t, p in zip(succ[lo:hi], cm.prob[lo:hi])]
+                   for t, p in zip(succ[lo:hi], fm.prob[lo:hi])]
             free_edge[lo:hi] = [c == 0.0 for _, _, c in out]
             chain[i] = [edge for edge in out if edge[1] > 0.0]
     targets = {i: [t for t, _, _ in out] for i, out in chain.items()}
-    free = core._stay_region(cm, range(len(states)), free_edge)
+    free = core._stay_region(fm, range(len(states)), free_edge)
     reach_free = core._backward_reach(targets, free)
     infinite = core._backward_reach(targets, [i for i in chain if i not in reach_free])
     values = [math.inf if i in infinite else 0.0 for i in range(len(states))]
@@ -280,27 +381,26 @@ def test_csr_assembly_matches_the_dict_of_tuples_reference(seed, n):
     # assembly bit for bit.  Among the random picks, one lies outside its
     # row and one outside the state space (index None).
     fm = random_finite_mdp(seed, n_states=n, p_controlled=0.7)
-    cm = fm.compiled
-    assert len(cm.states) < solvers.SPARSE_MIN_ROWS
+    assert len(fm.states) < solvers.SPARSE_MIN_ROWS
     rng = random.Random(seed)
-    pick = {i: rng.choice(cm.row(i)) for i in range(n) if cm.controlled[i]}
+    pick = {i: rng.choice(fm.row(i)) for i in range(n) if fm.controlled[i]}
     odd = rng.sample(sorted(pick), min(2, len(pick)))
     if odd:
-        outside = [t for t in range(n) if t not in cm.row(odd[0])]
+        outside = [t for t in range(n) if t not in fm.row(odd[0])]
         if outside:
             pick[odd[0]] = rng.choice(outside)
         pick[odd[-1]] = None
     stranger = StateId(10 * n, "outside")
     sigma = core.MdStrategy({
-        cm.states[i]: stranger if t is None else cm.states[t] for i, t in pick.items()
+        fm.states[i]: stranger if t is None else fm.states[t] for i, t in pick.items()
     })
 
     # Values that do not sum exactly, so that a change of summation order
     # shows in the last bits.
     boundary = {s: rng.random() for s in rng.sample(fm.states, rng.randint(1, n - 1))}
-    fixed = {cm.index[s]: v for s, v in boundary.items()}
+    fixed = {fm.index[s]: v for s, v in boundary.items()}
     policy = {i: (t, 0.0) for i, t in pick.items() if i not in fixed}
-    assert solvers._absorption(cm, policy, fixed) == _reference_absorption(cm, pick, fixed)
+    assert solvers._absorption(fm, policy, fixed) == _reference_absorption(fm, pick, fixed)
 
     cost = _random_cost(fm, seed)
     assert evaluate_md_cost(fm, sigma, cost) == _reference_cost(fm, sigma, cost)
@@ -319,13 +419,12 @@ def test_howard_result_does_not_depend_on_the_start_policy(seed, n):
     # smallest-ordinal start; for cost that start takes the smallest ordinal
     # among the successors of lower attractor rank, so that it stays proper.
     fm = random_finite_mdp(seed, n_states=n)
-    cm = fm.compiled
-    ordinal = cm.ordinal
-    win, lose = cm.index[fm.states[-1]], cm.index[fm.states[-2]]
-    options, start, evaluate, free, rank = solvers._cost_problem(cm, _random_cost(fm, seed))
+    ordinal = [s.ordinal for s in fm.states]
+    win, lose = fm.index[fm.states[-1]], fm.index[fm.states[-2]]
+    options, start, evaluate, free, rank = solvers._cost_problem(fm, _random_cost(fm, seed))
     problems = [
-        (solvers._boundary_problem(cm, {win: 1.0}, True), {win: 1.0}, True, None),
-        (solvers._boundary_problem(cm, {lose: 1.0}, False), {lose: 1.0}, False, None),
+        (solvers._boundary_problem(fm, {win: 1.0}, True), {win: 1.0}, True, None),
+        (solvers._boundary_problem(fm, {lose: 1.0}, False), {lose: 1.0}, False, None),
         ((options, start, evaluate), free, False, rank),
     ]
     for (options, start, evaluate), seeds, maximize, rank in problems:
@@ -336,8 +435,8 @@ def test_howard_result_does_not_depend_on_the_start_policy(seed, n):
             )
             for i in start
         }
-        x, sigma = solvers._howard(cm, options, dict(start), evaluate, seeds, maximize)
-        y, other = solvers._howard(cm, options, first, evaluate, seeds, maximize)
+        x, sigma = solvers._howard(fm, options, dict(start), evaluate, seeds, maximize)
+        y, other = solvers._howard(fm, options, first, evaluate, seeds, maximize)
         assert sigma.choice == other.choice
         for u, v in zip(x, y):
             assert u == v or abs(u - v) <= 1e-14

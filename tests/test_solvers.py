@@ -1,3 +1,5 @@
+import hashlib
+import json
 import math
 import subprocess
 import sys
@@ -423,19 +425,16 @@ def test_bound_queries_build_one_truncation(monkeypatch):
     assert len(built) == 1
 
 
-def test_compiled_form_is_built_on_first_use():
+def test_constructor_compiles_the_rows():
     a, b, c = S(0, "a"), S(1, "b"), S(2, "c")
     fm = tiny(
         {a: [b, c], b: Distribution([(a, 0.25), (c, 0.75)]), c: Distribution([(c, 1.0)])},
         {a: StateKind.CONTROLLED, b: StateKind.RANDOM, c: StateKind.RANDOM},
     )
-    assert "compiled" not in vars(fm)
-    cm = fm.compiled
-    assert fm.compiled is cm
-    assert cm.controlled == [True, False, False]
-    assert (cm.indptr, cm.succ) == ([0, 2, 4, 5], [1, 2, 0, 2, 2])
-    assert math.isnan(cm.prob[0]) and math.isnan(cm.prob[1])
-    assert cm.prob[2:] == [0.25, 0.75, 1.0]
+    assert fm.controlled == [True, False, False]
+    assert (fm.indptr, fm.succ) == ([0, 2, 4, 5], [1, 2, 0, 2, 2])
+    assert math.isnan(fm.prob[0]) and math.isnan(fm.prob[1])
+    assert fm.prob[2:] == [0.25, 0.75, 1.0]
 
 
 def _nearly_absorbing():
@@ -506,7 +505,7 @@ def test_markov_chain_reach_searches_the_graph_once(monkeypatch):
     monkeypatch.setattr(solvers, "_backward_reach", counting)
     mdp, _ = gamblers_ruin(0.6)
     fm = truncate(mdp, {StateId(1, "w_1")}, 200)
-    assert not any(fm.compiled.controlled)
+    assert not any(fm.controlled)
     values = reach_value(fm, {fm.frontier})
     assert len(calls) == 1
     # The walk restarts from w_0, so it reaches the frontier surely.
@@ -544,3 +543,43 @@ def test_small_solves_leave_scipy_unloaded():
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                               check=True)
         assert proc.stdout.strip() == "False", name
+
+
+def _finite_solve_digest(seed: int) -> str:
+    """SHA-256 prefix of the ``float.hex`` values and the MD choices of
+    max-reach, safety and min-cost on ``random_finite_mdp(seed)`` with
+    3 + seed states."""
+    fm = random_finite_mdp(seed, n_states=3 + seed)
+    win, lose = fm.states[-1], fm.states[-2]
+    cost = CostLabel({
+        (s, t): ((7 * s.ordinal + 3 * t.ordinal) % 5) / 4.0
+        for s in fm.states[:-2] for t in successor_states(fm, s)
+    })
+    reach, reach_sigma = solvers.reach_strategy(fm, {win})
+    safety, safety_sigma = solvers.safety_strategy(fm, {lose})
+    cost_sigma, costs = min_expected_cost_md(fm, cost)
+    assert reach.values == reach_value(fm, {win}).values
+    assert safety.values == safety_value(fm, {lose}).values
+    doc = {
+        "reach": {s.ordinal: v.hex() for s, v in reach.values.items()},
+        "safety": {s.ordinal: v.hex() for s, v in safety.values.items()},
+        "cost": {s.ordinal: v.hex() for s, v in costs.items()},
+        "choices": [sigma.to_json() for sigma in (reach_sigma, safety_sigma, cost_sigma)],
+    }
+    return hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()[:16]
+
+
+# Every system here has at most 12 rows, so it takes the dense path.  Any
+# change in the last bit of a value, or in a tie broken between choices,
+# shows up here.
+FINITE_SOLVE_PINS = {
+    0: "662d6217eba02f1e", 1: "68bf4c43c2237fe8", 2: "167020b0d499ac76",
+    3: "2a10264c1663d939", 4: "72172243f4f2e90e", 5: "ee10485222408bed",
+    6: "80fb542d8ebdfe23", 7: "6737dc178b8cfb69", 8: "aad724d85617798f",
+    9: "f666343155f4992d",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(FINITE_SOLVE_PINS))
+def test_finite_solves_pinned(seed):
+    assert _finite_solve_digest(seed) == FINITE_SOLVE_PINS[seed]

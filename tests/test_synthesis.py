@@ -541,7 +541,7 @@ def _forward_visits(fm, root, one_bit, partition):
         if (mode, s) not in moves:
             if fm.kind_of(s) is StateKind.CONTROLLED:
                 m2, t = one_bit.controlled(mode, s)
-                moves[(mode, s)] = [(m2, t if t in fm.kinds else fm.frontier, 1.0)]
+                moves[(mode, s)] = [(m2, t if t in fm.index else fm.frontier, 1.0)]
             else:
                 moves[(mode, s)] = [(one_bit.random_update(mode, s, t), t, p)
                                     for t, p in fm.successors_of(s) if p > 0.0]

@@ -212,8 +212,8 @@ def test_conditioned_pair_probabilities():
     # Force val(s)=0.5 scenario by removing the direct win edge.
     fm2 = FiniteMdp(
         fm.states,
-        fm.kinds,
-        {**fm.transitions, s: [t]},
+        {q: fm.kind_of(q) for q in fm.states},
+        {**{q: fm.successors_of(q) for q in fm.states}, s: [t]},
         [],
         check=False,
     )

@@ -43,7 +43,7 @@ def test_random_finite_mdp_single_state():
 def test_random_corpus_passes_invariants():
     for i in range(30):
         fm = random_finite_mdp(derive_seed("inv", i), n_states=10)
-        fm.validate()  # distribution sums, nonempty successors, sink closure
+        fm.validate()  # unique ordinals and sink closure; the constructor checked the rows
         # connected from state 0
         from transientmdp.core import reachable
 
