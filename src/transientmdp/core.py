@@ -446,32 +446,32 @@ class Objective:
     BUECHI_TRANSIENCE = "buechi_transience"
 
     @classmethod
+    def _over(cls, kind: str, family) -> "Objective":
+        """A callable ``family`` becomes the predicate, anything else the
+        state set."""
+        if callable(family):
+            return cls(kind, None, family)
+        return cls(kind, frozenset(family))
+
+    @classmethod
     def transience(cls) -> "Objective":
         return cls(cls.TRANSIENCE)
 
     @classmethod
     def reach(cls, target) -> "Objective":
-        if callable(target):
-            return cls(cls.REACH, None, target)
-        return cls(cls.REACH, frozenset(target))
+        return cls._over(cls.REACH, target)
 
     @classmethod
     def safety(cls, avoid) -> "Objective":
-        if callable(avoid):
-            return cls(cls.SAFETY, None, avoid)
-        return cls(cls.SAFETY, frozenset(avoid))
+        return cls._over(cls.SAFETY, avoid)
 
     @classmethod
     def buechi(cls, goal) -> "Objective":
-        if callable(goal):
-            return cls(cls.BUECHI, None, goal)
-        return cls(cls.BUECHI, frozenset(goal))
+        return cls._over(cls.BUECHI, goal)
 
     @classmethod
     def buechi_transience(cls, goal) -> "Objective":
-        if callable(goal):
-            return cls(cls.BUECHI_TRANSIENCE, None, goal)
-        return cls(cls.BUECHI_TRANSIENCE, frozenset(goal))
+        return cls._over(cls.BUECHI_TRANSIENCE, goal)
 
     def members_in(self, states: Iterable[StateId]) -> set[StateId]:
         """The objective's state family intersected with ``states``."""

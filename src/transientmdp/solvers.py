@@ -48,7 +48,6 @@ from .core import (
     Objective,
     StateId,
     StateKind,
-    _absorb,
     _backward_reach,
     _extended,
     _restrict,
@@ -693,7 +692,8 @@ def bounded_total_reward_md(
     entry to the reward frontier of the induced finite MDP; leaving the
     subspace yields 0."""
     exit_sink = mint("exit", max(s.ordinal for s in fm.states) + 1)
-    induced = _absorb(_restrict(fm, spec.subspace, exit_sink), spec.terminal_rewards)
+    # The reward frontier is the boundary, whose rows are never read.
+    induced = _restrict(fm, spec.subspace, exit_sink)
     boundary = dict(spec.terminal_rewards)
     if induced.frontier is not None:
         boundary[exit_sink] = 0.0

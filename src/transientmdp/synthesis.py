@@ -54,7 +54,6 @@ from .errors import (
 from .solvers import (
     BoundedRewardSpec,
     CostLabel,
-    ValueMap,
     _linsolve,
     bounded_total_reward_md,
     evaluate_md,
@@ -67,7 +66,12 @@ from .solvers import (
     safety_strategy,
     safety_value,
 )
-from .transforms import _identity_reduction, plus_variant, reduce_to_finitely_branching
+from .transforms import (
+    _conditioning,
+    _identity_reduction,
+    plus_variant,
+    reduce_to_finitely_branching,
+)
 
 
 @dataclass(frozen=True)
@@ -87,9 +91,6 @@ class SynthesisParams:
 
     def plastering_epsilon(self, i: int) -> float:
         return (self.epsilon / 2.0) * 2.0**-i
-
-    def bubble_epsilon(self, i: int) -> float:
-        return self.epsilon * 2.0 ** -(i + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -204,11 +205,9 @@ def _escape_probability(fm, sigma, g, pivot) -> float:
     outside = [s for s in fm.states if s not in g]
     if not outside:
         return 0.0
-    # Make S \ G absorbing, then the chance of ever entering it is a plain
-    # absorption probability under sigma.
-    chain = _absorb(fm, outside)
-    vals = evaluate_md(chain, sigma, {s: 1.0 for s in outside})
-    return vals[pivot]
+    # The chance of ever entering S \ G under sigma is a plain absorption
+    # probability with S \ G as the boundary, whose rows are never read.
+    return evaluate_md(fm, sigma, {s: 1.0 for s in outside})[pivot]
 
 
 def optimal_md_where_exists(fm: FiniteMdp, phi: Objective) -> MdStrategy:
@@ -216,24 +215,24 @@ def optimal_md_where_exists(fm: FiniteMdp, phi: Objective) -> MdStrategy:
     optimal strategy (on finite MDPs: every positive-value state), via
     plastering with budget 1/2 on the value-preserving conditioned variant."""
     values, _ = _optimal(fm, phi)
-    vm = ValueMap(values, phi)
-    positive = {s for s in fm.states if values[s] > 1e-12}
+    positive, _ = _conditioning(fm, values)
     if not positive:
         return MdStrategy({})
-    plus = plus_variant(fm, phi, vm)
-    target = frozenset(t for t in phi.states if t in positive)
+    plus = plus_variant(fm, phi, values)
+    target = frozenset(t for t in phi.states if t in plus.index)
     plus_phi = Objective.reach(target)
     # Restrict to states that can win almost surely in the conditioned
     # variant; on finite MDPs these are exactly its value-1 states.
     plus_values, _ = _optimal(plus, plus_phi)
     capable = sorted(s for s in plus.states if plus_values[s] >= 1.0 - 1e-9)
-    # Controlled states keep their edges into ``capable``, when they have any.
+    # Controlled states keep their edges into ``capable``; each has one, to a
+    # successor of its own value.
     pos = {plus.index[s]: k for k, s in enumerate(capable)}
     indptr, succ, prob = [0], [], []
     for i in pos:
         edges = range(plus.indptr[i], plus.indptr[i + 1])
         if plus.controlled[i]:
-            edges = [k for k in edges if plus.succ[k] in pos] or edges
+            edges = [k for k in edges if plus.succ[k] in pos]
         succ += [pos[plus.succ[k]] for k in edges]
         prob += [plus.prob[k] for k in edges]
         indptr.append(len(succ))

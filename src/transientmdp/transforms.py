@@ -30,8 +30,9 @@ from .core import (
     StateKind,
     is_synthetic,
     mint,
+    require_sink,
 )
-from .errors import BadParameter, HitBottom, NotTail, ZeroValueRoot
+from .errors import BadParameter, HitBottom, NotSink, NotTail, ZeroValueRoot
 from .solvers import ValueMap
 
 SELF_LOOP = "self_loop"
@@ -422,13 +423,26 @@ def _require_reach_to_sink(fm: FiniteMdp, phi: Objective) -> frozenset[StateId]:
             "conditioning supports Reach objectives with sink targets; encode "
             "other tail objectives upstream"
         )
-    from .core import require_sink
-
     try:
         require_sink(fm, phi.states)
-    except Exception as exc:
+    except NotSink as exc:
         raise NotTail(str(exc)) from exc
     return phi.states
+
+
+def _conditioning(fm: FiniteMdp, values: ValueMap):
+    """The positive-value states of ``fm`` in ordinal order, and for each
+    positive random state its edges into them, each scaled by p v(t) / v(s),
+    with their sum."""
+    positive = sorted(s for s in fm.states if values.get(s, 0.0) > _POSITIVE)
+    inside = set(positive)
+    rows = {}
+    for s in positive:
+        succ = fm.successors_of(s)
+        if isinstance(succ, Distribution):
+            entries = [(t, p * values[t] / values[s]) for t, p in succ if t in inside]
+            rows[s] = entries, sum(p for _, p in entries)
+    return positive, rows
 
 
 def conditioned(
@@ -445,8 +459,9 @@ def conditioned(
     _require_reach_to_sink(fm, phi)
     if bottom not in (SELF_LOOP, INFINITE_CHAIN):
         raise ValueError(f"unknown bottom variant {bottom!r}")
-    positive = {s for s in fm.states if values.get(s, 0.0) > _POSITIVE}
-    if root is not None and root not in positive:
+    positive, rows = _conditioning(fm, values)
+    inside = set(positive)
+    if root is not None and root not in inside:
         raise ZeroValueRoot(f"{root.label or root.ordinal} has value 0")
 
     top = max(s.ordinal for s in fm.states)
@@ -466,24 +481,18 @@ def conditioned(
 
     kinds: dict[StateId, StateKind] = {}
     transitions: dict[StateId, object] = {}
-    for s in sorted(positive):
+    for s in positive:
         kinds[s] = fm.kind_of(s)
-        succ = fm.successors_of(s)
-        if isinstance(succ, Distribution):
-            entries = []
-            for t, p in succ:
-                if t in positive:
-                    entries.append((t, p * values[t] / values[s]))
-            total = sum(p for _, p in entries)
+        if s in rows:
+            entries, total = rows[s]
             if abs(total - 1.0) > 1e-6:
                 raise BadParameter(
                     f"conditioned probabilities at {s.label} sum to {total}; "
                     "values do not satisfy the tail value equation"
                 )
-            entries = [(t, p / total) for t, p in entries]
-            transitions[s] = Distribution(entries, check=False)
+            transitions[s] = Distribution([(t, p / total) for t, p in entries], check=False)
         else:
-            transitions[s] = [pair_of[(s, t)] for t in succ]
+            transitions[s] = [pair_of[(s, t)] for t in fm.successors_of(s)]
     for (s, t), pair in pair_of.items():
         kinds[pair] = StateKind.RANDOM
         ratio = values.get(t, 0.0) / values[s]
@@ -495,7 +504,7 @@ def conditioned(
             entries.append((bottom_state, 1.0 - ratio))
         transitions[pair] = Distribution(entries, check=False)
 
-    states = sorted(positive) + [pair_of[e] for e in pair_edges] + [bottom_state]
+    states = positive + [pair_of[e] for e in pair_edges] + [bottom_state]
     kinds[bottom_state] = StateKind.RANDOM
 
     if bottom == SELF_LOOP:
@@ -526,7 +535,7 @@ def conditioned(
         finite=finite,
         pair_of=pair_of,
         bottom=bottom_state,
-        positive=positive,
+        positive=inside,
     )
 
 
@@ -535,27 +544,23 @@ def plus_variant(fm: FiniteMdp, phi: Objective, values: ValueMap) -> FiniteMdp:
     controlled edges kept only when value-preserving, random edges rescaled;
     no pair states and no bottom."""
     _require_reach_to_sink(fm, phi)
-    positive = {s for s in fm.states if values.get(s, 0.0) > _POSITIVE}
+    positive, rows = _conditioning(fm, values)
     if not positive:
         raise ZeroValueRoot("no positive-value states")
+    inside = set(positive)
     kinds: dict[StateId, StateKind] = {}
     transitions: dict[StateId, object] = {}
-    for s in sorted(positive):
+    for s in positive:
         kinds[s] = fm.kind_of(s)
-        succ = fm.successors_of(s)
-        if isinstance(succ, Distribution):
-            entries = []
-            for t, p in succ:
-                if t in positive:
-                    entries.append((t, p * values[t] / values[s]))
-            total = sum(p for _, p in entries)
-            entries = [(t, p / total) for t, p in entries]
-            transitions[s] = Distribution(entries, check=False)
+        if s in rows:
+            entries, total = rows[s]
+            transitions[s] = Distribution([(t, p / total) for t, p in entries], check=False)
         else:
-            kept = [t for t in succ if abs(values.get(t, 0.0) - values[s]) <= 1e-9]
+            succ = [t for t in fm.successors_of(s) if t in inside]
+            kept = [t for t in succ if abs(values[t] - values[s]) <= 1e-9]
             if not kept:
                 # float drift guard: keep the max-value successors
-                best = max(values.get(t, 0.0) for t in succ)
-                kept = [t for t in succ if values.get(t, 0.0) >= best - 1e-9]
+                best = max(values[t] for t in succ)
+                kept = [t for t in succ if values[t] >= best - 1e-9]
             transitions[s] = kept
-    return FiniteMdp(sorted(positive), kinds, transitions, [], check=False)
+    return FiniteMdp(positive, kinds, transitions, [], check=False)

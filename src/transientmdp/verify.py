@@ -472,41 +472,31 @@ def run_suite(name: str, seed: int = 0) -> list[CheckReport]:
 
 
 def _suite_conditioned(seed: int) -> list[CheckReport]:
-    reports = []
-    worst1 = CheckReport("conditioned-item1", 0, 0.0, True)
-    for i in range(20):
-        fm = random_finite_mdp(derive_seed(seed, "c1", i), n_states=7)
+    def item1(fm, i):
         values = reach_value(fm, win_objective(fm).states)
         sigma = random_md_strategy(fm, derive_seed(seed, "c1s", i))
-        rep = check_conditioned_item1(fm, values, sigma, max_len=5)
-        worst1.instances += rep.instances
-        worst1.max_violation = max(worst1.max_violation, rep.max_violation)
-        worst1.passed = worst1.passed and rep.passed
-        if not rep.passed:
-            worst1.failures.append(derive_seed(seed, "c1", i))
-    reports.append(worst1)
+        return check_conditioned_item1(fm, values, sigma, max_len=5)
 
-    worst3 = CheckReport("conditioned-item3", 0, 0.0, True)
-    for i in range(40):
-        fm = random_finite_mdp(derive_seed(seed, "c3", i), n_states=9)
-        rep = check_conditioned_item3(fm, seed=derive_seed(seed, "c3s", i))
-        worst3.instances += rep.instances
-        worst3.max_violation = max(worst3.max_violation, rep.max_violation)
-        worst3.passed = worst3.passed and rep.passed
-        if not rep.passed:
-            worst3.failures.append(derive_seed(seed, "c3", i))
-    reports.append(worst3)
+    def item3(fm, i):
+        return check_conditioned_item3(fm, seed=derive_seed(seed, "c3s", i))
 
-    worstm = CheckReport("multiplicative", 0, 0.0, True)
-    for i in range(25):
-        fm = random_finite_mdp(derive_seed(seed, "mul", i), n_states=10)
-        rep = check_multiplicative(fm)
-        worstm.instances += rep.instances
-        worstm.max_violation = max(worstm.max_violation, rep.max_violation)
-        worstm.passed = worstm.passed and rep.passed
-        if not rep.passed:
-            worstm.failures.append(derive_seed(seed, "mul", i))
-    reports.append(worstm)
+    checks = (
+        ("conditioned-item1", "c1", 20, 7, item1),
+        ("conditioned-item3", "c3", 40, 9, item3),
+        ("multiplicative", "mul", 25, 10, lambda fm, i: check_multiplicative(fm)),
+    )
+    reports = []
+    for name, tag, count, n_states, check in checks:
+        worst = CheckReport(name, 0, 0.0, True)
+        for i in range(count):
+            fm = random_finite_mdp(derive_seed(seed, tag, i), n_states=n_states)
+            rep = check(fm, i)
+            worst.instances += rep.instances
+            worst.max_violation = max(worst.max_violation, rep.max_violation)
+            worst.passed = worst.passed and rep.passed
+            if not rep.passed:
+                worst.failures.append(derive_seed(seed, tag, i))
+        reports.append(worst)
     return reports
 
 

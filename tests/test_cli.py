@@ -167,6 +167,30 @@ def test_synthesize_plastering_on_finite_file(tmp_path):
     assert len(audit["rounds"]) == len(fm.states)
 
 
+@pytest.mark.parametrize("p_win", [5e-10, 5e-8])
+def test_synthesize_optimal_md_on_tiny_values(tmp_path, p_win):
+    # State 0 picks state 1, which wins with probability p_win, or state 2,
+    # which loses; below 1e-9 the two values are within the value tolerance.
+    kinds = ["C", "R", "R", "R", "R"]
+    edges = [(0, 1, None), (0, 2, None), (1, 3, p_win), (1, 4, 1.0 - p_win),
+             (2, 4, 1.0), (3, 3, 1.0), (4, 4, 1.0)]
+    model = {
+        "states": [{"id": i, "label": str(i), "kind": k} for i, k in enumerate(kinds)],
+        "transitions": [{"from": a, "to": b, "p": p} for a, b, p in edges],
+        "sinks": [[3], [4]],
+    }
+    (tmp_path / "mdp.json").write_text(json.dumps(model))
+    scenario = tmp_path / "optimal.json"
+    scenario.write_text(json.dumps({
+        "seed": 1,
+        "mdp": {"file": "mdp.json"},
+        "task": {"kind": "synthesize", "method": "optimal_md",
+                 "objective": {"type": "reach", "states": [3]}},
+    }))
+    assert run_cli(["--out-dir", tmp_path, "run", scenario]) == 0
+    assert json.loads((tmp_path / "strategy.json").read_text()) == {"0": 1}
+
+
 def test_verify_suite_exit_codes(tmp_path, capsys):
     assert run_cli(["--out-dir", tmp_path, "verify", "solvers"]) == 0
     reports = json.loads((tmp_path / "check_reports.json").read_text())

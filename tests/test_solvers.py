@@ -87,7 +87,8 @@ def test_reach_safety_duality_random_corpus():
         rv = reach_value(fm, target)
         # Safety against an absorbing target is the exact complement of
         # min-reach; against the max player they satisfy the LFP/GFP duality.
-        from transientmdp.solvers import optimal_boundary_value, _absorb
+        from transientmdp.core import _absorb
+        from transientmdp.solvers import optimal_boundary_value
 
         min_reach, _ = optimal_boundary_value(
             _absorb(fm, target), {t: 1.0 for t in target}, maximize=False

@@ -289,6 +289,25 @@ def test_optimal_md_value_one_chain():
     assert attained[a] == 1.0
 
 
+def test_optimal_md_on_a_tiny_positive_value():
+    # val(s) = 5e-10 is within 1e-9 of val(z) = 0, but only a attains it.
+    s, a, z, win, lose = (StateId(i, x) for i, x in enumerate(("s", "a", "z", "win", "lose")))
+    fm = FiniteMdp(
+        [s, a, z, win, lose],
+        {s: StateKind.CONTROLLED, a: StateKind.RANDOM, z: StateKind.RANDOM,
+         win: StateKind.RANDOM, lose: StateKind.RANDOM},
+        {
+            s: [a, z],
+            a: Distribution([(win, 5e-10), (lose, 1.0 - 5e-10)]),
+            z: Distribution([(lose, 1.0)]),
+            win: Distribution([(win, 1.0)]),
+            lose: Distribution([(lose, 1.0)]),
+        },
+        [{win}, {lose}],
+    )
+    assert optimal_md_where_exists(fm, Objective.reach({win})).choice == {s: a}
+
+
 # ---------------------------------------------------------------------------
 # Bubble 1-bit synthesis
 
@@ -313,6 +332,25 @@ def test_one_bit_on_gambler_with_drift():
         mdp, w0, strategy, lambda s: True, 4000, 200, RevisitCap(30), 400, seed=4
     )
     assert est >= 1.0 - 2 * 0.1 - half
+
+
+def test_one_bit_uncapped_three_levels():
+    # Every level fits under max_radius, so the plan is not capped, and each
+    # exact residual stays within its level budget eps 2^-(i+1).
+    mdp, _ = gamblers_ruin(0.9)
+    w0 = StateId(0, "w_0")
+    schedule = BubbleSchedule(max_radius=96, mc_horizon=400)
+    strategy, plan = buchi_transience_one_bit(mdp, [w0], lambda s: True, 0.1, schedule)
+    assert not plan.capped
+    assert [(lv.k, lv.l) for lv in plan.levels] == [(1, 6), (15, 30), (53, 86)]
+    assert [lv.epsilon_i for lv in plan.levels] == [0.025, 0.0125, 0.00625]
+    for lv in plan.levels:
+        assert lv.residual_far_goal <= lv.epsilon_i
+        assert lv.residual_late_return <= lv.epsilon_i
+    est, _ = estimate_buchi_transience(
+        mdp, w0, strategy, lambda s: True, 1000, 60, RevisitCap(30), 100, seed=0
+    )
+    assert est >= 0.8
 
 
 def test_one_bit_empty_frontier():

@@ -1,3 +1,6 @@
+import hashlib
+import json
+
 import pytest
 
 from transientmdp import (
@@ -431,3 +434,53 @@ def test_plus_matches_conditioned_on_value_preserving_mdp():
     v_plus = evaluate_md_reach(plus, sigma, {win})
     v_star = evaluate_md_reach(cm.finite, sigma, {win})
     assert abs(v_plus[s0] - v_star[s0]) <= 1e-9
+
+
+def test_plus_variant_drops_zero_value_successors_of_tiny_values():
+    # val(s) = 5e-10 is within 1e-9 of val(z) = 0, but z is not a state of M+.
+    s, a, z, win, lose = (StateId(i, x) for i, x in enumerate(("s", "a", "z", "win", "lose")))
+    fm = FiniteMdp(
+        [s, a, z, win, lose],
+        {s: StateKind.CONTROLLED, a: StateKind.RANDOM, z: StateKind.RANDOM,
+         win: StateKind.RANDOM, lose: StateKind.RANDOM},
+        {
+            s: [a, z],
+            a: Distribution([(win, 5e-10), (lose, 1.0 - 5e-10)]),
+            z: Distribution([(lose, 1.0)]),
+            win: Distribution([(win, 1.0)]),
+            lose: Distribution([(lose, 1.0)]),
+        },
+        [{win}, {lose}],
+    )
+    values = reach_value(fm, {win})
+    plus = plus_variant(fm, Objective.reach({win}), values)
+    assert plus.successors_of(s) == [a]
+
+
+def _conditioned_digests(seed: int) -> tuple[str, str]:
+    """SHA-256 prefixes of the JSON documents of M* and M+ over
+    ``random_finite_mdp(seed)`` with 4 + seed states."""
+    fm = random_finite_mdp(seed, n_states=4 + seed)
+    phi = win_objective(fm)
+    values = reach_value(fm, phi.states)
+    built = (conditioned(fm, phi, values).finite, plus_variant(fm, phi, values))
+    return tuple(
+        hashlib.sha256(json.dumps(m.to_json(), sort_keys=True).encode()).hexdigest()[:16]
+        for m in built
+    )
+
+
+# Any change in the last bit of a rescaled probability, in the order of the
+# states or edges, or in the edges M+ keeps shows up here.
+CONDITIONED_PINS = {
+    0: ("190da25905e5a7c2", "00fe1eadf32e1618"), 1: ("be1b17d34f1c14e5", "1ace203ab01601f5"),
+    2: ("1948e2008a1a5f74", "526a056815889c83"), 3: ("d09d45a1aeb00808", "447124ecfb1bb022"),
+    4: ("73ccc9987446dac0", "110db7ba7a1030ac"), 5: ("4721c9a776f73d0c", "3310923ed4a748fa"),
+    6: ("eea09424ddbaef5f", "1173789b71a41f29"), 7: ("3406e64d76cbd8c1", "e748eab3cdfa4bb2"),
+    8: ("31eb3c5d32da1a82", "d6078240c24fb353"), 9: ("0dd87839d06eec82", "481a0f3be04e0b3d"),
+}
+
+
+@pytest.mark.parametrize("seed", sorted(CONDITIONED_PINS))
+def test_conditioned_constructions_pinned(seed):
+    assert _conditioned_digests(seed) == CONDITIONED_PINS[seed]
