@@ -49,7 +49,9 @@ def _load_mdp(spec: dict, base: Path):
     raise ScenarioError("mdp needs a 'gadget' name or a 'file' path")
 
 
-def _parse_objective(doc: dict) -> Objective:
+def _parse_objective(doc: dict, mdp) -> Objective:
+    """The objective of ``doc``; the states it lists must be states of an
+    MDP file."""
     doc = _object(doc, "objective")
     kind = doc.get("type")
     if kind in ("reach", "safety", "buechi"):
@@ -65,6 +67,10 @@ def _parse_objective(doc: dict) -> Objective:
         states = {StateId(_number(int, o, "objective state")) for o in states}
         if not states:
             raise ScenarioError(f"objective {kind!r} needs 'states' or 'label_prefix'")
+        if isinstance(mdp, FiniteMdp):
+            missing = sorted(s.ordinal for s in states if s.ordinal not in mdp.by_ordinal)
+            if missing:
+                raise ScenarioError(f"objective state {missing[0]} is not in the MDP")
         return getattr(Objective, kind)(states)
     if kind == "transience":
         return Objective.transience()
@@ -178,7 +184,7 @@ def _task_simulate(doc, task, master, out_dir, base) -> int:
 
 def _task_solve(doc, task, master, out_dir, base) -> int:
     mdp, meta = _load_mdp(_field(doc, "mdp", "scenario"), base)
-    objective = _parse_objective(_field(task, "objective", "task"))
+    objective = _parse_objective(_field(task, "objective", "task"), mdp)
     if objective.kind not in (Objective.REACH, Objective.SAFETY):
         raise ScenarioError(f"solve supports reach and safety objectives, not {objective.kind!r}")
     s = _state(mdp, meta, _field(task, "state", "task"))
@@ -232,7 +238,7 @@ def _task_synthesize(doc, task, master, out_dir, base) -> int:
         from .synthesis import one_bit_tables
 
         s0 = _state(mdp, meta, _field(task, "state", "task"))
-        goal = _parse_objective(_field(task, "objective", "task"))
+        goal = _parse_objective(_field(task, "objective", "task"), mdp)
         goal_set = goal.predicate or goal.states
         strategy, plan = buchi_transience_one_bit(mdp, [s0], goal_set, epsilon)
         fm = truncate(mdp, [s0], plan.levels[-1].k + 1)
@@ -243,7 +249,7 @@ def _task_synthesize(doc, task, master, out_dir, base) -> int:
     if method == "plastering":
         if not isinstance(mdp, FiniteMdp):
             raise ScenarioError("plastering runs on finite MDPs")
-        phi = _parse_objective(_field(task, "objective", "task"))
+        phi = _parse_objective(_field(task, "objective", "task"), mdp)
         sigma, state = plastering_uniformize(mdp, phi, epsilon)
         _write_json(out_dir, "strategy.json", sigma.to_json())
         path = _write_json(out_dir, "plastering_audit.json", state.to_json())
@@ -252,13 +258,13 @@ def _task_synthesize(doc, task, master, out_dir, base) -> int:
     if method == "optimal_md":
         if not isinstance(mdp, FiniteMdp):
             raise ScenarioError("optimal_md runs on finite MDPs")
-        phi = _parse_objective(_field(task, "objective", "task"))
+        phi = _parse_objective(_field(task, "objective", "task"), mdp)
         sigma = optimal_md_where_exists(mdp, phi)
         path = _write_json(out_dir, "strategy.json", sigma.to_json())
         print(f"optimal-where-exists strategy -> {path}")
         return 0
     if method == "safety_md":
-        phi = _parse_objective(_field(task, "objective", "task"))
+        phi = _parse_objective(_field(task, "objective", "task"), mdp)
         roots = [_state(mdp, meta, o) for o in task.get("roots", [task.get("state", 0)])]
         schedule = SafetySchedule()
         sigma = safety_md_universally_transient(

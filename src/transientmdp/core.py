@@ -37,7 +37,7 @@ class StateKind(Enum):
     RANDOM = "R"
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class StateId:
     ordinal: int
     label: str = field(default="", compare=False)
@@ -46,7 +46,7 @@ class StateId:
         return f"StateId({self.ordinal}, {self.label!r})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SyntheticState(StateId):
     """A state that a construction adds to the MDP it works on.
 

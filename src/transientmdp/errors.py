@@ -5,8 +5,9 @@ class TransientMdpError(Exception):
     """Base class for all package errors."""
 
 
-class BadParameter(TransientMdpError):
-    """A constructor or operation received an out-of-range parameter."""
+class BadParameter(TransientMdpError, ValueError):
+    """A constructor or operation received an out-of-range parameter.  Also
+    a ValueError, which such input used to raise."""
 
 
 class BadModel(TransientMdpError, ValueError):

@@ -3,6 +3,11 @@
 Every gadget fixes a deterministic interleaved enumeration of its state
 families so that the ordinal map is stable across runs; the safety slack rule
 and the cost labels in the synthesis module depend on it.
+
+Each gadget instance hands out one StateId per ordinal (``_interned``), so
+the results that keep its states share them, and the states go away with the
+instance.  The oracles build their Distributions unchecked; the gadget tests
+check the sums and supports once, over the first states of every gadget.
 """
 from __future__ import annotations
 
@@ -37,6 +42,20 @@ class KnownValue:
 
 def _natural(ordinal: int) -> bool:
     return ordinal >= 0
+
+
+def _interned(label: Callable[[int], str]) -> Callable[[int], StateId]:
+    """``state(o)``: the one StateId of ordinal ``o`` that a gadget instance
+    hands out, labelled ``label(o)``, made on first ask and kept."""
+    states: dict[int, StateId] = {}
+
+    def state(o: int) -> StateId:
+        s = states.get(o)
+        if s is None:
+            s = states[o] = StateId(o, label(o))
+        return s
+
+    return state
 
 
 @dataclass
@@ -77,14 +96,13 @@ def gamblers_ruin(p: float) -> tuple[Mdp, GadgetMeta]:
     if not 0.0 < p < 1.0:
         raise BadParameter(f"p must lie in (0,1), got {p}")
 
-    def w(i: int) -> StateId:
-        return StateId(i, f"w_{i}")
+    w = _interned(lambda i: f"w_{i}")
 
     def successors(s: StateId):
         i = s.ordinal
         if i == 0:
-            return Distribution([(w(1), 1.0)])
-        return Distribution([(w(i + 1), p), (w(i - 1), 1.0 - p)])
+            return Distribution([(w(1), 1.0)], check=False)
+        return Distribution([(w(i + 1), p), (w(i - 1), 1.0 - p)], check=False)
 
     def vstep(pos, u):
         # pos - 1 + 2 [u < p], then w_0 goes to w_1 on either branch: |0 - 1| = 1.
@@ -124,19 +142,24 @@ def gamblers_ruin(p: float) -> tuple[Mdp, GadgetMeta]:
 _HALF = Fraction(1, 2)
 
 
+# Interleaved enumeration: bot=0, ell_i=4i+1, ell'_i=4i+2, r_i=4i+3, x_i=4i+4.
+_LADDER_OFFSET = {"ell": 1, "ellp": 2, "r": 3, "x": 4}
+
+
+def _ladder_label(o: int) -> str:
+    if o == 0:
+        return "bot"
+    i, family = divmod(o - 1, 4)
+    return (f"ell_{i}", f"ell'_{i}", f"r_{i}", f"x_{i}")[family]
+
+
 def _ladder_state(family: str, i: int) -> StateId:
-    # Interleaved enumeration: bot=0, ell_i=4i+1, ell'_i=4i+2, r_i=4i+3, x_i=4i+4.
     if family == "bot":
         return StateId(0, "bot")
-    if family == "ell":
-        return StateId(4 * i + 1, f"ell_{i}")
-    if family == "ellp":
-        return StateId(4 * i + 2, f"ell'_{i}")
-    if family == "r":
-        return StateId(4 * i + 3, f"r_{i}")
-    if family == "x":
-        return StateId(4 * i + 4, f"x_{i}")
-    raise ValueError(family)
+    if family not in _LADDER_OFFSET:
+        raise ValueError(family)
+    o = 4 * i + _LADDER_OFFSET[family]
+    return StateId(o, _ladder_label(o))
 
 
 def no_optimal_ladder() -> tuple[Mdp, GadgetMeta]:
@@ -154,27 +177,27 @@ def no_optimal_ladder() -> tuple[Mdp, GadgetMeta]:
             return StateKind.RANDOM
         return StateKind.CONTROLLED
 
+    state = _interned(_ladder_label)
+
     def successors(s: StateId):
         o = s.ordinal
         if o == 0:
-            return Distribution([(s, 1.0)], exact={s: Fraction(1)})
-        fam, i = ("ell", (o - 1) // 4) if o % 4 == 1 else \
-                 ("ellp", (o - 2) // 4) if o % 4 == 2 else \
-                 ("r", (o - 3) // 4) if o % 4 == 3 else ("x", (o - 4) // 4)
-        if fam == "ell":
-            if i == 0:
-                return [_ladder_state("ell", 1)]
-            return [_ladder_state("ellp", i), _ladder_state("r", i)]
-        if fam == "ellp":
-            lo, hi = _ladder_state("ell", i - 1), _ladder_state("ell", i + 1)
-            return Distribution([(lo, 0.5), (hi, 0.5)], exact={lo: _HALF, hi: _HALF})
-        if fam == "r":
-            x, bot = _ladder_state("x", i), _ladder_state("bot", 0)
+            return Distribution([(s, 1.0)], exact={s: Fraction(1)}, check=False)
+        i, family = divmod(o - 1, 4)
+        if family == 0:  # ell_i: to ell'_i and r_i, or ell_0 to ell_1
+            return [state(5)] if i == 0 else [state(o + 1), state(o + 2)]
+        if family == 1:  # ell'_i: fair step to ell_{i-1} or ell_{i+1}
+            lo, hi = state(o - 5), state(o + 3)
+            return Distribution(
+                [(lo, 0.5), (hi, 0.5)], exact={lo: _HALF, hi: _HALF}, check=False
+            )
+        if family == 2:  # r_i: to x_i, or to bot with probability 2^-i
+            x, bot = state(o + 1), state(0)
             q = Fraction(1, 2**i)
             return Distribution(
-                [(x, float(1 - q)), (bot, float(q))], exact={x: 1 - q, bot: q}
+                [(x, float(1 - q)), (bot, float(q))], exact={x: 1 - q, bot: q}, check=False
             )
-        return [_ladder_state("x", i + 1)]
+        return [state(o + 4)]  # x_i to x_{i+1}
 
     mdp = LazyMdp(kind, successors)
     known = [
@@ -223,8 +246,7 @@ def lazy_self_loop_example() -> tuple[Mdp, GeneralStrategy, GadgetMeta]:
     looping at s_0 exactly 2^i more times.  The strategy is almost surely
     transient yet its expected number of visits to s_0 diverges."""
 
-    def s(k: int) -> StateId:
-        return StateId(k, f"s_{k}")
+    s = _interned(lambda k: f"s_{k}")
 
     def successors(state: StateId):
         k = state.ordinal
@@ -233,11 +255,13 @@ def lazy_self_loop_example() -> tuple[Mdp, GeneralStrategy, GadgetMeta]:
         return [s(k + 1)]
 
     mdp = LazyMdp(lambda _: StateKind.CONTROLLED, successors)
+    coin = Distribution([(s(1), 0.5), (s(0), 0.5)])
+    stay = Distribution([(s(0), 1.0)])
 
     def decide(history: tuple[StateId, ...]) -> Distribution:
         here = history[-1]
         if here.ordinal != 0:
-            return Distribution([(s(here.ordinal + 1), 1.0)])
+            return Distribution([(s(here.ordinal + 1), 1.0)], check=False)
         # A run that leaves s_0 never returns, so the whole history is s_0.
         visits = len(history)
         # Decision points sit at cumulative visit counts 1, 1+2, 1+2+4, ...
@@ -245,9 +269,7 @@ def lazy_self_loop_example() -> tuple[Mdp, GeneralStrategy, GadgetMeta]:
         while c < visits:
             c += 2**i
             i += 1
-        if c == visits:
-            return Distribution([(s(1), 0.5), (s(0), 0.5)])
-        return Distribution([(s(0), 1.0)])
+        return coin if c == visits else stay
 
     meta = GadgetMeta(
         name="lazy_self_loop",
@@ -269,15 +291,14 @@ def acyclic_chain() -> tuple[Mdp, GadgetMeta]:
     """Deterministic chain c_0 -> c_1 -> ...; acyclic, hence universally
     transient with Transience value 1 everywhere."""
 
-    def c(k: int) -> StateId:
-        return StateId(k, f"c_{k}")
+    c = _interned(lambda k: f"c_{k}")
 
     def vstep(pos, u):
         return pos + 1
 
     mdp = ChainMdp(
         lambda _: StateKind.RANDOM,
-        lambda state: Distribution([(c(state.ordinal + 1), 1.0)]),
+        lambda state: Distribution([(c(state.ordinal + 1), 1.0)], check=False),
         VectorChain(step=vstep, ordinal_bound=lambda o, h: o + h + 1),
     )
     meta = GadgetMeta(
@@ -295,7 +316,7 @@ def _fan_branch(j: int, good: StateId, bad: StateId) -> Distribution:
     From j = 1075 on 2^-j underflows to 0.0 and 1 - 2^-j is exactly 1.0, so
     the zero-mass edge is left out."""
     q = 2.0**-j
-    return Distribution([(good, 1.0 - q), (bad, q)] if q else [(good, 1.0)])
+    return Distribution([(good, 1.0 - q), (bad, q)] if q else [(good, 1.0)], check=False)
 
 
 def safety_fan() -> tuple[Mdp, GadgetMeta]:
@@ -308,14 +329,8 @@ def safety_fan() -> tuple[Mdp, GadgetMeta]:
     universally transient.
     """
 
-    def b(j: int) -> StateId:
-        return StateId(3 * j, f"b_{j}")
-
-    def a(k: int) -> StateId:
-        return StateId(3 * k + 1, f"a_{k}")
-
-    def bot(k: int) -> StateId:
-        return StateId(3 * k + 2, f"bot_{k}")
+    # b_j = 3j, a_k = 3k + 1, bot_k = 3k + 2.
+    state = _interned(lambda o: (f"b_{o // 3}", f"a_{o // 3}", f"bot_{o // 3}")[o % 3])
 
     def kind(s: StateId) -> StateKind:
         return StateKind.CONTROLLED if s.ordinal == 0 else StateKind.RANDOM
@@ -324,14 +339,12 @@ def safety_fan() -> tuple[Mdp, GadgetMeta]:
         o = s.ordinal
         if o == 0:
             return InfiniteSuccessors(
-                items=lambda: (b(j) for j in _count_from(1)), random=False
+                items=lambda: (state(3 * j) for j in _count_from(1)), random=False
             )
         if o % 3 == 0:
-            return _fan_branch(o // 3, a(0), bot(0))
-        k = (o - 1) // 3 if o % 3 == 1 else (o - 2) // 3
-        if o % 3 == 1:
-            return Distribution([(a(k + 1), 1.0)])
-        return Distribution([(bot(k + 1), 1.0)])
+            return _fan_branch(o // 3, state(1), state(2))
+        # a_k to a_{k+1}, bot_k to bot_{k+1}
+        return Distribution([(state(o + 3), 1.0)], check=False)
 
     mdp = LazyMdp(kind, successors)
     known = [KnownValue("fan", Objective.SAFETY, 1.0, "supremum over branches")]
@@ -362,30 +375,7 @@ def transience_fan() -> tuple[Mdp, GadgetMeta]:
     a maximizing choice.
     """
 
-    def b(j: int) -> StateId:
-        return StateId(3 * j, f"b_{j}")
-
-    def a(k: int) -> StateId:
-        return StateId(3 * k + 1, f"a_{k}")
-
-    trap = StateId(2, "trap")
-
-    def kind(s: StateId) -> StateKind:
-        return StateKind.CONTROLLED if s.ordinal == 0 else StateKind.RANDOM
-
-    def successors(s: StateId):
-        o = s.ordinal
-        if o == 0:
-            return InfiniteSuccessors(
-                items=lambda: (b(j) for j in _count_from(1)), random=False
-            )
-        if s == trap:
-            return Distribution([(trap, 1.0)])
-        if o % 3 == 0:
-            return _fan_branch(o // 3, a(0), trap)
-        return Distribution([(a((o - 1) // 3 + 1), 1.0)])
-
-    mdp = LazyMdp(kind, successors)
+    mdp = _transience_fan(_interned(_transience_fan_label))
     known = [KnownValue("fan", Objective.TRANSIENCE, 1.0, "supremum over branches")]
     for j in (1, 2, 4):
         known.append(
@@ -403,11 +393,39 @@ def transience_fan() -> tuple[Mdp, GadgetMeta]:
     return mdp, meta
 
 
+def _transience_fan_label(o: int) -> str:
+    # b_j = 3j, a_k = 3k + 1, the trap 2.
+    return "trap" if o == 2 else (f"b_{o // 3}", f"a_{o // 3}")[o % 3]
+
+
+def _transience_fan(state: Callable[[int], StateId]) -> LazyMdp:
+    """The transience fan's oracles over the states that ``state`` hands out."""
+    trap = state(2)
+
+    def kind(s: StateId) -> StateKind:
+        return StateKind.CONTROLLED if s.ordinal == 0 else StateKind.RANDOM
+
+    def successors(s: StateId):
+        o = s.ordinal
+        if o == 0:
+            return InfiniteSuccessors(
+                items=lambda: (state(3 * j) for j in _count_from(1)), random=False
+            )
+        if s == trap:
+            return Distribution([(trap, 1.0)], check=False)
+        if o % 3 == 0:
+            return _fan_branch(o // 3, state(1), trap)
+        return Distribution([(state(o + 3), 1.0)], check=False)  # a_k to a_{k+1}
+
+    return LazyMdp(kind, successors)
+
+
 def geometric_fan() -> tuple[Mdp, GadgetMeta]:
     """Infinitely branching random state with the geometric weights 2^{-j}
     over the transience-fan branches; Transience value is
     sum_j 2^{-j} (1 - 2^{-j}) = 2/3 from the root."""
-    base, _ = transience_fan()
+    state = _interned(_transience_fan_label)
+    base = _transience_fan(state)
 
     root = StateId(5, "root")  # ordinals 3j, 3k+1, 2 are taken; 5 is free
 
@@ -419,7 +437,7 @@ def geometric_fan() -> tuple[Mdp, GadgetMeta]:
     def successors(s: StateId):
         if s == root:
             return InfiniteSuccessors(
-                items=lambda: ((StateId(3 * j, f"b_{j}"), 2.0**-j) for j in _count_from(1)),
+                items=lambda: ((state(3 * j), 2.0**-j) for j in _count_from(1)),
                 random=True,
             )
         if s.ordinal == 0:

@@ -1,14 +1,17 @@
 """Seeded Monte Carlo simulation and finite-horizon transience estimators.
 
 ``simulate`` is a pure function of (mdp, s0, strategy, horizon, seed): runs are
-bit-identical for identical inputs.  Batch estimators derive one seed per run
-from the batch seed and the run index, so results never depend on scheduling.
+bit-identical for identical inputs.  Batch estimators derive their seeds from
+the batch seed, so results never depend on scheduling.
 
-Every per-run estimate goes through one stepper, ``_walk``.  It resolves the
-strategy to a memory machine once per run and reads each state's kind and
-successors from a table that the runs of one estimator call share, so each
-state's oracles are asked once per call.  Markov chains with a vectorized
-step model run on the numpy engine ``_vector_estimate`` instead.
+No strategy, an MD strategy or a 1-bit strategy induces a Markov chain (on
+(mode, state) pairs for 1-bit), and the estimators step all runs at once
+through numpy rows of that chain, built from the oracles as the runs reach
+their states (``_row_estimate``).  Under no strategy, ``estimate_transience``
+steps the Markov-chain gadgets that ship a hand-written vectorized step model
+through that model instead (``_vector_estimate``); both share one batch loop,
+``_step_runs``.  A history-dependent ``GeneralStrategy``, and the single-run
+``simulate``, go through the per-run stepper ``_walk``.
 
 Transience is a tail event, so no finite-horizon predicate equals it; the two
 proxies here (FreshTail, RevisitCap) are labeled estimators, not certificates.
@@ -21,6 +24,8 @@ import random
 from collections import Counter
 from dataclasses import dataclass
 
+import numpy as np
+
 from .core import (
     Distribution,
     GeneralStrategy,
@@ -32,7 +37,7 @@ from .core import (
     StateKind,
     _states_of,
 )
-from .errors import BadParameter
+from .errors import BadModel, BadParameter
 
 
 def derive_seed(*parts) -> int:
@@ -86,7 +91,7 @@ def _controller(mdp: Mdp, strategy, table):
     """
     if strategy is None:
         def choose(memory, s):
-            raise ValueError(f"controlled state {s} but no strategy given")
+            raise BadParameter(f"controlled state {s} but no strategy given")
         return None, choose, None
     if isinstance(strategy, MdStrategy):
         if type(strategy).successor is not MdStrategy.successor:
@@ -134,6 +139,16 @@ def _state_entry(mdp: Mdp, s: StateId):
     return True, {t.ordinal: type(t) for t in states}, min(states, key=lambda t: t.ordinal)
 
 
+def _check_pick(succ, s: StateId, t: StateId) -> None:
+    """Refuse a pick ``t`` at controlled ``s`` that is not among the
+    successors ``succ`` of its ``_state_entry`` (None: not checkable)."""
+    if succ is not None and succ.get(t.ordinal) is not type(t):
+        raise BadParameter(
+            f"strategy picked {t.label or t.ordinal}, not a successor of "
+            f"{s.label or s.ordinal}"
+        )
+
+
 def _sample_random(rng: random.Random, succ) -> StateId:
     if isinstance(succ, Distribution):
         return succ.sample(rng.random())
@@ -161,7 +176,7 @@ def _walk(mdp, s0, strategy, horizon, seed, cap, table):
     the runs of one estimator call share it and ask each state once.
     """
     if horizon < 0:
-        raise ValueError("horizon must be non-negative")
+        raise BadParameter("horizon must be non-negative")
     rng = random.Random(seed)
     memory, choose, observe = _controller(mdp, strategy, table)
     run = [s0]
@@ -176,11 +191,7 @@ def _walk(mdp, s0, strategy, horizon, seed, cap, table):
             memory, t = choose(memory, s)
             if isinstance(t, Distribution):
                 t = t.sample(rng.random())
-            if succ is not None and succ.get(t.ordinal) is not type(t):
-                raise ValueError(
-                    f"strategy picked {t.label or t.ordinal}, not a successor of "
-                    f"{s.label or s.ordinal}"
-                )
+            _check_pick(succ, s, t)
         else:
             t = _sample_random(rng, succ)
             if observe is not None:
@@ -244,6 +255,21 @@ def _run_is_transient(mdp, s0, strategy, horizon, proxy, run_seed, table, accept
     return accept is None or accept(run)
 
 
+def _check_batch(horizon: int, runs: int, proxy=None) -> None:
+    """Refuse the estimator settings that mean nothing."""
+    if runs < 1:
+        raise BadParameter("need at least one run")
+    if horizon < 0:
+        raise BadParameter("horizon must be non-negative")
+    if isinstance(proxy, FreshTail) and horizon <= proxy.window:
+        raise BadParameter("horizon must exceed the fresh-tail window")
+
+
+def _memoryless(strategy) -> bool:
+    """Whether ``strategy`` induces a Markov chain, which ``_Chain`` tabulates."""
+    return strategy is None or isinstance(strategy, (MdStrategy, OneBitStrategy))
+
+
 def estimate_transience(
     mdp: Mdp,
     s0: StateId,
@@ -256,21 +282,21 @@ def estimate_transience(
     """Fraction of sampled runs classified transient by ``proxy``, with a
     normal-approximation 95% confidence half-width.
 
-    Markov chains exposing a vectorized step model (see ``VectorChain``) are
-    estimated with a numpy engine; the sampled law is identical but the
-    stream differs from the per-run engine, so estimates are deterministic
-    per engine, not across engines.
+    Under no strategy, an MD strategy or a 1-bit strategy the runs step
+    together through the rows of the induced chain (``_row_estimate``);
+    Markov chains exposing a vectorized step model (see ``VectorChain``) step
+    through it instead (``_vector_estimate``), and a ``GeneralStrategy``
+    steps each run through ``_walk``.  The engines sample the same law from
+    different uniform streams, so estimates are deterministic per engine,
+    not across engines.
     """
-    if runs < 1:
-        raise ValueError("need at least one run")
-    if horizon < 0:
-        raise ValueError("horizon must be non-negative")
-    if isinstance(proxy, FreshTail) and horizon <= proxy.window:
-        raise ValueError("horizon must exceed the fresh-tail window")
-
+    _check_batch(horizon, runs, proxy)
     chain = getattr(mdp, "vector_chain", None)
     if strategy is None and chain is not None and chain() is not None:
         hits = _vector_estimate(chain(), s0, horizon, runs, proxy, seed)
+    elif _memoryless(strategy):
+        alive, _ = _row_estimate(mdp, s0, strategy, horizon, runs, seed, proxy)
+        hits = int(alive.sum())
     else:
         table = {}
         hits = sum(
@@ -278,6 +304,11 @@ def estimate_transience(
             for i in range(runs)
         )
     return _proportion(hits, runs)
+
+
+# The cells one batch's visit table may hold: always in ``_vector_estimate``,
+# and in ``_row_estimate`` when the runs of a batch share their states.
+_CELLS = 64_000_000
 
 
 @dataclass(frozen=True)
@@ -294,21 +325,46 @@ class VectorChain:
 
 
 def _vector_estimate(chain: VectorChain, s0: StateId, horizon, runs, proxy, seed) -> int:
-    """Number of ``runs`` classified transient by ``proxy``.
-
-    Runs go in batches of at most 64M table cells, one generator per batch.
-    Every step draws one uniform per run of the batch, so a run sees the same
-    uniforms whether or not other runs are still stepping; a run leaves the
-    step loop once its verdict is fixed (RevisitCap: some count passed the
-    cap; FreshTail: it hit a state visited before the window).
-    """
-    import numpy as np
-
+    """Number of ``runs`` classified transient by ``proxy``, stepped by
+    ``chain`` in batches of at most 64M table cells (``_step_runs``)."""
     bound = int(chain.ordinal_bound(s0.ordinal, horizon)) + 1
     if not 0 <= s0.ordinal < bound:
         # Its cells would fall outside the table or on another ordinal's.
         raise BadParameter(f"start ordinal {s0.ordinal} outside [0, {bound})")
-    batch = max(1, min(runs, max(1, 64_000_000 // max(bound, 1))))
+    batch = max(1, min(runs, max(1, _CELLS // max(bound, 1))))
+    alive, _ = _step_runs(_Ordinals(chain, bound), s0.ordinal, horizon, runs, seed, batch, proxy)
+    return int(alive.sum())
+
+
+class _Ordinals:
+    """A ``VectorChain`` as ``_step_runs`` steps it: the runs' positions and
+    states are ordinals, below ``bound``."""
+
+    product = False
+
+    def __init__(self, chain: VectorChain, bound: int):
+        self.step = chain.step
+        self.states = range(bound)
+
+
+def _step_runs(chain, first, horizon, runs, seed, batch, proxy=None, flag_from=None):
+    """``(alive, flagged)`` over ``runs`` runs started at position ``first``
+    of ``chain`` (a ``_Chain`` or ``_Ordinals``), ``chain.step(pos, u)``
+    moving the live runs: ``alive[r]`` says whether ``proxy`` classified run
+    r transient (every run is alive without a proxy), and ``flagged[r]``
+    counts its positions from ``flag_from`` on that stand on a state where
+    ``chain.flag`` holds.
+
+    Runs go in batches of ``batch`` runs, one generator
+    ``default_rng(derive_seed(seed, "vec", index))`` per batch.  Every step
+    draws one uniform per run of the batch, so a run sees the same uniforms
+    whether or not other runs are still stepping; a run leaves the step loop
+    once its verdict is fixed (RevisitCap: some count passed the cap;
+    FreshTail: it hit a state visited before the window).  A position is a
+    state (its index in ``chain.states``), or a (mode, state) node whose
+    state ``chain.state_of`` gives when ``chain.product``; ``first`` is both
+    the start's position and its state.
+    """
     revisit = isinstance(proxy, RevisitCap)
     if revisit:
         # No count passes horizon + 1, so a larger cap acts as that one and
@@ -318,27 +374,42 @@ def _vector_estimate(chain: VectorChain, s0: StateId, horizon, runs, proxy, seed
         dtype = np.min_scalar_type(cap + 1)
     else:
         dtype = np.bool_
-    window_start = 0 if revisit else max(0, horizon - proxy.window + 1)
-    hits = 0
-    done = 0
-    index = 0
-    while done < runs:
+    window_start = max(0, horizon - proxy.window + 1) if isinstance(proxy, FreshTail) else 0
+    alive, flagged = [], []
+    for index, done in enumerate(range(0, runs, batch)):
         n = min(batch, runs - done)
         rng = np.random.default_rng(derive_seed(seed, "vec", index))
-        # Flat (ordinal, run) table of visit counts, or of FreshTail's
-        # visited-before-the-window marks: cell o * n + r.  Ordinal-major, so
-        # that when the live runs occupy a band of nearby ordinals (every
-        # chain here), one step's cells share one narrow band of the table
-        # instead of one page per run.
-        table = np.zeros(n * bound, dtype=dtype)
         live = np.arange(n)
-        pos = np.full(n, s0.ordinal, dtype=np.int64)
-        table[s0.ordinal * n:(s0.ordinal + 1) * n] = 1
+        pos = np.full(n, first, dtype=np.intp)
         u = np.empty(n)
+        count = np.zeros(n, dtype=np.int64)
+        if flag_from == 0:
+            count += chain.flag[first]
+        if proxy is not None:
+            # Flat (state, run) table of visit counts, or of FreshTail's
+            # visited-before-the-window marks: cell i * n + r, with r the
+            # run's index in the batch.  State-major, so that when the live
+            # runs occupy a band of nearby states (every chain here), one
+            # step's cells share one narrow band of the table instead of one
+            # page per run.  It grows as the runs discover states; np.zeros
+            # leaves the pages past the copied cells unwritten.
+            rows = max(64, len(chain.states))
+            table = np.zeros(rows * n, dtype=dtype)
+            table[first * n:(first + 1) * n] = 1
         for step in range(horizon):
             rng.random(out=u)
             pos = chain.step(pos, u if len(live) == n else u[live])
-            cell = pos * n
+            state = chain.state_of[pos] if chain.product else pos
+            if flag_from is not None and step + 1 >= flag_from:
+                count[live] += chain.flag[state]
+            if proxy is None:
+                continue
+            if len(chain.states) > rows:
+                rows = max(2 * rows, len(chain.states))
+                grown = np.zeros(rows * n, dtype=dtype)
+                grown[:len(table)] = table
+                table = grown
+            cell = state * n
             cell += live
             if revisit:
                 c = table[cell] + 1
@@ -356,10 +427,176 @@ def _vector_estimate(chain: VectorChain, s0: StateId, horizon, runs, proxy, seed
             live, pos = live[keep], pos[keep]
             if len(live) == 0:
                 break
-        hits += len(live)
-        done += n
-        index += 1
-    return hits
+        kept = np.zeros(n, dtype=bool)
+        kept[live] = True
+        alive.append(kept)
+        flagged.append(count)
+    return np.concatenate(alive), np.concatenate(flagged)
+
+
+class _Chain:
+    """The Markov chain that no strategy, an MD strategy or a 1-bit strategy
+    induces on ``mdp``, as numpy rows built from the oracles on demand.
+
+    A node is a (memory, state) pair: the memory is the 1-bit mode, or None
+    without one.  Nodes and states are numbered in the order the runs
+    discover them, and ``state_of[k]`` is the state of node k.  Row k holds
+    node k's successor nodes in ``succ[k * width:]``, in oracle order, and
+    their cumulative probabilities in ``cum[k * width:]``, accumulated as
+    ``Distribution`` accumulates them; a controlled row holds the strategy's
+    one pick, resolved once per node.  The last entry of a finished row has
+    cumulative probability +inf.  A step from node k with uniform u takes
+    the first successor whose cumulative probability exceeds u (inversion
+    by sequential search, Devroye 1986, §III.2), which is what
+    ``Distribution.sample(u)`` draws, the last entry taking the rounding
+    slack.
+
+    A row is built when a run first steps from its node.  A row of an
+    infinite random family holds only the prefix that the uniforms drawn
+    from it needed.  Both a row not built yet and that prefix end in the
+    successor -1, and ``step`` builds or extends the rows its runs ran into.
+    ``flag[i]`` holds ``flag_fn`` of state i, when given.
+    """
+
+    def __init__(self, mdp: Mdp, strategy, flag_fn=None):
+        self.table: dict = {}
+        self.mdp = mdp
+        self.memory, self.choose, self.observe = _controller(mdp, strategy, self.table)
+        self.product = isinstance(strategy, OneBitStrategy)
+        self.flag_fn = flag_fn
+        self.keys: list[tuple] = []  # (memory, state) of each node
+        self.ids: dict[tuple, int] = {}  # (memory, ordinal) -> node
+        self.built: list[bool] = []
+        self.states: list[StateId] = []
+        self.state_ids: dict[int, int] = {}  # ordinal -> state
+        self.open: dict[int, tuple] = {}  # node -> (items left, successors, sums)
+        self.width = 2
+        self.cum = np.full(64 * self.width, math.inf)
+        self.succ = np.full(64 * self.width, -1, dtype=np.intp)
+        self.state_of = np.zeros(64, dtype=np.intp)
+        self.flag = np.zeros(64, dtype=bool)
+
+    def node(self, memory, s: StateId) -> int:
+        key = (memory, s.ordinal)
+        k = self.ids.get(key)
+        if k is not None:
+            return k
+        k = self.ids[key] = len(self.keys)
+        self.keys.append((memory, s))
+        self.built.append(False)
+        i = self.state_ids.get(s.ordinal)
+        if i is None:
+            i = self.state_ids[s.ordinal] = len(self.states)
+            self.states.append(s)
+            if i == len(self.flag):
+                self.flag = np.concatenate([self.flag, np.zeros_like(self.flag)])
+            if self.flag_fn is not None:
+                self.flag[i] = self.flag_fn(s)
+        if k == len(self.state_of):
+            self._reshape(2 * k, self.width)
+        self.state_of[k] = i
+        return k
+
+    def _reshape(self, nodes: int, width: int) -> None:
+        """Room for ``nodes`` rows of ``width`` entries, rows kept."""
+        old, w = len(self.state_of), self.width
+        cum = np.full((nodes, width), math.inf)
+        succ = np.full((nodes, width), -1, dtype=np.intp)
+        cum[:old, :w] = self.cum.reshape(old, w)
+        succ[:old, :w] = self.succ.reshape(old, w)
+        self.cum, self.succ, self.width = cum.ravel(), succ.ravel(), width
+        self.state_of = np.concatenate(
+            [self.state_of, np.zeros(nodes - old, dtype=np.intp)])
+
+    def _write(self, k: int, targets: list[int], sums) -> None:
+        # An open row keeps one more entry, its -1, inside the row.
+        need = len(targets) + (k in self.open)
+        if need > self.width:
+            self._reshape(len(self.state_of), max(2 * self.width, need))
+        base = k * self.width
+        self.succ[base:base + len(targets)] = targets
+        self.cum[base:base + len(sums)] = sums
+
+    def _build(self, k: int) -> None:
+        memory, s = self.keys[k]
+        entry = self.table.get(s.ordinal)
+        if entry is None:
+            entry = self.table[s.ordinal] = _state_entry(self.mdp, s)
+        controlled, succ, _ = entry
+        self.built[k] = True
+        if controlled:
+            memory, t = self.choose(memory, s)
+            _check_pick(succ, s, t)
+            self._write(k, [self.node(memory, t)], ())
+        elif isinstance(succ, Distribution):
+            observe = self.observe
+            targets = [
+                self.node(memory if observe is None else observe(memory, s, t), t)
+                for t, _ in succ.support
+            ]
+            if not targets:
+                raise BadModel(f"state {s} has no successor")
+            self._write(k, targets, succ._cum[:-1])  # the last stays +inf
+        elif isinstance(succ, InfiniteSuccessors):
+            self.open[k] = (succ.iter_weighted(), [], [])
+        else:
+            raise TypeError("random state without a distribution")
+
+    def _extend(self, k: int, u: float) -> None:
+        """Extend the open row k until its sum exceeds ``u``, or to its end."""
+        items, targets, sums = self.open[k]
+        memory, s = self.keys[k]
+        observe = self.observe
+        acc = sums[-1] if sums else 0.0
+        while acc <= u:
+            try:
+                t, p = next(items)
+            except StopIteration:
+                del self.open[k]
+                if not sums:
+                    raise BadModel(f"state {s} has no successor") from None
+                sums[-1] = math.inf  # the last entry takes the slack
+                break
+            acc += p
+            targets.append(self.node(memory if observe is None else observe(memory, s, t), t))
+            sums.append(acc)
+        self._write(k, targets, sums)
+
+    def _draw(self, node, u):
+        w, cum = self.width, self.cum
+        at = node * w
+        for _ in range(w - 1):
+            at += cum[at] <= u
+        return self.succ[at]
+
+    def step(self, node, u):
+        """The successor node of each run at ``node`` with uniform ``u``."""
+        nxt = self._draw(node, u)
+        if nxt.min() < 0:
+            miss = (nxt < 0).nonzero()[0]
+            node, u = node[miss], u[miss]
+            for k in set(node.tolist()):
+                if not self.built[k]:
+                    self._build(k)
+                if k in self.open:
+                    self._extend(k, float(u[node == k].max()))
+            nxt[miss] = self._draw(node, u)
+        return nxt
+
+
+def _row_estimate(mdp, s0, strategy, horizon, runs, seed, proxy=None, flag=None,
+                  flag_from=0):
+    """``_step_runs`` over the ``_Chain`` rows that ``strategy`` induces
+    from ``s0``, with ``flag`` marking the states ``flagged`` counts (none
+    when None).  The proxy's table is kept by state, not by (mode, state)
+    node.  A batch holds at most 64M / (horizon + 1) runs: a run visits at
+    most horizon + 1 states, so the table of a batch whose runs share their
+    states stays under 64M cells."""
+    chain = _Chain(mdp, strategy, flag)
+    start = chain.node(chain.memory, s0)
+    batch = max(1, min(runs, _CELLS // (horizon + 1)))
+    return _step_runs(chain, start, horizon, runs, seed, batch, proxy,
+                      None if flag is None else flag_from)
 
 
 def estimate_buchi_transience(
@@ -375,9 +612,16 @@ def estimate_buchi_transience(
 ) -> tuple[float, float]:
     """Fraction of runs that both satisfy the transience proxy and visit the
     goal family within the final ``goal_window`` steps (the finite-horizon
-    stand-in for visiting it infinitely often)."""
+    stand-in for visiting it infinitely often).  The engines are those of
+    ``estimate_transience``, except that no strategy steps through
+    ``_row_estimate`` on every chain."""
+    _check_batch(horizon, runs, proxy)
     goal_pred = goal if callable(goal) else (lambda s, gs=frozenset(goal): s in gs)
     tail = max(0, horizon - goal_window)
+    if _memoryless(strategy):
+        alive, seen = _row_estimate(mdp, s0, strategy, horizon, runs, seed, proxy,
+                                    goal_pred, tail)
+        return _proportion(int((alive & (seen > 0)).sum()), runs)
 
     def visits_goal(run):
         return any(goal_pred(s) for s in run[tail:])
@@ -400,13 +644,22 @@ def mean_visits(
     runs: int,
     seed: int,
 ) -> tuple[float, float]:
-    """Monte Carlo mean number of visits to ``target`` with its standard
-    error; used to cross-check expected-visit bounds."""
-    table = {}
-    samples = []
-    for i in range(runs):
-        _, counts, _ = _walk(mdp, s0, strategy, horizon, derive_seed(seed, i), math.inf, table)
-        samples.append(counts.get(target.ordinal, 0))
+    """Monte Carlo mean number of visits to ``target`` within ``horizon``
+    steps, with its standard error; used to cross-check expected-visit
+    bounds.  Memoryless strategies step through ``_row_estimate``, a
+    ``GeneralStrategy`` through ``_walk``."""
+    _check_batch(horizon, runs)
+    if _memoryless(strategy):
+        _, counts = _row_estimate(mdp, s0, strategy, horizon, runs, seed,
+                                  flag=lambda s: s.ordinal == target.ordinal)
+        samples = counts.tolist()
+    else:
+        table = {}
+        samples = []
+        for i in range(runs):
+            _, counts, _ = _walk(mdp, s0, strategy, horizon, derive_seed(seed, i), math.inf,
+                                 table)
+            samples.append(counts.get(target.ordinal, 0))
     n = len(samples)
     mean = sum(samples) / n
     var = sum((x - mean) ** 2 for x in samples) / max(n - 1, 1)

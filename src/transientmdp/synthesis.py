@@ -754,7 +754,10 @@ def transience_md(
         visits[states[k // 2]] = visits.get(states[k // 2], 0.0) + r
         attainment += r * sum(p for j, p in repaired[k] if j // 2 == f)
 
-    good = {states[i] for i, modes in good_modes.items() if modes}
+    # Built by insertion, a set of about a hundred states holds twice the
+    # slots that its copy holds; callers keep the partition, so it keeps the
+    # copy.
+    good = {states[i] for i, modes in good_modes.items() if modes}.copy()
     good_prime = {s for s, r in visits.items() if r > 0.0}
     partition = GoodBadPartition(bad, good, good_prime, visits, repairs, attainment)
 

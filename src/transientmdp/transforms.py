@@ -542,7 +542,8 @@ def conditioned(
 def plus_variant(fm: FiniteMdp, phi: Objective, values: ValueMap) -> FiniteMdp:
     """The restricted conditioned variant: positive-value states only,
     controlled edges kept only when value-preserving, random edges rescaled;
-    no pair states and no bottom."""
+    no pair states and no bottom.  A positive random state with no positive
+    successor raises BadParameter: its values are off the value equation."""
     _require_reach_to_sink(fm, phi)
     positive, rows = _conditioning(fm, values)
     if not positive:
@@ -554,6 +555,11 @@ def plus_variant(fm: FiniteMdp, phi: Objective, values: ValueMap) -> FiniteMdp:
         kinds[s] = fm.kind_of(s)
         if s in rows:
             entries, total = rows[s]
+            if not total > 0.0:
+                raise BadParameter(
+                    f"conditioned probabilities at {s.label} sum to {total}; "
+                    "values do not satisfy the tail value equation"
+                )
             transitions[s] = Distribution([(t, p / total) for t, p in entries], check=False)
         else:
             succ = [t for t in fm.successors_of(s) if t in inside]

@@ -294,6 +294,9 @@ SOLVE = {"kind": "solve", "objective": {"type": "reach", "states": [0]}, "state"
          {"kind": "simulate", "state": 0, "horizon": 50, "runs": 20,
           "proxy": {"type": "revisit_cap", "max_visits": -3}}),
         ({"file": "nan.json"}, {**SOLVE, "objective": {"type": "reach", "states": [7]}}),
+        ({"file": "finite.json"}, {**SOLVE, "objective": {"type": "reach", "states": [99]}}),
+        ({"file": "finite.json"}, {"kind": "synthesize", "method": "optimal_md",
+                                   "objective": {"type": "reach", "states": [7, 99]}}),
     ],
     ids=["missing_mdp_file", "malformed_mdp_file", "zero_runs", "horizon_within_window",
          "non_numeric_objective_state", "non_numeric_epsilon", "mdp_not_an_object",
@@ -305,7 +308,8 @@ SOLVE = {"kind": "solve", "objective": {"type": "reach", "states": [0]}, "state"
          "infinite_radius", "negative_gadget_state", "solve_negative_gadget_state",
          "ordinal_not_a_gadget_state", "fractional_gadget_state", "string_gadget_state",
          "boolean_file_state", "negative_horizon", "negative_fresh_tail_window",
-         "negative_max_visits", "nan_probability_file"],
+         "negative_max_visits", "nan_probability_file", "objective_state_not_in_file",
+         "synthesis_objective_state_not_in_file"],
 )
 def test_bad_scenario_input_is_a_scenario_error(tmp_path, capsys, mdp, task):
     (tmp_path / "broken.json").write_text('{"states": [')

@@ -27,7 +27,9 @@ from transientmdp.core import (
     require_sink,
     require_tail,
 )
-from transientmdp.errors import BadModel, BadParameter, InfiniteBranching, NotSink, NotTail
+from transientmdp.errors import (
+    BadModel, BadParameter, InfiniteBranching, NotSink, NotTail, TransientMdpError,
+)
 from transientmdp.gadgets import (
     acyclic_chain,
     gamblers_ruin,
@@ -503,6 +505,29 @@ def _pin_case(name):
     return fan, StateId(0, "fan"), _fan_general(), lambda s: s.ordinal % 3 == 1, StateId(1, "a_0")
 
 
+@pytest.mark.parametrize("runs, horizon", [(0, 10), (5, -1)], ids=["zero_runs",
+                                                                   "negative_horizon"])
+@pytest.mark.parametrize("strategy", [None, MdStrategy({}), _fan_general()],
+                         ids=["none", "md", "general"])
+def test_estimators_refuse_bad_settings_with_a_typed_error(runs, horizon, strategy):
+    # Zero runs divided by zero in mean_visits and the Buechi estimate, and a
+    # negative horizon came out of _walk as a bare ValueError.
+    mdp, _ = transience_fan() if strategy is not None else gamblers_ruin(0.7)
+    s0 = StateId(0, "fan") if strategy is not None else w(0)
+    calls = [
+        lambda: estimate_transience(mdp, s0, strategy, horizon, runs, RevisitCap(3), seed=1),
+        lambda: estimate_buchi_transience(mdp, s0, strategy, {s0}, horizon, runs,
+                                          RevisitCap(3), 5, seed=1),
+        lambda: mean_visits(mdp, s0, s0, strategy, horizon, runs, seed=1),
+    ]
+    for call in calls:
+        with pytest.raises(TransientMdpError):
+            call()
+    if horizon < 0:
+        with pytest.raises(BadParameter, match="non-negative"):
+            simulate(mdp, s0, strategy, horizon, seed=1)
+
+
 def _scalar_streams(mdp, s0, strategy, goal, target):
     """Every per-run estimator's output on one case, floats as ``float.hex``."""
     floats = []
@@ -516,15 +541,17 @@ def _scalar_streams(mdp, s0, strategy, goal, target):
             stats.max_revisits, stats.fresh_tail)
 
 
-# Recorded from the per-run engine before it was rewritten as one stepper: any
-# change to the order or number of uniforms drawn shows up here.
+# Any change to the order or number of uniforms drawn shows up here.  The runs
+# of ``simulate`` and every estimate under a GeneralStrategy come from the
+# per-run engine; the estimates under no strategy, an MD or a 1-bit strategy
+# come from the row engine, one generator per batch.
 SCALAR_STREAMS = {
     "none-gambler": (
         [
-            "0x1.ddddddddddddep-3", "0x1.35f7d9112ead8p-3", "0x1.1111111111111p-2",
-            "0x1.44160e1da514dp-3", "0x1.3333333333333p-2", "0x1.4fd78f2479ebep-3",
-            "0x1.5555555555555p-2", "0x1.597a1ca86e9cfp-3", "0x1.599999999999ap+1",
-            "0x1.0f505cbb5cf54p-1",
+            "0x1.999999999999ap-3", "0x1.25259eda4e491p-3", "0x1.ddddddddddddep-3",
+            "0x1.35f7d9112ead8p-3", "0x1.999999999999ap-2", "0x1.6707bd254efb9p-3",
+            "0x1.999999999999ap-2", "0x1.6707bd254efb9p-3", "0x1.ddddddddddddep+0",
+            "0x1.91ad370964881p-3",
         ],
         [0, 1, 0, 1, 0, 1, 2, 3, 2, 3, 4, 5, 4, 5, 4, 3, 4, 5, 4, 5, 6],
         [
@@ -534,10 +561,10 @@ SCALAR_STREAMS = {
     ),
     "md-ladder": (
         [
-            "0x1.bbbbbbbbbbbbcp-2", "0x1.6b297236f713dp-3", "0x1.ddddddddddddep-2",
-            "0x1.6d9e555d29944p-3", "0x1.6666666666666p-1", "0x1.4fd78f2479ebfp-3",
-            "0x1.8888888888889p-1", "0x1.35f7d9112ead8p-3", "0x1.9dddddddddddep+1",
-            "0x1.200c7be658071p-1",
+            "0x1.4444444444444p-1", "0x1.612a299b38052p-3", "0x1.999999999999ap-2",
+            "0x1.6707bd254efb9p-3", "0x1.bbbbbbbbbbbbcp-1", "0x1.f241071ea45a4p-4",
+            "0x1.999999999999ap-1", "0x1.25259eda4e490p-3", "0x1.0888888888889p+2",
+            "0x1.3deebcf0c5d0dp-1",
         ],
         [1, 5, 6, 9, 10, 13, 15, 16, 20, 24, 28, 32, 36, 40, 44, 48, 52, 56, 60, 64, 68],
         [
@@ -549,10 +576,10 @@ SCALAR_STREAMS = {
     ),
     "one-bit-ladder": (
         [
-            "0x1.1111111111111p-1", "0x1.6d9e555d29944p-3", "0x1.ddddddddddddep-2",
-            "0x1.6d9e555d29944p-3", "0x1.8888888888889p-1", "0x1.35f7d9112ead8p-3",
-            "0x1.3333333333333p-1", "0x1.6707bd254efb9p-3", "0x1.4cccccccccccdp+1",
-            "0x1.715f2394b3edep-2",
+            "0x1.4444444444444p-1", "0x1.612a299b38052p-3", "0x1.1111111111111p-1",
+            "0x1.6d9e555d29944p-3", "0x1.999999999999ap-1", "0x1.25259eda4e490p-3",
+            "0x1.7777777777777p-1", "0x1.44160e1da514dp-3", "0x1.999999999999ap+1",
+            "0x1.a1c201f224c4fp-2",
         ],
         [1, 5, 6, 9, 10, 13, 14, 9, 11, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0],
         [

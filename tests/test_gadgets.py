@@ -1,8 +1,10 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from transientmdp import Objective, StateId, simulate
-from transientmdp.core import Distribution
+from transientmdp.core import PROB_TOL, Distribution, InfiniteSuccessors, StateKind
 from transientmdp.errors import BadParameter
 from transientmdp.gadgets import (
     acyclic_chain,
@@ -249,3 +251,52 @@ def test_registry_roundtrip():
     assert meta.params == {"p": 0.6}
     with pytest.raises(BadParameter):
         build_gadget("nope")
+
+
+# Every registered gadget, at several parameters: (name, params, root ordinals).
+ANSWER_CASES = [("gamblers_ruin", {"p": p}, [0]) for p in (0.01, 0.3, 0.5, 0.7, 0.99)] + [
+    ("no_optimal_ladder", {}, [1]),
+    ("lazy_self_loop", {}, [0]),
+    ("acyclic_chain", {}, [0]),
+    ("safety_fan", {}, [0, 3 * 1100]),  # b_1100: 2^-1100 underflows
+    ("transience_fan", {}, [0, 3 * 1100]),
+    ("geometric_fan", {}, [5]),
+]
+
+
+@pytest.mark.parametrize("name, params, roots", ANSWER_CASES,
+                         ids=[f"{c[0]}{c[1].get('p', '')}" for c in ANSWER_CASES])
+def test_gadget_answers_are_valid_over_their_first_states(name, params, roots):
+    # The gadget oracles build their Distributions unchecked, so this is where
+    # the sums and supports are checked: the first 400 states breadth-first,
+    # and the first 60 members of an infinite family.
+    mdp, meta = build_gadget(name, params)
+    assert set(REGISTRY) == {c[0] for c in ANSWER_CASES}
+    seen = {StateId(o) for o in roots}
+    queue = sorted(seen)
+    while queue and len(seen) < 400:
+        s = queue.pop(0)
+        assert meta.is_state(s.ordinal), s
+        succ = mdp.successors_of(s)
+        if isinstance(succ, InfiniteSuccessors):
+            items = list(itertools.islice(succ.items(), 60))
+            states = [t for t, _ in items] if succ.random else items
+            assert succ.random == (mdp.kind_of(s) is StateKind.RANDOM)
+            if succ.random:
+                assert all(p > 0.0 for _, p in items)
+                assert abs(sum(p for _, p in items) - 1.0) <= PROB_TOL
+        elif mdp.kind_of(s) is StateKind.RANDOM:
+            assert isinstance(succ, Distribution)
+            Distribution(succ.support)  # the duplicate and sum checks
+            states = succ.states()
+            if succ.exact is not None:
+                assert sum(succ.exact.values()) == 1
+                assert all(float(succ.exact[t]) == p for t, p in succ.support)
+        else:
+            states = list(succ)
+            assert states
+        assert len({t.ordinal for t in states}) == len(states)
+        for t in states:
+            if t not in seen:
+                seen.add(t)
+                queue.append(t)

@@ -20,11 +20,18 @@ from hypothesis import strategies as st
 from transientmdp import Distribution, LazyMdp, Objective, StateId, StateKind
 from transientmdp import core, solvers, transforms
 from transientmdp.cli import main as cli_main
-from transientmdp.core import InfiniteSuccessors, successor_states
+from transientmdp.core import InfiniteSuccessors, OneBitStrategy, successor_states
 from transientmdp.gadgets import (
     gamblers_ruin, geometric_fan, ladder_state, no_optimal_ladder, safety_fan, transience_fan,
 )
-from transientmdp.simulate import FreshTail, RevisitCap, _vector_estimate
+from transientmdp.simulate import (
+    FreshTail,
+    RevisitCap,
+    _vector_estimate,
+    estimate_buchi_transience,
+    estimate_transience,
+    mean_visits,
+)
 from transientmdp.solvers import (
     BoundedRewardSpec,
     CostLabel,
@@ -41,7 +48,7 @@ from transientmdp.solvers import (
 )
 from transientmdp.synthesis import fix_choices, plastering_uniformize
 from transientmdp.transforms import INFINITE_CHAIN, conditioned
-from transientmdp.verify import random_finite_mdp, win_objective
+from transientmdp.verify import random_finite_mdp, random_md_strategy, win_objective
 
 from test_core import _reference_vector_hits
 
@@ -591,3 +598,130 @@ def test_ordinal_major_vector_engine_matches_the_run_major_reference(p, case, ru
     want = _reference_vector_hits(chain.step, chain.ordinal_bound, s0, horizon, runs, proxy,
                                   seed)
     assert _vector_estimate(chain, s0, horizon, runs, proxy, seed) == want
+
+
+def _product_edges(fm, kind, seed):
+    """The strategy of ``kind`` ("none", "md" or "one-bit", drawn from
+    ``seed``) and the edges ``(probability, mode, state)`` of each product
+    node ``(mode, state)`` of the chain it induces on ``fm``, read off the
+    oracles without the stepper."""
+    rng = random.Random(seed)
+    if kind == "none":
+        strategy = None
+        pick = {}
+    elif kind == "md":
+        strategy = random_md_strategy(fm, seed)
+        pick = {(0, s): (0, t) for s, t in strategy.choice.items()}
+    else:
+        # The two modes pick different successors and keep their mode, so
+        # the mode, which only the random moves update, decides every pick.
+        pick = {}
+        for s in fm.controlled_states():
+            for m, t in enumerate(rng.sample(list(fm.successors_of(s)), 2)):
+                pick[(m, s)] = (m, t)
+        update = {(m, s, t): rng.randrange(2) for s in fm.states
+                  if fm.kind_of(s) is StateKind.RANDOM for m in (0, 1)
+                  for t in fm.successors_of(s).states()}
+        strategy = OneBitStrategy(rng.randrange(2), lambda m, s: pick[(m, s)],
+                                  lambda m, s, t: update[(m, s, t)])
+    edges = {}
+    for s in fm.states:
+        for m in ((0,) if kind != "one-bit" else (0, 1)):
+            if fm.kind_of(s) is StateKind.CONTROLLED:
+                m2, t = pick[(m, s)]
+                edges[(m, s)] = [(1.0, m2, t)]
+            else:
+                edges[(m, s)] = [(q, m if kind != "one-bit" else update[(m, s, t)], t)
+                                 for t, q in fm.successors_of(s)]
+    start = 0 if kind != "one-bit" else strategy.initial_mode
+    return strategy, edges, start
+
+
+def _exact_verdicts(edges, start, s0, horizon, cap, goal, tail):
+    """Exact P(no state passes ``cap`` visits within ``horizon`` steps), and
+    P(that, and a ``goal`` state at a position from ``tail`` on): the law of
+    (node, visit counts, goal seen) is pushed forward one step at a time."""
+    law = {((start, s0), ((s0, 1),), tail == 0 and s0 in goal): 1.0}
+    for step in range(1, horizon + 1):
+        nxt = {}
+        for (node, counts, seen), w in law.items():
+            for q, m, t in edges[node]:
+                c = dict(counts)
+                c[t] = c.get(t, 0) + 1
+                if c[t] > cap:
+                    continue  # the proxy has decided against the run
+                key = ((m, t), tuple(sorted(c.items())), seen or (step >= tail and t in goal))
+                nxt[key] = nxt.get(key, 0.0) + w * q
+        law = nxt
+    return sum(law.values()), sum(w for (_, _, seen), w in law.items() if seen)
+
+
+def _expected_visits(edges, start, s0, horizon, target):
+    """Exact expected visits to ``target`` within ``horizon`` steps, by
+    pushing the product chain's law forward."""
+    law, visits = {(start, s0): 1.0}, float(s0 == target)
+    for _ in range(horizon):
+        nxt = {}
+        for node, w in law.items():
+            for q, m, t in edges[node]:
+                nxt[(m, t)] = nxt.get((m, t), 0.0) + w * q
+        law = nxt
+        visits += sum(w for (_, t), w in law.items() if t == target)
+    return visits
+
+
+def _binomial_tails(hits, runs, p):
+    """P(Bin(runs, p) <= hits) and P(Bin(runs, p) >= hits), exactly."""
+    pmf = [math.comb(runs, k) * p**k * (1.0 - p) ** (runs - k) for k in range(runs + 1)]
+    return sum(pmf[:hits + 1]), sum(pmf[hits:])
+
+
+@st.composite
+def _small_chains(draw):
+    """A strategy kind and a finite MDP of 3 to 6 states with cycles, whose
+    states draw 1 to 3 successors among all states; a state with a choice may
+    be controlled when the kind has picks."""
+    kind = draw(st.sampled_from(["none", "md", "one-bit"]))
+    states = [StateId(i, f"q_{i}") for i in range(draw(st.integers(min_value=3, max_value=6)))]
+    kinds, transitions = {}, {}
+    for s in states:
+        succ = draw(st.lists(st.sampled_from(states), min_size=1, max_size=3, unique=True))
+        if kind != "none" and len(succ) > 1 and draw(st.booleans()):
+            kinds[s], transitions[s] = StateKind.CONTROLLED, succ
+        else:
+            w = draw(st.lists(st.integers(min_value=1, max_value=9), min_size=len(succ),
+                              max_size=len(succ)))
+            kinds[s] = StateKind.RANDOM
+            transitions[s] = Distribution([(t, x / sum(w)) for t, x in zip(succ, w)])
+    return kind, core.FiniteMdp(states, kinds, transitions)
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(
+    seed=SEEDS,
+    case=_small_chains(),
+    horizon=st.integers(min_value=4, max_value=8),
+    cap=st.integers(min_value=2, max_value=4),
+    window=st.integers(min_value=1, max_value=4),
+)
+def test_row_engine_frequencies_match_the_exact_product_chain(seed, case, horizon, cap, window):
+    # The verdicts of the row engine are Binomial(runs, p) for the exact p of
+    # the induced (mode, state) chain; a wrong row, pick, mode update or
+    # visit key moves p far outside the 1e-7 tails at 400 runs.
+    kind, fm = case
+    strategy, edges, start = _product_edges(fm, kind, seed)
+    s0, runs = fm.states[0], 400
+    goal = set(fm.states[1::2])
+    tail = max(0, horizon - window)
+    alive, buchi = _exact_verdicts(edges, start, s0, horizon, cap, goal, tail)
+    est, _ = estimate_transience(fm, s0, strategy, horizon, runs, RevisitCap(cap), seed)
+    both, _ = estimate_buchi_transience(fm, s0, strategy, goal, horizon, runs, RevisitCap(cap),
+                                        window, seed)
+    for freq, p in ((est, alive), (both, buchi)):
+        low, high = _binomial_tails(round(freq * runs), runs, min(max(p, 0.0), 1.0))
+        assert low > 1e-7 and high > 1e-7, (freq, p)
+    target = fm.states[-1]
+    mean, _ = mean_visits(fm, s0, target, strategy, horizon, runs, seed)
+    want = _expected_visits(edges, start, s0, horizon, target)
+    # Hoeffding: visits lie in [0, horizon + 1]; 1e-7 two-sided.
+    assert abs(mean - want) <= (horizon + 1) * math.sqrt(math.log(2e7) / (2 * runs)), (mean, want)

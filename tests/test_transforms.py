@@ -286,6 +286,15 @@ def test_conditioned_refuses_values_off_the_tail_equation():
         conditioned(fm, phi, halved)
 
 
+def test_plus_variant_refuses_a_random_state_without_positive_successors():
+    # v(s0) = 1/2 but v(win) = 1e-13 is not positive: s0 would get an empty row.
+    fm, s0, win, lose = three_state_example()
+    values = ValueMap({s0: 0.5, win: 1e-13, lose: 0.0}, Objective.REACH)
+    for build in (conditioned, plus_variant):
+        with pytest.raises(BadParameter, match="tail value equation"):
+            build(fm, Objective.reach({win}), values)
+
+
 def test_conditioned_distribution_sums_random_corpus():
     for i in range(50):
         fm = random_finite_mdp(derive_seed("wf", i), n_states=9)
