@@ -242,17 +242,15 @@ def simulate(
     return run, stats
 
 
-def _run_is_transient(mdp, s0, strategy, horizon, proxy, run_seed, table, accept=None) -> bool:
-    """Whether one seeded run is classified transient by ``proxy`` and, given
-    ``accept``, also satisfies ``accept(run)``.  RevisitCap stops the run at
-    the first count above the cap: its continuation cannot undo the verdict."""
+def _run_is_transient(mdp, s0, strategy, horizon, proxy, run_seed, table):
+    """``(alive, run)`` of one seeded run: whether ``proxy`` classified it
+    transient (every run is alive without a proxy), and the run.  RevisitCap
+    stops the run at the first count above the cap: its continuation cannot
+    undo the verdict."""
     fresh = isinstance(proxy, FreshTail)
-    run, _, finished = _walk(
-        mdp, s0, strategy, horizon, run_seed, math.inf if fresh else proxy.max_visits, table
-    )
-    if not finished or (fresh and not _fresh_tail(run, proxy.window)):
-        return False
-    return accept is None or accept(run)
+    cap = proxy.max_visits if isinstance(proxy, RevisitCap) else math.inf
+    run, _, finished = _walk(mdp, s0, strategy, horizon, run_seed, cap, table)
+    return finished and (not fresh or _fresh_tail(run, proxy.window)), run
 
 
 def _check_batch(horizon: int, runs: int, proxy=None) -> None:
@@ -294,16 +292,25 @@ def estimate_transience(
     chain = getattr(mdp, "vector_chain", None)
     if strategy is None and chain is not None and chain() is not None:
         hits = _vector_estimate(chain(), s0, horizon, runs, proxy, seed)
-    elif _memoryless(strategy):
-        alive, _ = _row_estimate(mdp, s0, strategy, horizon, runs, seed, proxy)
-        hits = int(alive.sum())
     else:
-        table = {}
-        hits = sum(
-            _run_is_transient(mdp, s0, strategy, horizon, proxy, derive_seed(seed, i), table)
-            for i in range(runs)
-        )
+        hits = int(_sample(mdp, s0, strategy, horizon, runs, seed, proxy)[0].sum())
     return _proportion(hits, runs)
+
+
+def _sample(mdp, s0, strategy, horizon, runs, seed, proxy=None, flag=None, flag_from=0):
+    """``(alive, flagged)`` of ``runs`` seeded runs from ``s0``, as
+    ``_step_runs`` defines them: stepped together through ``_row_estimate``
+    under a memoryless strategy, and one by one through ``_walk``, with
+    seeds ``derive_seed(seed, i)``, under a ``GeneralStrategy``."""
+    if _memoryless(strategy):
+        return _row_estimate(mdp, s0, strategy, horizon, runs, seed, proxy, flag, flag_from)
+    table, alive, flagged = {}, [], []
+    for i in range(runs):
+        transient, run = _run_is_transient(mdp, s0, strategy, horizon, proxy,
+                                           derive_seed(seed, i), table)
+        alive.append(transient)
+        flagged.append(0 if flag is None else sum(1 for q in run[flag_from:] if flag(q)))
+    return np.array(alive), np.array(flagged)
 
 
 # The cells one batch's visit table may hold: always in ``_vector_estimate``,
@@ -617,22 +624,9 @@ def estimate_buchi_transience(
     ``_row_estimate`` on every chain."""
     _check_batch(horizon, runs, proxy)
     goal_pred = goal if callable(goal) else (lambda s, gs=frozenset(goal): s in gs)
-    tail = max(0, horizon - goal_window)
-    if _memoryless(strategy):
-        alive, seen = _row_estimate(mdp, s0, strategy, horizon, runs, seed, proxy,
-                                    goal_pred, tail)
-        return _proportion(int((alive & (seen > 0)).sum()), runs)
-
-    def visits_goal(run):
-        return any(goal_pred(s) for s in run[tail:])
-
-    table = {}
-    hits = sum(
-        _run_is_transient(mdp, s0, strategy, horizon, proxy, derive_seed(seed, i), table,
-                          visits_goal)
-        for i in range(runs)
-    )
-    return _proportion(hits, runs)
+    alive, seen = _sample(mdp, s0, strategy, horizon, runs, seed, proxy, goal_pred,
+                          max(0, horizon - goal_window))
+    return _proportion(int((alive & (seen > 0)).sum()), runs)
 
 
 def mean_visits(
@@ -649,17 +643,9 @@ def mean_visits(
     bounds.  Memoryless strategies step through ``_row_estimate``, a
     ``GeneralStrategy`` through ``_walk``."""
     _check_batch(horizon, runs)
-    if _memoryless(strategy):
-        _, counts = _row_estimate(mdp, s0, strategy, horizon, runs, seed,
-                                  flag=lambda s: s.ordinal == target.ordinal)
-        samples = counts.tolist()
-    else:
-        table = {}
-        samples = []
-        for i in range(runs):
-            _, counts, _ = _walk(mdp, s0, strategy, horizon, derive_seed(seed, i), math.inf,
-                                 table)
-            samples.append(counts.get(target.ordinal, 0))
+    _, counts = _sample(mdp, s0, strategy, horizon, runs, seed,
+                        flag=lambda s: s.ordinal == target.ordinal)
+    samples = counts.tolist()
     n = len(samples)
     mean = sum(samples) / n
     var = sum((x - mean) ** 2 for x in samples) / max(n - 1, 1)

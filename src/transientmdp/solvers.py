@@ -56,7 +56,7 @@ from .core import (
     require_sink,
     truncate,
 )
-from .errors import NoFiniteCostPolicy, PolicyIterationStalled, SingularSystem, TooLarge
+from .errors import BadParameter, NoFiniteCostPolicy, PolicyIterationStalled, SingularSystem, TooLarge
 
 TIE_TOL = 1e-12
 # Relative margin by which a policy-iteration switch must improve, so that
@@ -505,10 +505,10 @@ def interval_value(
     before hitting the avoid set, which is sound given the declaration.
     """
     if objective.kind not in (Objective.REACH, Objective.SAFETY):
-        raise ValueError("interval_value supports Reach and Safety objectives")
+        raise BadParameter("interval_value supports Reach and Safety objectives")
     radii = sorted(set(radii))
     if not radii:
-        raise ValueError("empty radius schedule")
+        raise BadParameter("empty radius schedule")
     last = radii[-1]
     fm = truncate(mdp, {s}, last)
     members = objective.members_in([q for q in fm.states if q != fm.frontier])
@@ -580,7 +580,7 @@ def return_probability(mdp: Mdp, s: StateId, radii: Iterable[int]) -> ReturnAnal
     """
     radii = sorted(set(radii))
     if not radii:
-        raise ValueError("empty radius schedule")
+        raise BadParameter("empty radius schedule")
     radius = radii[-1]
     fm = truncate(mdp, {s}, radius)
     entry = mint("entry", max(q.ordinal for q in fm.states) + 1, f"entry({s.label or s.ordinal})")

@@ -39,10 +39,10 @@ from .core import (
     _with_rows,
     mint,
     require_tail,
-    successor_states,
     truncate,
 )
 from .errors import (
+    BadParameter,
     BudgetExhausted,
     EmptyFrontier,
     InfiniteBranching,
@@ -461,7 +461,7 @@ def buchi_transience_one_bit(
     """
     initial = sorted(set(initial))
     if not initial:
-        raise ValueError("need at least one initial state")
+        raise BadParameter("need at least one initial state")
     goal_pred = goal if callable(goal) else (lambda s, gs=frozenset(goal): s in gs)
     return _one_bit_on(_Layers(mdp, initial), initial, goal_pred, epsilon,
                        schedule or BubbleSchedule())
@@ -883,8 +883,12 @@ def safety_md_universally_transient(
     bound is at least ub(s) - eps / (2^{iota(s)+1} R(s)).
 
     Finite MDPs take the exact route (values and return probabilities are
-    exact); countable ones use interval bounds, widening through the radius
-    schedule until a qualifier appears.
+    exact).  Countable ones are walked breadth-first from ``roots``: every
+    controlled state within ``synthesis_radius`` steps gets a pick, and the
+    walk goes on only through the picks and through the random states'
+    successors in the prefix view, where an infinite family is cut to its
+    first branches and a tail stub.  A pick uses interval bounds, widening
+    through the radius schedule until a qualifier appears.
     """
     objective = avoid if isinstance(avoid, Objective) else Objective.safety(avoid)
     schedule = schedule or SafetySchedule()
@@ -894,68 +898,41 @@ def safety_md_universally_transient(
         return _safety_md_finite(mdp, objective, epsilon, assume_transient)
 
     if not roots:
-        raise ValueError("countable synthesis needs root states")
-    # Random states are walked through the prefix view that the certificate
-    # uses, so an infinitely branching one leads to its first branches and the
-    # tail stub; choices are made only at controlled states.
+        raise BadParameter("countable synthesis needs root states")
     view = _prefix_restricted(mdp, schedule)
     choice: dict[StateId, StateId] = {}
-    seen: set[StateId] = set()
-    queue = list(roots)
-    horizon = schedule.synthesis_radius
-    steps = {s: 0 for s in queue}
-    while queue:
-        s = queue.pop(0)
-        if s in seen or steps[s] > horizon:
-            continue
-        seen.add(s)
-        if view.kind_of(s) is StateKind.CONTROLLED:
-            succ = mdp.successors_of(s)
-            if isinstance(succ, InfiniteSuccessors):
-                picked = _pick_slack_successor_lazy(
-                    mdp, s, succ, objective, epsilon, schedule, safe_core,
-                    assume_transient,
-                )
-            else:
-                picked = _pick_slack_successor(
-                    mdp, s, list(succ), objective, epsilon, schedule, safe_core,
-                    assume_transient,
-                )
-            choice[s] = picked
-            nexts = [picked]
-        else:
-            nexts = successor_states(view, s)
-        for t in nexts:
-            if t not in seen:
-                steps[t] = steps[s] + 1
-                queue.append(t)
+
+    def successors(s: StateId):
+        # The walk's view of s: its pick, made when the search first asks.
+        if view.kind_of(s) is not StateKind.CONTROLLED:
+            return view.successors_of(s)
+        choice[s] = _pick_slack_successor(
+            mdp, view, s, objective, epsilon, schedule, safe_core, assume_transient
+        )
+        return [choice[s]]
+
+    # As in ``truncate``: growing layer d + 1 asks every state of layer d.
+    _Layers(LazyMdp(view.kind_of, successors), roots).grow(schedule.synthesis_radius + 1)
     return MdStrategy(choice)
 
 
-def _slack(mdp, s, epsilon, schedule, assume_transient) -> float:
+def _slack(view, s, epsilon, schedule, assume_transient) -> float:
+    """The slack at ``s``, with R(s) certified on the walk's prefix ``view``:
+    infinite families are cut to their first branches with the tail lumped
+    into an absorbing (never-returning) stub, so the certificate is relative
+    to the prefix."""
     if assume_transient:
-        r_bound = 1.0
-    else:
-        try:
-            analysis = return_probability(mdp, s, list(schedule.radii))
-        except InfiniteBranching:
-            # Certify on the enumerated-prefix restriction: infinite families
-            # are cut to their first branches with the tail lumped into an
-            # absorbing (never-returning) stub.  The certificate is relative
-            # to the prefix.
-            analysis = return_probability(
-                _prefix_restricted(mdp, schedule), s, list(schedule.radii)
-            )
-        if analysis.re.lower >= 1.0 - 1e-9:
-            raise NotUniversallyTransient(
-                f"certified return probability 1 at {s.label or s.ordinal}"
-            )
-        if not math.isfinite(analysis.r_bound):
-            raise NotUniversallyTransient(
-                f"return-probability upper estimate 1 at {s.label or s.ordinal}"
-            )
-        r_bound = analysis.r_bound
-    return _slack_at(s, epsilon, r_bound)
+        return _slack_at(s, epsilon, 1.0)
+    analysis = return_probability(view, s, list(schedule.radii))
+    if analysis.re.lower >= 1.0 - 1e-9:
+        raise NotUniversallyTransient(
+            f"certified return probability 1 at {s.label or s.ordinal}"
+        )
+    if not math.isfinite(analysis.r_bound):
+        raise NotUniversallyTransient(
+            f"return-probability upper estimate 1 at {s.label or s.ordinal}"
+        )
+    return _slack_at(s, epsilon, analysis.r_bound)
 
 
 def _slack_at(s: StateId, epsilon: float, r_bound: float) -> float:
@@ -1001,35 +978,32 @@ def _prefix_restricted(mdp: Mdp, schedule: SafetySchedule) -> Mdp:
     return LazyMdp(kind, successors)
 
 
-def _pick_slack_successor(mdp, s, succ, objective, epsilon, schedule, safe_core,
+def _pick_slack_successor(mdp, view, s, objective, epsilon, schedule, safe_core,
                           assume_transient) -> StateId:
-    slack = _slack(mdp, s, epsilon, schedule, assume_transient)
-    for radius_idx in range(len(schedule.radii)):
-        radii = list(schedule.radii[: radius_idx + 1])
-        ub = interval_value(mdp, s, objective, radii, safe_core).upper
-        for t in sorted(succ, key=lambda q: q.ordinal):
-            lb = interval_value(mdp, t, objective, radii, safe_core).lower
-            if lb >= ub - slack - 1e-12:
+    """The slack rule at controlled ``s``: for each running maximum of the
+    radius schedule, the first successor in ordinal order whose lower bound
+    at that radius is at least ub(s) - slack."""
+    slack = _slack(view, s, epsilon, schedule, assume_transient)
+    radii = sorted(set(itertools.accumulate(schedule.radii, max)))
+    succ = mdp.successors_of(s)
+    infinite = isinstance(succ, InfiniteSuccessors)
+    if infinite:
+        # ub(s) on an infinitely branching state is not computable by
+        # truncation; 1 is the only sound upper bound, which makes the rule
+        # demand lb >= 1 - slack at the largest radius.  The value supremum
+        # guarantees a qualifier whenever val(s) = 1; otherwise the
+        # enumeration budget runs out.
+        radii = radii[-1:]
+        candidates = itertools.islice(succ.iter_states(), schedule.branch_budget)
+    else:
+        candidates = sorted(succ, key=lambda q: q.ordinal)
+    for radius in radii:
+        ub = 1.0 if infinite else interval_value(mdp, s, objective, [radius], safe_core).upper
+        for t in candidates:
+            if interval_value(mdp, t, objective, [radius], safe_core).lower >= ub - slack - 1e-12:
                 return t
     raise RadiusExhausted(
         f"no successor of {s.label or s.ordinal} qualified within the schedule"
-    )
-
-
-def _pick_slack_successor_lazy(mdp, s, succ: InfiniteSuccessors, objective, epsilon,
-                               schedule, safe_core, assume_transient) -> StateId:
-    slack = _slack(mdp, s, epsilon, schedule, assume_transient)
-    radii = list(schedule.radii)
-    # ub(s) on an infinitely branching state is not computable by truncation;
-    # 1 is the only sound upper bound, which makes the rule demand
-    # lb >= 1 - slack.  The value supremum guarantees a qualifier whenever
-    # val(s) = 1; otherwise the enumeration budget runs out.
-    for t in itertools.islice(succ.iter_states(), schedule.branch_budget):
-        lb = interval_value(mdp, t, objective, radii, safe_core).lower
-        if lb >= 1.0 - slack - 1e-12:
-            return t
-    raise RadiusExhausted(
-        f"no branch of {s.label or s.ordinal} qualified within the budget"
     )
 
 

@@ -22,7 +22,7 @@ from .core import (
     reachable,
     successor_states,
 )
-from .errors import TooLarge
+from .errors import BadParameter, TooLarge
 from .gadgets import acyclic_chain, gamblers_ruin
 from .simulate import derive_seed, estimate_transience, mean_visits, RevisitCap
 from .solvers import (
@@ -342,32 +342,43 @@ class TransienceCertificate:
     details: dict[str, tuple[float, float]]
 
 
+# Verdict thresholds: NO when some certified lower bound reaches
+# 1 - NO_TOLERANCE, YES when every upper estimate stays at most 1 - YES_MARGIN.
+NO_TOLERANCE = 1e-2
+YES_MARGIN = 1e-2
+
+
 def certify_universal_transience(
     mdp: Mdp,
     sample: Iterable[StateId],
     radii: Iterable[int] = (50, 200),
-    no_tolerance: float = 1e-2,
-    yes_margin: float = 1e-2,
 ) -> TransienceCertificate:
     """Semi-decision: YES when every sampled state's return-probability upper
     estimate stays below 1 by the margin; NO when some certified lower bound
     reaches 1 within tolerance; INCONCLUSIVE otherwise.  NO rests on the
     sound lower bound; YES inherits the ring-consistency caveat of
     return_probability."""
+    return _certified(mdp, sample, radii)[0]
+
+
+def _certified(mdp: Mdp, sample: Iterable[StateId], radii: Iterable[int]):
+    """The certificate over ``sample`` with the return analysis of each
+    sampled state, in sample order."""
+    sample, radii = list(sample), list(radii)
+    analyses = [return_probability(mdp, s, radii) for s in sample]
     details = {}
     worst_upper, worst_lower = 0.0, 0.0
-    for s in sample:
-        analysis = return_probability(mdp, s, list(radii))
+    for s, analysis in zip(sample, analyses):
         details[s.label or str(s.ordinal)] = (analysis.re.lower, analysis.re.upper)
         worst_upper = max(worst_upper, analysis.re.upper)
         worst_lower = max(worst_lower, analysis.re.lower)
-    if worst_lower >= 1.0 - no_tolerance:
+    if worst_lower >= 1.0 - NO_TOLERANCE:
         verdict = NO
-    elif worst_upper <= 1.0 - yes_margin:
+    elif worst_upper <= 1.0 - YES_MARGIN:
         verdict = YES
     else:
         verdict = INCONCLUSIVE
-    return TransienceCertificate(verdict, worst_upper, worst_lower, details)
+    return TransienceCertificate(verdict, worst_upper, worst_lower, details), analyses
 
 
 def check_universal_transience(
@@ -383,12 +394,11 @@ def check_universal_transience(
     """Certify and cross-check: condition (4) via Monte Carlo visit counts
     against B(s), condition (1) via the transience estimate when YES."""
     sample = list(sample)
-    cert = certify_universal_transience(mdp, sample, radii)
+    cert, analyses = _certified(mdp, sample, radii)
     violation = 0.0
     notes = [cert.verdict]
     if cert.verdict == YES:
-        for s in sample:
-            analysis = return_probability(mdp, s, list(radii))
+        for s, analysis in zip(sample, analyses):
             mean, se = mean_visits(mdp, s, s, strategy, min(horizon, 4000), runs, seed)
             excess = mean - (analysis.b_bound + 3.0 * se)
             violation = max(violation, excess)
@@ -468,7 +478,7 @@ def run_suite(name: str, seed: int = 0) -> list[CheckReport]:
         return _suite_transience(seed)
     if name == "solvers":
         return _suite_solvers(seed)
-    raise ValueError(f"unknown suite {name!r}; choose conditioned|transience|solvers")
+    raise BadParameter(f"unknown suite {name!r}; choose conditioned|transience|solvers")
 
 
 def _suite_conditioned(seed: int) -> list[CheckReport]:

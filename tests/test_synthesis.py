@@ -940,3 +940,58 @@ def test_safety_slack_on_infinite_fan():
     assert j == 5  # smallest qualifying ordinal
     # attained value from the root under sigma: branch value exactly
     assert meta.value(f"b_{j}", Objective.SAFETY) >= 1.0 - 0.1
+
+
+def test_safety_walk_picks_every_state_within_the_radius():
+    # t is one step from r and two through x.  The walk must keep the
+    # shorter distance, so t gets a pick at synthesis radius 1.
+    r, x, t = StateId(0, "r"), StateId(1, "x"), StateId(2, "t")
+    safe, bad = StateId(3, "safe"), StateId(4, "bad")
+    kinds = {t: StateKind.CONTROLLED}
+    rows = {
+        r: Distribution([(x, 0.5), (t, 0.5)]),
+        x: Distribution([(t, 1.0)]),
+        t: [bad, safe],
+        safe: Distribution([(safe, 1.0)]),
+        bad: Distribution([(bad, 1.0)]),
+    }
+    mdp = LazyMdp(lambda s: kinds.get(s, StateKind.RANDOM), rows.__getitem__)
+    sigma = safety_md_universally_transient(
+        mdp, Objective.safety({bad}), 0.1,
+        SafetySchedule(radii=(4,), synthesis_radius=1), roots=[r],
+    )
+    assert sigma.choice == {t: safe}
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_safety_walk_matches_finite_route_on_lazy_views(seed):
+    # With radii >= n every truncation holds all reachable states, so the
+    # interval bounds are the exact values and the countable route must pick
+    # what the finite route picks.
+    n = 12
+    fm = random_transient_core_mdp(derive_seed("walk", seed), n_states=n)
+    lose = fm.states[-1]
+    objective = Objective.safety({lose})
+    exact = safety_md_universally_transient(fm, objective, 0.1).choice
+    lazy = LazyMdp(fm.kind_of, fm.successors_of)
+    roots = [fm.states[0], fm.states[3]]
+    for radius in (0, 1, 2, 3, n):
+        choice = safety_md_universally_transient(
+            lazy, objective, 0.1, SafetySchedule(radii=(n,), synthesis_radius=radius),
+            roots=roots,
+        ).choice
+        for s, picked in choice.items():
+            if s != lose:
+                assert picked == exact[s], (radius, s)
+        # Independent breadth-first search along the picks and random edges.
+        dist = {s: 0 for s in roots}
+        queue = list(roots)
+        for s in queue:
+            if dist[s] == radius:
+                continue
+            nexts = [choice[s]] if s in choice else successor_states(fm, s)
+            for q in nexts:
+                if q not in dist:
+                    dist[q] = dist[s] + 1
+                    queue.append(q)
+        assert set(choice) == {s for s in dist if fm.kind_of(s) is StateKind.CONTROLLED}

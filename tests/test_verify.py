@@ -3,10 +3,12 @@ import json
 import pytest
 
 from transientmdp import Distribution, FiniteMdp, Objective, StateId, StateKind
-from transientmdp.errors import TooLarge
+from transientmdp import solvers, verify
+from transientmdp.errors import BadParameter, TooLarge
 from transientmdp.gadgets import acyclic_chain, gamblers_ruin
 from transientmdp.simulate import derive_seed
-from transientmdp.solvers import reach_value
+from transientmdp.solvers import interval_value, reach_value, return_probability
+from transientmdp.synthesis import buchi_transience_one_bit, safety_md_universally_transient
 from transientmdp.verify import (
     NO,
     NOT_APPLICABLE,
@@ -162,3 +164,35 @@ def test_suites_pass_and_serialize():
         for r in reports:
             doc = json.loads(json.dumps(r.to_json()))
             assert doc["name"] == r.name
+
+
+def test_check_universal_transience_solves_once_per_sampled_state(monkeypatch):
+    solves = []
+
+    def counted(mdp, s, radii):
+        solves.append(s)
+        return solvers.return_probability(mdp, s, radii)
+
+    monkeypatch.setattr(verify, "return_probability", counted)
+    mdp, _ = gamblers_ruin(0.7)
+    sample = [StateId(0, "w_0"), StateId(1, "w_1")]
+    rep = check_universal_transience(mdp, sample, horizon=200, runs=10, seed=1, expected=YES)
+    assert rep.note.startswith(YES)
+    assert solves == sample
+
+
+_WALK, _ = gamblers_ruin(0.7)
+_W0 = StateId(0, "w_0")
+
+
+@pytest.mark.parametrize("call", [
+    lambda: safety_md_universally_transient(_WALK, Objective.safety({_W0}), 0.1),
+    lambda: buchi_transience_one_bit(_WALK, [], lambda s: True, 0.1),
+    lambda: interval_value(_WALK, _W0, Objective.transience(), [4]),
+    lambda: interval_value(_WALK, _W0, Objective.reach({_W0}), []),
+    lambda: return_probability(_WALK, _W0, []),
+    lambda: run_suite("nope"),
+], ids=["no-roots", "no-initial", "objective", "interval-radii", "return-radii", "suite"])
+def test_bad_parameters_are_typed(call):
+    with pytest.raises(BadParameter):
+        call()
