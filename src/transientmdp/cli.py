@@ -15,15 +15,17 @@ import json
 import sys
 from pathlib import Path
 
-from .core import FiniteMdp, Objective, StateId
+from .core import FiniteMdp, Objective, StateId, _Layers
 from .errors import BadParameter, NotSink, ScenarioError, TransientMdpError
 from .gadgets import REGISTRY, build_gadget
 from .simulate import FreshTail, RevisitCap, derive_seed, estimate_transience
 from .solvers import interval_value, reach_value, safety_value
 from .synthesis import (
+    BubbleSchedule,
     SafetySchedule,
     TransienceBudgets,
-    buchi_transience_one_bit,
+    _one_bit_on,
+    one_bit_tables,
     optimal_md_where_exists,
     plastering_uniformize,
     safety_md_universally_transient,
@@ -222,8 +224,9 @@ def _task_synthesize(doc, task, master, out_dir, base) -> int:
             mdp, s0, sigma, task, 5000, 400, derive_seed(master, "attained")
         )
         report = {
-            "bad_states": sorted(s.ordinal for s in partition.s_bad),
-            "good_prime": sorted(s.ordinal for s in partition.s_good_prime),
+            "bad_states": partition.input_ordinals(partition.s_bad),
+            "good_prime": partition.input_ordinals(partition.s_good_prime),
+            "one_bit_attainment": partition.attainment,
             "attained_estimate": attained,
             "half_width_95": half,
         }
@@ -234,15 +237,16 @@ def _task_synthesize(doc, task, master, out_dir, base) -> int:
         )
         return 0
     if method == "one_bit":
-        from .core import truncate
-        from .synthesis import one_bit_tables
-
         s0 = _state(mdp, meta, _field(task, "state", "task"))
         goal = _parse_objective(_field(task, "objective", "task"), mdp)
-        goal_set = goal.predicate or goal.states
-        strategy, plan = buchi_transience_one_bit(mdp, [s0], goal_set, epsilon)
-        fm = truncate(mdp, [s0], plan.levels[-1].k + 1)
-        _write_json(out_dir, "strategy.json", one_bit_tables(strategy, fm))
+        if goal.kind == Objective.TRANSIENCE:
+            raise ScenarioError("one_bit needs a goal family, not a transience objective")
+        # The plan's own search and truncation, so each state is asked once.
+        strategy, plan, region = _one_bit_on(
+            _Layers(mdp, [s0]), [s0], goal.predicate or goal.states.__contains__, epsilon,
+            BubbleSchedule(),
+        )
+        _write_json(out_dir, "strategy.json", one_bit_tables(strategy, region))
         path = _write_json(out_dir, "bubble_plan.json", plan.to_json())
         print(f"1-bit strategy over {len(plan.levels)} levels -> {path}")
         return 0

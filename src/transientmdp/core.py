@@ -26,7 +26,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Callable, Hashable, Iterable, Iterator, Mapping, Sequence, TypeVar
 
-from .errors import BadModel, InfiniteBranching, NotSink, NotTail
+from .errors import BadModel, BadParameter, InfiniteBranching, NotSink, NotTail
 
 PROB_TOL = 1e-9
 Node = TypeVar("Node", bound=Hashable)
@@ -220,6 +220,14 @@ def _states_of(succ, s: StateId) -> list[StateId]:
     if isinstance(succ, Distribution):
         return succ.states()
     return list(succ)
+
+
+def _default_pick(succ, s: StateId) -> StateId:
+    """MdStrategy's pick at a controlled ``s`` outside its table, from the
+    successor answer ``succ`` of ``s``."""
+    if isinstance(succ, InfiniteSuccessors):
+        return next(succ.iter_states())
+    return min(_states_of(succ, s), key=lambda t: t.ordinal)
 
 
 _KINDS = (StateKind.RANDOM, StateKind.CONTROLLED)  # by ``controlled``; faster than a member
@@ -512,12 +520,7 @@ class MdStrategy:
 
     def successor(self, mdp: Mdp, s: StateId) -> StateId:
         picked = self.choice.get(s)
-        if picked is not None:
-            return picked
-        succ = mdp.successors_of(s)
-        if isinstance(succ, InfiniteSuccessors):
-            return next(succ.iter_states())
-        return min(_states_of(succ, s), key=lambda t: t.ordinal)
+        return picked if picked is not None else _default_pick(mdp.successors_of(s), s)
 
     def to_json(self) -> dict:
         return {str(s.ordinal): t.ordinal for s, t in sorted(self.choice.items())}
@@ -658,6 +661,8 @@ def truncate(
     """
     if frontier not in (OPTIMISTIC, PESSIMISTIC):
         raise ValueError(f"unknown frontier policy {frontier!r}")
+    if radius < 0:
+        raise BadParameter(f"radius must be non-negative, got {radius}")
     if layers is None:
         layers = _Layers(mdp, roots)
     layers.grow(radius + 1)  # asks the states of layer ``radius`` too

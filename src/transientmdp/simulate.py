@@ -35,6 +35,7 @@ from .core import (
     OneBitStrategy,
     StateId,
     StateKind,
+    _default_pick,
     _states_of,
 )
 from .errors import BadModel, BadParameter
@@ -79,24 +80,21 @@ class RevisitCap:
             raise BadParameter(f"max_visits must be non-negative, got {self.max_visits}")
 
 
-def _controller(mdp: Mdp, strategy, table):
+def _controller(strategy, table):
     """``(memory, choose, observe)`` of a strategy, resolved once per run.
 
     ``choose(memory, s)`` returns the next memory and the pick at controlled
     ``s``: a state, or a Distribution to sample.  ``observe(memory, s, t)``
     returns the memory after random ``s`` moved to ``t``; None when the
-    strategy ignores random moves.  A plain MdStrategy takes its default
-    pick outside ``choice`` from ``s``'s ``table`` entry, which the stepper
-    fills before it asks.
+    strategy ignores random moves.  An MdStrategy takes its default pick
+    outside ``choice`` from ``s``'s ``table`` entry, which the stepper fills
+    before it asks.
     """
     if strategy is None:
         def choose(memory, s):
             raise BadParameter(f"controlled state {s} but no strategy given")
         return None, choose, None
     if isinstance(strategy, MdStrategy):
-        if type(strategy).successor is not MdStrategy.successor:
-            successor = strategy.successor
-            return None, lambda memory, s: (memory, successor(mdp, s)), None
         choice = strategy.choice
 
         def choose(memory, s):
@@ -118,7 +116,7 @@ def _controller(mdp: Mdp, strategy, table):
             return history
 
         return [], choose, observe
-    raise TypeError(f"unsupported strategy {type(strategy)!r}")
+    raise BadParameter(f"unsupported strategy {type(strategy)!r}")
 
 
 def _state_entry(mdp: Mdp, s: StateId):
@@ -134,9 +132,8 @@ def _state_entry(mdp: Mdp, s: StateId):
     if mdp.kind_of(s) is StateKind.RANDOM:
         return False, succ, None
     if isinstance(succ, InfiniteSuccessors):
-        return True, None, next(succ.iter_states())
-    states = _states_of(succ, s)
-    return True, {t.ordinal: type(t) for t in states}, min(states, key=lambda t: t.ordinal)
+        return True, None, _default_pick(succ, s)
+    return True, {t.ordinal: type(t) for t in _states_of(succ, s)}, _default_pick(succ, s)
 
 
 def _check_pick(succ, s: StateId, t: StateId) -> None:
@@ -162,7 +159,7 @@ def _sample_random(rng: random.Random, succ) -> StateId:
             if u < acc:
                 return t
         return last  # numerical slack; total mass is 1
-    raise TypeError("random state without a distribution")
+    raise BadModel("random state without a distribution")
 
 
 def _walk(mdp, s0, strategy, horizon, seed, cap, table):
@@ -178,7 +175,7 @@ def _walk(mdp, s0, strategy, horizon, seed, cap, table):
     if horizon < 0:
         raise BadParameter("horizon must be non-negative")
     rng = random.Random(seed)
-    memory, choose, observe = _controller(mdp, strategy, table)
+    memory, choose, observe = _controller(strategy, table)
     run = [s0]
     counts = {s0.ordinal: 1}
     s = s0
@@ -468,7 +465,7 @@ class _Chain:
     def __init__(self, mdp: Mdp, strategy, flag_fn=None):
         self.table: dict = {}
         self.mdp = mdp
-        self.memory, self.choose, self.observe = _controller(mdp, strategy, self.table)
+        self.memory, self.choose, self.observe = _controller(strategy, self.table)
         self.product = isinstance(strategy, OneBitStrategy)
         self.flag_fn = flag_fn
         self.keys: list[tuple] = []  # (memory, state) of each node
@@ -547,7 +544,7 @@ class _Chain:
         elif isinstance(succ, InfiniteSuccessors):
             self.open[k] = (succ.iter_weighted(), [], [])
         else:
-            raise TypeError("random state without a distribution")
+            raise BadModel(f"random state {s} without a distribution")
 
     def _extend(self, k: int, u: float) -> None:
         """Extend the open row k until its sum exceeds ``u``, or to its end."""

@@ -36,6 +36,7 @@ from .core import (
     _Layers,
     _absorb,
     _backward_reach,
+    _default_pick,
     _with_rows,
     mint,
     require_tail,
@@ -463,14 +464,16 @@ def buchi_transience_one_bit(
     if not initial:
         raise BadParameter("need at least one initial state")
     goal_pred = goal if callable(goal) else (lambda s, gs=frozenset(goal): s in gs)
-    return _one_bit_on(_Layers(mdp, initial), initial, goal_pred, epsilon,
-                       schedule or BubbleSchedule())
+    strategy, plan, _ = _one_bit_on(_Layers(mdp, initial), initial, goal_pred, epsilon,
+                                    schedule or BubbleSchedule())
+    return strategy, plan
 
 
 def _one_bit_on(layers: _Layers, initial: list[StateId], goal_pred, epsilon: float,
-                schedule: BubbleSchedule) -> tuple[OneBitStrategy, BubblePlan]:
+                schedule: BubbleSchedule) -> tuple[OneBitStrategy, BubblePlan, FiniteMdp]:
     """``buchi_transience_one_bit`` on the search ``layers`` from ``initial``,
-    which it grows to the schedule's region and reuses for its truncation."""
+    which it grows to the schedule's region and reuses for its truncation,
+    returned too: the level strategies' MDP, of radius ``levels[-1].k + 1``."""
     top = schedule.max_radius
     chain = _ReferenceChain(layers, initial, schedule.region_radius)
     goal_at = np.array([bool(goal_pred(s)) for s in layers.order[:chain.ends[top]]])
@@ -513,15 +516,14 @@ def _one_bit_on(layers: _Layers, initial: list[StateId], goal_pred, epsilon: flo
         l_prev, inside = l_i, chain.ends[l_i]
 
     plan = BubblePlan(levels, epsilon, schedule.reward_depth, schedule.mc_horizon, capped)
-    strategy = _assemble_one_bit(layers, initial, plan, schedule)
-    return strategy, plan
+    fm = truncate(layers.mdp, initial, levels[-1].k + 1, layers=layers)
+    return _assemble_one_bit(layers, fm, plan, schedule), plan, fm
 
 
-def _assemble_one_bit(layers: _Layers, initial, plan: BubblePlan, schedule: BubbleSchedule):
+def _assemble_one_bit(layers: _Layers, fm: FiniteMdp, plan: BubblePlan,
+                      schedule: BubbleSchedule):
     mdp = layers.mdp
     levels = plan.levels
-    top_k = levels[-1].k + 1
-    fm = truncate(mdp, initial, top_k, layers=layers)
 
     # For subspace and pattern purposes both K_0 and K_{-1} are empty: the
     # two-levels-back avoidance starts at level 3 (avoiding K_1), so the
@@ -567,7 +569,9 @@ def _assemble_one_bit(layers: _Layers, initial, plan: BubblePlan, schedule: Bubb
         sigmas[lv.index] = sigma_i
 
     max_level = levels[-1].index
-    fallback = MdStrategy({})
+    # MdStrategy's default pick on the truncation's controlled states, from
+    # the answers of the search, which asked their oracles already.
+    default = {s: _default_pick(layers.answers[layers.ids[s]], s) for s in fm.controlled_states()}
     level_at: dict[StateId, int] = {}
     for lv in levels:
         for s in lv.K:
@@ -588,7 +592,7 @@ def _assemble_one_bit(layers: _Layers, initial, plan: BubblePlan, schedule: Bubb
         target_level = max(target_level, 1)
         sigma = sigmas.get(target_level)
         if sigma is None or s not in sigma.choice:
-            return fallback.successor(mdp, s)
+            return default[s] if s in default else MdStrategy({}).successor(mdp, s)
         return sigma.choice[s]
 
     def controlled(mode: int, s: StateId) -> tuple[int, StateId]:
@@ -671,6 +675,15 @@ class GoodBadPartition:
     expected_visits: dict[StateId, float]  # under the repaired 1-bit strategy
     mode_repairs: dict[StateId, int] = field(default_factory=dict)
     attainment: float = 0.0  # P(reach the frontier) under the same strategy
+    reduced: bool = False  # whether the states are the finite-branching reduction's
+
+    def input_ordinals(self, states: Iterable[StateId]) -> list[int]:
+        """The sorted ordinals of ``states`` in the input MDP.  The reduction
+        embeds input state o at ordinal 2o and mints its ladder and chain
+        states at odd ordinals; those are left out."""
+        if not self.reduced:
+            return sorted(s.ordinal for s in states)
+        return sorted(s.ordinal // 2 for s in states if s.ordinal % 2 == 0)
 
 
 @dataclass
@@ -702,6 +715,10 @@ def transience_md(
     the (mode, state) product chain, label edges with costs, and extract the
     min-expected-cost MD policy.  Every step is exact, so the result
     depends on no seed.
+
+    The strategy is a table over the states of ``mdp`` (``lower_md``); the
+    states outside it take MdStrategy's default rule.  The partition is over
+    the working MDP, the reduction when ``partition.reduced``.
     """
     budgets = budgets or TransienceBudgets()
     params = SynthesisParams(epsilon)
@@ -711,7 +728,7 @@ def transience_md(
     root = maps.embed(s0)
 
     if one_bit is None:
-        one_bit, _ = _one_bit_on(
+        one_bit, _, _ = _one_bit_on(
             layers, [root], lambda s: True, params.epsilon_prime, schedule
         )
 
@@ -729,7 +746,8 @@ def transience_md(
     if root in bad:
         # The 1-bit strategy is trapped everywhere: value 0 from the root, and
         # any strategy attains it.
-        return MdStrategy({}), GoodBadPartition(bad, set(), set(), {})
+        return MdStrategy({}), GoodBadPartition(bad, set(), set(), {},
+                                                reduced=not maps.is_identity)
 
     # M': bad states become losing self-loop sinks.
     m_prime = _absorb(fm, bad)
@@ -759,7 +777,8 @@ def transience_md(
     # copy.
     good = {states[i] for i, modes in good_modes.items() if modes}.copy()
     good_prime = {s for s, r in visits.items() if r > 0.0}
-    partition = GoodBadPartition(bad, good, good_prime, visits, repairs, attainment)
+    partition = GoodBadPartition(bad, good, good_prime, visits, repairs, attainment,
+                                 not maps.is_identity)
 
     # Cost labels.  iota is the rank within the truncation (an enumeration of
     # the finite working space; raw ordinals of reduced states overflow the
@@ -791,8 +810,7 @@ def transience_md(
     # bubble; drop them so the default rule takes over beyond the synthesis
     # radius.
     sigma = MdStrategy({s: t for s, t in sigma.choice.items() if t != frontier})
-    lowered = maps.lower_md(sigma)
-    return lowered, partition
+    return maps.lower_md(sigma), partition
 
 
 def _reduction_if_needed(mdp: Mdp, s0: StateId, probe_radius: int):
@@ -864,9 +882,19 @@ def _expected_visits(rows: list[list[tuple[int, float]]], start: int,
 
 @dataclass
 class SafetySchedule:
+    """Budgets of ``safety_md_universally_transient``: interval ``radii``, the
+    walk's ``synthesis_radius`` and an infinite family's ``branch_budget``."""
+
     radii: tuple[int, ...] = (20, 40, 80)
     synthesis_radius: int = 20
     branch_budget: int = 4096
+
+    def __post_init__(self):
+        if self.synthesis_radius < 0:
+            raise BadParameter(
+                f"synthesis_radius must be non-negative, got {self.synthesis_radius}")
+        if self.branch_budget < 1:
+            raise BadParameter(f"branch_budget must be positive, got {self.branch_budget}")
 
 
 def safety_md_universally_transient(

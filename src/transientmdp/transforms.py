@@ -62,7 +62,7 @@ class _ReducedMdp(Mdp):
         self._gadget: dict[StateId, tuple[str, StateId, int]] = {}
         self._exits: dict[StateId, list[StateId]] = {}
         self._exit_iters: dict[StateId, object] = {}
-        self._weights: dict[StateId, list[float]] = {}
+        self._weights: dict[StateId, list[float | None]] = {}
         self._adjusted: dict[StateId, list[float]] = {}
 
     # -- state minting ------------------------------------------------------
@@ -89,29 +89,18 @@ class _ReducedMdp(Mdp):
     # -- exits and adjusted probabilities ------------------------------------
 
     def _exit(self, host: StateId, i: int) -> StateId:
-        exits = self._exits.setdefault(host, [])
+        """The i-th enumerated successor of the infinitely branching ``host``;
+        a random host's weights are kept alongside."""
         if host not in self._exit_iters:
             succ = self.base.successors_of(host)
-            assert isinstance(succ, InfiniteSuccessors)
-            if succ.random:
-                self._weights[host] = []
-                it = succ.iter_weighted()
-
-                def pump(it=it, host=host):
-                    t, p = next(it)
-                    self._exits[host].append(t)
-                    self._weights[host].append(p)
-
-                self._exit_iters[host] = pump
-            else:
-                it = succ.iter_states()
-
-                def pump(it=it, host=host):
-                    self._exits[host].append(next(it))
-
-                self._exit_iters[host] = pump
+            self._exit_iters[host] = (succ.iter_weighted() if succ.random
+                                      else ((t, None) for t in succ.iter_states()))
+            self._exits[host], self._weights[host] = [], []
+        exits, weights = self._exits[host], self._weights[host]
         while len(exits) < i:
-            self._exit_iters[host]()
+            t, p = next(self._exit_iters[host])
+            exits.append(t)
+            weights.append(p)
         return exits[i - 1]
 
     def adjusted_probs(self, host: StateId, n: int) -> list[float]:
@@ -194,55 +183,6 @@ class ReductionMaps:
     ladder_cap: int = 1000
 
 
-class _LoweredMdStrategy(MdStrategy):
-    """MD strategy on the base MDP lowered from an MD strategy on the
-    reduction; ladder traces are resolved lazily per infinitely branching
-    state and cached."""
-
-    def __init__(self, maps: "_ReducedMdp", beta: MdStrategy, cap: int):
-        super().__init__({})
-        self._maps = maps
-        self._beta = beta
-        self._cap = cap
-
-    def successor(self, mdp: Mdp, s: StateId) -> StateId:
-        if s in self.choice:
-            return self.choice[s]
-        maps = self._maps
-        succ = mdp.successors_of(s)
-        if isinstance(succ, InfiniteSuccessors):
-            picked = self._trace_ladder(s)
-        else:
-            rs = maps.embed(s)
-            beta_choice = self._beta.choice.get(rs)
-            if beta_choice is not None:
-                orig = maps.original(beta_choice)
-                picked = orig if orig is not None else MdStrategy({}).successor(mdp, s)
-            else:
-                picked = MdStrategy({}).successor(mdp, s)
-        self.choice[s] = picked
-        return picked
-
-    def _trace_ladder(self, s: StateId) -> StateId:
-        # Follow the reduced strategy along the ladder; exiting at level j
-        # lowers to the j-th successor.  Ladder-forever traces (up to the
-        # cap) are remapped to the level-1 exit.
-        maps = self._maps
-        reduced = maps  # the reduced mdp is the map object itself
-        rs = maps.embed(s)
-        entry = self._beta.successor(reduced, rs)
-        if maps.original(entry) is not None:
-            # beta ignores the gadget; fall back to the first successor
-            return maps._exit(s, 1)
-        for level in range(1, self._cap + 1):
-            ell = maps._mint("ell", s, level)
-            nxt = self._beta.successor(reduced, ell)
-            orig = maps.original(nxt)
-            if orig is not None:
-                return orig
-        return maps._exit(s, 1)
-
-
 def _identity_reduction(mdp: Mdp, ladder_cap: int = 1000) -> ReductionMaps:
     """The reduction of an MDP without infinite branching: itself."""
     return ReductionMaps(
@@ -259,6 +199,14 @@ def _identity_reduction(mdp: Mdp, ladder_cap: int = 1000) -> ReductionMaps:
 
 def reduce_to_finitely_branching(mdp: Mdp, ladder_cap: int = 1000) -> ReductionMaps:
     """Finite-branching reduction with strategy maps in both directions.
+
+    ``lower_md`` carries an MD strategy of the reduction back to ``mdp`` as a
+    plain table, complete when it is returned.  An embedded state keeps its
+    pick.  An infinitely branching controlled host that the strategy decides,
+    at its embedding or at a ladder level, picks the exit where its ladder
+    trace first leaves the ladder, or the level-1 exit if the trace stays
+    ``ladder_cap`` levels.  A host the strategy never decides takes
+    MdStrategy's default rule, the first enumerated successor.
 
     Finite MDPs, and finite truncations generally, contain no infinite
     branching; for those the reduction is the identity.
@@ -327,16 +275,24 @@ def reduce_to_finitely_branching(mdp: Mdp, ladder_cap: int = 1000) -> ReductionM
 
         return GeneralStrategy(decide)
 
+    def trace(host: StateId, beta: MdStrategy) -> StateId:
+        for level in range(1, ladder_cap + 1):
+            t = reduced.original(beta.successor(reduced, reduced._mint("ell", host, level)))
+            if t is not None:
+                return t
+        return reduced._exit(host, 1)
+
     def lower(beta: MdStrategy) -> MdStrategy:
-        # A fresh view knows only the embedded states that beta's choices
-        # name, not every state its callers explored on ``reduced``; the
-        # lowered strategy mints again what its ladder traces need.
-        view = _ReducedMdp(mdp)
-        for rs in (*beta.choice, *beta.choice.values()):
-            orig = reduced.original(rs)
-            if orig is not None:
-                view._orig_of[rs] = orig
-        return _LoweredMdStrategy(view, beta, ladder_cap)
+        choice: dict[StateId, StateId] = {}
+        for rs, rt in beta.choice.items():
+            s, t = reduced.original(rs), reduced.original(rt)
+            if s is not None and t is not None:
+                choice[s] = t
+                continue
+            host = s if s is not None else reduced._gadget[rs][1]
+            if host not in choice:
+                choice[host] = trace(host, beta)
+        return MdStrategy(choice)
 
     return ReductionMaps(
         base=mdp,

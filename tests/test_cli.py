@@ -4,7 +4,9 @@ import sys
 
 import pytest
 
+from transientmdp import LazyMdp, cli
 from transientmdp.cli import main
+from transientmdp.gadgets import build_gadget
 from transientmdp.verify import random_finite_mdp
 
 
@@ -142,6 +144,53 @@ def test_synthesize_transience_md_scenario(tmp_path, capsys):
     report = json.loads((tmp_path / "synthesis_report.json").read_text())
     assert report["bad_states"] == [0]  # the bottom sink
     assert report["attained_estimate"] >= 0.9
+
+
+def test_synthesize_transience_md_reports_the_input_fan(tmp_path):
+    # The fan is synthesized on its finite-branching reduction; the strategy
+    # and the report speak of the fan's own states.  The trap (ordinal 2) is
+    # the one bad state; its embedding in the reduction has ordinal 4, which
+    # is a_1 on the fan.
+    scenario = tmp_path / "fan.json"
+    scenario.write_text(json.dumps({
+        "seed": 3,
+        "mdp": {"gadget": "transience_fan"},
+        "task": {"kind": "synthesize", "method": "transience_md", "state": 0,
+                 "epsilon": 0.2, "radius": 12},
+    }))
+    assert run_cli(["--out-dir", tmp_path, "run", scenario]) == 0
+    strategy = json.loads((tmp_path / "strategy.json").read_text())
+    assert list(strategy) == ["0"] and strategy["0"] % 3 == 0  # a branch b_j = 3j
+    report = json.loads((tmp_path / "synthesis_report.json").read_text())
+    assert report["bad_states"] == [2]
+    meta = build_gadget("transience_fan")[1]
+    assert report["good_prime"] and all(meta.is_state(o) for o in report["good_prime"])
+    assert 2 not in report["good_prime"]
+    assert 0.0 <= report["one_bit_attainment"] <= 1.0
+
+
+def test_synthesize_one_bit_asks_each_state_once(tmp_path, monkeypatch):
+    # The strategy table is read off the plan's own truncation, so the CLI
+    # does not search the region again.
+    ladder, meta = build_gadget("no_optimal_ladder")
+    asked = []
+
+    def successors(s):
+        asked.append(s.ordinal)
+        return ladder.successors_of(s)
+
+    counted = LazyMdp(ladder.kind_of, successors)
+    monkeypatch.setattr(cli, "build_gadget", lambda name, params: (counted, meta))
+    scenario = tmp_path / "one_bit.json"
+    scenario.write_text(json.dumps({
+        "seed": 3,
+        "mdp": {"gadget": "no_optimal_ladder"},
+        "task": {"kind": "synthesize", "method": "one_bit", "state": 1, "epsilon": 0.1,
+                 "objective": {"type": "buechi", "label_prefix": ""}},
+    }))
+    assert run_cli(["--out-dir", tmp_path, "run", scenario]) == 0
+    assert asked and len(asked) == len(set(asked))
+    assert json.loads((tmp_path / "strategy.json").read_text())["update"]
 
 
 def test_synthesize_plastering_on_finite_file(tmp_path):
@@ -297,6 +346,8 @@ SOLVE = {"kind": "solve", "objective": {"type": "reach", "states": [0]}, "state"
         ({"file": "finite.json"}, {**SOLVE, "objective": {"type": "reach", "states": [99]}}),
         ({"file": "finite.json"}, {"kind": "synthesize", "method": "optimal_md",
                                    "objective": {"type": "reach", "states": [7, 99]}}),
+        (GADGET, {"kind": "synthesize", "method": "one_bit", "state": 0,
+                  "objective": {"type": "transience"}}),
     ],
     ids=["missing_mdp_file", "malformed_mdp_file", "zero_runs", "horizon_within_window",
          "non_numeric_objective_state", "non_numeric_epsilon", "mdp_not_an_object",
@@ -309,7 +360,7 @@ SOLVE = {"kind": "solve", "objective": {"type": "reach", "states": [0]}, "state"
          "ordinal_not_a_gadget_state", "fractional_gadget_state", "string_gadget_state",
          "boolean_file_state", "negative_horizon", "negative_fresh_tail_window",
          "negative_max_visits", "nan_probability_file", "objective_state_not_in_file",
-         "synthesis_objective_state_not_in_file"],
+         "synthesis_objective_state_not_in_file", "one_bit_transience_goal"],
 )
 def test_bad_scenario_input_is_a_scenario_error(tmp_path, capsys, mdp, task):
     (tmp_path / "broken.json").write_text('{"states": [')

@@ -528,6 +528,22 @@ def test_estimators_refuse_bad_settings_with_a_typed_error(runs, horizon, strate
             simulate(mdp, s0, strategy, horizon, seed=1)
 
 
+# A random state that answers a list of successors, not a distribution.
+_LISTED = LazyMdp(lambda s: StateKind.RANDOM, lambda s: [StateId(s.ordinal + 1)])
+
+
+@pytest.mark.parametrize("call, error", [
+    (lambda: simulate(transience_fan()[0], StateId(0, "fan"), "nope", 5, seed=1),
+     BadParameter),
+    (lambda: simulate(_LISTED, StateId(0), None, 5, seed=1), BadModel),
+    (lambda: estimate_transience(_LISTED, StateId(0), None, 5, 3, RevisitCap(3), seed=1),
+     BadModel),
+], ids=["unsupported_strategy", "per_run_random_state", "row_random_state"])
+def test_simulation_errors_are_typed(call, error):
+    with pytest.raises(error):
+        call()
+
+
 def _scalar_streams(mdp, s0, strategy, goal, target):
     """Every per-run estimator's output on one case, floats as ``float.hex``."""
     floats = []

@@ -702,7 +702,7 @@ def _levels(*rows):
 # that falls into it is dropped from every residual.
 MONTE_CARLO_PINS = {
     "fan": (
-        {},
+        {"0": 18},
         [[4],
          [0, 1, 2, 6, 8, 9, 11, 12, 14, 18, 20, 21, 23, 24, 26, 30, 32, 37, 38, 39, 44, 50, 57,
           59, 81, 83, 109],

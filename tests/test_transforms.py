@@ -126,8 +126,11 @@ def test_lower_md_traces_ladder_exit():
         choice[rungs[i]] = reduced.successors_of(rungs[i])[0]  # stay
     choice[rungs[3]] = reduced.successors_of(rungs[3])[1]  # exit at level 3
     alpha = maps.lower_md(MdStrategy(choice))
+    # A plain table, complete before any state is asked.
+    assert type(alpha) is MdStrategy and alpha.to_json() == {"0": 9}
     picked = alpha.successor(fan, StateId(0, "fan"))
     assert picked.label == "b_3"
+    assert alpha.to_json() == {"0": 9}
 
 
 def test_lower_md_stay_forever_maps_to_first_exit():
@@ -140,8 +143,18 @@ def test_lower_md_stay_forever_maps_to_first_exit():
     for level in rungs[1:]:
         choice[level] = reduced.successors_of(level)[0]  # always stay
     alpha = maps.lower_md(MdStrategy(choice))
+    assert alpha.to_json() == {"0": 3}
     picked = alpha.successor(fan, StateId(0, "fan"))
     assert picked.label == "b_1"
+
+
+def test_lower_md_leaves_an_undecided_host_to_the_default_rule():
+    fan, _ = transience_fan()
+    alpha = reduce_to_finitely_branching(fan).lower_md(MdStrategy({}))
+    assert alpha.to_json() == {}
+    assert alpha.successor(fan, StateId(0, "fan")).label == "b_1"
+    # Every MdStrategy in the package is its table plus the default rule.
+    assert not MdStrategy.__subclasses__()
 
 
 @pytest.mark.parametrize("family", ["transience_fan", "geometric_fan"])

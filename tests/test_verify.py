@@ -5,10 +5,14 @@ import pytest
 from transientmdp import Distribution, FiniteMdp, Objective, StateId, StateKind
 from transientmdp import solvers, verify
 from transientmdp.errors import BadParameter, TooLarge
-from transientmdp.gadgets import acyclic_chain, gamblers_ruin
+from transientmdp.gadgets import acyclic_chain, gamblers_ruin, safety_fan, safety_fan_avoid
 from transientmdp.simulate import derive_seed
 from transientmdp.solvers import interval_value, reach_value, return_probability
-from transientmdp.synthesis import buchi_transience_one_bit, safety_md_universally_transient
+from transientmdp.synthesis import (
+    SafetySchedule,
+    buchi_transience_one_bit,
+    safety_md_universally_transient,
+)
 from transientmdp.verify import (
     NO,
     NOT_APPLICABLE,
@@ -183,6 +187,8 @@ def test_check_universal_transience_solves_once_per_sampled_state(monkeypatch):
 
 _WALK, _ = gamblers_ruin(0.7)
 _W0 = StateId(0, "w_0")
+_FAN, _ = safety_fan()
+_ROOT = StateId(0, "fan")
 
 
 @pytest.mark.parametrize("call", [
@@ -192,7 +198,18 @@ _W0 = StateId(0, "w_0")
     lambda: interval_value(_WALK, _W0, Objective.reach({_W0}), []),
     lambda: return_probability(_WALK, _W0, []),
     lambda: run_suite("nope"),
-], ids=["no-roots", "no-initial", "objective", "interval-radii", "return-radii", "suite"])
+    # Negative radii and budgets are refused before any search.
+    lambda: interval_value(_WALK, _W0, Objective.reach({_W0}), [-1]),
+    lambda: return_probability(_WALK, _W0, [-1]),
+    lambda: safety_md_universally_transient(
+        _FAN, Objective.safety(safety_fan_avoid), 0.1, SafetySchedule(radii=(-3,)), [_ROOT]),
+    lambda: safety_md_universally_transient(
+        _FAN, Objective.safety(safety_fan_avoid), 0.1, SafetySchedule(branch_budget=-1),
+        [_ROOT]),
+    lambda: SafetySchedule(synthesis_radius=-1),
+], ids=["no-roots", "no-initial", "objective", "interval-radii", "return-radii", "suite",
+        "interval-negative-radius", "return-negative-radius", "safety-negative-radius",
+        "branch-budget", "synthesis-radius"])
 def test_bad_parameters_are_typed(call):
     with pytest.raises(BadParameter):
         call()
