@@ -21,15 +21,18 @@ cost all run through one Howard policy-iteration kernel, ``_howard``
 
 So the strategy depends only on the final values, not on the start policy or
 the rounds that led there.  ``md_policy_oracle`` is the independent
-cross-check.
+cross-check: it enumerates every MD policy over index rows it reads once per
+call, and evaluates each by its own can-reach fixpoint and dense solve,
+calling none of the routines above.
 
 The solvers run on the compressed sparse rows of a ``FiniteMdp`` and
 translate StateIds only on entry and exit.  Every policy evaluation is
 assembled straight from its compressed sparse rows as sparse triplets and
 solved by ``_linsolve``: dense LAPACK below ``SPARSE_MIN_ROWS`` (512) rows,
-sparse LU at or above it, with scipy imported on first use.  The sparse path
-may differ from a dense solve in the last bits.  A system singular to
-working precision raises ``SingularSystem``.
+sparse LU at or above it on a matrix built from the triplets as numpy
+arrays, with scipy imported on first use.  The sparse path may differ from
+a dense solve in the last bits.  A system singular to working precision
+raises ``SingularSystem``.
 """
 from __future__ import annotations
 
@@ -89,7 +92,7 @@ class ValueInterval:
 
     def __post_init__(self):
         if self.lower > self.upper + 1e-12:
-            raise ValueError(f"inverted interval [{self.lower}, {self.upper}]")
+            raise BadParameter(f"inverted interval [{self.lower}, {self.upper}]")
 
     def width(self) -> float:
         return self.upper - self.lower
@@ -121,7 +124,7 @@ class CostLabel:
     def __post_init__(self):
         for edge, c in self.cost.items():
             if not (c >= 0.0 and math.isfinite(c)):
-                raise ValueError(f"cost {c} on {edge} must be finite and >= 0")
+                raise BadParameter(f"cost {c} on {edge} must be finite and >= 0")
 
     def of(self, s: StateId, t: StateId) -> float:
         return self.cost.get((s, t), 0.0)
@@ -138,9 +141,9 @@ class BoundedRewardSpec:
     def __post_init__(self):
         for s, r in self.terminal_rewards.items():
             if not 0.0 <= r <= 1.0:
-                raise ValueError(f"reward {r} at {s} outside [0,1]")
+                raise BadParameter(f"reward {r} at {s} outside [0,1]")
             if s not in self.subspace:
-                raise ValueError(f"frontier state {s} outside the subspace")
+                raise BadParameter(f"frontier state {s} outside the subspace")
 
 
 # ---------------------------------------------------------------------------
@@ -161,7 +164,9 @@ def _linsolve(n: int, rows: list[int], cols: list[int], vals: list[float], b) ->
     """Solution of A x = b for the n x n matrix A that is the sum of the COO
     triplets (rows[k], cols[k], vals[k]); entries at one position add up in
     triplet order.  Dense LAPACK below SPARSE_MIN_ROWS, sparse LU from there
-    on, with scipy imported on first use.  A singular A raises
+    on, with scipy imported on first use.  The sparse matrix is built from
+    intp / float64 arrays of the triplets, converted once; given Python
+    lists, scipy converts them several times over.  A singular A raises
     SingularSystem."""
     b = np.asarray(b, dtype=float)
     if n < SPARSE_MIN_ROWS:
@@ -175,8 +180,10 @@ def _linsolve(n: int, rows: list[int], cols: list[int], vals: list[float], b) ->
     from scipy.sparse import csc_matrix
     from scipy.sparse.linalg import splu
 
+    ij = (np.asarray(rows, dtype=np.intp), np.asarray(cols, dtype=np.intp))
+    a = csc_matrix((np.asarray(vals, dtype=np.float64), ij), shape=(n, n))
     try:
-        return splu(csc_matrix((vals, (rows, cols)), shape=(n, n))).solve(b)
+        return splu(a).solve(b)
     except RuntimeError as exc:
         raise SingularSystem(f"{n}-row system: {exc}") from exc
 
@@ -725,133 +732,163 @@ def md_policy_oracle(
 ) -> OracleResult:
     """Enumerate every MD policy and evaluate each with a self-contained
     linear absorption solve; returns the per-state optimum and a witnessing
-    policy (the one with the best state sum)."""
-    controlled = fm.controlled_states()
+    policy: the first, in ``itertools.product`` order, with the best state
+    sum (for cost, the fewest infinite values, then the least finite sum).
+
+    Each state's ``kind_of`` and ``successors_of`` are read once per call
+    into rows of indices: every random state's ``(index, p)`` row, every
+    controlled state's options and, for cost, every edge's cost.  A policy
+    then only swaps in the controlled rows, runs its can-reach fixpoint on
+    index lists and solves one dense system with ``np.linalg.solve``.  No
+    solver routine above is called."""
+    states = fm.states
+    index = {s: i for i, s in enumerate(states)}
+    kinds = [fm.kind_of(s) for s in states]
+    controlled = [i for i, kind in enumerate(kinds) if kind is StateKind.CONTROLLED]
     if len(controlled) > max_controlled:
         raise TooLarge(f"{len(controlled)} controlled states > cap {max_controlled}")
+    # rows[i] = [(successor index, p)], costs[i] = the cost of each edge;
+    # a controlled state's row is its pick under the current policy.
+    rows: list = [None] * len(states)
+    costs: list = [None] * len(states)
     options = []
-    for s in controlled:
-        succ = list(fm.successors_of(s))
-        if len(succ) > max_branching:
-            raise TooLarge(f"branching {len(succ)} at {s} > cap {max_branching}")
-        options.append(succ)
+    for i, s in enumerate(states):
+        out = list(fm.successors_of(s))
+        if kinds[i] is not StateKind.CONTROLLED:
+            rows[i] = [(index[t], p) for t, p in out]
+            if cost is not None:
+                costs[i] = [cost.of(s, t) for t, _ in out]
+            continue
+        if len(out) > max_branching:
+            raise TooLarge(f"branching {len(out)} at {s} > cap {max_branching}")
+        options.append([
+            ([(index[t], 1.0)], [cost.of(s, t)] if cost is not None else None)
+            for t in out
+        ])
 
+    keys = list(states)
     minimize = cost is not None
-    best: dict[StateId, float] = {}
-    best_policy = None
-    best_sum = None
-    for combo in itertools.product(*options) if options else [()]:
-        policy = MdStrategy(dict(zip(controlled, combo)))
-        vals = _oracle_evaluate(fm, policy, objective, cost, boundary)
-        total = sum(v for v in vals.values() if math.isfinite(v))
-        n_inf = sum(1 for v in vals.values() if not math.isfinite(v))
-        key = (n_inf, total) if minimize else (-total,)
-        if best_sum is None or key < best_sum:
-            best_sum = key
-            best_policy = policy
-        for s, v in vals.items():
-            if s not in best:
-                best[s] = v
-            else:
-                best[s] = min(best[s], v) if minimize else max(best[s], v)
-    return OracleResult(values=best, policy=best_policy)
-
-
-def _oracle_evaluate(fm, policy, objective, cost, boundary) -> dict[StateId, float]:
-    # Independent evaluation path: build the chain, do plain linear algebra.
-    succ: dict[StateId, list[tuple[StateId, float]]] = {}
-    for s in fm.states:
-        if fm.kind_of(s) is StateKind.CONTROLLED:
-            succ[s] = [(policy.successor(fm, s), 1.0)]
-        else:
-            succ[s] = list(fm.successors_of(s))
-
-    if cost is not None:
-        return _oracle_cost(fm, succ, cost)
-
-    if objective is not None and objective.kind == Objective.SAFETY:
-        avoid = set(objective.states or ())
-        for s in avoid:
-            succ[s] = [(s, 1.0)]
-        reach = _oracle_absorption(fm, succ, {t: 1.0 for t in avoid})
-        return {s: 1.0 - reach[s] for s in fm.states}
-
-    if objective is not None and objective.kind == Objective.REACH:
-        fixed = {t: 1.0 for t in (objective.states or ())}
-    elif boundary is not None:
-        fixed = dict(boundary)
+    if minimize:
+        def evaluate():
+            return _oracle_cost(rows, costs)
     else:
-        raise ValueError("oracle needs an objective, a cost label, or a boundary")
-    for t in fixed:
-        succ[t] = [(t, 1.0)]
-    return _oracle_absorption(fm, succ, fixed)
+        safety = objective is not None and objective.kind == Objective.SAFETY
+        if safety:
+            fixed = {t: 1.0 for t in set(objective.states or ())}
+        elif objective is not None and objective.kind == Objective.REACH:
+            fixed = {t: 1.0 for t in (objective.states or ())}
+        elif boundary is not None:
+            fixed = dict(boundary)
+        else:
+            raise BadParameter("oracle needs an objective, a cost label, or a boundary")
+        inside = {index[t]: v for t, v in fixed.items() if t in index}
+        # Boundary states outside ``fm`` keep their values in the result.
+        extra = [(t, v) for t, v in fixed.items() if t not in index]
+        if not safety:
+            keys += [t for t, _ in extra]
+
+        def evaluate():
+            values = _oracle_absorption(rows, inside)
+            if safety:
+                return [1.0 - v for v in values]
+            return values + [v for _, v in extra]
+
+    best = best_combo = best_key = None
+    for combo in itertools.product(*options):
+        for i, (row, row_costs) in zip(controlled, combo):
+            rows[i], costs[i] = row, row_costs
+        vals = evaluate()
+        total = sum(v for v in vals if math.isfinite(v))
+        n_inf = sum(1 for v in vals if not math.isfinite(v))
+        key = (n_inf, total) if minimize else (-total,)
+        if best_key is None or key < best_key:
+            best_key = key
+            best_combo = combo
+        if best is None:
+            best = vals
+        elif minimize:
+            best = [min(b, v) for b, v in zip(best, vals)]
+        else:
+            best = [max(b, v) for b, v in zip(best, vals)]
+    if best is None:
+        return OracleResult(values={}, policy=None)
+    policy = MdStrategy({
+        states[i]: states[row[0][0]] for i, (row, _) in zip(controlled, best_combo)
+    })
+    return OracleResult(values=dict(zip(keys, best)), policy=policy)
 
 
-def _oracle_absorption(fm, succ, fixed) -> dict[StateId, float]:
-    reach_ok = set(fixed)
-    changed = True
-    while changed:
-        changed = False
-        for s in fm.states:
-            if s in reach_ok:
-                continue
-            if any(t in reach_ok for t, p in succ[s] if p > 0):
-                reach_ok.add(s)
-                changed = True
-    values = {s: 0.0 for s in fm.states}
-    values.update(fixed)
-    solve = [s for s in fm.states if s in reach_ok and s not in fixed]
+def _oracle_reach(rows, seeds, positive: bool = True) -> list[bool]:
+    """Which states reach ``seeds`` along the edges of ``rows`` (only those
+    of positive probability when ``positive``), by backward search."""
+    preds: list[list[int]] = [[] for _ in rows]
+    for i, row in enumerate(rows):
+        for t, p in row:
+            if p > 0 or not positive:
+                preds[t].append(i)
+    hit = [False] * len(rows)
+    stack = list(seeds)
+    for i in stack:
+        hit[i] = True
+    while stack:
+        for i in preds[stack.pop()]:
+            if not hit[i]:
+                hit[i] = True
+                stack.append(i)
+    return hit
+
+
+def _oracle_solve(rows, costs, solve, fixed) -> np.ndarray:
+    """Dense solve of x = b + Q x on the states ``solve`` (ascending): b sums
+    p * cost (when ``costs``) and p * value over edges into ``fixed``, and Q
+    keeps the edges between ``solve`` states."""
+    m = len(solve)
+    pos = {i: k for k, i in enumerate(solve)}
+    a = np.eye(m)
+    b = [0.0] * m
+    for k, i in enumerate(solve):
+        acc = 0.0
+        for e, (t, p) in enumerate(rows[i]):
+            if costs is not None:
+                acc += p * costs[i][e]
+            if t in fixed:
+                acc += p * fixed[t]
+            elif t in pos:
+                a[k, pos[t]] -= p
+        b[k] = acc
+    return np.linalg.solve(a, np.array(b))
+
+
+def _oracle_absorption(rows, fixed) -> list[float]:
+    """Absorption values by index: ``fixed`` states keep their values,
+    states that cannot reach them get 0."""
+    n = len(rows)
+    values = [0.0] * n
+    for i, v in fixed.items():
+        values[i] = v
+    ok = _oracle_reach(rows, fixed)
+    solve = [i for i in range(n) if ok[i] and i not in fixed]
     if solve:
-        idx = {s: i for i, s in enumerate(solve)}
-        a = np.eye(len(solve))
-        b = np.zeros(len(solve))
-        for s in solve:
-            for t, p in succ[s]:
-                if t in fixed:
-                    b[idx[s]] += p * fixed[t]
-                elif t in idx:
-                    a[idx[s], idx[t]] -= p
-        x = np.linalg.solve(a, b)
-        for s, v in zip(solve, x):
-            values[s] = float(v)
+        for i, v in zip(solve, _oracle_solve(rows, None, solve, fixed)):
+            values[i] = float(v)
     return values
 
 
-def _oracle_cost(fm, succ, cost) -> dict[StateId, float]:
-    # States that can sustain zero cost forever evaluate to 0; states that can
-    # positively reach a positive-cost cycle diverge.
-    free = set(fm.states)
-    changed = True
-    while changed:
-        changed = False
-        for s in list(free):
-            if not all(t in free and cost.of(s, t) == 0.0 for t, p in succ[s]):
-                free.discard(s)
-                changed = True
+def _oracle_cost(rows, costs) -> list[float]:
+    """Expected total cost by index: 0 on the states that can only ever pay
+    0, math.inf where the chain fails to reach them almost surely."""
+    n = len(rows)
+    # A state pays nothing forever iff no edge reachable from it costs.
+    paying = [i for i in range(n) if any(c != 0.0 for c in costs[i])]
+    free = [not hit for hit in _oracle_reach(rows, paying, False)]
     # A state diverges iff the chain fails to be absorbed into the free
     # region almost surely: the remaining recurrent behavior pays a positive
     # cost infinitely often.
-    absorb = _oracle_absorption(fm, {s: ([(s, 1.0)] if s in free else succ[s]) for s in fm.states},
-                                {t: 1.0 for t in free}) if free else {s: 0.0 for s in fm.states}
-    values: dict[StateId, float] = {}
-    for s in fm.states:
-        if s in free:
-            values[s] = 0.0
-        elif absorb[s] < 1.0 - 1e-9:
-            values[s] = math.inf
-        else:
-            values[s] = None  # solved below
-    solve = [s for s in fm.states if values[s] is None]
+    absorb = _oracle_absorption(rows, {i: 1.0 for i in range(n) if free[i]})
+    values = [0.0 if free[i] else (math.inf if absorb[i] < 1.0 - 1e-9 else None)
+              for i in range(n)]
+    solve = [i for i in range(n) if values[i] is None]
     if solve:
-        idx = {s: i for i, s in enumerate(solve)}
-        a = np.eye(len(solve))
-        b = np.zeros(len(solve))
-        for s in solve:
-            for t, p in succ[s]:
-                b[idx[s]] += p * cost.of(s, t)
-                if t in idx:
-                    a[idx[s], idx[t]] -= p
-        x = np.linalg.solve(a, b)
-        for s, v in zip(solve, x):
-            values[s] = float(v)
+        for i, v in zip(solve, _oracle_solve(rows, costs, solve, {})):
+            values[i] = float(v)
     return values

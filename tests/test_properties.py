@@ -51,6 +51,7 @@ from transientmdp.transforms import INFINITE_CHAIN, conditioned
 from transientmdp.verify import random_finite_mdp, random_md_strategy, win_objective
 
 from test_core import _reference_vector_hits
+from test_solvers import oracle_fingerprint, oracle_modes, reference_oracle
 
 SEEDS = st.integers(min_value=0, max_value=10_000)
 SIZES = st.integers(min_value=3, max_value=9)
@@ -129,6 +130,18 @@ def _random_cost(fm, seed):
         (s, t): rng.choice([0.0, 0.5, 1.0, 2.0])
         for s in fm.states for t in successor_states(fm, s) if t != s
     })
+
+
+@PROPERTY
+@given(seed=SEEDS, n=ORACLE_SIZES, p_controlled=st.sampled_from([0.5, 1.0]))
+def test_md_policy_oracle_matches_dict_reference(seed, n, p_controlled):
+    # Bit for bit: the float.hex values and the witness, in all four modes.
+    fm = random_finite_mdp(seed, n_states=n, p_controlled=p_controlled)
+    assert len(fm.controlled_states()) <= 6
+    for mode, kwargs in oracle_modes(fm, seed).items():
+        got = md_policy_oracle(fm, **kwargs)
+        want = reference_oracle(fm, **kwargs)
+        assert oracle_fingerprint(got.values, got.policy) == oracle_fingerprint(*want), mode
 
 
 @PROPERTY

@@ -1,15 +1,20 @@
+import collections
 import hashlib
+import itertools
 import json
 import math
+import random
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
-from transientmdp import Distribution, FiniteMdp, Objective, StateId, StateKind
+from transientmdp import Distribution, FiniteMdp, MdStrategy, Objective, StateId, StateKind
 from transientmdp.core import successor_states, truncate
-from transientmdp.errors import NoFiniteCostPolicy, NotSink, SingularSystem, TooLarge
+from transientmdp.errors import (
+    NoFiniteCostPolicy, NotSink, SingularSystem, TooLarge, TransientMdpError,
+)
 from transientmdp.gadgets import gamblers_ruin
 from transientmdp.simulate import derive_seed, mean_visits
 from transientmdp.solvers import (
@@ -341,6 +346,198 @@ def test_oracle_single_policy_equals_absorption():
     assert oracle.policy.choice[a] == t
 
 
+def reference_oracle(fm, objective=None, cost=None, boundary=None):
+    """The enumeration oracle on StateId dicts: every policy rebuilds every
+    row from the state oracles and reruns its fixpoints over StateId sets.
+    Slow, but written without index rows, so ``md_policy_oracle`` is checked
+    against it value for value and witness for witness."""
+    controlled = fm.controlled_states()
+    options = [list(fm.successors_of(s)) for s in controlled]
+    minimize = cost is not None
+    best, best_policy, best_key = {}, None, None
+    for combo in itertools.product(*options):
+        policy = MdStrategy(dict(zip(controlled, combo)))
+        vals = _reference_evaluate(fm, policy, objective, cost, boundary)
+        total = sum(v for v in vals.values() if math.isfinite(v))
+        n_inf = sum(1 for v in vals.values() if not math.isfinite(v))
+        key = (n_inf, total) if minimize else (-total,)
+        if best_key is None or key < best_key:
+            best_key, best_policy = key, policy
+        for s, v in vals.items():
+            if s not in best:
+                best[s] = v
+            else:
+                best[s] = min(best[s], v) if minimize else max(best[s], v)
+    return best, best_policy
+
+
+def _reference_evaluate(fm, policy, objective, cost, boundary):
+    succ = {}
+    for s in fm.states:
+        if fm.kind_of(s) is StateKind.CONTROLLED:
+            succ[s] = [(policy.successor(fm, s), 1.0)]
+        else:
+            succ[s] = list(fm.successors_of(s))
+    if cost is not None:
+        return _reference_cost(fm, succ, cost)
+    if objective is not None and objective.kind == Objective.SAFETY:
+        avoid = set(objective.states or ())
+        for s in avoid:
+            succ[s] = [(s, 1.0)]
+        reach = _reference_absorption(fm, succ, {t: 1.0 for t in avoid})
+        return {s: 1.0 - reach[s] for s in fm.states}
+    if objective is not None and objective.kind == Objective.REACH:
+        fixed = {t: 1.0 for t in (objective.states or ())}
+    else:
+        fixed = dict(boundary)
+    for t in fixed:
+        succ[t] = [(t, 1.0)]
+    return _reference_absorption(fm, succ, fixed)
+
+
+def _reference_absorption(fm, succ, fixed):
+    reach_ok = set(fixed)
+    changed = True
+    while changed:
+        changed = False
+        for s in fm.states:
+            if s not in reach_ok and any(t in reach_ok for t, p in succ[s] if p > 0):
+                reach_ok.add(s)
+                changed = True
+    values = {s: 0.0 for s in fm.states}
+    values.update(fixed)
+    solve = [s for s in fm.states if s in reach_ok and s not in fixed]
+    if solve:
+        idx = {s: i for i, s in enumerate(solve)}
+        a = np.eye(len(solve))
+        b = np.zeros(len(solve))
+        for s in solve:
+            for t, p in succ[s]:
+                if t in fixed:
+                    b[idx[s]] += p * fixed[t]
+                elif t in idx:
+                    a[idx[s], idx[t]] -= p
+        for s, v in zip(solve, np.linalg.solve(a, b)):
+            values[s] = float(v)
+    return values
+
+
+def _reference_cost(fm, succ, cost):
+    free = set(fm.states)
+    changed = True
+    while changed:
+        changed = False
+        for s in list(free):
+            if not all(t in free and cost.of(s, t) == 0.0 for t, p in succ[s]):
+                free.discard(s)
+                changed = True
+    if free:
+        absorb = _reference_absorption(
+            fm, {s: ([(s, 1.0)] if s in free else succ[s]) for s in fm.states},
+            {t: 1.0 for t in free},
+        )
+    else:
+        absorb = {s: 0.0 for s in fm.states}
+    values = {}
+    for s in fm.states:
+        if s in free:
+            values[s] = 0.0
+        elif absorb[s] < 1.0 - 1e-9:
+            values[s] = math.inf
+        else:
+            values[s] = None
+    solve = [s for s in fm.states if values[s] is None]
+    if solve:
+        idx = {s: i for i, s in enumerate(solve)}
+        a = np.eye(len(solve))
+        b = np.zeros(len(solve))
+        for s in solve:
+            for t, p in succ[s]:
+                b[idx[s]] += p * cost.of(s, t)
+                if t in idx:
+                    a[idx[s], idx[t]] -= p
+        for s, v in zip(solve, np.linalg.solve(a, b)):
+            values[s] = float(v)
+    return values
+
+
+def oracle_modes(fm, seed: int) -> dict:
+    """The four oracle modes on ``random_finite_mdp`` output: reach the last
+    state, avoid the one before, a seeded edge cost, and terminal rewards on
+    both sinks plus one state outside ``fm``, whose value the result keeps."""
+    rng = random.Random(seed)
+    cost = CostLabel({
+        (s, t): rng.choice([0.0, 0.5, 1.0, 2.0])
+        for s in fm.states for t in successor_states(fm, s) if t != s
+    })
+    outside = S(10_000, "outside")
+    return {
+        "reach": {"objective": Objective.reach({fm.states[-1]})},
+        "safety": {"objective": Objective.safety({fm.states[-2]})},
+        "cost": {"cost": cost},
+        "boundary": {"boundary": {fm.states[-1]: rng.random(), fm.states[-2]: rng.random(),
+                                  outside: rng.random()}},
+    }
+
+
+def oracle_fingerprint(values, policy) -> tuple:
+    """The ``float.hex`` values in result order and the witness's choices."""
+    return [(s.ordinal, v.hex()) for s, v in values.items()], policy.to_json()
+
+
+def _oracle_instances():
+    for i in range(12):
+        fm = random_finite_mdp(derive_seed("orc-ref", i), n_states=7, max_branching=3)
+        for mode, kwargs in oracle_modes(fm, i).items():
+            yield f"{i}-{mode}", fm, kwargs
+
+
+def test_oracle_calls_no_solver_routine(monkeypatch):
+    """The oracle is the independent check of the solvers, so it must answer,
+    as the dict reference does, with every solver internal broken."""
+    def broken(*args, **kwargs):
+        raise AssertionError("the oracle called a solver routine")
+
+    for name in ("_absorption", "_chain_values", "_linsolve", "_backward_reach", "_howard",
+                 "_extract"):
+        monkeypatch.setattr(solvers, name, broken)
+    for name, fm, kwargs in _oracle_instances():
+        got = md_policy_oracle(fm, **kwargs)
+        assert oracle_fingerprint(got.values, got.policy) == \
+            oracle_fingerprint(*reference_oracle(fm, **kwargs)), name
+
+
+def test_oracle_asks_each_state_once():
+    fm = random_finite_mdp(derive_seed("orc-ask", 0), n_states=8, max_branching=3)
+    for mode, kwargs in oracle_modes(fm, 0).items():
+        asked = collections.Counter()
+        for method in ("successors_of", "kind_of"):
+            real = getattr(FiniteMdp, method)
+
+            def counting(s, method=method, real=real):
+                asked[method, s] += 1
+                return real(fm, s)
+
+            setattr(fm, method, counting)
+        md_policy_oracle(fm, **kwargs)
+        for method in ("successors_of", "kind_of"):
+            del fm.__dict__[method]
+        assert asked and max(asked.values()) == 1, (mode, asked.most_common(1))
+
+
+@pytest.mark.parametrize("build", [
+    lambda: solvers.ValueInterval(lower=0.6, upper=0.4, radius=1),
+    lambda: CostLabel({(S(0), S(1)): -1.0}),
+    lambda: BoundedRewardSpec(frozenset([S(0)]), {S(0): 1.5}),
+    lambda: BoundedRewardSpec(frozenset([S(0)]), {S(1): 0.5}),
+    lambda: md_policy_oracle(random_finite_mdp(1, n_states=4)),
+], ids=["inverted-interval", "negative-cost", "reward-above-one", "frontier-outside-subspace",
+        "oracle-without-objective"])
+def test_bad_solver_input_raises_typed_error(build):
+    with pytest.raises(TransientMdpError):
+        build()
+
+
 # ---------------------------------------------------------------------------
 # Intervals and return probabilities
 
@@ -493,6 +690,33 @@ def test_sparse_truncation_matches_gambler_closed_form(monkeypatch):
         assert abs(re.lower - want) <= 1e-14 and abs(re.upper - want) <= 1e-14
 
 
+def test_sparse_lu_from_arrays_matches_lists(monkeypatch):
+    # The sparse path builds its matrix from numpy arrays of the triplets.
+    # On the radius-3200 gambler systems, with the duplicate diagonal entries
+    # of their self-loops, its solutions equal bit for bit those of the
+    # matrix scipy builds from the Python lists, and list and array
+    # triplets give the same solution.
+    from scipy.sparse import csc_matrix
+    from scipy.sparse.linalg import splu
+
+    systems, real = [], solvers._linsolve
+
+    def recording(n, rows, cols, vals, b):
+        systems.append((n, rows, cols, vals, b))
+        return real(n, rows, cols, vals, b)
+
+    monkeypatch.setattr(solvers, "_linsolve", recording)
+    mdp, _ = gamblers_ruin(0.6)
+    interval_value(mdp, StateId(1, "w_1"), Objective.reach({StateId(0, "w_0")}), [3200])
+    large = [system for system in systems if system[0] >= solvers.SPARSE_MIN_ROWS]
+    assert large and max(system[0] for system in large) >= 3200
+    for n, rows, cols, vals, b in large:
+        got = real(n, rows, cols, vals, b)
+        lists = splu(csc_matrix((vals, (rows, cols)), shape=(n, n))).solve(np.asarray(b, float))
+        arrays = real(n, np.asarray(rows), np.asarray(cols), np.asarray(vals), np.asarray(b))
+        assert got.tobytes() == lists.tobytes() == arrays.tobytes()
+
+
 def test_markov_chain_reach_searches_the_graph_once(monkeypatch):
     # A Markov chain has nothing to choose: no extraction searches the graph,
     # and its one evaluation searches the cached predecessor lists once.
@@ -525,6 +749,11 @@ _SMALL_SOLVES = {
         "n = solvers.SPARSE_MIN_ROWS - 1\n"
         "x = solvers._linsolve(n, list(range(n)), list(range(n)), [2.0] * n, [1.0] * n)\n"
         "assert list(x) == [0.5] * n\n"
+    ),
+    # The solver-oracle suite behind ``transientmdp verify solvers``.
+    "verify-solvers": (
+        "from transientmdp.verify import run_suite\n"
+        "run_suite('solvers', 0)\n"
     ),
     # The transience fan at the radius of the mc_synthesis benchmark budget.
     "fan-radius-40": (
