@@ -167,7 +167,7 @@ class InfiniteSuccessors:
 
     def iter_weighted(self) -> Iterator[tuple[StateId, float]]:
         if not self.random:
-            raise TypeError("controlled successor family has no weights")
+            raise BadParameter("controlled successor family has no weights")
         return self.items()
 
 
@@ -550,14 +550,20 @@ class OneBitStrategy:
     def tables_to_json(
         initial_mode: int,
         controlled_table: Mapping[tuple[int, StateId], tuple[int, StateId]],
+        flip_table: Mapping[tuple[int, StateId], Iterable[StateId]],
     ) -> dict:
-        table = {
-            f"{m}:{s.ordinal}": [m2, t.ordinal]
-            for (m, s), (m2, t) in sorted(
-                controlled_table.items(), key=lambda kv: (kv[0][0], kv[0][1].ordinal)
-            )
-        }
-        return {"initial_mode": initial_mode, "update": table}
+        """``controlled_table`` maps (mode, controlled state) to the next mode
+        and successor; ``flip_table`` maps (mode, random state) to the
+        successors whose move changes the mode."""
+
+        def by_key(table):
+            return sorted(table.items(), key=lambda kv: (kv[0][0], kv[0][1].ordinal))
+
+        table = {f"{m}:{s.ordinal}": [m2, t.ordinal]
+                 for (m, s), (m2, t) in by_key(controlled_table)}
+        flip = {f"{m}:{s.ordinal}": sorted(t.ordinal for t in ts)
+                for (m, s), ts in by_key(flip_table)}
+        return {"initial_mode": initial_mode, "update": table, "flip": flip}
 
 
 @dataclass
@@ -592,7 +598,7 @@ class _Layers:
         self.mdp = mdp
         self.order = list(set(roots))
         if not self.order:
-            raise ValueError("bubble of an empty set")
+            raise BadParameter("bubble of an empty set")
         self.ids = {s: i for i, s in enumerate(self.order)}
         self.ends = [len(self.order)]
         self.answers: list = []
@@ -620,9 +626,6 @@ class _Layers:
         """The number of states within ``d`` steps."""
         self.grow(d)
         return self.ends[min(d, len(self.ends) - 1)]
-
-    def layer(self, d: int) -> set[StateId]:
-        return set(self.order[self.end(d - 1) if d else 0:self.end(d)])
 
     def within(self, k: int) -> set[StateId]:
         return set(self.order[:self.end(k)])
@@ -660,7 +663,7 @@ def truncate(
     searched again.
     """
     if frontier not in (OPTIMISTIC, PESSIMISTIC):
-        raise ValueError(f"unknown frontier policy {frontier!r}")
+        raise BadParameter(f"unknown frontier policy {frontier!r}")
     if radius < 0:
         raise BadParameter(f"radius must be non-negative, got {radius}")
     if layers is None:

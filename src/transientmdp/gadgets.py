@@ -157,7 +157,7 @@ def _ladder_state(family: str, i: int) -> StateId:
     if family == "bot":
         return StateId(0, "bot")
     if family not in _LADDER_OFFSET:
-        raise ValueError(family)
+        raise BadParameter(f"unknown ladder family {family!r}")
     o = 4 * i + _LADDER_OFFSET[family]
     return StateId(o, _ladder_label(o))
 

@@ -163,12 +163,12 @@ def _sample_random(rng: random.Random, succ) -> StateId:
 
 
 def _walk(mdp, s0, strategy, horizon, seed, cap, table):
-    """One seeded run: ``(run, counts, finished)``, with visit counts keyed
-    by ordinal.
+    """One seeded run: ``(run, finished)``.
 
     The run stops early, unfinished, at the first step that takes a state's
-    visit count above ``cap``.  A random step draws one uniform; a controlled
-    step draws one only when the strategy answers with a Distribution.
+    visit count, kept by ordinal, above ``cap``.  A random step draws one
+    uniform; a controlled step draws one only when the strategy answers with
+    a Distribution.
     ``table`` maps ordinals to ``_state_entry`` results; oracles are pure, so
     the runs of one estimator call share it and ask each state once.
     """
@@ -196,9 +196,9 @@ def _walk(mdp, s0, strategy, horizon, seed, cap, table):
         run.append(t)
         c = counts[t.ordinal] = counts.get(t.ordinal, 0) + 1
         if c > cap:
-            return run, counts, False
+            return run, False
         s = t
-    return run, counts, True
+    return run, True
 
 
 def _fresh_tail(run: list[StateId], window: int) -> bool:
@@ -228,7 +228,7 @@ def simulate(
     None for Markov chains (an error is raised if a controlled state is then
     encountered).  ``fresh_window`` enables the fresh-tail statistic.
     """
-    run, _, _ = _walk(mdp, s0, strategy, horizon, seed, math.inf, {})
+    run, _ = _walk(mdp, s0, strategy, horizon, seed, math.inf, {})
     counts = dict(Counter(run))
     stats = RunStats(
         horizon=horizon,
@@ -246,7 +246,7 @@ def _run_is_transient(mdp, s0, strategy, horizon, proxy, run_seed, table):
     undo the verdict."""
     fresh = isinstance(proxy, FreshTail)
     cap = proxy.max_visits if isinstance(proxy, RevisitCap) else math.inf
-    run, _, finished = _walk(mdp, s0, strategy, horizon, run_seed, cap, table)
+    run, finished = _walk(mdp, s0, strategy, horizon, run_seed, cap, table)
     return finished and (not fresh or _fresh_tail(run, proxy.window)), run
 
 

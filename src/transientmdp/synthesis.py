@@ -40,6 +40,7 @@ from .core import (
     _with_rows,
     mint,
     require_tail,
+    successor_states,
     truncate,
 )
 from .errors import (
@@ -268,22 +269,17 @@ class BubblePlan:
     reach the boundary of the explored region is dropped.  Such a state lies
     in a finite closed set, where every run fails Transience, so each
     residual is P(event and not yet trapped), an upper bound on P(event and
-    objective).  ``horizon`` is the H of the late-return residuals."""
+    objective).  ``horizon`` is the H of the late-return residuals.  The
+    strategy built on the plan solves each level once, from the last level
+    down (see ``_assemble_one_bit``)."""
 
     levels: list[BubbleLevel]
     epsilon: float
-    reward_depth: int
     horizon: int
     capped: bool = False
     reference: ClassVar[str] = "uniform"
     conditioning: ClassVar[str] = "trapped mass dropped"
     residuals: ClassVar[str] = "exact"
-
-    def level_of(self, s: StateId) -> int | None:
-        for lv in self.levels:
-            if s in lv.K:
-                return lv.index
-        return None
 
     def to_json(self) -> dict:
         return {
@@ -292,7 +288,6 @@ class BubblePlan:
             "conditioning": self.conditioning,
             "residuals": self.residuals,
             "horizon": self.horizon,
-            "reward_depth": self.reward_depth,
             "capped": self.capped,
             "levels": [
                 {
@@ -315,16 +310,13 @@ class BubblePlan:
 class BubbleSchedule:
     """Budgets of the 1-bit plan: at most ``max_levels`` levels with radii up
     to ``max_radius``, late returns counted up to the horizon H =
-    ``mc_horizon``, and goal-frontier rewards looked ahead ``reward_depth``
-    levels.  ``mc_runs``, ``proxy_visits`` and ``seed`` are inert: the plan
-    samples nothing, and callers may still pass them."""
+    ``mc_horizon``.  ``mc_runs`` and ``seed`` are inert: the plan samples
+    nothing, and callers may still pass them."""
 
     max_levels: int = 3
     max_radius: int = 96
     mc_runs: int = 160
     mc_horizon: int = 1600
-    reward_depth: int = 3
-    proxy_visits: int = 20
     seed: int = 0
 
     @property
@@ -456,9 +448,10 @@ def buchi_transience_one_bit(
     k_i whose late event (a visit to K_i at some step in [l_i, H]) is too,
     with the schedule capping both.  The residuals are exact under the
     uniform reference chain started uniformly on ``initial``, with trapped
-    mass dropped (see ``BubblePlan``).  Goal frontier rewards approximate the
-    value of the remaining pattern suffix by a depth-limited optimistic
-    recursion, recorded as ``reward_depth``.
+    mass dropped (see ``BubblePlan``).  The level strategies come from one
+    backward pass, one bounded-reward solve per level: level i's goal
+    frontier F_i is rewarded with the values of level i + 1's solve there,
+    and with 1 past the last level.
     """
     initial = sorted(set(initial))
     if not initial:
@@ -515,89 +508,56 @@ def _one_bit_on(layers: _Layers, initial: list[StateId], goal_pred, epsilon: flo
         levels.append(level)
         l_prev, inside = l_i, chain.ends[l_i]
 
-    plan = BubblePlan(levels, epsilon, schedule.reward_depth, schedule.mc_horizon, capped)
+    plan = BubblePlan(levels, epsilon, schedule.mc_horizon, capped)
     fm = truncate(layers.mdp, initial, levels[-1].k + 1, layers=layers)
-    return _assemble_one_bit(layers, fm, plan, schedule), plan, fm
+    return _assemble_one_bit(layers, fm, plan), plan, fm
 
 
-def _assemble_one_bit(layers: _Layers, fm: FiniteMdp, plan: BubblePlan,
-                      schedule: BubbleSchedule):
+def _assemble_one_bit(layers: _Layers, fm: FiniteMdp, plan: BubblePlan) -> OneBitStrategy:
+    """The 1-bit strategy of ``plan`` on its truncation ``fm``, by backward
+    induction: one bounded-reward solve per level, from the last level down.
+    Level i's MD strategy sigma_i maximises the value of reaching F_i inside
+    K_i minus K_{i-2} (the whole bubble for levels 1 and 2); an F_i state is
+    worth what level i + 1's solve gives it, and 1 past the last level or
+    where that solve has no value.
+
+    A state plays by its first level i: in mode i % 2 it follows sigma_i,
+    otherwise sigma_{i+1}, and where that has no choice the default pick.
+    Arriving at an F_i state in mode i % 2 flips the mode; F_i lies outside
+    L_{i-1}, so i is the first level of each of its states."""
     mdp = layers.mdp
-    levels = plan.levels
+    kept = set(fm.states)
+    choices: dict[int, dict[StateId, StateId]] = {}
+    first: dict[StateId, int] = {}
+    flip: dict[StateId, int] = {}
+    values: dict[StateId, float] = {}
+    for lv in reversed(plan.levels):
+        i = lv.index
+        avoid = plan.levels[i - 3].K if i > 2 else set()
+        sub = (lv.K - avoid) & kept
+        rewards = {s: values.get(s, 1.0) for s in lv.F if s in sub}
+        sigma, values = MdStrategy({}), {}
+        if rewards:
+            sigma, values = bounded_total_reward_md(BoundedRewardSpec(frozenset(sub), rewards), fm)
+        choices[i] = sigma.choice
+        first.update(dict.fromkeys(lv.K, i))
+        flip.update(dict.fromkeys(lv.F, i % 2))
 
-    # For subspace and pattern purposes both K_0 and K_{-1} are empty: the
-    # two-levels-back avoidance starts at level 3 (avoiding K_1), so the
-    # level-1 and level-2 strategies see their whole bubbles.
-    k_sets: dict[int, set[StateId]] = {0: set(), -1: set()}
-    f_sets: dict[int, set[StateId]] = {}
-    for lv in levels:
-        k_sets[lv.index] = lv.K
-        f_sets[lv.index] = lv.F
-
-    # Pattern-suffix values at goal frontiers, depth-limited and optimistic.
-    reward_cache: dict[tuple[int, int], dict[StateId, float]] = {}
-
-    def suffix_rewards(i: int, depth: int) -> dict[StateId, float]:
-        # Value of continuing the pattern chain from F_i states.
-        if (i, depth) in reward_cache:
-            return reward_cache[(i, depth)]
-        if i >= len(levels) or depth <= 0:
-            result = {s: 1.0 for s in f_sets.get(i, set())}
-        else:
-            nxt = suffix_rewards(i + 1, depth - 1)
-            sub = (k_sets[i + 1] - k_sets[i - 1]) & set(fm.states)
-            rewards = {s: nxt.get(s, 1.0) for s in f_sets[i + 1] if s in sub}
-            if rewards:
-                spec = BoundedRewardSpec(frozenset(sub), rewards)
-                _, vals = bounded_total_reward_md(spec, fm)
-            else:
-                vals = {}
-            result = {s: vals.get(s, 1.0) for s in f_sets[i]}
-        reward_cache[(i, depth)] = result
-        return result
-
-    sigmas: dict[int, MdStrategy] = {}
-    for lv in levels:
-        sub = (k_sets[lv.index] - k_sets[lv.index - 2]) & set(fm.states)
-        rewards = suffix_rewards(lv.index, schedule.reward_depth)
-        rewards = {s: r for s, r in rewards.items() if s in sub}
-        if not rewards:
-            sigmas[lv.index] = MdStrategy({})
-            continue
-        spec = BoundedRewardSpec(frozenset(sub), rewards)
-        sigma_i, _ = bounded_total_reward_md(spec, fm)
-        sigmas[lv.index] = sigma_i
-
-    max_level = levels[-1].index
+    beyond = plan.levels[-1].index + 1
     # MdStrategy's default pick on the truncation's controlled states, from
     # the answers of the search, which asked their oracles already.
     default = {s: _default_pick(layers.answers[layers.ids[s]], s) for s in fm.controlled_states()}
-    level_at: dict[StateId, int] = {}
-    for lv in levels:
-        for s in lv.K:
-            level_at.setdefault(s, lv.index)  # the first level holding s
-
-    def level_of(s: StateId) -> int:
-        return level_at.get(s, max_level + 1)
 
     def arrival_mode(mode: int, s: StateId) -> int:
-        i = level_of(s)
-        if i <= max_level and mode == i % 2 and s in f_sets.get(i, ()):
-            return (i + 1) % 2
-        return mode
-
-    def pick(mode: int, s: StateId) -> StateId:
-        i = level_of(s)
-        target_level = i + 1 if mode == (i + 1) % 2 else i
-        target_level = max(target_level, 1)
-        sigma = sigmas.get(target_level)
-        if sigma is None or s not in sigma.choice:
-            return default[s] if s in default else MdStrategy({}).successor(mdp, s)
-        return sigma.choice[s]
+        return 1 - mode if flip.get(s) == mode else mode
 
     def controlled(mode: int, s: StateId) -> tuple[int, StateId]:
-        m2 = arrival_mode(mode, s)
-        return m2, pick(m2, s)
+        mode = arrival_mode(mode, s)
+        i = first.get(s, beyond)
+        t = choices.get(i if mode == i % 2 else i + 1, {}).get(s)
+        if t is None:
+            t = default[s] if s in default else MdStrategy({}).successor(mdp, s)
+        return mode, t
 
     def random_update(mode: int, s: StateId, realized: StateId) -> int:
         return arrival_mode(mode, s)
@@ -606,14 +566,22 @@ def _assemble_one_bit(layers: _Layers, fm: FiniteMdp, plan: BubblePlan,
 
 
 def one_bit_tables(strategy: OneBitStrategy, fm: FiniteMdp) -> dict:
-    """Materialize a (possibly closure-backed) 1-bit strategy over the
-    controlled states of a finite MDP, in the serializable table form
-    {"mode:ordinal": [mode, ordinal]} plus the initial mode."""
-    table = {}
-    for s in fm.controlled_states():
+    """Materialize a (possibly closure-backed) 1-bit strategy over a finite
+    MDP in the serializable table form: the initial mode, the move of every
+    controlled state, {"mode:ordinal": [mode, ordinal]}, and at every random
+    state the successors whose move changes the mode, {"mode:ordinal":
+    [ordinal, ...]}, listed where there is one."""
+    table, flip = {}, {}
+    for s, is_controlled in zip(fm.states, fm.controlled):
         for mode in (0, 1):
-            table[(mode, s)] = strategy.controlled(mode, s)
-    return OneBitStrategy.tables_to_json(strategy.initial_mode, table)
+            if is_controlled:
+                table[(mode, s)] = strategy.controlled(mode, s)
+                continue
+            changed = [t for t in successor_states(fm, s)
+                       if strategy.random_update(mode, s, t) != mode]
+            if changed:
+                flip[(mode, s)] = changed
+    return OneBitStrategy.tables_to_json(strategy.initial_mode, table, flip)
 
 
 def match_patterns(plan: BubblePlan, run: Sequence[StateId]) -> tuple[int, bool]:

@@ -369,7 +369,7 @@ class ConditionedMdp:
 
     def to_json(self) -> dict:
         if self.finite is None:
-            raise ValueError("infinite-chain bottom variant does not serialize")
+            raise BadParameter("infinite-chain bottom variant does not serialize")
         return self.finite.to_json()
 
 
@@ -414,7 +414,7 @@ def conditioned(
     """
     _require_reach_to_sink(fm, phi)
     if bottom not in (SELF_LOOP, INFINITE_CHAIN):
-        raise ValueError(f"unknown bottom variant {bottom!r}")
+        raise BadParameter(f"unknown bottom variant {bottom!r}")
     positive, rows = _conditioning(fm, values)
     inside = set(positive)
     if root is not None and root not in inside:

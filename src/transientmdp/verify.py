@@ -78,7 +78,7 @@ def random_finite_mdp(
     the seed.  The win sink is the last state, the lose sink the one before
     it (when two sinks are requested)."""
     if n_states < 1:
-        raise ValueError("need at least one state")
+        raise BadParameter("need at least one state")
     rng = random.Random(seed)
     n_sinks = min(n_sinks, max(n_states - 1, 0))
     states = [StateId(i, f"q_{i}") for i in range(n_states)]

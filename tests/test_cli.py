@@ -4,9 +4,11 @@ import sys
 
 import pytest
 
-from transientmdp import LazyMdp, cli
+from transientmdp import LazyMdp, StateKind, cli
 from transientmdp.cli import main
+from transientmdp.core import _Layers, successor_states
 from transientmdp.gadgets import build_gadget
+from transientmdp.synthesis import BubbleSchedule, _one_bit_on
 from transientmdp.verify import random_finite_mdp
 
 
@@ -191,6 +193,37 @@ def test_synthesize_one_bit_asks_each_state_once(tmp_path, monkeypatch):
     assert run_cli(["--out-dir", tmp_path, "run", scenario]) == 0
     assert asked and len(asked) == len(set(asked))
     assert json.loads((tmp_path / "strategy.json").read_text())["update"]
+
+
+def test_synthesize_one_bit_records_mode_flips(tmp_path):
+    # On the walk every goal state is random, so the strategy acts only by
+    # flipping its mode there; strategy.json records those flips.
+    scenario = tmp_path / "one_bit.json"
+    scenario.write_text(json.dumps({
+        "seed": 3,
+        "mdp": {"gadget": "gamblers_ruin", "params": {"p": 0.7}},
+        "task": {"kind": "synthesize", "method": "one_bit", "state": 0, "epsilon": 0.1,
+                 "objective": {"type": "buechi", "label_prefix": "w_"}},
+    }))
+    assert run_cli(["--out-dir", tmp_path, "run", scenario]) == 0
+    doc = json.loads((tmp_path / "strategy.json").read_text())
+    plan = json.loads((tmp_path / "bubble_plan.json").read_text())
+    assert doc["update"] == {} and len(plan["levels"]) == 2
+
+    walk, meta = build_gadget("gamblers_ruin", {"p": 0.7})
+    w0 = cli._state(walk, meta, 0)
+    strategy, _, region = _one_bit_on(_Layers(walk, [w0]), [w0],
+                                      lambda s: s.label.startswith("w_"), 0.1, BubbleSchedule())
+    flips = {}
+    for s in region.states:
+        if region.kind_of(s) is StateKind.RANDOM:
+            for mode in (0, 1):
+                changed = [t.ordinal for t in successor_states(region, s)
+                           if strategy.random_update(mode, s, t) != mode]
+                if changed:
+                    flips[f"{mode}:{s.ordinal}"] = sorted(changed)
+    assert flips and doc["flip"] == flips
+    assert doc["initial_mode"] == strategy.initial_mode
 
 
 def test_synthesize_plastering_on_finite_file(tmp_path):

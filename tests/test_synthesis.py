@@ -39,6 +39,7 @@ from transientmdp.simulate import (
 )
 from transientmdp.solvers import (
     CostLabel,
+    bounded_total_reward_md,
     evaluate_md_cost,
     evaluate_md_reach,
     evaluate_md_safety,
@@ -351,6 +352,25 @@ def test_one_bit_uncapped_three_levels():
         mdp, w0, strategy, lambda s: True, 1000, 60, RevisitCap(30), 100, seed=0
     )
     assert est >= 0.8
+
+
+@pytest.mark.parametrize("mdp, goal, max_radius, solves", [
+    (gamblers_ruin(0.9)[0], lambda s: True, 96, 3),
+    (gamblers_ruin(0.7)[0], {StateId(3 * i) for i in range(100)}, 48, 2),
+], ids=["uncapped-three-levels", "goal-set"])
+def test_one_bit_solves_each_level_once(monkeypatch, mdp, goal, max_radius, solves):
+    # The level strategies come from one backward pass: level i's rewards on
+    # F_i are the values of level i + 1's solve, which is not solved again.
+    solved = []
+
+    def counting(spec, fm):
+        solved.append(spec)
+        return bounded_total_reward_md(spec, fm)
+
+    monkeypatch.setattr(synthesis, "bounded_total_reward_md", counting)
+    schedule = BubbleSchedule(max_radius=max_radius, mc_horizon=400)
+    _, plan = buchi_transience_one_bit(mdp, [StateId(0, "w_0")], goal, 0.1, schedule)
+    assert len(solved) == len(plan.levels) == solves
 
 
 def test_one_bit_empty_frontier():
@@ -669,10 +689,10 @@ def test_transience_md_simulates_nothing_given_a_one_bit_strategy(monkeypatch):
     assert part.s_good_prime and 0.0 < part.attainment <= 1.0
 
 
-def _one_bit_pin(mdp, root, goal):
+def _one_bit_pin(mdp, root, goal, max_radius=48):
     """The plan of a 1-bit strategy, and the sha256 of its moves in both
     modes on every state of a radius-100 truncation."""
-    schedule = BubbleSchedule(max_radius=48, mc_horizon=400)
+    schedule = BubbleSchedule(max_radius=max_radius, mc_horizon=400)
     strategy, plan = buchi_transience_one_bit(mdp, [root], goal, 0.1, schedule)
     fm = truncate(mdp, [root], 100, "pessimistic")
     rows = []
@@ -699,7 +719,9 @@ def _levels(*rows):
 # The transience_md pins come from the exact product solve on top of that
 # plan, so no pin depends on a seed.  "one-bit-trapped-mass-dropped" runs on
 # the ladder, whose bottom sink is a finite closed set: the reference mass
-# that falls into it is dropped from every residual.
+# that falls into it is dropped from every residual.  "one-bit-uncapped" is
+# the three-level plan of test_one_bit_uncapped_three_levels, so its strategy
+# chains three level solves.
 MONTE_CARLO_PINS = {
     "fan": (
         {"0": 18},
@@ -725,7 +747,7 @@ MONTE_CARLO_PINS = {
     ),
     "one-bit-goal-set": (
         {"epsilon": 0.1, "reference": "uniform", "conditioning": "trapped mass dropped",
-         "residuals": "exact", "horizon": 400, "reward_depth": 3, "capped": True,
+         "residuals": "exact", "horizon": 400, "capped": True,
          "levels": _levels((1, 1, 24, 2, 25, 1, 0.025, 0.0, 0.021140117837706782),
                            (2, 48, 49, 49, 50, 8, 0.0125, 0.8397683795853541,
                             0.9999999790266467))},
@@ -733,13 +755,23 @@ MONTE_CARLO_PINS = {
     ),
     "one-bit-trapped-mass-dropped": (
         {"epsilon": 0.1, "reference": "uniform", "conditioning": "trapped mass dropped",
-         "residuals": "exact", "horizon": 400, "reward_depth": 3, "capped": True,
+         "residuals": "exact", "horizon": 400, "capped": True,
          "levels": _levels((1, 1, 11, 2, 27, 2, 0.025, 0.0, 0.023505277763467686),
                            (2, 23, 35, 57, 87, 30, 0.0125, 0.010927557945251465,
                             0.011001775694230935),
                            (3, 48, 49, 120, 122, 33, 0.00625, 0.00802752764231026,
                             0.3273503511224789))},
         "14f966d4c5215d5bf0f49254d0a7bc5028aee3c4ac2edbb0eaf017c7eece77c7", 702,
+    ),
+    "one-bit-uncapped": (
+        {"epsilon": 0.1, "reference": "uniform", "conditioning": "trapped mass dropped",
+         "residuals": "exact", "horizon": 400, "capped": False,
+         "levels": _levels((1, 1, 6, 2, 7, 2, 0.025, 0.0, 0.012639999999999992),
+                           (2, 15, 30, 16, 31, 9, 0.0125, 0.006344668515789995,
+                            0.007404466684693562),
+                           (3, 53, 86, 54, 87, 23, 0.00625, 0.004062560085761172,
+                            0.004604958464319131))},
+        "bc00309d8c116972b840d52088844fcae8f7515ed6eec2fbc1c3e9dc3264d8d8", 404,
     ),
 }
 
@@ -754,6 +786,8 @@ def test_synthesis_monte_carlo_pinned():
                                          {StateId(3 * i) for i in range(100)}),
         "one-bit-trapped-mass-dropped": _one_bit_pin(no_optimal_ladder()[0],
                                                      ladder_state("ell", 0), lambda s: True),
+        "one-bit-uncapped": _one_bit_pin(gamblers_ruin(0.9)[0], StateId(0, "w_0"),
+                                         lambda s: True, max_radius=96),
     })
     for name, pin in MONTE_CARLO_PINS.items():
         assert got[name] == pin, name
