@@ -115,7 +115,7 @@ def _state(mdp, meta, ordinal) -> StateId:
         return mdp.by_ordinal[ordinal]
     if not meta.is_state(ordinal):
         raise ScenarioError(f"no state {ordinal!r} in gadget {meta.name!r}")
-    return StateId(ordinal)
+    return meta.state(ordinal)
 
 
 def _number(convert, value, what: str):

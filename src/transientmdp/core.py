@@ -24,7 +24,9 @@ from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from typing import Callable, Hashable, Iterable, Iterator, Mapping, Sequence, TypeVar
+from typing import Callable, Hashable, Iterable, Iterator, Mapping, NamedTuple, Sequence, TypeVar
+
+import numpy as np
 
 from .errors import BadModel, BadParameter, InfiniteBranching, NotSink, NotTail
 
@@ -99,7 +101,7 @@ class Distribution:
         exact: Mapping[StateId, Fraction] | None = None,
         check: bool = True,
     ):
-        items = tuple((s, float(p)) for s, p in support)
+        items = tuple([(s, float(p)) for s, p in support])
         if check:
             seen = set()
             total = 0.0
@@ -233,6 +235,19 @@ def _default_pick(succ, s: StateId) -> StateId:
 _KINDS = (StateKind.RANDOM, StateKind.CONTROLLED)  # by ``controlled``; faster than a member
 
 
+class RowArrays(NamedTuple):
+    """The compressed sparse rows of a FiniteMdp as numpy arrays, plus its
+    positive random edges as ``random_source[k] -> random_target[k]`` in
+    edge order."""
+
+    indptr: np.ndarray  # intp
+    succ: np.ndarray  # intp
+    prob: np.ndarray  # float64, NaN on controlled edges
+    controlled: np.ndarray  # bool
+    random_source: np.ndarray  # intp
+    random_target: np.ndarray  # intp
+
+
 class FiniteMdp(Mdp):
     """Explicitly materialized finite MDP, held as compressed sparse rows.
 
@@ -240,7 +255,8 @@ class FiniteMdp(Mdp):
     is its kind.  The successors of ``i`` are ``succ[indptr[i]:indptr[i +
     1]]`` in successor order, with probabilities at the same positions of
     ``prob`` (NaN on controlled edges).  All fields are plain lists, which
-    scalar loops index fastest.  ``sinks`` are designated subsets closed
+    scalar loops index fastest; ``arrays()`` gives the rows as numpy arrays
+    for the solvers' large systems.  ``sinks`` are designated subsets closed
     under the transition relation, and a truncation carries its
     ``frontier`` sink.  No code edits the rows after construction; a
     derived MDP is built on copied arrays.
@@ -295,6 +311,7 @@ class FiniteMdp(Mdp):
         # Derived from the rows on first use, never edited.
         self._answers: dict[StateId, object] = {}
         self._preds = None
+        self._arrays = None
 
     @classmethod
     def _of_rows(cls, states, controlled, indptr, succ, prob, sinks=(), frontier=None,
@@ -344,6 +361,20 @@ class FiniteMdp(Mdp):
                             preds.setdefault(succ[k], []).append(i)
             self._preds = preds
         return self._preds
+
+    def arrays(self) -> RowArrays:
+        """The rows as numpy arrays, for the solvers' paths on large
+        systems.  Built on first use and kept."""
+        if self._arrays is None:
+            indptr = np.asarray(self.indptr, dtype=np.intp)
+            succ = np.asarray(self.succ, dtype=np.intp)
+            prob = np.asarray(self.prob, dtype=np.float64)
+            controlled = np.asarray(self.controlled, dtype=bool)
+            source = np.repeat(np.arange(len(self.states)), np.diff(indptr))
+            positive = ~controlled[source] & (prob > 0.0)
+            self._arrays = RowArrays(indptr, succ, prob, controlled, source[positive],
+                                     succ[positive])
+        return self._arrays
 
     def validate(self) -> None:
         """Unique ordinals and closed sinks; the constructor checks the rows."""
@@ -606,20 +637,24 @@ class _Layers:
 
     def grow(self, d: int) -> None:
         """Reach layer ``d``, or stop at the first empty layer."""
-        mdp, order, ids = self.mdp, self.order, self.ids
-        while len(self.ends) <= d and len(self.answers) < len(order):
-            for i in range(len(self.answers), self.ends[-1]):
+        successors_of, order, ids = self.mdp.successors_of, self.order, self.ids
+        answers, targets = self.answers, self.targets
+        while len(self.ends) <= d and len(answers) < len(order):
+            for i in range(len(answers), self.ends[-1]):
                 s = order[i]
-                answer = mdp.successors_of(s)
+                answer = successors_of(s)
                 row = []
-                for t in _states_of(answer, s):
+                # A Distribution's support is read directly; other answers
+                # go through ``_states_of``, which refuses infinite ones.
+                for t in ([t for t, _ in answer.support] if isinstance(answer, Distribution)
+                          else _states_of(answer, s)):
                     j = ids.get(t)
                     if j is None:
                         j = ids[t] = len(order)
                         order.append(t)
                     row.append(j)
-                self.answers.append(answer)
-                self.targets.append(row)
+                answers.append(answer)
+                targets.append(row)
             self.ends.append(len(order))
 
     def end(self, d: int) -> int:
@@ -656,11 +691,12 @@ def truncate(
 
     One breadth-first search asks each kept state's ``kind_of`` and
     ``successors_of`` once and builds the rows in the same pass: rows in
-    ordinal order with the frontier last, successors in oracle order.  Each
-    oracle answer gets the checks of the ``FiniteMdp`` constructor, with
-    its exception types.  A caller that already searched from ``roots`` may
-    pass its ``layers``, which are grown as far as needed instead of
-    searched again.
+    ordinal order with the frontier last, successors in oracle order.  The
+    search reads a Distribution's support in place.  Each oracle answer
+    gets the checks of the ``FiniteMdp`` constructor, with its exception
+    types; a random state's non-empty Distribution passes them all, so it
+    skips them.  A caller that already searched from ``roots`` may pass its
+    ``layers``, which are grown as far as needed instead of searched again.
     """
     if frontier not in (OPTIMISTIC, PESSIMISTIC):
         raise BadParameter(f"unknown frontier policy {frontier!r}")
@@ -672,17 +708,24 @@ def truncate(
     n = layers.end(radius)
     order, answers, targets = layers.order, layers.answers, layers.targets
     # Positions in ``order`` from n on lie outside the bubble: where -1.
-    rank = sorted(range(n), key=lambda i: order[i].ordinal)
+    ordinals = [s.ordinal for s in order[:n]]
+    rank = sorted(range(n), key=ordinals.__getitem__)
     where = [-1] * len(order)
     for k, i in enumerate(rank):
         where[i] = k
     states = [order[i] for i in rank]
+    kind_of, random = mdp.kind_of, StateKind.RANDOM
 
     def rows():
         for i, s in zip(rank, states):
-            kind, answer = mdp.kind_of(s), answers[i]
-            _check_answer(s, kind, answer)
+            kind, answer = kind_of(s), answers[i]
             ks = [where[j] for j in targets[i]]
+            # A random state answering a non-empty Distribution passes every
+            # check of ``_check_answer``; any other answer goes through it.
+            if kind is random and isinstance(answer, Distribution) and answer.support:
+                yield False, ks, [p for _, p in answer.support]
+                continue
+            _check_answer(s, kind, answer)
             if kind is StateKind.CONTROLLED:
                 yield True, ks, [math.nan] * len(ks)
             else:

@@ -62,6 +62,9 @@ def _interned(label: Callable[[int], str]) -> Callable[[int], StateId]:
 class GadgetMeta:
     name: str
     params: dict
+    # The gadget's own state of each ordinal, labelled as its oracles hand
+    # it out.
+    state: Callable[[int], StateId]
     known_values: list[KnownValue] = field(default_factory=list)
     universally_transient: bool | None = None
     transient_condition: str = ""
@@ -120,6 +123,7 @@ def gamblers_ruin(p: float) -> tuple[Mdp, GadgetMeta]:
     meta = GadgetMeta(
         name="gamblers_ruin",
         params={"p": p},
+        state=w,
         known_values=[
             KnownValue("w_0", Objective.TRANSIENCE, value, "threshold at p=1/2"),
             KnownValue("w_1", Objective.TRANSIENCE, value, "threshold at p=1/2"),
@@ -213,6 +217,7 @@ def no_optimal_ladder() -> tuple[Mdp, GadgetMeta]:
     meta = GadgetMeta(
         name="no_optimal_ladder",
         params={},
+        state=state,
         known_values=known,
         universally_transient=False,
         transient_condition="bottom sink is recurrent",
@@ -274,6 +279,7 @@ def lazy_self_loop_example() -> tuple[Mdp, GeneralStrategy, GadgetMeta]:
     meta = GadgetMeta(
         name="lazy_self_loop",
         params={},
+        state=s,
         known_values=[
             KnownValue("s_0", Objective.TRANSIENCE, 1.0, "coin per round, (1/2)^inf = 0"),
         ],
@@ -304,6 +310,7 @@ def acyclic_chain() -> tuple[Mdp, GadgetMeta]:
     meta = GadgetMeta(
         name="acyclic_chain",
         params={},
+        state=c,
         known_values=[KnownValue("c_0", Objective.TRANSIENCE, 1.0, "acyclic")],
         universally_transient=True,
         transient_condition="always",
@@ -329,8 +336,9 @@ def safety_fan() -> tuple[Mdp, GadgetMeta]:
     universally transient.
     """
 
-    # b_j = 3j, a_k = 3k + 1, bot_k = 3k + 2.
-    state = _interned(lambda o: (f"b_{o // 3}", f"a_{o // 3}", f"bot_{o // 3}")[o % 3])
+    # The root fan = 0, b_j = 3j, a_k = 3k + 1, bot_k = 3k + 2.
+    state = _interned(
+        lambda o: "fan" if o == 0 else (f"b_{o // 3}", f"a_{o // 3}", f"bot_{o // 3}")[o % 3])
 
     def kind(s: StateId) -> StateKind:
         return StateKind.CONTROLLED if s.ordinal == 0 else StateKind.RANDOM
@@ -355,6 +363,7 @@ def safety_fan() -> tuple[Mdp, GadgetMeta]:
     meta = GadgetMeta(
         name="safety_fan",
         params={},
+        state=state,
         known_values=known,
         universally_transient=True,
         transient_condition="acyclic",
@@ -375,7 +384,8 @@ def transience_fan() -> tuple[Mdp, GadgetMeta]:
     a maximizing choice.
     """
 
-    mdp = _transience_fan(_interned(_transience_fan_label))
+    state = _interned(_transience_fan_label)
+    mdp = _transience_fan(state)
     known = [KnownValue("fan", Objective.TRANSIENCE, 1.0, "supremum over branches")]
     for j in (1, 2, 4):
         known.append(
@@ -384,6 +394,7 @@ def transience_fan() -> tuple[Mdp, GadgetMeta]:
     meta = GadgetMeta(
         name="transience_fan",
         params={},
+        state=state,
         known_values=known,
         universally_transient=False,
         transient_condition="trap state is recurrent",
@@ -394,7 +405,9 @@ def transience_fan() -> tuple[Mdp, GadgetMeta]:
 
 
 def _transience_fan_label(o: int) -> str:
-    # b_j = 3j, a_k = 3k + 1, the trap 2.
+    # The root fan = 0, the trap 2, b_j = 3j and a_k = 3k + 1.
+    if o == 0:
+        return "fan"
     return "trap" if o == 2 else (f"b_{o // 3}", f"a_{o // 3}")[o % 3]
 
 
@@ -448,6 +461,7 @@ def geometric_fan() -> tuple[Mdp, GadgetMeta]:
     meta = GadgetMeta(
         name="geometric_fan",
         params={},
+        state=lambda o: root if o == root.ordinal else state(o),
         known_values=[
             KnownValue("root", Objective.TRANSIENCE, 2.0 / 3.0, "sum 2^{-j}(1-2^{-j})"),
         ],

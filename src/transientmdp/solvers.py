@@ -28,11 +28,15 @@ calling none of the routines above.
 The solvers run on the compressed sparse rows of a ``FiniteMdp`` and
 translate StateIds only on entry and exit.  Every policy evaluation is
 assembled straight from its compressed sparse rows as sparse triplets and
-solved by ``_linsolve``: dense LAPACK below ``SPARSE_MIN_ROWS`` (512) rows,
-sparse LU at or above it on a matrix built from the triplets as numpy
-arrays, with scipy imported on first use.  The sparse path may differ from
-a dense solve in the last bits.  A system singular to working precision
-raises ``SingularSystem``.
+solved by ``_linsolve``: dense LAPACK below ``SPARSE_MIN_ROWS`` (200) rows,
+sparse LU at or above it, with scipy imported on first use.  Below the
+cutoff the system is assembled on lists; from it on, on the numpy arrays
+that ``FiniteMdp.arrays`` caches, where the backward reach (by scipy's
+breadth-first search) and the clamp of an absorption solve also run from
+that many states on.  Both assemblies give the same triplets and right-hand
+side, bit for bit.  The sparse path may differ from a dense solve in the
+last bits.  A system singular to working precision raises
+``SingularSystem``.
 """
 from __future__ import annotations
 
@@ -149,25 +153,32 @@ class BoundedRewardSpec:
 # ---------------------------------------------------------------------------
 # Linear solves
 
-# Systems of at least this many rows are solved by sparse LU.  A dense solve
-# holds 16n² bytes (the matrix and LAPACK's copy of it) and takes O(n³) time;
-# the sparse path pays about 40 MB of peak resident memory and 0.3 s once to
-# import scipy.  On the tridiagonal gambler systems (one BLAS thread) sparse
-# LU is already faster at 201 rows (0.54 ms against 0.72 ms dense) and far
-# faster at 801 rows (1.0 ms against 20.4 ms).  The cutoff stays above the
-# systems of the finite_solvers and mc_synthesis benchmarks (at most 177
-# rows on seeds 1, 11 and 12), so that they never import scipy.
-SPARSE_MIN_ROWS = 512
+# Systems of at least this many rows are solved by sparse LU, on triplets
+# assembled from numpy arrays.  A dense solve holds 16n² bytes (the matrix
+# and LAPACK's copy of it) and takes O(n³) time; the sparse path pays about
+# 40 MB of peak resident memory and 0.3 s once to import scipy, so one-off
+# CLI runs that meet a system of 200 to 511 rows now pay that import too.
+# On the countable_bounds systems (one BLAS thread, 2-core x86 host) sparse
+# LU takes 0.16 ms against 0.42 ms dense at 201 rows, 0.17 ms against
+# 1.09 ms at 301 rows, 0.22 ms against 3.96 ms at 499 rows and 0.29 ms
+# against 16.8 ms at 801 rows.  Array assembly is slower than list
+# assembly on small systems (0.055 ms against 0.045 ms at 118 rows) and far
+# faster on large ones (0.37 ms against 1.75 ms at 3,200 rows), so it
+# starts at the same cutoff.  The cutoff stays above the systems of the
+# finite_solvers and mc_synthesis benchmarks (at most 118 and 99 rows, from
+# truncations of at most 120 and 141 states, on seeds 1, 11 and 12), so
+# that they never import scipy.
+SPARSE_MIN_ROWS = 200
 
 
-def _linsolve(n: int, rows: list[int], cols: list[int], vals: list[float], b) -> np.ndarray:
+def _linsolve(n: int, rows, cols, vals, b) -> np.ndarray:
     """Solution of A x = b for the n x n matrix A that is the sum of the COO
-    triplets (rows[k], cols[k], vals[k]); entries at one position add up in
-    triplet order.  Dense LAPACK below SPARSE_MIN_ROWS, sparse LU from there
-    on, with scipy imported on first use.  The sparse matrix is built from
-    intp / float64 arrays of the triplets, converted once; given Python
-    lists, scipy converts them several times over.  A singular A raises
-    SingularSystem."""
+    triplets (rows[k], cols[k], vals[k]), lists or arrays; entries at one
+    position add up in triplet order.  Dense LAPACK below SPARSE_MIN_ROWS,
+    sparse LU from there on, with scipy imported on first use.  The sparse
+    matrix is built from intp / float64 arrays of the triplets, converted
+    once; given Python lists, scipy converts them several times over.  A
+    singular A raises SingularSystem."""
     b = np.asarray(b, dtype=float)
     if n < SPARSE_MIN_ROWS:
         a = np.zeros((n, n))
@@ -203,8 +214,18 @@ def _chain_values(
     ``fixed`` state, that state's value.  So x = b + Q x, where Q keeps the
     edges between ``solve`` states and b sums p * reward over all edges; an
     edge leaving ``solve`` ends the run, and the chain must leave ``solve``
-    almost surely.  The triplets are the diagonal, then the edges row by
-    row in CSR order."""
+    almost surely.  The system is assembled on lists below
+    ``SPARSE_MIN_ROWS`` rows and on arrays from there on; both give the
+    same triplets and ``b``, bit for bit."""
+    assemble = _chain_system if len(solve) < SPARSE_MIN_ROWS else _chain_arrays
+    return _linsolve(len(solve), *assemble(fm, solve, policy, fixed, cost))
+
+
+def _chain_system(fm: FiniteMdp, solve, policy, fixed, cost=None) -> tuple[list, list, list, list]:
+    """The COO triplets (rows, cols, vals) and right-hand side ``b`` of
+    ``_chain_values``' system, on lists.  The triplets are the diagonal,
+    then the edges row by row in CSR order; ``b`` sums a random row's terms
+    in edge order, the cost before the fixed value on each edge."""
     indptr, succ, prob, controlled = fm.indptr, fm.succ, fm.prob, fm.controlled
     m = len(solve)
     pos = dict(zip(solve, range(m)))
@@ -233,7 +254,62 @@ def _chain_values(
                 cols.append(j)
                 vals.append(-p)
         b[k] = acc
-    return _linsolve(m, rows, cols, vals, b)
+    return rows, cols, vals, b
+
+
+def _chain_arrays(fm: FiniteMdp, solve, policy, fixed, cost=None) -> tuple[np.ndarray, ...]:
+    """``_chain_system`` on the numpy arrays of ``fm.arrays()``: the same
+    triplets in the same order and the same ``b``.  Each edge of a solved
+    row is one entry, a controlled row's pick standing in for its edges;
+    ``b`` of the random rows is ``np.bincount`` over their edges' terms in
+    edge order, cost then fixed value, which adds them in the order of the
+    list assembly.  Edges into no fixed state add a fixed term of exactly
+    0.0, which changes no sum, since one that starts at 0.0 never reaches
+    -0.0."""
+    arrays = fm.arrays()
+    n, m = len(fm.states), len(solve)
+    sel = np.asarray(solve, dtype=np.intp)
+    is_controlled = arrays.controlled[sel]
+    lo, hi = arrays.indptr[sel], arrays.indptr[sel + 1]
+    # Entries per solved row, and the row and the CSR position of each.
+    count = np.where(is_controlled, 1, hi - lo)
+    first = np.cumsum(count) - count
+    row = np.repeat(np.arange(m), count)
+    on_pick = np.repeat(is_controlled, count)
+    on_edge = ~on_pick
+    edge = (np.repeat(lo - first, count) + np.arange(len(row)))[on_edge]
+    # A pick outside the state space (None) is the extra state n.
+    picks = [policy[i] for i in sel[is_controlled].tolist()]
+    pick_target = np.array([n if t is None else t for t, _ in picks], dtype=np.intp)
+    pick_cost = np.array([c for _, c in picks], dtype=np.float64)
+    target = np.empty(len(row), dtype=np.intp)
+    target[on_edge] = arrays.succ[edge]
+    target[on_pick] = pick_target
+    p = np.empty(len(row))
+    p[on_edge] = arrays.prob[edge]
+    p[on_pick] = 1.0
+    # Positions in the system, -1 outside ``solve``; values of the fixed
+    # states, 0.0 elsewhere.
+    pos = np.full(n + 1, -1, dtype=np.intp)
+    pos[sel] = np.arange(m)
+    value = np.zeros(n + 1)
+    if fixed:
+        value[np.fromiter(fixed, np.intp, len(fixed))] = list(fixed.values())
+    col = pos[target]
+    inside = col >= 0
+    diagonal = np.arange(m)
+    rows = np.concatenate([diagonal, row[inside]])
+    cols = np.concatenate([diagonal, col[inside]])
+    vals = np.concatenate([np.ones(m), -p[inside]])
+    edge_target, edge_p = target[on_edge], p[on_edge]
+    terms = [edge_p * value[edge_target]]
+    if cost is not None:
+        terms.insert(0, edge_p * np.asarray(cost, dtype=np.float64)[edge])
+    # Without random edges, bincount returns integers.
+    b = np.bincount(np.repeat(row[on_edge], len(terms)),
+                    np.stack(terms, axis=1).ravel(), minlength=m).astype(np.float64)
+    b[is_controlled] = pick_cost + value[pick_target]
+    return rows, cols, vals, b
 
 
 # ---------------------------------------------------------------------------
@@ -257,7 +333,10 @@ def _absorption(
     controlled state i outside ``fixed`` moves to ``policy[i]`` = (successor
     index or None, 0.0).  The ``fixed`` states absorb with their values, and
     their rows are never read; states that cannot reach them get the
-    least-fixed-point value 0."""
+    least-fixed-point value 0.  From ``SPARSE_MIN_ROWS`` states on, the
+    reach and the clamp run on arrays, with the same results."""
+    if len(fm.states) >= SPARSE_MIN_ROWS:
+        return _absorption_arrays(fm, policy, fixed)
     picked: dict[int | None, list[int]] = {}
     for i, (t, _) in policy.items():
         picked.setdefault(t, []).append(i)
@@ -272,6 +351,47 @@ def _absorption(
         for i, v in zip(solve, _chain_values(fm, solve, policy, fixed)):
             x[i] = float(min(max(v, 0.0), top))
     return x
+
+
+def _absorption_arrays(fm: FiniteMdp, policy, fixed) -> list[float]:
+    """``_absorption`` on arrays.  The clamp ``min(max(v, 0), top)`` keeps
+    Python's rule, which returns the first argument unless the second is
+    strictly greater, so NaN and -0.0 come out as they do on lists."""
+    reach = _reaching(fm, policy, fixed)
+    reach[list(fixed)] = False
+    solve = np.flatnonzero(reach).tolist()
+    x = np.zeros(len(fm.states))
+    if solve:
+        top = max(fixed.values(), default=1.0)
+        v = _chain_values(fm, solve, policy, fixed)
+        v = np.where(0.0 > v, 0.0, v)
+        x[solve] = np.where(top < v, top, v)
+    x = x.tolist()
+    for i, v in fixed.items():
+        x[i] = v
+    return x
+
+
+def _reaching(fm: FiniteMdp, policy, fixed) -> np.ndarray:
+    """Which states of ``fm`` (bool by index) reach the ``fixed`` states
+    along positive random edges and the picks of ``policy``: the backward
+    reach of ``_absorption``, as scipy's breadth-first search of the
+    reversed edges from an extra root linked to every fixed state."""
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import breadth_first_order
+
+    n = len(fm.states)
+    arrays = fm.arrays()
+    # Node n stands for a pick outside the state space, node n + 1 is the root.
+    pickers = np.fromiter(policy, np.intp, len(policy))
+    picks = np.fromiter((n if t is None else t for t, _ in policy.values()), np.intp, len(policy))
+    seeds = np.fromiter(fixed, np.intp, len(fixed))
+    heads = np.concatenate([arrays.random_target, picks, np.full(len(seeds), n + 1)])
+    tails = np.concatenate([arrays.random_source, pickers, seeds])
+    reversed_edges = csr_matrix((np.ones(len(heads)), (heads, tails)), shape=(n + 2, n + 2))
+    hit = np.zeros(n + 2, dtype=bool)
+    hit[breadth_first_order(reversed_edges, n + 1, return_predecessors=False)] = True
+    return hit[:n]
 
 
 def evaluate_md(
@@ -549,7 +669,7 @@ def interval_value(
             lo = safety_value(fm, avoid | {fm.frontier})[s]
         else:
             lo = hi
-    return ValueInterval(lower=min(lo, hi), upper=max(lo, hi), radius=last)
+    return ValueInterval(lower=lo, upper=hi, radius=last)
 
 
 def _ring_estimate(fm: FiniteMdp, values, lower: float, exclude) -> float:
@@ -594,7 +714,7 @@ def return_probability(mdp: Mdp, s: StateId, radii: Iterable[int]) -> ReturnAnal
     values, _ = optimal_boundary_value(_extended(fm, entry, s), {s: 1.0}, True)
     lower = values[entry]
     upper = _ring_estimate(fm, values, lower, {s})
-    interval = ValueInterval(lower=min(lower, upper), upper=max(lower, upper), radius=radius)
+    interval = ValueInterval(lower=lower, upper=upper, radius=radius)
     if interval.upper < 1.0:
         b = 1.0 / (1.0 - interval.upper) ** 2
         r = 1.0 / (1.0 - interval.upper)

@@ -7,7 +7,7 @@ import pytest
 from transientmdp import LazyMdp, StateKind, cli
 from transientmdp.cli import main
 from transientmdp.core import _Layers, successor_states
-from transientmdp.gadgets import build_gadget
+from transientmdp.gadgets import REGISTRY, build_gadget
 from transientmdp.synthesis import BubbleSchedule, _one_bit_on
 from transientmdp.verify import random_finite_mdp
 
@@ -224,6 +224,32 @@ def test_synthesize_one_bit_records_mode_flips(tmp_path):
                     flips[f"{mode}:{s.ordinal}"] = sorted(changed)
     assert flips and doc["flip"] == flips
     assert doc["initial_mode"] == strategy.initial_mode
+
+
+def test_gadget_start_state_keeps_its_label(tmp_path):
+    # The start state is the walk's own w_0, so the label-prefix goal counts
+    # it: the first level's goal frontier holds w_0 as well as w_1, and in
+    # mode 1 the strategy flips its mode on the step from w_0 to w_1.
+    scenario = tmp_path / "one_bit.json"
+    scenario.write_text(json.dumps({
+        "seed": 3,
+        "mdp": {"gadget": "gamblers_ruin", "params": {"p": 0.7}},
+        "task": {"kind": "synthesize", "method": "one_bit", "state": 0, "epsilon": 0.1,
+                 "objective": {"type": "buechi", "label_prefix": "w_"}},
+    }))
+    assert run_cli(["--out-dir", tmp_path, "run", scenario]) == 0
+    plan = json.loads((tmp_path / "bubble_plan.json").read_text())
+    assert plan["levels"][0]["F_size"] == 2
+    assert json.loads((tmp_path / "strategy.json").read_text())["flip"]["1:0"] == [1]
+
+
+@pytest.mark.parametrize("name", sorted(REGISTRY))
+def test_gadget_states_carry_their_labels(name):
+    mdp, meta = build_gadget(name, {"p": 0.7} if name == "gamblers_ruin" else None)
+    for o in filter(meta.is_state, range(12)):
+        s = cli._state(mdp, meta, o)
+        assert s.ordinal == o and s.label, (name, o)
+        assert s is cli._state(mdp, meta, o)
 
 
 def test_synthesize_plastering_on_finite_file(tmp_path):

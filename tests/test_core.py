@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 from collections import Counter
@@ -243,6 +244,8 @@ MALFORMED = {
     "random-list": (StateKind.RANDOM, [w(4)], ValueError),
     "controlled-distribution": (StateKind.CONTROLLED, Distribution([(w(4), 1.0)]), ValueError),
     "empty-list": (StateKind.CONTROLLED, [], ValueError),
+    "empty-distribution": (StateKind.RANDOM, Distribution([], check=False), ValueError),
+    "no-kind": (None, Distribution([(w(4), 1.0)]), ValueError),
     "controlled-family": (
         StateKind.CONTROLLED,
         InfiniteSuccessors(lambda: (w(k) for k in itertools.count(4)), random=False),
@@ -263,6 +266,48 @@ def test_truncate_rejects_malformed_answers(case, radius):
     kind, answer, error = MALFORMED[case]
     with pytest.raises(error):
         truncate(_walk_with_w3(kind, answer), {w(0)}, radius)
+
+
+def _truncation_digest(fm: FiniteMdp) -> str:
+    """SHA-256 prefix of a truncation's states (ordinal, label, synthetic
+    kind), kinds, rows with ``float.hex`` probabilities, and frontier."""
+    h = hashlib.sha256()
+    for s in fm.states:
+        h.update(repr((s.ordinal, s.label, getattr(s, "kind", None))).encode())
+    for part in (fm.controlled, fm.indptr, fm.succ, [p.hex() for p in fm.prob],
+                 fm.frontier and (fm.frontier.ordinal, fm.frontier.label)):
+        h.update(repr(part).encode())
+    return h.hexdigest()[:16]
+
+
+def _truncation_cases():
+    from transientmdp.synthesis import SafetySchedule, _prefix_restricted
+    from transientmdp.transforms import reduce_to_finitely_branching
+
+    fan = _prefix_restricted(safety_fan()[0], SafetySchedule(radii=(20, 40), synthesis_radius=6))
+    maps = reduce_to_finitely_branching(transience_fan()[0])
+    return {
+        "gambler-r3200": (gamblers_ruin(0.6)[0], w(0), 3200),
+        "ladder-r200": (no_optimal_ladder()[0], ladder_state("ell", 0), 200),
+        "safety-fan-r40": (fan, StateId(0, "fan"), 40),
+        "reduced-fan-r40": (maps.reduced, maps.embed(StateId(0, "fan")), 40),
+    }
+
+
+# (states, digest) of each truncation; any change in a row, a probability
+# bit, a label or the row order shows up here.
+TRUNCATION_PINS = {
+    "gambler-r3200": (3202, "b98f2640bc733f76"),
+    "ladder-r200": (501, "59150c0c9738739b"),
+    "safety-fan-r40": (336, "21b30a30b73cf361"),
+    "reduced-fan-r40": (99, "ee0eb126e095dc72"),
+}
+
+
+def test_truncations_pinned():
+    for name, (mdp, root, radius) in _truncation_cases().items():
+        fm = truncate(mdp, {root}, radius)
+        assert (len(fm.states), _truncation_digest(fm)) == TRUNCATION_PINS[name], name
 
 
 def test_truncation_bracketing_monotone_in_radius():

@@ -11,11 +11,11 @@ import numpy as np
 import pytest
 
 from transientmdp import Distribution, FiniteMdp, MdStrategy, Objective, StateId, StateKind
-from transientmdp.core import successor_states, truncate
+from transientmdp.core import _backward_reach, successor_states, truncate
 from transientmdp.errors import (
-    NoFiniteCostPolicy, NotSink, SingularSystem, TooLarge, TransientMdpError,
+    BadParameter, NoFiniteCostPolicy, NotSink, SingularSystem, TooLarge, TransientMdpError,
 )
-from transientmdp.gadgets import gamblers_ruin
+from transientmdp.gadgets import gamblers_ruin, ladder_state, no_optimal_ladder
 from transientmdp.simulate import derive_seed, mean_visits
 from transientmdp.solvers import (
     BoundedRewardSpec,
@@ -559,6 +559,24 @@ def test_interval_gambler_reach_restart():
     assert iv.width() < 1e-6
 
 
+def test_interval_false_safe_core_raises():
+    # s reaches the declared core c or the avoid state a with probability
+    # 1/2 each, and c leads to a: the declared lower bound 1/2 lies above
+    # the safety value 0, which an interval must not hide.
+    s, c, a = S(0, "s"), S(1, "c"), S(2, "a")
+    fm = tiny(
+        {
+            s: Distribution([(c, 0.5), (a, 0.5)]),
+            c: Distribution([(a, 1.0)]),
+            a: Distribution([(a, 1.0)]),
+        },
+        {s: StateKind.RANDOM, c: StateKind.RANDOM, a: StateKind.RANDOM},
+        [{a}],
+    )
+    with pytest.raises(BadParameter, match="inverted interval"):
+        interval_value(fm, s, Objective.safety({a}), [5], safe_core=lambda q: q == c)
+
+
 def test_interval_fair_walk_lower_tends_to_one():
     mdp, _ = gamblers_ruin(0.5)
     w0, w1 = StateId(0, "w_0"), StateId(1, "w_1")
@@ -719,15 +737,18 @@ def test_sparse_lu_from_arrays_matches_lists(monkeypatch):
 
 def test_markov_chain_reach_searches_the_graph_once(monkeypatch):
     # A Markov chain has nothing to choose: no extraction searches the graph,
-    # and its one evaluation searches the cached predecessor lists once.
+    # and its one evaluation searches the graph once: on the cached
+    # predecessor lists, or on arrays from SPARSE_MIN_ROWS states on.
     calls = []
-    search = solvers._backward_reach
 
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return search(*args, **kwargs)
+    def counting(search):
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return search(*args, **kwargs)
+        return counted
 
-    monkeypatch.setattr(solvers, "_backward_reach", counting)
+    for name in ("_backward_reach", "_reaching"):
+        monkeypatch.setattr(solvers, name, counting(getattr(solvers, name)))
     mdp, _ = gamblers_ruin(0.6)
     fm = truncate(mdp, {StateId(1, "w_1")}, 200)
     assert not any(fm.controlled)
@@ -735,6 +756,60 @@ def test_markov_chain_reach_searches_the_graph_once(monkeypatch):
     assert len(calls) == 1
     # The walk restarts from w_0, so it reaches the frontier surely.
     assert abs(values[StateId(1, "w_1")] - 1.0) <= 1e-9
+
+
+def _array_cases():
+    """(name, fm, policy, fixed, cost) inputs for the array assembly: random
+    finite MDPs with picks, some outside the state space (None), fixed
+    values and edge costs, and the ladder truncated at radius 200."""
+    for seed in range(8):
+        fm = random_finite_mdp(seed, n_states=12 + 5 * seed, p_controlled=0.6)
+        rng = random.Random(seed)
+        fixed = {len(fm.states) - 1: 1.0, len(fm.states) - 2: 0.25}
+        policy = {
+            i: (None if rng.random() < 0.2 else rng.choice(fm.row(i)), rng.choice([0.0, 0.5]))
+            for i in range(len(fm.states)) if fm.controlled[i] and i not in fixed
+        }
+        cost = [rng.choice([0.0, 0.125, 1.5]) for _ in fm.succ]
+        yield f"random-{seed}", fm, policy, fixed, None
+        yield f"random-{seed}-cost", fm, policy, fixed, cost
+    ladder, _ = no_optimal_ladder()
+    fm = truncate(ladder, {ladder_state("ell", 0)}, 200)
+    fixed = {fm.index[ladder_state("bot", 0)]: 1.0, fm.index[fm.frontier]: 0.5}
+    policy = {i: (fm.row(i)[-1], 0.0)
+              for i in range(len(fm.states)) if fm.controlled[i] and i not in fixed}
+    yield "ladder-r200", fm, policy, fixed, None
+
+
+@pytest.mark.parametrize("case", list(_array_cases()), ids=lambda case: case[0])
+def test_array_assembly_matches_lists_bit_for_bit(monkeypatch, case):
+    # With every system on the array path, the array assembly gives the
+    # list assembly's triplets and right-hand side, and so its solution;
+    # the array reach and clamp give the list path's absorption values.
+    monkeypatch.setattr(solvers, "SPARSE_MIN_ROWS", 1)
+    _, fm, policy, fixed, cost = case
+    picked = {}
+    for i, (t, _) in policy.items():
+        picked.setdefault(t, []).append(i)
+    reach = _backward_reach(None, fixed, preds=(fm.random_preds(), picked))
+    assert set(np.flatnonzero(solvers._reaching(fm, policy, fixed)).tolist()) == set(reach)
+    solve = [i for i in range(len(fm.states)) if i in reach and i not in fixed]
+    assert solve
+    lists = solvers._chain_system(fm, solve, policy, fixed, cost)
+    arrays = solvers._chain_arrays(fm, solve, policy, fixed, cost)
+    for got, want, dtype in zip(arrays, lists, (np.intp, np.intp, np.float64, np.float64)):
+        assert got.dtype == dtype and got.tobytes() == np.asarray(want, dtype).tobytes()
+    x = solvers._linsolve(len(solve), *lists)
+    assert solvers._linsolve(len(solve), *arrays).tobytes() == x.tobytes()
+    if cost is None:
+        top = max(fixed.values())
+        want = [0.0] * len(fm.states)
+        for i, v in zip(solve, x):
+            want[i] = float(min(max(v, 0.0), top))
+        for i, v in fixed.items():
+            want[i] = v
+        assert np.array(solvers._absorption(fm, policy, fixed)).tobytes() == \
+            np.array(want).tobytes()
 
 
 _SMALL_SOLVES = {
@@ -763,6 +838,34 @@ _SMALL_SOLVES = {
         "fan, _ = transience_fan()\n"
         "budgets = TransienceBudgets(radius=40, seed=1)\n"
         "transience_md(fan, StateId(0, 'fan'), 0.2, budgets=budgets)\n"
+    ),
+    # The ladder at the same radius, as in the mc_synthesis benchmark.
+    "ladder-radius-40": (
+        "from transientmdp.gadgets import ladder_state, no_optimal_ladder\n"
+        "from transientmdp.synthesis import TransienceBudgets, transience_md\n"
+        "ladder, _ = no_optimal_ladder()\n"
+        "budgets = TransienceBudgets(radius=40, seed=1)\n"
+        "transience_md(ladder, ladder_state('ell', 0), 0.1, budgets=budgets)\n"
+    ),
+    # The first 120-state instance of the finite_solvers benchmark corpus at
+    # seed 11, with its edge costs and rewards, through the four solves the
+    # benchmark runs on it.
+    "finite-corpus-120": (
+        "import random\n"
+        "from transientmdp.core import successor_states\n"
+        "from transientmdp.solvers import BoundedRewardSpec, CostLabel, "
+        "bounded_total_reward_md, min_expected_cost_md, reach_value, safety_value\n"
+        "from transientmdp.verify import random_finite_mdp\n"
+        "fm = random_finite_mdp(7642394755045063197, n_states=120, max_branching=3)\n"
+        "rng = random.Random(7653145674359888422)\n"
+        "cost = CostLabel({(s, t): rng.choice([0.0, 0.5, 1.0, 2.0])\n"
+        "                  for s in fm.states for t in successor_states(fm, s) if t != s})\n"
+        "rng = random.Random(2542306633379913461)\n"
+        "rewards = {fm.states[-1]: rng.random(), fm.states[-2]: rng.random()}\n"
+        "reach_value(fm, {fm.states[-1]})\n"
+        "safety_value(fm, {fm.states[-2]})\n"
+        "min_expected_cost_md(fm, cost)\n"
+        "bounded_total_reward_md(BoundedRewardSpec(frozenset(fm.states), rewards), fm)\n"
     ),
 }
 
