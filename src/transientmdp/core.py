@@ -24,6 +24,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
+from functools import cached_property
 from typing import Callable, Hashable, Iterable, Iterator, Mapping, NamedTuple, Sequence, TypeVar
 
 import numpy as np
@@ -91,6 +92,8 @@ class Distribution:
 
     Probabilities are doubles normalized to 1 within ``PROB_TOL``; gadget
     constructors may attach exact rationals for test oracles via ``exact``.
+    The running sums that ``sample`` draws by are built on first use, since
+    most answers are only read.
     """
 
     __slots__ = ("support", "exact", "_cum")
@@ -101,7 +104,12 @@ class Distribution:
         exact: Mapping[StateId, Fraction] | None = None,
         check: bool = True,
     ):
-        items = tuple([(s, float(p)) for s, p in support])
+        # A plain loop: in CPython 3.11 a comprehension costs one more call,
+        # and the oracles build a Distribution per answer.
+        items = []
+        for s, p in support:
+            items.append((s, float(p)))
+        items = tuple(items)
         if check:
             seen = set()
             total = 0.0
@@ -116,12 +124,18 @@ class Distribution:
                 raise BadModel(f"probabilities sum to {total}, not 1")
         self.support = items
         self.exact = dict(exact) if exact else None
-        cum = []
-        acc = 0.0
-        for _, p in items:
-            acc += p
-            cum.append(acc)
-        self._cum = cum
+        self._cum = None
+
+    def cumulative(self) -> list[float]:
+        """The running sums of the probabilities, in support order."""
+        cum = self._cum
+        if cum is None:
+            cum = self._cum = []
+            acc = 0.0
+            for _, p in self.support:
+                acc += p
+                cum.append(acc)
+        return cum
 
     def states(self) -> list[StateId]:
         return [s for s, _ in self.support]
@@ -134,7 +148,7 @@ class Distribution:
 
     def sample(self, u: float) -> StateId:
         # u uniform in [0,1); the final entry absorbs rounding slack.
-        for (s, _), c in zip(self.support, self._cum):
+        for (s, _), c in zip(self.support, self.cumulative()):
             if u < c:
                 return s
         return self.support[-1][0]
@@ -251,15 +265,16 @@ class RowArrays(NamedTuple):
 class FiniteMdp(Mdp):
     """Explicitly materialized finite MDP, held as compressed sparse rows.
 
-    State ``i`` is ``states[i]`` and ``index`` maps back; ``controlled[i]``
-    is its kind.  The successors of ``i`` are ``succ[indptr[i]:indptr[i +
-    1]]`` in successor order, with probabilities at the same positions of
-    ``prob`` (NaN on controlled edges).  All fields are plain lists, which
-    scalar loops index fastest; ``arrays()`` gives the rows as numpy arrays
-    for the solvers' large systems.  ``sinks`` are designated subsets closed
-    under the transition relation, and a truncation carries its
-    ``frontier`` sink.  No code edits the rows after construction; a
-    derived MDP is built on copied arrays.
+    State ``i`` is ``states[i]`` and ``index``, built on first use, maps
+    back; ``controlled[i]`` is its kind.  The successors of ``i`` are
+    ``succ[indptr[i]:indptr[i + 1]]`` in successor order, with
+    probabilities at the same positions of ``prob`` (NaN on controlled
+    edges).  All fields are plain lists, which scalar loops index fastest;
+    ``arrays()`` gives the rows as numpy arrays for the solvers' large
+    systems.  ``sinks`` are designated subsets closed under the transition
+    relation, and a truncation carries its ``frontier`` sink.  No code
+    edits the rows after construction; a derived MDP is built on copied
+    arrays.
     """
 
     def __init__(
@@ -302,12 +317,12 @@ class FiniteMdp(Mdp):
     def _adopt(self, states, controlled, indptr, succ, prob, sinks=(), frontier=None,
                index=None) -> None:
         self.states = states
-        self.index = {s: i for i, s in enumerate(states)} if index is None else index
+        if index is not None:
+            self.index = index
         self.controlled = controlled
         self.indptr, self.succ, self.prob = indptr, succ, prob
         self.sinks = [frozenset(t) for t in sinks]
         self.frontier = frontier
-        self.by_ordinal = {s.ordinal: s for s in states}
         # Derived from the rows on first use, never edited.
         self._answers: dict[StateId, object] = {}
         self._preds = None
@@ -320,6 +335,18 @@ class FiniteMdp(Mdp):
         fm = cls.__new__(cls)
         fm._adopt(states, controlled, indptr, succ, prob, sinks, frontier, index)
         return fm
+
+    # Cached in the instance on first use, so that later reads, on the
+    # finite solvers' hot paths, are plain attribute reads.
+    @cached_property
+    def index(self) -> dict[StateId, int]:
+        """The position of each state in ``states``."""
+        return {s: i for i, s in enumerate(self.states)}
+
+    @cached_property
+    def by_ordinal(self) -> dict[int, StateId]:
+        """The state at each ordinal."""
+        return {s.ordinal: s for s in self.states}
 
     @property
     def num_states(self) -> int:
@@ -512,12 +539,16 @@ class Objective:
     def buechi_transience(cls, goal) -> "Objective":
         return cls._over(cls.BUECHI_TRANSIENCE, goal)
 
-    def members_in(self, states: Iterable[StateId]) -> set[StateId]:
-        """The objective's state family intersected with ``states``."""
+    def rows_in(self, fm: FiniteMdp) -> set[int]:
+        """The rows of ``fm`` whose states belong to the objective's family,
+        its frontier (the last row, when there is one) aside."""
+        inner = len(fm.states) - (fm.frontier is not None)
         if self.states is not None:
-            return set(self.states) & set(states)
+            index = fm.index
+            return {j for t in self.states if (j := index.get(t, inner)) < inner}
         if self.predicate is not None:
-            return {s for s in states if self.predicate(s)}
+            states, predicate = fm.states, self.predicate
+            return {j for j in range(inner) if predicate(states[j])}
         return set()
 
 
@@ -620,17 +651,23 @@ class _Layers:
 
     Growing layer d + 1 asks the oracle for the successors of every state of
     layer d, once.  ``order`` lists the states in the order they were first
-    reached, ``ids`` maps each state to its position there, layer d is
-    ``order[ends[d - 1]:ends[d]]``, and ``answers[i]`` and ``targets[i]``
-    keep the successor answer of ``order[i]`` and the positions of its
-    successors."""
+    reached, ``ids`` maps the ordinal of each state to its position there,
+    layer d is ``order[ends[d - 1]:ends[d]]``, and ``answers[i]`` and
+    ``targets[i]`` keep the successor answer of ``order[i]`` and the
+    positions of its successors.  The search keys states by ordinal, which
+    hashes an int instead of a StateId; a state met at a known ordinal must
+    be the state kept there, or equal to it, else the MDP has two states at
+    one ordinal and BadModel is raised."""
 
     def __init__(self, mdp: Mdp, roots: Iterable[StateId]):
         self.mdp = mdp
         self.order = list(set(roots))
         if not self.order:
             raise BadParameter("bubble of an empty set")
-        self.ids = {s: i for i, s in enumerate(self.order)}
+        self.ids = {}
+        for i, s in enumerate(self.order):
+            if self.ids.setdefault(s.ordinal, i) != i:
+                raise _shared_ordinal(self.order[self.ids[s.ordinal]], s)
         self.ends = [len(self.order)]
         self.answers: list = []
         self.targets: list[list[int]] = []
@@ -638,24 +675,35 @@ class _Layers:
     def grow(self, d: int) -> None:
         """Reach layer ``d``, or stop at the first empty layer."""
         successors_of, order, ids = self.mdp.successors_of, self.order, self.ids
-        answers, targets = self.answers, self.targets
-        while len(self.ends) <= d and len(answers) < len(order):
-            for i in range(len(answers), self.ends[-1]):
+        answers, targets, ends = self.answers, self.targets, self.ends
+        i = len(answers)
+        # A walk's layers hold a state or two each, so the loop over a layer
+        # costs about as much as its states: one flat loop keeps it cheap.
+        while len(ends) <= d and i < len(order):
+            end = ends[-1]
+            while i < end:
                 s = order[i]
+                i += 1
                 answer = successors_of(s)
                 row = []
                 # A Distribution's support is read directly; other answers
                 # go through ``_states_of``, which refuses infinite ones.
-                for t in ([t for t, _ in answer.support] if isinstance(answer, Distribution)
-                          else _states_of(answer, s)):
-                    j = ids.get(t)
+                if isinstance(answer, Distribution):
+                    pairs = answer.support
+                else:
+                    pairs = [(t, None) for t in _states_of(answer, s)]
+                for t, _ in pairs:
+                    o = t.ordinal
+                    j = ids.get(o)
                     if j is None:
-                        j = ids[t] = len(order)
+                        j = ids[o] = len(order)
                         order.append(t)
+                    elif order[j] is not t and order[j] != t:
+                        raise _shared_ordinal(order[j], t)
                     row.append(j)
                 answers.append(answer)
                 targets.append(row)
-            self.ends.append(len(order))
+            ends.append(len(order))
 
     def end(self, d: int) -> int:
         """The number of states within ``d`` steps."""
@@ -664,6 +712,10 @@ class _Layers:
 
     def within(self, k: int) -> set[StateId]:
         return set(self.order[:self.end(k)])
+
+
+def _shared_ordinal(kept: StateId, met: StateId) -> BadModel:
+    return BadModel(f"states {kept!r} and {met!r} share the ordinal {met.ordinal}")
 
 
 def bubble(mdp: Mdp, roots: Iterable[StateId], k: int) -> set[StateId]:
@@ -697,6 +749,9 @@ def truncate(
     types; a random state's non-empty Distribution passes them all, so it
     skips them.  A caller that already searched from ``roots`` may pass its
     ``layers``, which are grown as far as needed instead of searched again.
+    The result needs no ``validate``: the search keeps one state per
+    ordinal, the frontier's ordinal is above every kept one, and the
+    frontier loops on itself.
     """
     if frontier not in (OPTIMISTIC, PESSIMISTIC):
         raise BadParameter(f"unknown frontier policy {frontier!r}")
@@ -731,9 +786,7 @@ def truncate(
             else:
                 yield False, ks, [p for _, p in answer.support]
 
-    fm = _lumped(states, rows(), mint("frontier", states[-1].ordinal + 1))
-    fm.validate()
-    return fm
+    return _lumped(states, rows(), mint("frontier", states[-1].ordinal + 1))
 
 
 def _lumped(states: list[StateId], rows, sink: StateId) -> FiniteMdp:

@@ -395,9 +395,12 @@ def _step_runs(chain, first, horizon, runs, seed, batch, proxy=None, flag_from=N
             # run's index in the batch.  State-major, so that when the live
             # runs occupy a band of nearby states (every chain here), one
             # step's cells share one narrow band of the table instead of one
-            # page per run.  It grows as the runs discover states; np.zeros
-            # leaves the pages past the copied cells unwritten.
-            rows = max(64, len(chain.states))
+            # page per run.  The vector path knows its states up front.  The
+            # row engine discovers them, so it reserves the states that a
+            # batch's _CELLS cells hold and grows the table only past them:
+            # np.zeros commits a page only when a run touches it, while
+            # growing by copies keeps two tables live.
+            rows = max(64, len(chain.states) if isinstance(chain, _Ordinals) else _CELLS // n)
             table = np.zeros(rows * n, dtype=dtype)
             table[first * n:(first + 1) * n] = 1
         for step in range(horizon):
@@ -540,7 +543,7 @@ class _Chain:
             ]
             if not targets:
                 raise BadModel(f"state {s} has no successor")
-            self._write(k, targets, succ._cum[:-1])  # the last stays +inf
+            self._write(k, targets, succ.cumulative()[:-1])  # the last stays +inf
         elif isinstance(succ, InfiniteSuccessors):
             self.open[k] = (succ.iter_weighted(), [], [])
         else:

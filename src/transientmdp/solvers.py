@@ -32,11 +32,14 @@ solved by ``_linsolve``: dense LAPACK below ``SPARSE_MIN_ROWS`` (200) rows,
 sparse LU at or above it, with scipy imported on first use.  Below the
 cutoff the system is assembled on lists; from it on, on the numpy arrays
 that ``FiniteMdp.arrays`` caches, where the backward reach (by scipy's
-breadth-first search) and the clamp of an absorption solve also run from
-that many states on.  Both assemblies give the same triplets and right-hand
-side, bit for bit.  The sparse path may differ from a dense solve in the
-last bits.  A system singular to working precision raises
-``SingularSystem``.
+breadth-first search) and the clamp of an absorption solve, and the
+extraction's distances to the boundary (by scipy's unweighted shortest
+paths), also run from that many states on.  Both assemblies give the same
+triplets and right-hand side, bit for bit.  The sparse path may differ from
+a dense solve in the last bits.  A system singular to working precision
+raises ``SingularSystem``.  The truncation bounds (``interval_value``,
+``return_probability``) read the frontier as the last row and keep their
+values as index lists.
 """
 from __future__ import annotations
 
@@ -375,23 +378,55 @@ def _absorption_arrays(fm: FiniteMdp, policy, fixed) -> list[float]:
 def _reaching(fm: FiniteMdp, policy, fixed) -> np.ndarray:
     """Which states of ``fm`` (bool by index) reach the ``fixed`` states
     along positive random edges and the picks of ``policy``: the backward
-    reach of ``_absorption``, as scipy's breadth-first search of the
-    reversed edges from an extra root linked to every fixed state."""
-    from scipy.sparse import csr_matrix
+    reach of ``_absorption``, as scipy's breadth-first search of
+    ``_backward_graph``."""
     from scipy.sparse.csgraph import breadth_first_order
 
     n = len(fm.states)
-    arrays = fm.arrays()
-    # Node n stands for a pick outside the state space, node n + 1 is the root.
     pickers = np.fromiter(policy, np.intp, len(policy))
+    # Node n stands for a pick outside the state space.
     picks = np.fromiter((n if t is None else t for t, _ in policy.values()), np.intp, len(policy))
-    seeds = np.fromiter(fixed, np.intp, len(fixed))
-    heads = np.concatenate([arrays.random_target, picks, np.full(len(seeds), n + 1)])
-    tails = np.concatenate([arrays.random_source, pickers, seeds])
-    reversed_edges = csr_matrix((np.ones(len(heads)), (heads, tails)), shape=(n + 2, n + 2))
+    graph = _backward_graph(fm, pickers, picks, fixed)
     hit = np.zeros(n + 2, dtype=bool)
-    hit[breadth_first_order(reversed_edges, n + 1, return_predecessors=False)] = True
+    hit[breadth_first_order(graph, n + 1, return_predecessors=False)] = True
     return hit[:n]
+
+
+def _seed_distances(fm: FiniteMdp, pools: Mapping[int, list], seeds) -> list[float]:
+    """The breadth-first distance, by index, of every state of ``fm`` to
+    ``seeds`` through positive random edges and the edges i -> t of the
+    pools (``pools[i]`` lists (t, cost) edges), ``math.inf`` where
+    unreached: ``_backward_reach``'s distances, as scipy's unweighted
+    shortest paths from the root of ``_backward_graph``, less one."""
+    from scipy.sparse.csgraph import dijkstra
+
+    n = len(fm.states)
+    sources = [i for i, pool in pools.items() for _ in pool]
+    targets = [t for pool in pools.values() for t, _ in pool]
+    graph = _backward_graph(fm, np.array(sources, dtype=np.intp), np.array(targets, dtype=np.intp),
+                            seeds)
+    return (dijkstra(graph, indices=n + 1, unweighted=True)[:n] - 1.0).tolist()
+
+
+def _backward_graph(fm: FiniteMdp, sources: np.ndarray, targets: np.ndarray, seeds):
+    """The reversed graph, as a scipy CSR matrix, of the positive random
+    edges of ``fm`` and of the edges ``sources[k] -> targets[k]``, plus a
+    root, node n + 1, with an edge to every state of ``seeds``.  Node n is
+    free for a target outside the state space."""
+    from scipy.sparse import csr_matrix
+
+    n = len(fm.states)
+    arrays = fm.arrays()
+    seeds = np.fromiter(seeds, np.intp, len(seeds))
+    heads = np.concatenate([arrays.random_target, targets, np.full(len(seeds), n + 1)])
+    tails = np.concatenate([arrays.random_source, sources, seeds])
+    # The rows built directly, in the int32 indices the searches read: on
+    # these graphs scipy's conversion from triplets takes longer than the
+    # search.
+    indptr = np.zeros(n + 3, dtype=np.int32)
+    np.cumsum(np.bincount(heads, minlength=n + 2), out=indptr[1:])
+    tails = tails[np.argsort(heads, kind="stable")].astype(np.int32)
+    return csr_matrix((np.ones(len(tails)), tails, indptr), shape=(n + 2, n + 2))
 
 
 def evaluate_md(
@@ -475,14 +510,25 @@ def evaluate_md_cost(
 
 
 def _howard(fm: FiniteMdp, options, policy, evaluate, seeds, maximize: bool):
-    """Howard's policy iteration from the MD ``policy``, then one extraction.
+    """Howard's policy iteration from the MD ``policy`` (``_improve``), then
+    one extraction: the final values and the MD strategy of the choices
+    ``_extract`` makes from them.  So the strategy depends only on the
+    final values."""
+    x = _improve(options, policy, evaluate, maximize)
+    states = fm.states
+    choice = _extract(fm, x, options, seeds, maximize)
+    return x, MdStrategy({states[i]: states[t] for i, (t, _) in choice.items()})
+
+
+def _improve(options, policy, evaluate, maximize: bool) -> list[float]:
+    """The exact values, by index, of the policy that Howard's rounds reach
+    from the MD ``policy``, which they edit in place.
 
     ``evaluate(policy)`` returns the exact values of ``policy`` by index.
     Each round, a state of ``policy`` switches to its best option only when
     that improves on its current edge by more than IMPROVE_TOL relative, so
-    rounding cannot pass for an improvement.  When no state switches, returns
-    the final values and the MD strategy of the choices ``_extract`` makes
-    from them.  A policy that comes back means rounding keeps it from
+    rounding cannot pass for an improvement.  The rounds stop when no state
+    switches.  A policy that comes back means rounding keeps it from
     settling, and raises PolicyIterationStalled.
     """
     sign = -1.0 if maximize else 1.0
@@ -507,9 +553,7 @@ def _howard(fm: FiniteMdp, options, policy, evaluate, seeds, maximize: bool):
                 policy[i] = best
                 switched = True
         if not switched:
-            states = fm.states
-            choice = _extract(fm, x, options, seeds, maximize)
-            return x, MdStrategy({states[i]: states[t] for i, (t, _) in choice.items()})
+            return x
 
 
 def _extract(fm: FiniteMdp, x, options, seeds, maximize: bool) -> dict:
@@ -519,22 +563,33 @@ def _extract(fm: FiniteMdp, x, options, seeds, maximize: bool) -> dict:
     TIE_TOL, relative, of the best.  Among them it takes the one whose
     successor is nearest to ``seeds`` by BFS through positive random edges
     and candidate edges, then the smallest ordinal.  Progress in distance
-    keeps tied choices from closing a cycle that never reaches the seeds."""
+    keeps tied choices from closing a cycle that never reaches the seeds.
+    From ``SPARSE_MIN_ROWS`` states on, the distances come from
+    ``_seed_distances`` on arrays, with the same values."""
     if not options:
         return {}
     sign = -1.0 if maximize else 1.0
-    pools, candidates = {}, {}
+    pools = {}
     for i, opts in options.items():
-        scored = [(sign * (c + x[t]), (t, c)) for t, c in opts]
-        best = min(v for v, _ in scored)
+        values = [sign * (c + x[t]) for t, c in opts]
+        best = min(values)
         bar = best + TIE_TOL * abs(best)
-        pools[i] = pool = [edge for v, edge in scored if v <= bar]
-        for t, _ in pool:
-            candidates.setdefault(t, []).append(i)
-    dist = _backward_reach(None, seeds, preds=(fm.random_preds(), candidates))
+        pools[i] = [edge for v, edge in zip(values, opts) if v <= bar]
+    if len(fm.states) >= SPARSE_MIN_ROWS:
+        far = _seed_distances(fm, pools, seeds).__getitem__
+    else:
+        candidates = {}
+        for i, pool in pools.items():
+            for t, _ in pool:
+                candidates.setdefault(t, []).append(i)
+        dist = _backward_reach(None, seeds, preds=(fm.random_preds(), candidates))
+
+        def far(t):
+            return dist.get(t, math.inf)
     states = fm.states
     return {
-        i: min(pool, key=lambda edge: (dist.get(edge[0], math.inf), states[edge[0]].ordinal))
+        i: pool[0] if len(pool) == 1 else
+        min(pool, key=lambda edge: (far(edge[0]), states[edge[0]].ordinal))
         for i, pool in pools.items()
     }
 
@@ -557,26 +612,36 @@ def optimal_boundary_value(
     return dict(zip(fm.states, x)), sigma
 
 
+def _boundary_values(fm: FiniteMdp, fixed: Mapping[int, float], maximize: bool) -> list[float]:
+    """The values of ``optimal_boundary_value`` by index, for the boundary
+    ``fixed`` (index -> value), without its strategy: the bound queries
+    read a few values and no choice."""
+    options, policy, evaluate = _boundary_problem(fm, fixed, maximize)
+    return _improve(options, policy, evaluate, maximize)
+
+
 def _boundary_problem(fm: FiniteMdp, fixed: Mapping[int, float], maximize: bool):
     """Max- or min-reach with the boundary ``fixed`` (index -> value) as
     input to ``_howard``: the options of every controlled state outside the
     boundary, the start policy and the exact evaluation.  The start takes
     the choices of the boundary values alone: toward the boundary when
     maximizing, away from it when minimizing."""
-    inner = [i for i in range(len(fm.states)) if i not in fixed]
+    n, controlled = len(fm.states), fm.controlled
     # For min-reach, a state from which the boundary is surely avoidable
     # (the largest such closed set) must keep to such states: value 0.
-    zero = set() if maximize else _stay_region(fm, inner)
+    zero = set() if maximize else _stay_region(fm, [i for i in range(n) if i not in fixed])
     options = {
         i: [(t, 0.0) for t in fm.row(i) if i not in zero or t in zero]
-        for i in inner if fm.controlled[i]
+        for i in range(n) if controlled[i] and i not in fixed
     }
-    x = [fixed.get(i, 0.0) for i in range(len(fm.states))]
+    # A Markov chain has no choice to start from.
+    start = _extract(fm, [fixed.get(i, 0.0) for i in range(n)], options, fixed,
+                     maximize) if options else {}
 
     def evaluate(policy):
         return _absorption(fm, policy, fixed)
 
-    return options, _extract(fm, x, options, fixed, maximize), evaluate
+    return options, start, evaluate
 
 
 # ---------------------------------------------------------------------------
@@ -638,35 +703,38 @@ def interval_value(
         raise BadParameter("empty radius schedule")
     last = radii[-1]
     fm = truncate(mdp, {s}, last)
-    members = objective.members_in([q for q in fm.states if q != fm.frontier])
+    # The solves run on indices; the frontier, when there is one, is the
+    # last row, ``inner``.
+    inner = len(fm.states) - (fm.frontier is not None)
+    members = objective.rows_in(fm)
+    i = fm.index[s]
     if objective.kind == Objective.REACH:
         # First-visit semantics: boundary states absorb, so the target need
         # not be a sink inside the truncation.
-        values, _ = optimal_boundary_value(fm, {t: 1.0 for t in members}, True)
-        lo = hi = values[s]
+        target = dict.fromkeys(members, 1.0)
+        values = _boundary_values(fm, target, True)
+        lo = hi = values[i]
         if fm.frontier is not None:
             # The escape-wins upper bound is vacuous whenever escape to
             # infinity has positive probability; refine it with the
             # ring-consistent estimate (an estimate, not a certificate, for
             # arbitrary MDPs; see return_probability).
-            escape_wins, _ = optimal_boundary_value(
-                fm, {t: 1.0 for t in [*members, fm.frontier]}, True
-            )
-            hi = min(escape_wins[s], _ring_estimate(fm, values, lo, members))
+            escape_wins = _boundary_values(fm, {**target, inner: 1.0}, True)
+            hi = min(escape_wins[i], _ring_estimate(fm, values, lo, members))
     else:
-        avoid = members
-        hi = safety_value(fm, avoid)[s]
+        avoid = dict.fromkeys(members, 1.0)
+        hi = 1.0 - _boundary_values(fm, avoid, False)[i]
         if safe_core is not None:
             # Sound lower bound: reach the declared safe core before the
             # avoid set or the frontier.
-            core = {q for q in fm.states if q != fm.frontier and safe_core(q)}
-            boundary = {t: 1.0 for t in core if t not in avoid}
-            boundary.update({t: 0.0 for t in avoid})
+            states = fm.states
+            boundary = {j: 1.0 for j in range(inner) if safe_core(states[j]) and j not in avoid}
+            boundary.update(dict.fromkeys(avoid, 0.0))
             if fm.frontier is not None:
-                boundary[fm.frontier] = 0.0
-            lo = optimal_boundary_value(fm, boundary, True)[0][s]
+                boundary[inner] = 0.0
+            lo = _boundary_values(fm, boundary, True)[i]
         elif fm.frontier is not None:
-            lo = safety_value(fm, avoid | {fm.frontier})[s]
+            lo = 1.0 - _boundary_values(fm, {**avoid, inner: 1.0}, False)[i]
         else:
             lo = hi
     return ValueInterval(lower=lo, upper=hi, radius=last)
@@ -675,16 +743,16 @@ def interval_value(
 def _ring_estimate(fm: FiniteMdp, values, lower: float, exclude) -> float:
     """Ring-consistent upper estimate ``L + (1 - L) * max_ring v(t)``: escapes
     through the frontier are assumed to succeed at most as often as the
-    likeliest frontier-adjacent state outside ``exclude`` does from inside."""
+    likeliest frontier-adjacent state outside ``exclude`` does from inside.
+    ``values`` and ``exclude`` are by index; the frontier is the last row."""
     if fm.frontier is None:
         return lower
     if lower >= 1.0 - 1e-12:
         return 1.0
-    f, indptr = fm.index[fm.frontier], fm.indptr
+    f, indptr = len(fm.states) - 1, fm.indptr
     # The rows holding an edge to the frontier, in one scan of the edges.
     rows = [bisect_right(indptr, k) - 1 for k, t in enumerate(fm.succ) if t == f]
-    ring = [fm.states[i] for i in rows if i != f]
-    rho = max((values[q] for q in ring if q not in exclude), default=0.0)
+    rho = max((values[i] for i in rows if i != f and i not in exclude), default=0.0)
     return min(1.0, lower + (1.0 - lower) * rho)
 
 
@@ -710,10 +778,13 @@ def return_probability(mdp: Mdp, s: StateId, radii: Iterable[int]) -> ReturnAnal
         raise BadParameter("empty radius schedule")
     radius = radii[-1]
     fm = truncate(mdp, {s}, radius)
-    entry = mint("entry", max(q.ordinal for q in fm.states) + 1, f"entry({s.label or s.ordinal})")
-    values, _ = optimal_boundary_value(_extended(fm, entry, s), {s: 1.0}, True)
-    lower = values[entry]
-    upper = _ring_estimate(fm, values, lower, {s})
+    # The rows are in ordinal order, the frontier's last, so the last row
+    # has the largest ordinal.
+    entry = mint("entry", fm.states[-1].ordinal + 1, f"entry({s.label or s.ordinal})")
+    i = fm.index[s]
+    values = _boundary_values(_extended(fm, entry, s), {i: 1.0}, True)
+    lower = values[-1]
+    upper = _ring_estimate(fm, values, lower, {i})
     interval = ValueInterval(lower=lower, upper=upper, radius=radius)
     if interval.upper < 1.0:
         b = 1.0 / (1.0 - interval.upper) ** 2

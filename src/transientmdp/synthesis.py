@@ -376,7 +376,7 @@ class _ReferenceChain:
         self.probs = np.array(probs) * untrapped[self.cols]
         start = np.zeros(self.ends[0])
         for s in initial:
-            start[layers.ids[s]] += 1.0 / len(initial)
+            start[layers.ids[s.ordinal]] += 1.0 / len(initial)
         self.occupancy = [start * untrapped[:self.ends[0]]]
         self.n = n
 
@@ -546,7 +546,8 @@ def _assemble_one_bit(layers: _Layers, fm: FiniteMdp, plan: BubblePlan) -> OneBi
     beyond = plan.levels[-1].index + 1
     # MdStrategy's default pick on the truncation's controlled states, from
     # the answers of the search, which asked their oracles already.
-    default = {s: _default_pick(layers.answers[layers.ids[s]], s) for s in fm.controlled_states()}
+    default = {s: _default_pick(layers.answers[layers.ids[s.ordinal]], s)
+               for s in fm.controlled_states()}
 
     def arrival_mode(mode: int, s: StateId) -> int:
         return 1 - mode if flip.get(s) == mode else mode

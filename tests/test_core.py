@@ -268,6 +268,21 @@ def test_truncate_rejects_malformed_answers(case, radius):
         truncate(_walk_with_w3(kind, answer), {w(0)}, radius)
 
 
+@pytest.mark.parametrize("met", ["successor", "root"])
+def test_truncate_refuses_two_states_at_one_ordinal(met):
+    # The search keys states by ordinal.  A synthetic state at a host
+    # state's ordinal is a different state, so it must not be taken for the
+    # host state kept there: the MDP is refused, naming the ordinal.
+    host, synthetic = w(1), mint("exit", 1)
+    mdp = LazyMdp(
+        lambda s: StateKind.RANDOM,
+        lambda s: Distribution([(host, 0.5), (synthetic, 0.5)]) if s.ordinal == 0
+        else Distribution([(s, 1.0)]),
+    )
+    roots = {w(0)} if met == "successor" else {host, synthetic}
+    with pytest.raises(BadModel, match="share the ordinal 1"):
+        truncate(mdp, roots, 2)
+
 def _truncation_digest(fm: FiniteMdp) -> str:
     """SHA-256 prefix of a truncation's states (ordinal, label, synthetic
     kind), kinds, rows with ``float.hex`` probabilities, and frontier."""
@@ -320,8 +335,8 @@ def test_truncation_bracketing_monotone_in_radius():
     for radius in (3, 5, 8, 12):
         fm_p = truncate(lad, {root}, radius, PESSIMISTIC)
         fm_o = truncate(lad, {root}, radius, OPTIMISTIC)
-        tgt_p = obj.members_in([s for s in fm_p.states if s != fm_p.frontier])
-        tgt_o = obj.members_in(fm_o.states) | {fm_o.frontier}
+        tgt_p = [fm_p.states[j] for j in obj.rows_in(fm_p)]
+        tgt_o = [fm_o.states[j] for j in obj.rows_in(fm_o)] + [fm_o.frontier]
         lo, _ = optimal_boundary_value(fm_p, {t: 1.0 for t in tgt_p})
         hi, _ = optimal_boundary_value(fm_o, {t: 1.0 for t in tgt_o})
         lows.append(lo[root])
@@ -478,6 +493,29 @@ def test_an_oversized_revisit_cap_allocates_no_object_table(monkeypatch):
     assert dtypes and object not in dtypes
     assert hits == _vector_estimate(chain, w(0), horizon, 120, RevisitCap(horizon + 1), 9)
 
+
+def test_row_engine_reserves_its_visit_table_once(monkeypatch):
+    # A chain_sweep-sized load: the walk climbs past a thousand states, and
+    # a table grown by doubling was allocated six times, old and new
+    # copies live together at each step.  Reserved once at _CELLS // runs
+    # states, it is allocated once; the runs see the same uniforms either
+    # way, so the hits equal the vector engine's.
+    from transientmdp.simulate import _CELLS, _row_estimate
+
+    mdp = gamblers_ruin(0.6)[0]
+    runs, horizon, proxy, zeros = 10_000, 4_000, RevisitCap(30), np.zeros
+    tables = []
+
+    def recording(shape, *args, **kwargs):
+        if np.prod(shape) >= 64 * runs:
+            tables.append(shape)
+        return zeros(shape, *args, **kwargs)
+
+    monkeypatch.setattr(np, "zeros", recording)
+    alive, _ = _row_estimate(mdp, w(0), None, horizon, runs, 5, proxy)
+    assert tables == [_CELLS // runs * runs]
+    monkeypatch.undo()
+    assert int(alive.sum()) == _vector_estimate(mdp.vector_chain(), w(0), horizon, runs, proxy, 5)
 
 def test_vector_engine_refuses_a_start_outside_its_table():
     chain = gamblers_ruin(0.7)[0].vector_chain()

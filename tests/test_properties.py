@@ -300,7 +300,8 @@ def test_unabsorbed_boundaries_match_the_absorb_route(seed, n, radius):
     new, sigma = solvers.optimal_boundary_value(core._extended(trunc, entry, s), {s: 1.0}, True)
     assert new == old and sigma.choice == old_sigma.choice
     lower = old[entry]
-    upper = solvers._ring_estimate(trunc, old, lower, {s})
+    upper = solvers._ring_estimate(trunc, [old[q] for q in trunc.states], lower,
+                                   {trunc.index[s]})
     analysis = return_probability(fm, s, [radius])
     assert (analysis.re.lower, analysis.re.upper) == (min(lower, upper), max(lower, upper))
 

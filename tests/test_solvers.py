@@ -15,7 +15,7 @@ from transientmdp.core import _backward_reach, successor_states, truncate
 from transientmdp.errors import (
     BadParameter, NoFiniteCostPolicy, NotSink, SingularSystem, TooLarge, TransientMdpError,
 )
-from transientmdp.gadgets import gamblers_ruin, ladder_state, no_optimal_ladder
+from transientmdp.gadgets import acyclic_chain, gamblers_ruin, ladder_state, no_optimal_ladder
 from transientmdp.simulate import derive_seed, mean_visits
 from transientmdp.solvers import (
     BoundedRewardSpec,
@@ -28,7 +28,9 @@ from transientmdp.solvers import (
     return_probability,
     safety_value,
 )
-from transientmdp.verify import random_finite_mdp, random_transient_core_mdp
+from transientmdp.verify import (
+    certify_universal_transience, random_finite_mdp, random_transient_core_mdp,
+)
 from transientmdp import solvers
 
 
@@ -811,6 +813,94 @@ def test_array_assembly_matches_lists_bit_for_bit(monkeypatch, case):
         assert np.array(solvers._absorption(fm, policy, fixed)).tobytes() == \
             np.array(want).tobytes()
 
+
+@pytest.mark.parametrize("radius", [50, 100, 200])
+def test_array_seed_distances_make_the_dict_choices(monkeypatch, radius):
+    # From SPARSE_MIN_ROWS states on, _extract takes its seed distances
+    # from a scipy search.  They must be the dict search's, here with every
+    # option in the pool, and the choices must be the dict path's, on the
+    # start values (all ties but the boundary) and the final ones.
+    ladder, _ = no_optimal_ladder()
+    fm = truncate(ladder, {ladder_state("ell", 0)}, radius)
+    bot, frontier = fm.index[ladder_state("bot", 0)], fm.index[fm.frontier]
+    for fixed, maximize in [({bot: 1.0}, True), ({bot: 1.0, frontier: 1.0}, True),
+                            ({bot: 1.0}, False)]:
+        options, _, _ = solvers._boundary_problem(fm, fixed, maximize)
+        candidates = {}
+        for i, opts in options.items():
+            for t, _ in opts:
+                candidates.setdefault(t, []).append(i)
+        dist = _backward_reach(None, fixed, preds=(fm.random_preds(), candidates))
+        assert solvers._seed_distances(fm, options, fixed) == \
+            [dist.get(i, math.inf) for i in range(len(fm.states))]
+        start = [fixed.get(i, 0.0) for i in range(len(fm.states))]
+        final = solvers._boundary_values(fm, fixed, maximize)
+        for x in (start, final):
+            choices = []
+            for cutoff in (len(fm.states) + 1, 1):
+                monkeypatch.setattr(solvers, "SPARSE_MIN_ROWS", cutoff)
+                choices.append(solvers._extract(fm, x, options, fixed, maximize))
+            assert choices[0] == choices[1]
+
+# ``float.hex`` of the truncation bounds that the countable_bounds benchmark
+# asks for: Reach(w_0) from each of its starts w_1..w_4 and Re(w_0) on the
+# gambler's walk (p = 0.6), Reach(bot) on the ladder, and the certificates.
+# Each ``interval_value`` pin is (lower, upper), each ``return_probability``
+# pin (lower, upper, B, R), each certificate (verdict, worst upper, worst
+# lower).
+COUNTABLE_BOUND_PINS = {
+    'gambler-reach-w1-r200': ('0x1.5555555555556p-1', '0x1.5555555555556p-1'),
+    'gambler-reach-w2-r200': ('0x1.c71c71c71c71fp-2', '0x1.c71c71c71c71fp-2'),
+    'gambler-reach-w3-r200': ('0x1.2f684bda12f6ap-2', '0x1.2f684bda12f6ap-2'),
+    'gambler-reach-w4-r200': ('0x1.948b0fcd6e9e1p-3', '0x1.948b0fcd6e9e1p-3'),
+    'gambler-return-r200': ('0x1.5555555555556p-1', '0x1.5555555555556p-1', '0x1.2000000000002p+3', '0x1.8000000000002p+1'),
+    'gambler-reach-w1-r800': ('0x1.5555555555556p-1', '0x1.5555555555556p-1'),
+    'gambler-reach-w2-r800': ('0x1.c71c71c71c71fp-2', '0x1.c71c71c71c71fp-2'),
+    'gambler-reach-w3-r800': ('0x1.2f684bda12f6ap-2', '0x1.2f684bda12f6ap-2'),
+    'gambler-reach-w4-r800': ('0x1.948b0fcd6e9e1p-3', '0x1.948b0fcd6e9e1p-3'),
+    'gambler-return-r800': ('0x1.5555555555556p-1', '0x1.5555555555556p-1', '0x1.2000000000002p+3', '0x1.8000000000002p+1'),
+    'gambler-reach-w1-r3200': ('0x1.5555555555556p-1', '0x1.5555555555556p-1'),
+    'gambler-reach-w2-r3200': ('0x1.c71c71c71c71fp-2', '0x1.c71c71c71c71fp-2'),
+    'gambler-reach-w3-r3200': ('0x1.2f684bda12f6ap-2', '0x1.2f684bda12f6ap-2'),
+    'gambler-reach-w4-r3200': ('0x1.948b0fcd6e9e1p-3', '0x1.948b0fcd6e9e1p-3'),
+    'gambler-return-r3200': ('0x1.5555555555556p-1', '0x1.5555555555556p-1', '0x1.2000000000002p+3', '0x1.8000000000002p+1'),
+    'ladder-reach-r50': ('0x1.0000000000000p-1', '0x1.051eb851eb852p-1'),
+    'ladder-reach-r100': ('0x1.0000000000000p-1', '0x1.028f5c28f5c29p-1'),
+    'ladder-reach-r200': ('0x1.0000000000000p-1', '0x1.0147ae147ae14p-1'),
+    'certify-p0.3': ('NO', '0x1.0000000000000p+0', '0x1.fffffffffffffp-1'),
+    'certify-p0.5': ('NO', '0x1.febb9287f1596p-1', '0x1.feb9f34380a2dp-1'),
+    'certify-p0.7': ('YES', '0x1.3333333333334p-1', '0x1.3333333333334p-1'),
+    'certify-p0.9': ('YES', '0x1.9999999999998p-3', '0x1.9999999999998p-3'),
+    'certify-acyclic': ('YES', '0x0.0p+0', '0x0.0p+0'),
+}
+
+
+def _countable_bounds() -> dict:
+    w0, w1 = StateId(0, "w_0"), StateId(1, "w_1")
+    gambler, got = gamblers_ruin(0.6)[0], {}
+    for r in (200, 800, 3200):
+        for k in (1, 2, 3, 4):
+            iv = interval_value(gambler, StateId(k, f"w_{k}"), Objective.reach({w0}), [r])
+            got[f"gambler-reach-w{k}-r{r}"] = (iv.lower.hex(), iv.upper.hex())
+        ra = return_probability(gambler, w0, [r])
+        got[f"gambler-return-r{r}"] = (ra.re.lower.hex(), ra.re.upper.hex(),
+                                       ra.b_bound.hex(), ra.r_bound.hex())
+    ladder = no_optimal_ladder()[0]
+    for r in (50, 100, 200):
+        iv = interval_value(ladder, ladder_state("ell", 0),
+                            Objective.reach({ladder_state("bot", 0)}), [r])
+        got[f"ladder-reach-r{r}"] = (iv.lower.hex(), iv.upper.hex())
+    certificates = {f"p{p}": (gamblers_ruin(p)[0], [w0, w1], (50, 200))
+                    for p in (0.3, 0.5, 0.7, 0.9)}
+    certificates["acyclic"] = (acyclic_chain()[0], [StateId(0, "c_0")], (30,))
+    for name, (mdp, sample, radii) in certificates.items():
+        cert = certify_universal_transience(mdp, sample, radii=radii)
+        got[f"certify-{name}"] = (cert.verdict, cert.worst_upper.hex(), cert.worst_lower.hex())
+    return got
+
+
+def test_countable_bounds_pinned():
+    assert _countable_bounds() == COUNTABLE_BOUND_PINS
 
 _SMALL_SOLVES = {
     "finite-120": (
