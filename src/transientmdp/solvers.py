@@ -32,12 +32,11 @@ solved by ``_linsolve``: dense LAPACK below ``SPARSE_MIN_ROWS`` (200) rows,
 sparse LU at or above it, with scipy imported on first use.  Below the
 cutoff the system is assembled on lists; from it on, on the numpy arrays
 that ``FiniteMdp.arrays`` caches, where the backward reach (by scipy's
-breadth-first search) and the clamp of an absorption solve, and the
-extraction's distances to the boundary (by scipy's unweighted shortest
-paths), also run from that many states on.  Both assemblies give the same
-triplets and right-hand side, bit for bit.  The sparse path may differ from
-a dense solve in the last bits.  A system singular to working precision
-raises ``SingularSystem``.  The truncation bounds (``interval_value``,
+breadth-first search) and the clamp of an absorption solve also run from
+that many states on.  Both assemblies give the same triplets and right-hand
+side, bit for bit.  The sparse path may differ from a dense solve in the
+last bits.  A system singular to working precision raises
+``SingularSystem``.  The truncation bounds (``interval_value``,
 ``return_probability``) read the frontier as the last row and keep their
 values as index lists.
 """
@@ -392,22 +391,6 @@ def _reaching(fm: FiniteMdp, policy, fixed) -> np.ndarray:
     return hit[:n]
 
 
-def _seed_distances(fm: FiniteMdp, pools: Mapping[int, list], seeds) -> list[float]:
-    """The breadth-first distance, by index, of every state of ``fm`` to
-    ``seeds`` through positive random edges and the edges i -> t of the
-    pools (``pools[i]`` lists (t, cost) edges), ``math.inf`` where
-    unreached: ``_backward_reach``'s distances, as scipy's unweighted
-    shortest paths from the root of ``_backward_graph``, less one."""
-    from scipy.sparse.csgraph import dijkstra
-
-    n = len(fm.states)
-    sources = [i for i, pool in pools.items() for _ in pool]
-    targets = [t for pool in pools.values() for t, _ in pool]
-    graph = _backward_graph(fm, np.array(sources, dtype=np.intp), np.array(targets, dtype=np.intp),
-                            seeds)
-    return (dijkstra(graph, indices=n + 1, unweighted=True)[:n] - 1.0).tolist()
-
-
 def _backward_graph(fm: FiniteMdp, sources: np.ndarray, targets: np.ndarray, seeds):
     """The reversed graph, as a scipy CSR matrix, of the positive random
     edges of ``fm`` and of the edges ``sources[k] -> targets[k]``, plus a
@@ -563,9 +546,7 @@ def _extract(fm: FiniteMdp, x, options, seeds, maximize: bool) -> dict:
     TIE_TOL, relative, of the best.  Among them it takes the one whose
     successor is nearest to ``seeds`` by BFS through positive random edges
     and candidate edges, then the smallest ordinal.  Progress in distance
-    keeps tied choices from closing a cycle that never reaches the seeds.
-    From ``SPARSE_MIN_ROWS`` states on, the distances come from
-    ``_seed_distances`` on arrays, with the same values."""
+    keeps tied choices from closing a cycle that never reaches the seeds."""
     if not options:
         return {}
     sign = -1.0 if maximize else 1.0
@@ -575,21 +556,15 @@ def _extract(fm: FiniteMdp, x, options, seeds, maximize: bool) -> dict:
         best = min(values)
         bar = best + TIE_TOL * abs(best)
         pools[i] = [edge for v, edge in zip(values, opts) if v <= bar]
-    if len(fm.states) >= SPARSE_MIN_ROWS:
-        far = _seed_distances(fm, pools, seeds).__getitem__
-    else:
-        candidates = {}
-        for i, pool in pools.items():
-            for t, _ in pool:
-                candidates.setdefault(t, []).append(i)
-        dist = _backward_reach(None, seeds, preds=(fm.random_preds(), candidates))
-
-        def far(t):
-            return dist.get(t, math.inf)
+    candidates = {}
+    for i, pool in pools.items():
+        for t, _ in pool:
+            candidates.setdefault(t, []).append(i)
+    dist = _backward_reach(None, seeds, preds=(fm.random_preds(), candidates))
     states = fm.states
     return {
         i: pool[0] if len(pool) == 1 else
-        min(pool, key=lambda edge: (far(edge[0]), states[edge[0]].ordinal))
+        min(pool, key=lambda edge: (dist.get(edge[0], math.inf), states[edge[0]].ordinal))
         for i, pool in pools.items()
     }
 
@@ -634,9 +609,7 @@ def _boundary_problem(fm: FiniteMdp, fixed: Mapping[int, float], maximize: bool)
         i: [(t, 0.0) for t in fm.row(i) if i not in zero or t in zero]
         for i in range(n) if controlled[i] and i not in fixed
     }
-    # A Markov chain has no choice to start from.
-    start = _extract(fm, [fixed.get(i, 0.0) for i in range(n)], options, fixed,
-                     maximize) if options else {}
+    start = _extract(fm, [fixed.get(i, 0.0) for i in range(n)], options, fixed, maximize)
 
     def evaluate(policy):
         return _absorption(fm, policy, fixed)

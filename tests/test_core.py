@@ -268,20 +268,23 @@ def test_truncate_rejects_malformed_answers(case, radius):
         truncate(_walk_with_w3(kind, answer), {w(0)}, radius)
 
 
-@pytest.mark.parametrize("met", ["successor", "root"])
+@pytest.mark.parametrize("met", ["successor", "root", "past_radius"])
 def test_truncate_refuses_two_states_at_one_ordinal(met):
     # The search keys states by ordinal.  A synthetic state at a host
     # state's ordinal is a different state, so it must not be taken for the
-    # host state kept there: the MDP is refused, naming the ordinal.
+    # host state kept there: the MDP is refused, naming the ordinal.  The
+    # search reaches one layer past the radius, so a collision there is
+    # refused too, though the truncation keeps neither state.
     host, synthetic = w(1), mint("exit", 1)
     mdp = LazyMdp(
         lambda s: StateKind.RANDOM,
         lambda s: Distribution([(host, 0.5), (synthetic, 0.5)]) if s.ordinal == 0
         else Distribution([(s, 1.0)]),
     )
-    roots = {w(0)} if met == "successor" else {host, synthetic}
+    roots = {host, synthetic} if met == "root" else {w(0)}
     with pytest.raises(BadModel, match="share the ordinal 1"):
-        truncate(mdp, roots, 2)
+        truncate(mdp, roots, 0 if met == "past_radius" else 2)
+
 
 def _truncation_digest(fm: FiniteMdp) -> str:
     """SHA-256 prefix of a truncation's states (ordinal, label, synthetic

@@ -814,34 +814,6 @@ def test_array_assembly_matches_lists_bit_for_bit(monkeypatch, case):
             np.array(want).tobytes()
 
 
-@pytest.mark.parametrize("radius", [50, 100, 200])
-def test_array_seed_distances_make_the_dict_choices(monkeypatch, radius):
-    # From SPARSE_MIN_ROWS states on, _extract takes its seed distances
-    # from a scipy search.  They must be the dict search's, here with every
-    # option in the pool, and the choices must be the dict path's, on the
-    # start values (all ties but the boundary) and the final ones.
-    ladder, _ = no_optimal_ladder()
-    fm = truncate(ladder, {ladder_state("ell", 0)}, radius)
-    bot, frontier = fm.index[ladder_state("bot", 0)], fm.index[fm.frontier]
-    for fixed, maximize in [({bot: 1.0}, True), ({bot: 1.0, frontier: 1.0}, True),
-                            ({bot: 1.0}, False)]:
-        options, _, _ = solvers._boundary_problem(fm, fixed, maximize)
-        candidates = {}
-        for i, opts in options.items():
-            for t, _ in opts:
-                candidates.setdefault(t, []).append(i)
-        dist = _backward_reach(None, fixed, preds=(fm.random_preds(), candidates))
-        assert solvers._seed_distances(fm, options, fixed) == \
-            [dist.get(i, math.inf) for i in range(len(fm.states))]
-        start = [fixed.get(i, 0.0) for i in range(len(fm.states))]
-        final = solvers._boundary_values(fm, fixed, maximize)
-        for x in (start, final):
-            choices = []
-            for cutoff in (len(fm.states) + 1, 1):
-                monkeypatch.setattr(solvers, "SPARSE_MIN_ROWS", cutoff)
-                choices.append(solvers._extract(fm, x, options, fixed, maximize))
-            assert choices[0] == choices[1]
-
 # ``float.hex`` of the truncation bounds that the countable_bounds benchmark
 # asks for: Reach(w_0) from each of its starts w_1..w_4 and Re(w_0) on the
 # gambler's walk (p = 0.6), Reach(bot) on the ladder, and the certificates.
