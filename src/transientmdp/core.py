@@ -23,7 +23,6 @@ import math
 from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
-from fractions import Fraction
 from functools import cached_property
 from typing import Callable, Hashable, Iterable, Iterator, Mapping, NamedTuple, Sequence, TypeVar
 
@@ -90,20 +89,14 @@ def is_synthetic(s: StateId, kind: str) -> bool:
 class Distribution:
     """Finite probability distribution over successor states.
 
-    Probabilities are doubles normalized to 1 within ``PROB_TOL``; gadget
-    constructors may attach exact rationals for test oracles via ``exact``.
-    The running sums that ``sample`` draws by are built on first use, since
+    Probabilities are doubles normalized to 1 within ``PROB_TOL``.  The
+    running sums that ``sample`` draws by are built on first use, since
     most answers are only read.
     """
 
-    __slots__ = ("support", "exact", "_cum")
+    __slots__ = ("support", "_cum")
 
-    def __init__(
-        self,
-        support: Iterable[tuple[StateId, float]],
-        exact: Mapping[StateId, Fraction] | None = None,
-        check: bool = True,
-    ):
+    def __init__(self, support: Iterable[tuple[StateId, float]], check: bool = True):
         # A plain loop: in CPython 3.11 a comprehension costs one more call,
         # and the oracles build a Distribution per answer.
         items = []
@@ -123,7 +116,6 @@ class Distribution:
             if not abs(total - 1.0) <= PROB_TOL:
                 raise BadModel(f"probabilities sum to {total}, not 1")
         self.support = items
-        self.exact = dict(exact) if exact else None
         self._cum = None
 
     def cumulative(self) -> list[float]:
@@ -776,15 +768,13 @@ def truncate(
             kind, answer = kind_of(s), answers[i]
             ks = [where[j] for j in targets[i]]
             # A random state answering a non-empty Distribution passes every
-            # check of ``_check_answer``; any other answer goes through it.
+            # check of ``_check_answer``; any other answer goes through it,
+            # and only a controlled state's answer passes.
             if kind is random and isinstance(answer, Distribution) and answer.support:
                 yield False, ks, [p for _, p in answer.support]
                 continue
             _check_answer(s, kind, answer)
-            if kind is StateKind.CONTROLLED:
-                yield True, ks, [math.nan] * len(ks)
-            else:
-                yield False, ks, [p for _, p in answer.support]
+            yield True, ks, [math.nan] * len(ks)
 
     return _lumped(states, rows(), mint("frontier", states[-1].ordinal + 1))
 
@@ -902,24 +892,16 @@ def reachable(mdp: Mdp, roots: Iterable[StateId]) -> set[StateId]:
 
 
 def _backward_reach(
-    succ: Mapping[Node, Iterable[Node]] | None,
     seeds: Iterable[Node],
     admit: Callable[[Node], bool] | None = None,
     preds: Sequence[Mapping[Node, Sequence[Node]]] = (),
 ) -> dict[Node, int]:
     """Breadth-first search backwards from ``seeds`` along the edges of
-    ``succ`` (state -> successor states) and of ``preds``, mappings that
-    already list the predecessors of each state (such as
-    ``FiniteMdp.random_preds``); ``succ`` may be None.  Returns the
-    distance of every state reached, seeds at 0; ``admit(s)``, when given,
-    may refuse a state.  States are any hashable keys: StateIds, indices of a
-    FiniteMdp, product states."""
-    if succ is not None:
-        inverse: dict[Node, list[Node]] = {}
-        for s, targets in succ.items():
-            for t in targets:
-                inverse.setdefault(t, []).append(s)
-        preds = (*preds, inverse)
+    ``preds``, mappings that list the predecessors of each state (such as
+    ``FiniteMdp.random_preds``).  Returns the distance of every state
+    reached, seeds at 0; ``admit(s)``, when given, may refuse a state.
+    States are any hashable keys: StateIds, indices of a FiniteMdp, nodes of
+    a product."""
     dist = {s: 0 for s in seeds}
     queue = deque(dist)
     while queue:

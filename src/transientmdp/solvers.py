@@ -223,9 +223,37 @@ def _chain_values(
     return _linsolve(len(solve), *assemble(fm, solve, policy, fixed, cost))
 
 
+def _expected_visits(
+    chain: FiniteMdp, start: int, fixed: Mapping[int, float]
+) -> tuple[dict[int, float], float]:
+    """Expected visits from ``start`` to each state (index) of the Markov
+    chain ``chain``, all of whose rows are random, that it reaches before
+    the absorbing ``fixed`` states, and the expected value, by ``fixed``, of
+    the state it is absorbed in.  The visits r are the ``start`` row of the
+    fundamental matrix N = (I - Q)^-1 (Kemeny & Snell, *Finite Markov
+    Chains*, 1960): the solve (I - Q)^T r = e_start, the transpose of
+    ``_chain_system``'s triplets over the reached states in breadth-first
+    order.  The value is r . b, summed in that order.  The chain must reach
+    ``fixed`` almost surely from every reached state."""
+    order, seen = [start], {start}
+    for k in order:
+        for j in chain.row(k):
+            if j not in seen and j not in fixed:
+                seen.add(j)
+                order.append(j)
+    rows, cols, vals, b = _chain_system(chain, order, {}, fixed)
+    e = [1.0] + [0.0] * (len(order) - 1)
+    r = _linsolve(len(order), cols, rows, vals, e).tolist()
+    value = 0.0
+    for rk, bk in zip(r, b):
+        value += rk * bk
+    return dict(zip(order, r)), value
+
+
 def _chain_system(fm: FiniteMdp, solve, policy, fixed, cost=None) -> tuple[list, list, list, list]:
     """The COO triplets (rows, cols, vals) and right-hand side ``b`` of
-    ``_chain_values``' system, on lists.  The triplets are the diagonal,
+    ``_chain_values``' system, on lists, for the states ``solve`` in any
+    order: unknown k is state ``solve[k]``.  The triplets are the diagonal,
     then the edges row by row in CSR order; ``b`` sums a random row's terms
     in edge order, the cost before the fixed value on each edge."""
     indptr, succ, prob, controlled = fm.indptr, fm.succ, fm.prob, fm.controlled
@@ -342,7 +370,7 @@ def _absorption(
     picked: dict[int | None, list[int]] = {}
     for i, (t, _) in policy.items():
         picked.setdefault(t, []).append(i)
-    reach = _backward_reach(None, fixed, preds=(fm.random_preds(), picked))
+    reach = _backward_reach(fixed, preds=(fm.random_preds(), picked))
     n = len(fm.states)
     x = [0.0] * n
     for i, v in fixed.items():
@@ -474,8 +502,8 @@ def evaluate_md_cost(
     # end in a positive-cost recurrent class, and so does, with positive
     # probability, every run that can reach such a state.
     free = _stay_region(fm, range(n), free_edge)
-    reach_free = _backward_reach(None, free, preds=preds)
-    infinite = _backward_reach(None, [i for i in range(n) if i not in reach_free], preds=preds)
+    reach_free = _backward_reach(free, preds=preds)
+    infinite = _backward_reach([i for i in range(n) if i not in reach_free], preds=preds)
     values = [math.inf if i in infinite else 0.0 for i in range(n)]
     solve = [i for i in range(n) if i not in infinite and i not in free]
     if solve:
@@ -560,7 +588,7 @@ def _extract(fm: FiniteMdp, x, options, seeds, maximize: bool) -> dict:
     for i, pool in pools.items():
         for t, _ in pool:
             candidates.setdefault(t, []).append(i)
-    dist = _backward_reach(None, seeds, preds=(fm.random_preds(), candidates))
+    dist = _backward_reach(seeds, preds=(fm.random_preds(), candidates))
     states = fm.states
     return {
         i: pool[0] if len(pool) == 1 else
@@ -842,14 +870,18 @@ def _almost_sure_attractor(fm: FiniteMdp, target: set[int]) -> dict[int, int]:
     ``target`` while no random state can leave it, until it is stable).  A
     state of rank k > 0 has a successor of rank k - 1, and a random one has
     all its successors inside."""
-    controlled = fm.controlled
-    succ = {i: fm.row(i) for i in range(len(fm.states)) if i not in target}
+    controlled, row = fm.controlled, fm.row
+    preds: dict[int, list[int]] = {}
+    for i in range(len(fm.states)):
+        if i not in target:
+            for t in row(i):
+                preds.setdefault(t, []).append(i)
     keep = set(range(len(fm.states)))
     while True:
         rank = _backward_reach(
-            succ,
             target,
-            lambda i: i in keep and (controlled[i] or all(t in keep for t in succ[i])),
+            lambda i: i in keep and (controlled[i] or all(t in keep for t in row(i))),
+            (preds,),
         )
         if len(rank) == len(keep):
             return rank

@@ -56,7 +56,7 @@ from .errors import (
 from .solvers import (
     BoundedRewardSpec,
     CostLabel,
-    _linsolve,
+    _expected_visits,
     bounded_total_reward_md,
     evaluate_md,
     evaluate_md_reach,
@@ -360,6 +360,7 @@ class _ReferenceChain:
         self.ends = [layers.end(d) for d in range(radius + 1)]
         n_rows, n = self.ends[radius - 1], self.ends[radius]
         rows, cols, probs, edge_end = [], [], [], [0]
+        preds: dict[int, list[int]] = {}
         for i in range(n_rows):
             answer, targets = layers.answers[i], layers.targets[i]
             dist = answer if isinstance(answer, Distribution) else _uniform_over(answer)
@@ -367,8 +368,10 @@ class _ReferenceChain:
             cols.extend(targets)
             probs.extend(p for _, p in dist)
             edge_end.append(len(cols))
+            for j in targets:
+                preds.setdefault(j, []).append(i)
         self.edge_end = [edge_end[e] for e in self.ends[:radius]]
-        reaching = _backward_reach(dict(enumerate(layers.targets[:n_rows])), range(n_rows, n))
+        reaching = _backward_reach(range(n_rows, n), preds=(preds,))
         untrapped = np.zeros(n, dtype=bool)
         untrapped[list(reaching)] = True
         self.rows = np.array(rows, dtype=np.intp)
@@ -705,8 +708,8 @@ def transience_md(
     states, frontier = fm.states, fm.frontier
     f = fm.index.get(frontier)  # None when nothing leaves the bubble
     product = _one_bit_product(fm, one_bit)
-    reaching = _backward_reach({k: [j for j, _ in row] for k, row in enumerate(product)},
-                               [2 * f + m for m in (0, 1) if f is not None])
+    reaching = _backward_reach([2 * f + m for m in (0, 1) if f is not None],
+                               preds=(product.random_preds(),))
     good_modes = {
         i: [m for m in (0, 1) if 2 * i + m in reaching]
         for i in range(len(states)) if i != f
@@ -730,16 +733,20 @@ def transience_md(
     # repair keeps its row, because a repair keeps the only good mode.
     fix = {i: modes[0] for i, modes in good_modes.items() if len(modes) == 1}
     repairs = {states[i]: m for i, m in fix.items()}
-    repaired = [product[k - k % 2 + fix.get(k // 2, k % 2)] for k in range(len(product))]
-    sinks = {k for k in range(len(product)) if k // 2 == f or not good_modes[k // 2]}
-    node_visits = _expected_visits(
+    ptr, succ, prob = product.indptr, product.succ, product.prob
+    repaired = _with_rows(product, {
+        k ^ 1: (False, succ[ptr[k]:ptr[k + 1]], prob[ptr[k]:ptr[k + 1]])
+        for k in (2 * i + m for i, m in fix.items())
+    })
+    # The sinks: the nodes of bad states lose, the frontier's nodes win.
+    sinks = {2 * i + m: 0.0 for i, modes in good_modes.items() if not modes for m in (0, 1)}
+    sinks.update({2 * f: 1.0, 2 * f + 1: 1.0})
+    node_visits, attainment = _expected_visits(
         repaired, 2 * fm.index[root] + one_bit.initial_mode, sinks
     )
     visits: dict[StateId, float] = {}
-    attainment = 0.0
     for k, r in node_visits.items():
         visits[states[k // 2]] = visits.get(states[k // 2], 0.0) + r
-        attainment += r * sum(p for j, p in repaired[k] if j // 2 == f)
 
     # Built by insertion, a set of about a hundred states holds twice the
     # slots that its copy holds; callers keep the partition, so it keeps the
@@ -796,53 +803,34 @@ def _reduction_if_needed(mdp: Mdp, s0: StateId, probe_radius: int):
     return _identity_reduction(mdp), layers
 
 
-def _one_bit_product(fm: FiniteMdp, one_bit: OneBitStrategy) -> list[list[tuple[int, float]]]:
-    """The (mode, state) product chain of a 1-bit strategy on a truncation:
-    the edges (node, probability) of node 2i + mode, for state i of ``fm``.
-    A controlled row holds the one pick, a pick outside ``fm`` going to the
+def _one_bit_product(fm: FiniteMdp, one_bit: OneBitStrategy) -> FiniteMdp:
+    """The (mode, state) product chain of a 1-bit strategy on a truncation,
+    as a FiniteMdp of random rows: row 2i + mode, for state i of ``fm``.  A
+    controlled row holds the one pick, a pick outside ``fm`` going to the
     frontier; a random row holds the positive edges with their updated
-    modes; the frontier stays put."""
+    modes; the frontier stays put.  Its states are the node numbers, not
+    StateIds, so only code that reads rows by index (``row``,
+    ``random_preds``, ``_with_rows``, ``_chain_system``) may take it."""
     index, states, indptr, succ, prob = fm.index, fm.states, fm.indptr, fm.succ, fm.prob
     f = index.get(fm.frontier)
-    rows = []
+    nodes, probs, ptr = [], [], [0]
     for i, s in enumerate(states):
         for mode in (0, 1):
             if i == f:
-                rows.append([(2 * i + mode, 1.0)])
+                nodes.append(2 * i + mode)
+                probs.append(1.0)
             elif fm.controlled[i]:
                 m2, t = one_bit.controlled(mode, s)
-                rows.append([(2 * index.get(t, f) + m2, 1.0)])
+                nodes.append(2 * index.get(t, f) + m2)
+                probs.append(1.0)
             else:
-                rows.append([
-                    (2 * succ[k] + one_bit.random_update(mode, s, states[succ[k]]), prob[k])
-                    for k in range(indptr[i], indptr[i + 1]) if prob[k] > 0.0
-                ])
-    return rows
-
-
-def _expected_visits(rows: list[list[tuple[int, float]]], start: int,
-                     sinks: set[int]) -> dict[int, float]:
-    """Expected visits from ``start`` to each node of a Markov chain (edges
-    (node, probability) per node) that it reaches before ``sinks``: the
-    ``start`` row of the fundamental matrix N = (I - Q)^-1, by the solve
-    (I - Q)^T r = e_start over the reached nodes."""
-    order, pos = [start], {start: 0}
-    for k in order:
-        for j, _ in rows[k]:
-            if j not in pos and j not in sinks:
-                pos[j] = len(order)
-                order.append(j)
-    n = len(order)
-    r_idx, c_idx, vals = list(range(n)), list(range(n)), [1.0] * n
-    for a, k in enumerate(order):
-        for j, p in rows[k]:
-            b = pos.get(j)
-            if b is not None:
-                r_idx.append(b)
-                c_idx.append(a)
-                vals.append(-p)
-    e = [1.0] + [0.0] * (n - 1)
-    return dict(zip(order, _linsolve(n, r_idx, c_idx, vals, e).tolist()))
+                for k in range(indptr[i], indptr[i + 1]):
+                    if prob[k] > 0.0:
+                        nodes.append(2 * succ[k] + one_bit.random_update(mode, s, states[succ[k]]))
+                        probs.append(prob[k])
+            ptr.append(len(nodes))
+    n = len(ptr) - 1
+    return FiniteMdp._of_rows(range(n), [False] * n, ptr, nodes, probs)
 
 
 # ---------------------------------------------------------------------------

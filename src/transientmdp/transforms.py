@@ -143,9 +143,7 @@ class _ReducedMdp(Mdp):
                 return Distribution([(self._mint("z", s, 1), 1.0)])
             return [self._mint("ell", s, 0)]
         if isinstance(succ, Distribution):
-            return Distribution(
-                [(self.embed(t), p) for t, p in succ], exact=None, check=False
-            )
+            return Distribution([(self.embed(t), p) for t, p in succ], check=False)
         return [self.embed(t) for t in succ]
 
     def _gadget_successors(self, family: str, host: StateId, i: int):

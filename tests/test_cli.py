@@ -299,6 +299,67 @@ def test_synthesize_optimal_md_on_tiny_values(tmp_path, p_win):
     assert json.loads((tmp_path / "strategy.json").read_text()) == {"0": 1}
 
 
+def _write_model(path, states, edges, sinks):
+    # states: (label, kind) by ordinal; edges: (from, to, p), p None when
+    # controlled.
+    path.write_text(json.dumps({
+        "states": [{"id": i, "label": label, "kind": kind}
+                   for i, (label, kind) in enumerate(states)],
+        "transitions": [{"from": a, "to": b, "p": p} for a, b, p in edges],
+        "sinks": sinks,
+    }))
+
+
+def test_solve_safety_on_finite_file(tmp_path, capsys):
+    # s0 picks r, which stays safe with probability 3/4, or r', which falls
+    # into the bad sink surely.
+    _write_model(tmp_path / "mdp.json",
+                 [("s0", "C"), ("r", "R"), ("r'", "R"), ("safe", "R"), ("bad", "R")],
+                 [(0, 1, None), (0, 2, None), (1, 3, 0.75), (1, 4, 0.25), (2, 4, 1.0),
+                  (3, 3, 1.0), (4, 4, 1.0)],
+                 [[3], [4]])
+    scenario = tmp_path / "solve.json"
+    scenario.write_text(json.dumps({
+        "seed": 1,
+        "mdp": {"file": "mdp.json"},
+        "task": {"kind": "solve", "objective": {"type": "safety", "states": [4]}, "state": 0},
+    }))
+    assert run_cli(["--out-dir", tmp_path, "run", scenario]) == 0
+    values = json.loads((tmp_path / "values.json").read_text())
+    want = {"0": 0.75, "1": 0.75, "2": 0.0, "3": 1.0, "4": 0.0}
+    assert values.keys() == want.keys()
+    assert all(abs(values[k] - v) <= 1e-12 for k, v in want.items())
+    assert "val(s0) = 0.750000" in capsys.readouterr().out
+
+
+def _safety_md_scenario(tmp_path):
+    scenario = tmp_path / "safety.json"
+    scenario.write_text(json.dumps({
+        "seed": 1,
+        "mdp": {"file": "mdp.json"},
+        "task": {"kind": "synthesize", "method": "safety_md", "state": 0, "epsilon": 0.1,
+                 "objective": {"type": "safety", "states": [2]}},
+    }))
+    return scenario
+
+
+def test_synthesize_safety_md_on_finite_file(tmp_path):
+    # Acyclic: s0 picks the safe or the bad absorbing sink.
+    _write_model(tmp_path / "mdp.json", [("s0", "C"), ("safe", "R"), ("bad", "R")],
+                 [(0, 1, None), (0, 2, None), (1, 1, 1.0), (2, 2, 1.0)], [[1], [2]])
+    assert run_cli(["--out-dir", tmp_path, "run", _safety_md_scenario(tmp_path)]) == 0
+    assert json.loads((tmp_path / "strategy.json").read_text()) == {"0": 1}
+
+
+def test_synthesize_safety_md_refuses_a_return_to_s0(tmp_path, capsys):
+    # s0 can pick r, which moves back to s0: it returns with probability 1.
+    _write_model(tmp_path / "mdp.json", [("s0", "C"), ("r", "R"), ("bad", "R")],
+                 [(0, 1, None), (0, 2, None), (1, 0, 1.0), (2, 2, 1.0)], [[2]])
+    assert run_cli(["--out-dir", tmp_path, "run", _safety_md_scenario(tmp_path)]) == 1
+    assert "error: certified return probability 1 at s0" in capsys.readouterr().err
+    assert not (tmp_path / "strategy.json").exists()
+
+
 def test_verify_suite_exit_codes(tmp_path, capsys):
     assert run_cli(["--out-dir", tmp_path, "verify", "solvers"]) == 0
     reports = json.loads((tmp_path / "check_reports.json").read_text())

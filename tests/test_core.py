@@ -1,4 +1,5 @@
 import hashlib
+import importlib
 import itertools
 import math
 from collections import Counter
@@ -519,6 +520,42 @@ def test_row_engine_reserves_its_visit_table_once(monkeypatch):
     assert tables == [_CELLS // runs * runs]
     monkeypatch.undo()
     assert int(alive.sum()) == _vector_estimate(mdp.vector_chain(), w(0), horizon, runs, proxy, 5)
+
+
+def test_row_engine_grows_its_visit_table_past_the_reserve(monkeypatch):
+    # With 4096 cells a batch of 20 runs of 200 steps (the batch it has with
+    # the full _CELLS too) reserves 204 states, and this walk, +2 with
+    # probability 0.85 and -1 otherwise, discovers more: the table grows
+    # once, by doubling.  The runs see the same counts as with the reserve
+    # that holds every state; at seeds 8, 14 and 15 a run steps back onto a
+    # state counted before the growth and passes the cap only by that count.
+    sim = importlib.import_module("transientmdp.simulate")
+
+    def successors(s):
+        o = s.ordinal
+        return Distribution([(StateId(o + 2), 0.85), (StateId(o - 1), 0.15)], check=False)
+
+    mdp = LazyMdp(lambda s: StateKind.RANDOM, successors)
+    runs, horizon, proxy, zeros = 20, 200, RevisitCap(2), np.zeros
+    assert 4096 // (horizon + 1) == runs
+    tables = []
+
+    def recording(shape, *args, **kwargs):
+        if np.prod(shape) >= 64 * runs:
+            tables.append(int(np.prod(shape)))
+        return zeros(shape, *args, **kwargs)
+
+    for seed in range(16):
+        want = sim._row_estimate(mdp, StateId(0), None, horizon, runs, seed, proxy)
+        tables.clear()
+        monkeypatch.setattr(sim, "_CELLS", 4096)
+        monkeypatch.setattr(np, "zeros", recording)
+        got = sim._row_estimate(mdp, StateId(0), None, horizon, runs, seed, proxy)
+        monkeypatch.undo()
+        assert tables == [4080, 8160], seed
+        assert all(np.array_equal(g, v) for g, v in zip(got, want)), seed
+        assert 0 < want[0].sum() < runs
+
 
 def test_vector_engine_refuses_a_start_outside_its_table():
     chain = gamblers_ruin(0.7)[0].vector_chain()

@@ -325,6 +325,15 @@ def _reference_solve_chain(chain, solve):
     return solvers._linsolve(m, rows, cols, vals, b)
 
 
+def _preds(succ):
+    # The predecessor lists of a successor mapping, for core._backward_reach.
+    preds = {}
+    for s, targets in succ.items():
+        for t in targets:
+            preds.setdefault(t, []).append(s)
+    return preds
+
+
 def _reference_absorption(fm, pick, fixed):
     indptr, succ, prob, controlled = fm.indptr, fm.succ, fm.prob, fm.controlled
     n = len(fm.states)
@@ -341,7 +350,7 @@ def _reference_absorption(fm, pick, fixed):
                 for k in range(indptr[i], indptr[i + 1])
             ]
     reach = core._backward_reach(
-        {i: [t for t, p, _ in out if p > 0.0] for i, out in chain.items()}, fixed
+        fixed, preds=(_preds({i: [t for t, p, _ in out if p > 0.0] for i, out in chain.items()}),)
     )
     x = [0.0] * n
     for i, v in fixed.items():
@@ -382,10 +391,10 @@ def _reference_cost(fm, sigma, cost):
                    for t, p in zip(succ[lo:hi], fm.prob[lo:hi])]
             free_edge[lo:hi] = [c == 0.0 for _, _, c in out]
             chain[i] = [edge for edge in out if edge[1] > 0.0]
-    targets = {i: [t for t, _, _ in out] for i, out in chain.items()}
+    targets = _preds({i: [t for t, _, _ in out] for i, out in chain.items()})
     free = core._stay_region(fm, range(len(states)), free_edge)
-    reach_free = core._backward_reach(targets, free)
-    infinite = core._backward_reach(targets, [i for i in chain if i not in reach_free])
+    reach_free = core._backward_reach(free, preds=(targets,))
+    infinite = core._backward_reach([i for i in chain if i not in reach_free], preds=(targets,))
     values = [math.inf if i in infinite else 0.0 for i in range(len(states))]
     solve = [i for i in chain if i not in infinite and i not in free]
     if solve:

@@ -1,3 +1,4 @@
+import ast
 import collections
 import hashlib
 import itertools
@@ -6,6 +7,7 @@ import math
 import random
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -793,7 +795,7 @@ def test_array_assembly_matches_lists_bit_for_bit(monkeypatch, case):
     picked = {}
     for i, (t, _) in policy.items():
         picked.setdefault(t, []).append(i)
-    reach = _backward_reach(None, fixed, preds=(fm.random_preds(), picked))
+    reach = _backward_reach(fixed, preds=(fm.random_preds(), picked))
     assert set(np.flatnonzero(solvers._reaching(fm, policy, fixed)).tolist()) == set(reach)
     solve = [i for i in range(len(fm.states)) if i in reach and i not in fixed]
     assert solve
@@ -813,6 +815,38 @@ def test_array_assembly_matches_lists_bit_for_bit(monkeypatch, case):
         assert np.array(solvers._absorption(fm, policy, fixed)).tobytes() == \
             np.array(want).tobytes()
 
+
+# The linear systems of the package are assembled and solved in one module:
+# the names below are referred to in ``solvers.py`` only.
+ASSEMBLY = ("_linsolve", "_chain_system")
+
+
+def _assembly_uses(tree: ast.AST) -> list[int]:
+    """The lines that name ``_linsolve`` or ``_chain_system``: a call, an
+    attribute read or an import."""
+    lines = []
+    for node in ast.walk(tree):
+        name = (node.id if isinstance(node, ast.Name) else
+                node.attr if isinstance(node, ast.Attribute) else
+                node.name if isinstance(node, ast.alias) else None)
+        if name in ASSEMBLY:
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_assembly_guard_sees_uses():
+    tree = ast.parse("from .solvers import _linsolve\n"
+                     "x = _linsolve(1, [0], [0], [1.0], [1.0])\n"
+                     "y = solvers._chain_system(fm, [0], {}, {})\n")
+    assert _assembly_uses(tree) == [1, 2, 3]
+
+
+def test_only_solvers_assembles_linear_systems():
+    src = Path(solvers.__file__).parent
+    found = {path.name: _assembly_uses(ast.parse(path.read_text()))
+             for path in sorted(src.glob("*.py"))}
+    assert found.pop("solvers.py")
+    assert not {name: lines for name, lines in found.items() if lines}
 
 # ``float.hex`` of the truncation bounds that the countable_bounds benchmark
 # asks for: Reach(w_0) from each of its starts w_1..w_4 and Re(w_0) on the
