@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import mmap
 import random
 from collections import Counter
 from dataclasses import dataclass
@@ -281,9 +282,10 @@ def estimate_transience(
     together through the rows of the induced chain (``_row_estimate``);
     Markov chains exposing a vectorized step model (see ``VectorChain``) step
     through it instead (``_vector_estimate``), and a ``GeneralStrategy``
-    steps each run through ``_walk``.  The engines sample the same law from
-    different uniform streams, so estimates are deterministic per engine,
-    not across engines.
+    steps each run through ``_walk``.  The row and vector engines draw from
+    the same streams, ``derive_seed(seed, "vec", index)`` for batch
+    ``index``, so they agree whenever they cut the runs into the same
+    batches; ``_walk`` draws from per-run streams of its own.
     """
     _check_batch(horizon, runs, proxy)
     chain = getattr(mdp, "vector_chain", None)
@@ -310,9 +312,13 @@ def _sample(mdp, s0, strategy, horizon, runs, seed, proxy=None, flag=None, flag_
     return np.array(alive), np.array(flagged)
 
 
-# The cells one batch's visit table may hold: always in ``_vector_estimate``,
-# and in ``_row_estimate`` when the runs of a batch share their states.
+# The cells one batch's visit table would hold in one piece: always in
+# ``_vector_estimate``, and in ``_row_estimate`` when the runs of a batch
+# share their states.  With the seed it fixes the batches, and so the streams.
 _CELLS = 64_000_000
+# The cells one tile's visit table may hold: ``_step_runs`` steps a batch as
+# consecutive tiles of its runs, which draw the batch's uniforms all the same.
+_TILE_CELLS = _CELLS // 4
 
 
 @dataclass(frozen=True)
@@ -330,7 +336,8 @@ class VectorChain:
 
 def _vector_estimate(chain: VectorChain, s0: StateId, horizon, runs, proxy, seed) -> int:
     """Number of ``runs`` classified transient by ``proxy``, stepped by
-    ``chain`` in batches of at most 64M table cells (``_step_runs``)."""
+    ``chain`` in batches of at most ``_CELLS // bound`` runs, ``bound``
+    being the ordinals the runs can reach (``_step_runs``)."""
     bound = int(chain.ordinal_bound(s0.ordinal, horizon)) + 1
     if not 0 <= s0.ordinal < bound:
         # Its cells would fall outside the table or on another ordinal's.
@@ -351,6 +358,21 @@ class _Ordinals:
         self.states = range(bound)
 
 
+def _zeroed(cells: int, dtype, old=None) -> np.ndarray:
+    """A visit table of ``cells`` cells, zeroed past the cells of ``old``
+    that it starts with, on an anonymous mapping of its own: only the pages
+    the runs touch are committed, and the mapping goes when the table does.
+    ``np.zeros`` gives as much only while the allocator maps a table of
+    this size by itself; once glibc has freed such a mapping it raises its
+    mmap threshold and serves the next table from the heap, committed in
+    full."""
+    dtype = np.dtype(dtype)
+    table = np.frombuffer(mmap.mmap(-1, cells * dtype.itemsize), dtype)
+    if old is not None:
+        table[:len(old)] = old
+    return table
+
+
 def _step_runs(chain, first, horizon, runs, seed, batch, proxy=None, flag_from=None):
     """``(alive, flagged)`` over ``runs`` runs started at position ``first``
     of ``chain`` (a ``_Chain`` or ``_Ordinals``), ``chain.step(pos, u)``
@@ -360,14 +382,22 @@ def _step_runs(chain, first, horizon, runs, seed, batch, proxy=None, flag_from=N
     ``chain.flag`` holds.
 
     Runs go in batches of ``batch`` runs, one generator
-    ``default_rng(derive_seed(seed, "vec", index))`` per batch.  Every step
-    draws one uniform per run of the batch, so a run sees the same uniforms
-    whether or not other runs are still stepping; a run leaves the step loop
-    once its verdict is fixed (RevisitCap: some count passed the cap;
-    FreshTail: it hit a state visited before the window).  A position is a
-    state (its index in ``chain.states``), or a (mode, state) node whose
-    state ``chain.state_of`` gives when ``chain.product``; ``first`` is both
-    the start's position and its state.
+    ``default_rng(derive_seed(seed, "vec", index))`` per batch, and every
+    step of a batch draws one uniform per run of the batch: run r of an
+    n-run batch takes draw ``step * n + r`` of its stream.  A batch steps
+    as consecutive tiles of its runs, each tile to the end before the next
+    starts, so that a visit table holds one tile's runs: a tile of ``m``
+    runs from run ``lo`` on jumps its own copy of the stream ahead by
+    ``lo`` draws, then by ``n - m`` after each step's ``m`` draws, and its
+    runs see the uniforms they see in one piece.  A tile holds at most
+    ``_TILE_CELLS // rows`` runs, ``rows`` being the table's states: the
+    ordinals below a vector chain's bound, or the horizon + 1 states that a
+    run of the row engine visits at most.  A run leaves the step loop once
+    its verdict is fixed (RevisitCap: some count passed the cap; FreshTail:
+    it hit a state visited before the window).  A position is a state (its
+    index in ``chain.states``), or a (mode, state) node whose state
+    ``chain.state_of`` gives when ``chain.product``; ``first`` is both the
+    start's position and its state.
     """
     revisit = isinstance(proxy, RevisitCap)
     if revisit:
@@ -379,65 +409,73 @@ def _step_runs(chain, first, horizon, runs, seed, batch, proxy=None, flag_from=N
     else:
         dtype = np.bool_
     window_start = max(0, horizon - proxy.window + 1) if isinstance(proxy, FreshTail) else 0
+    vector = isinstance(chain, _Ordinals)
+    per_tile = max(1, _TILE_CELLS // (len(chain.states) if vector else horizon + 1))
     alive, flagged = [], []
     for index, done in enumerate(range(0, runs, batch)):
         n = min(batch, runs - done)
-        rng = np.random.default_rng(derive_seed(seed, "vec", index))
-        live = np.arange(n)
-        pos = np.full(n, first, dtype=np.intp)
-        u = np.empty(n)
-        count = np.zeros(n, dtype=np.int64)
-        if flag_from == 0:
-            count += chain.flag[first]
-        if proxy is not None:
-            # Flat (state, run) table of visit counts, or of FreshTail's
-            # visited-before-the-window marks: cell i * n + r, with r the
-            # run's index in the batch.  State-major, so that when the live
-            # runs occupy a band of nearby states (every chain here), one
-            # step's cells share one narrow band of the table instead of one
-            # page per run.  The vector path knows its states up front.  The
-            # row engine discovers them, so it reserves the states that a
-            # batch's _CELLS cells hold and grows the table only past them:
-            # np.zeros commits a page only when a run touches it, while
-            # growing by copies keeps two tables live.
-            rows = max(64, len(chain.states) if isinstance(chain, _Ordinals) else _CELLS // n)
-            table = np.zeros(rows * n, dtype=dtype)
-            table[first * n:(first + 1) * n] = 1
-        for step in range(horizon):
-            rng.random(out=u)
-            pos = chain.step(pos, u if len(live) == n else u[live])
-            state = chain.state_of[pos] if chain.product else pos
-            if flag_from is not None and step + 1 >= flag_from:
-                count[live] += chain.flag[state]
-            if proxy is None:
-                continue
-            if len(chain.states) > rows:
-                rows = max(2 * rows, len(chain.states))
-                grown = np.zeros(rows * n, dtype=dtype)
-                grown[:len(table)] = table
-                table = grown
-            cell = state * n
-            cell += live
-            if revisit:
-                c = table[cell] + 1
-                table[cell] = c
-                if c.max() <= cap:
+        tiles = -(-n // per_tile)
+        for tile in range(tiles):
+            lo, hi = n * tile // tiles, n * (tile + 1) // tiles
+            m, skip = hi - lo, n - (hi - lo)
+            rng = np.random.default_rng(derive_seed(seed, "vec", index))
+            rng.bit_generator.advance(lo)
+            live = np.arange(m)
+            pos = np.full(m, first, dtype=np.intp)
+            u = np.empty(m)
+            count = np.zeros(m, dtype=np.int64)
+            if flag_from == 0:
+                count += chain.flag[first]
+            if proxy is not None:
+                # Flat (state, run) table of visit counts, or of FreshTail's
+                # visited-before-the-window marks: cell i * m + r, with r
+                # the run's index in the tile.  State-major, so that when
+                # the live runs occupy a band of nearby states (every chain
+                # here), one step's cells share one narrow band of the table
+                # instead of one page per run.  The vector path knows its
+                # states up front.  The row engine discovers them, so it
+                # reserves the states that a tile's _TILE_CELLS cells hold,
+                # or all those the tiles before found, and grows the table
+                # only past them: growing by copies keeps two tables live.
+                rows = max(64, len(chain.states), 0 if vector else _TILE_CELLS // m)
+                table = _zeroed(rows * m, dtype)
+                table[first * m:(first + 1) * m] = 1
+            for step in range(horizon):
+                rng.random(out=u)
+                if skip:
+                    rng.bit_generator.advance(skip)
+                pos = chain.step(pos, u if len(live) == m else u[live])
+                state = chain.state_of[pos] if chain.product else pos
+                if flag_from is not None and step + 1 >= flag_from:
+                    count[live] += chain.flag[state]
+                if proxy is None:
                     continue
-                keep = c <= cap
-            elif step + 1 < window_start:
-                table[cell] = True
-                continue
-            else:
-                keep = ~table[cell]
-                if keep.all():
+                if len(chain.states) > rows:
+                    rows = max(2 * rows, len(chain.states))
+                    table = _zeroed(rows * m, dtype, table)
+                cell = state * m
+                cell += live
+                if revisit:
+                    c = table[cell] + 1
+                    table[cell] = c
+                    if c.max() <= cap:
+                        continue
+                    keep = c <= cap
+                elif step + 1 < window_start:
+                    table[cell] = True
                     continue
-            live, pos = live[keep], pos[keep]
-            if len(live) == 0:
-                break
-        kept = np.zeros(n, dtype=bool)
-        kept[live] = True
-        alive.append(kept)
-        flagged.append(count)
+                else:
+                    keep = ~table[cell]
+                    if keep.all():
+                        continue
+                live, pos = live[keep], pos[keep]
+                if len(live) == 0:
+                    break
+            table = None  # unmap this tile's table before the next
+            kept = np.zeros(m, dtype=bool)
+            kept[live] = True
+            alive.append(kept)
+            flagged.append(count)
     return np.concatenate(alive), np.concatenate(flagged)
 
 
@@ -596,9 +634,10 @@ def _row_estimate(mdp, s0, strategy, horizon, runs, seed, proxy=None, flag=None,
     """``_step_runs`` over the ``_Chain`` rows that ``strategy`` induces
     from ``s0``, with ``flag`` marking the states ``flagged`` counts (none
     when None).  The proxy's table is kept by state, not by (mode, state)
-    node.  A batch holds at most 64M / (horizon + 1) runs: a run visits at
-    most horizon + 1 states, so the table of a batch whose runs share their
-    states stays under 64M cells."""
+    node.  A batch holds at most ``_CELLS // (horizon + 1)`` runs: a run
+    visits at most horizon + 1 states, so the table of a batch whose runs
+    share their states would stay within ``_CELLS`` cells.  Its tiles share
+    ``chain``: the rows one tile builds serve the next."""
     chain = _Chain(mdp, strategy, flag)
     start = chain.node(chain.memory, s0)
     batch = max(1, min(runs, _CELLS // (horizon + 1)))
@@ -623,6 +662,8 @@ def estimate_buchi_transience(
     ``estimate_transience``, except that no strategy steps through
     ``_row_estimate`` on every chain."""
     _check_batch(horizon, runs, proxy)
+    if goal_window < 0:
+        raise BadParameter(f"goal_window must be non-negative, got {goal_window}")
     goal_pred = goal if callable(goal) else (lambda s, gs=frozenset(goal): s in gs)
     alive, seen = _sample(mdp, s0, strategy, horizon, runs, seed, proxy, goal_pred,
                           max(0, horizon - goal_window))

@@ -415,12 +415,17 @@ def test_estimate_transience_finite_nullity():
 
 
 def test_estimate_transience_engines_agree():
-    mdp, _ = gamblers_ruin(0.7)
-    fast, _ = estimate_transience(mdp, w(0), None, 2000, 400, RevisitCap(30), seed=21)
-    # strip the vector engine to force the generic path
-    mdp._vector = None
-    slow, _ = estimate_transience(mdp, w(0), None, 2000, 400, RevisitCap(30), seed=21)
-    assert abs(fast - slow) < 0.08
+    # Both engines draw from derive_seed(seed, "vec", index) and hold all
+    # 400 runs in one batch, so they agree exactly, here on loads whose
+    # estimate (0.07) is neither 0 nor 1.
+    for p, proxy in ((0.55, RevisitCap(30)), (0.6, FreshTail(100))):
+        mdp, _ = gamblers_ruin(p)
+        fast = estimate_transience(mdp, w(0), None, 2000, 400, proxy, seed=21)
+        # strip the vector engine to force the row engine
+        mdp._vector = None
+        slow = estimate_transience(mdp, w(0), None, 2000, 400, proxy, seed=21)
+        assert fast == slow, proxy
+        assert fast[0] == 0.07, proxy
 
 
 def _reference_vector_hits(step, bound_fn, s0, horizon, runs, proxy, seed):
@@ -475,60 +480,67 @@ def test_vector_engine_matches_reference(p, proxy, horizon):
 @pytest.mark.parametrize("proxy", [RevisitCap(0), RevisitCap(8), FreshTail(20)], ids=str)
 @pytest.mark.parametrize("family", ["acyclic_chain", "gamblers_ruin"])
 def test_vector_engine_matches_reference_across_batches(family, proxy):
-    # From ordinal 10^6 a batch holds 63 runs, so 150 runs take three batches.
+    # From ordinal 10^6 a batch holds 63 runs, so 150 runs take three
+    # batches, and a tile 15 runs, so a full batch steps as five tiles.
     mdp = acyclic_chain()[0] if family == "acyclic_chain" else gamblers_ruin(0.7)[0]
     chain, s0 = mdp.vector_chain(), StateId(1_000_000)
     want = _reference_vector_hits(chain.step, chain.ordinal_bound, s0, 100, 150, proxy, 4)
     assert _vector_estimate(chain, s0, 100, 150, proxy, 4) == want
 
 
+def _recording_tables(monkeypatch):
+    """The ``(cells, dtype, grown)`` of every visit table ``_step_runs``
+    allocates from now on, ``grown`` telling whether it copies an older one."""
+    sim = importlib.import_module("transientmdp.simulate")
+    zeroed, tables = sim._zeroed, []
+
+    def recording(cells, dtype, old=None):
+        tables.append((cells, np.dtype(dtype), old is not None))
+        return zeroed(cells, dtype, old)
+
+    monkeypatch.setattr(sim, "_zeroed", recording)
+    return tables
+
+
 def test_an_oversized_revisit_cap_allocates_no_object_table(monkeypatch):
     # No count passes horizon + 1, so a cap of 2**64 must not size the table
     # by itself: min_scalar_type(2**64 + 1) is object, 8-byte boxed cells.
     chain = gamblers_ruin(0.55)[0].vector_chain()
-    horizon, dtypes, zeros = 300, [], np.zeros
-
-    def recording(shape, dtype=float, *args, **kwargs):
-        dtypes.append(np.dtype(dtype))
-        return zeros(shape, dtype, *args, **kwargs)
-
-    monkeypatch.setattr(np, "zeros", recording)
+    horizon = 300
+    tables = _recording_tables(monkeypatch)
     hits = _vector_estimate(chain, w(0), horizon, 120, RevisitCap(2**64), 9)
-    assert dtypes and object not in dtypes
+    assert [dtype for _, dtype, _ in tables] == [np.dtype(np.uint16)]
     assert hits == _vector_estimate(chain, w(0), horizon, 120, RevisitCap(horizon + 1), 9)
 
 
 def test_row_engine_reserves_its_visit_table_once(monkeypatch):
     # A chain_sweep-sized load: the walk climbs past a thousand states, and
-    # a table grown by doubling was allocated six times, old and new
-    # copies live together at each step.  Reserved once at _CELLS // runs
-    # states, it is allocated once; the runs see the same uniforms either
-    # way, so the hits equal the vector engine's.
-    from transientmdp.simulate import _CELLS, _row_estimate
+    # a table grown by doubling was allocated six times, old and new copies
+    # live together at each step.  The batch holds all 10,000 runs and steps
+    # them as three tiles of at most _TILE_CELLS // 4001 runs; each tile
+    # reserves the states its _TILE_CELLS cells hold, once.  The runs see
+    # the same uniforms as in one table, so the hits equal the vector
+    # engine's.
+    from transientmdp.simulate import _TILE_CELLS, _row_estimate
 
     mdp = gamblers_ruin(0.6)[0]
-    runs, horizon, proxy, zeros = 10_000, 4_000, RevisitCap(30), np.zeros
-    tables = []
-
-    def recording(shape, *args, **kwargs):
-        if np.prod(shape) >= 64 * runs:
-            tables.append(shape)
-        return zeros(shape, *args, **kwargs)
-
-    monkeypatch.setattr(np, "zeros", recording)
+    runs, horizon, proxy = 10_000, 4_000, RevisitCap(30)
+    tables = _recording_tables(monkeypatch)
     alive, _ = _row_estimate(mdp, w(0), None, horizon, runs, 5, proxy)
-    assert tables == [_CELLS // runs * runs]
+    assert tables == [(_TILE_CELLS // m * m, np.dtype(np.uint8), False)
+                      for m in (3333, 3333, 3334)]
+    assert all(cells <= _TILE_CELLS for cells, _, _ in tables)
     monkeypatch.undo()
     assert int(alive.sum()) == _vector_estimate(mdp.vector_chain(), w(0), horizon, runs, proxy, 5)
 
 
 def test_row_engine_grows_its_visit_table_past_the_reserve(monkeypatch):
     # With 4096 cells a batch of 20 runs of 200 steps (the batch it has with
-    # the full _CELLS too) reserves 204 states, and this walk, +2 with
-    # probability 0.85 and -1 otherwise, discovers more: the table grows
-    # once, by doubling.  The runs see the same counts as with the reserve
-    # that holds every state; at seeds 8, 14 and 15 a run steps back onto a
-    # state counted before the growth and passes the cap only by that count.
+    # the full _CELLS too), and with 2048 a tile of 10 runs, which reserves
+    # 204 states.  This walk, +2 with probability 0.85 and -1 otherwise,
+    # discovers more: the first tile's table grows once, by doubling, and
+    # the second tile reserves every state the first one found.  The runs
+    # see the same counts as in one table that holds every state.
     sim = importlib.import_module("transientmdp.simulate")
 
     def successors(s):
@@ -536,25 +548,96 @@ def test_row_engine_grows_its_visit_table_past_the_reserve(monkeypatch):
         return Distribution([(StateId(o + 2), 0.85), (StateId(o - 1), 0.15)], check=False)
 
     mdp = LazyMdp(lambda s: StateKind.RANDOM, successors)
-    runs, horizon, proxy, zeros = 20, 200, RevisitCap(2), np.zeros
+    runs, horizon, proxy = 20, 200, RevisitCap(2)
     assert 4096 // (horizon + 1) == runs
-    tables = []
-
-    def recording(shape, *args, **kwargs):
-        if np.prod(shape) >= 64 * runs:
-            tables.append(int(np.prod(shape)))
-        return zeros(shape, *args, **kwargs)
-
     for seed in range(16):
         want = sim._row_estimate(mdp, StateId(0), None, horizon, runs, seed, proxy)
-        tables.clear()
+        tables = _recording_tables(monkeypatch)
         monkeypatch.setattr(sim, "_CELLS", 4096)
-        monkeypatch.setattr(np, "zeros", recording)
+        monkeypatch.setattr(sim, "_TILE_CELLS", 2048)
         got = sim._row_estimate(mdp, StateId(0), None, horizon, runs, seed, proxy)
         monkeypatch.undo()
-        assert tables == [4080, 8160], seed
+        cells = [(n, grown) for n, _, grown in tables]
+        assert cells[:3] == [(2040, False), (4080, True), (cells[2][0], False)], seed
+        assert cells[2][0] > 2040 and cells[2][0] % 10 == 0, seed
         assert all(np.array_equal(g, v) for g, v in zip(got, want)), seed
         assert 0 < want[0].sum() < runs
+
+
+def _stepped(monkeypatch, estimate, tile_cells):
+    """``(alive, flagged)`` that ``_step_runs`` returns to ``estimate()``,
+    and the number of visit tables it allocates afresh, with batches of 40
+    runs (4080 cells: 40 runs of the 102 ordinals, or of the 101 states a
+    run of 100 steps visits at most) and tiles of ``tile_cells`` cells."""
+    sim = importlib.import_module("transientmdp.simulate")
+    step, results = sim._step_runs, []
+    tables = _recording_tables(monkeypatch)
+    monkeypatch.setattr(sim, "_CELLS", 4080)
+    monkeypatch.setattr(sim, "_TILE_CELLS", tile_cells)
+    monkeypatch.setattr(sim, "_step_runs",
+                        lambda *a, **k: results.append(step(*a, **k)) or results[-1])
+    estimate()
+    monkeypatch.undo()
+    (alive, flagged), = results
+    return alive, flagged, sum(not grown for _, _, grown in tables)
+
+
+def _gambler(engine):
+    mdp, _ = gamblers_ruin(0.55)
+    if engine == "row":
+        mdp._vector = None
+    return mdp
+
+
+_LADDER, _ = no_optimal_ladder()
+TILE_CASES = {
+    "revisit_cap_0": lambda mdp: estimate_transience(mdp, w(0), None, 100, 150,
+                                                     RevisitCap(0), seed=3),
+    "revisit_cap_8": lambda mdp: estimate_transience(mdp, w(0), None, 100, 150,
+                                                     RevisitCap(8), seed=3),
+    "fresh_tail": lambda mdp: estimate_transience(mdp, w(0), None, 100, 150,
+                                                  FreshTail(20), seed=3),
+    "mean_visits": lambda mdp: mean_visits(mdp, w(0), w(3), None, 100, 150, seed=3),
+    "buchi_one_bit": lambda mdp: estimate_buchi_transience(
+        _LADDER, ladder_state("ell", 0), _ladder_one_bit(),
+        lambda s: s.ordinal % 4 == 0 and s.ordinal > 0, 100, 150, RevisitCap(8), 30, seed=3),
+}
+
+
+@pytest.mark.parametrize("case, engine", [
+    (case, engine) for case in TILE_CASES for engine in ("vector", "row")
+    if engine == "row" or case.startswith(("revisit", "fresh"))
+])
+def test_tiles_step_like_one_table(monkeypatch, case, engine):
+    # 150 runs go in batches of 40, 40, 40 and 30 runs.  With 1100 cells a
+    # tile holds 10 runs, so the batches step as 4, 4, 4 and 3 tiles; each
+    # tile jumps its copy of the batch's stream to its runs' uniforms.  With
+    # 4080 cells every batch is one tile.  RevisitCap(0) retires whole tiles
+    # early, RevisitCap(8) and FreshTail retire runs in mid-tile, mean_visits
+    # has no table, and the 1-bit Buechi estimate steps (mode, state) nodes.
+    estimate = lambda: TILE_CASES[case](_gambler(engine))  # noqa: E731
+    alive, flagged, tables = _stepped(monkeypatch, estimate, 1100)
+    one_alive, one_flagged, one_tables = _stepped(monkeypatch, estimate, 4080)
+    assert np.array_equal(alive, one_alive)
+    assert np.array_equal(flagged, one_flagged)
+    assert (tables, one_tables) == ((0, 0) if case == "mean_visits" else (15, 4))
+    if case in ("revisit_cap_8", "fresh_tail", "buchi_one_bit"):
+        assert 0 < alive.sum() < len(alive)
+    if case in ("mean_visits", "buchi_one_bit"):
+        assert flagged.any()
+
+
+def test_negative_goal_window_is_refused():
+    # A negative window started the goal count past the horizon, so no run
+    # counted a goal visit: this transient walk read 0.0, against 1.0 with
+    # a window of 100.
+    mdp, _ = gamblers_ruin(0.7)
+    everywhere = lambda s: True  # noqa: E731
+    assert estimate_buchi_transience(mdp, w(0), None, everywhere, 2000, 50,
+                                     RevisitCap(30), 100, seed=1)[0] == 1.0
+    with pytest.raises(BadParameter, match="goal_window"):
+        estimate_buchi_transience(mdp, w(0), None, everywhere, 2000, 50,
+                                  RevisitCap(30), -5, seed=1)
 
 
 def test_vector_engine_refuses_a_start_outside_its_table():
