@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -133,6 +134,13 @@ def _object(value, what: str) -> dict:
     return value
 
 
+def _list(value, what: str) -> list:
+    """``value`` if it is a JSON list; anything else is a scenario error."""
+    if not isinstance(value, list):
+        raise ScenarioError(f"{what} must be a list, not {value!r}")
+    return value
+
+
 def _field(doc: dict, key: str, where: str):
     """``doc[key]``; a missing key is a scenario error."""
     if key not in doc:
@@ -167,10 +175,10 @@ def run_scenario(path: Path, seed: int | None, out_dir: Path) -> int:
     if kind == "synthesize":
         return _task_synthesize(doc, task, master, out_dir, base)
     if kind == "verify":
-        suites = task.get("suites") or [task.get("suite", "conditioned")]
+        suites = _list(task.get("suites") or [task.get("suite", "conditioned")], "suites")
         return _run_verify(suites, master, out_dir)
     if kind == "sweep":
-        return _task_sweep(doc, task, master, out_dir)
+        return _task_sweep(doc, task, master, out_dir, base)
     raise ScenarioError(f"unknown task kind {kind!r}")
 
 
@@ -215,6 +223,8 @@ def _task_synthesize(doc, task, master, out_dir, base) -> int:
     mdp, meta = _load_mdp(_field(doc, "mdp", "scenario"), base)
     method = task.get("method")
     epsilon = _number(float, task.get("epsilon", 0.1), "epsilon")
+    if not 0.0 < epsilon < math.inf:
+        raise ScenarioError(f"epsilon must be positive and finite, not {epsilon!r}")
     if method == "transience_md":
         s0 = _state(mdp, meta, _field(task, "state", "task"))
         budgets = TransienceBudgets(radius=_number(int, task.get("radius", 40), "radius"))
@@ -269,7 +279,8 @@ def _task_synthesize(doc, task, master, out_dir, base) -> int:
         return 0
     if method == "safety_md":
         phi = _parse_objective(_field(task, "objective", "task"), mdp)
-        roots = [_state(mdp, meta, o) for o in task.get("roots", [task.get("state", 0)])]
+        roots = _list(task.get("roots", [task.get("state", 0)]), "roots")
+        roots = [_state(mdp, meta, o) for o in roots]
         schedule = SafetySchedule()
         sigma = safety_md_universally_transient(
             mdp, phi, epsilon, schedule, roots,
@@ -281,14 +292,16 @@ def _task_synthesize(doc, task, master, out_dir, base) -> int:
     raise ScenarioError(f"unknown synthesis method {method!r}")
 
 
-def _task_sweep(doc, task, master, out_dir) -> int:
-    gadget = task.get("gadget") or doc.get("mdp", {}).get("gadget")
+def _task_sweep(doc, task, master, out_dir, base) -> int:
+    gadget = task.get("gadget") or _object(doc.get("mdp", {}), "mdp").get("gadget")
     param = _field(task, "param", "sweep task")
-    values = _field(task, "values", "sweep task")
-    est_cfg = task.get("estimate", {})
+    if not isinstance(param, str):
+        raise ScenarioError(f"sweep param must be a string, not {param!r}")
+    values = _list(_field(task, "values", "sweep task"), "sweep values")
+    est_cfg = _object(task.get("estimate", {}), "sweep estimate")
     rows = []
     for v in values:
-        mdp, meta = build_gadget(gadget, {param: v})
+        mdp, meta = _load_mdp({"gadget": gadget, "params": {param: v}}, base)
         s0 = _state(mdp, meta, task.get("state", 0))
         est, half = _estimate(mdp, s0, None, est_cfg, 5000, 1000, derive_seed(master, "sweep", v))
         rows.append({param: v, "estimate": est, "half_width_95": half})

@@ -5,10 +5,11 @@ non-negative ordinal (the enumeration of the host state space) plus a
 human-readable label; its equality and hashing use the ordinal only, so labels
 never have to round-trip exactly through transformations.  A synthetic state
 (``SyntheticState``, minted only by ``mint``) is one that a construction adds:
-a truncation frontier, a split entry copy, an exit sink, a conditioned MDP's
-pair and bottom states, a prefix tail stub.  It equals another synthetic state
-of the same kind and ordinal and never a host state, whatever the ordinals;
-both namespaces sort together by ordinal.
+a truncation frontier, a conditioned MDP's pair and bottom states, a prefix
+tail stub.  It equals another synthetic state of the same kind and ordinal and
+never a host state, whatever the ordinals; both namespaces sort together by
+ordinal.  A query that cuts an MDP (a reach solve, a return probability, a
+bounded reward) adds no state: it fixes boundary values on the rows it has.
 
 A countable MDP is given by two pure oracles (state kind and successor family);
 a finite MDP is the same interface backed by compressed sparse rows.  Infinite
@@ -75,9 +76,8 @@ class SyntheticState(StateId):
 
 
 def mint(kind: str, ordinal: int, label: str | None = None) -> SyntheticState:
-    """A synthetic state of ``kind`` ("frontier", "entry", "exit", "pair",
-    "bottom", "tail_stub") at ``ordinal``, labelled ``label`` (default: the
-    kind)."""
+    """A synthetic state of ``kind`` ("frontier", "pair", "bottom",
+    "tail_stub") at ``ordinal``, labelled ``label`` (default: the kind)."""
     return SyntheticState(ordinal, kind if label is None else label, kind)
 
 
@@ -786,8 +786,9 @@ def _lumped(states: list[StateId], rows, sink: StateId) -> FiniteMdp:
     in support order, into one edge to ``sink``, and the controlled edges
     leaving it become one edge to ``sink``.  The sink is added last, as an
     absorbing random state recorded as the frontier, only when some edge
-    uses it.  The result is not validated.  Callers pass a generator, since
-    holding every row's lists at once triggers more garbage collections."""
+    uses it.  The result is not validated.  ``truncate`` passes a generator,
+    since holding every row's lists at once triggers more garbage
+    collections."""
     n = len(states)
     controlled, indptr, succ, prob = [], [0], [], []
     used_sink = False
@@ -823,20 +824,6 @@ def _lumped(states: list[StateId], rows, sink: StateId) -> FiniteMdp:
                               [{sink}], sink)
 
 
-def _restrict(fm: FiniteMdp, inside: Iterable[StateId], sink: StateId) -> FiniteMdp:
-    """Finite restriction of ``fm`` to the states ``inside``, in ordinal
-    order, by the lumping rule of ``_lumped``."""
-    states = sorted(inside)
-    pos = {fm.index[s]: k for k, s in enumerate(states)}
-    indptr, succ, prob = fm.indptr, fm.succ, fm.prob
-    rows = (
-        (fm.controlled[i], [pos.get(j, -1) for j in succ[indptr[i]:indptr[i + 1]]],
-         prob[indptr[i]:indptr[i + 1]])
-        for i in pos
-    )
-    return _lumped(states, rows, sink)
-
-
 def _with_rows(fm: FiniteMdp, edits: Mapping[int, tuple]) -> FiniteMdp:
     """Copy of ``fm`` whose row i is ``edits[i]`` = (controlled, successor
     indices, probabilities) where given.  It keeps the frontier, not the
@@ -862,20 +849,6 @@ def _absorb(fm: FiniteMdp, states: Iterable[StateId]) -> FiniteMdp:
     """Copy of ``fm`` with ``states`` turned into absorbing random sinks."""
     index = fm.index
     return _with_rows(fm, {index[s]: (False, [index[s]], [1.0]) for s in set(states)})
-
-
-def _extended(fm: FiniteMdp, s: StateId, like: StateId) -> FiniteMdp:
-    """Copy of ``fm`` with the new last state ``s``, whose kind and row are
-    those of ``like``.  It keeps the frontier, not the sinks."""
-    i = fm.index[like]
-    lo, hi = fm.indptr[i], fm.indptr[i + 1]
-    index = dict(fm.index)
-    index[s] = len(fm.states)
-    return FiniteMdp._of_rows(
-        fm.states + [s], fm.controlled + [fm.controlled[i]],
-        fm.indptr + [len(fm.succ) + hi - lo], fm.succ + fm.succ[lo:hi],
-        fm.prob + fm.prob[lo:hi], frontier=fm.frontier, index=index,
-    )
 
 
 def reachable(mdp: Mdp, roots: Iterable[StateId]) -> set[StateId]:

@@ -58,10 +58,7 @@ from .core import (
     StateId,
     StateKind,
     _backward_reach,
-    _extended,
-    _restrict,
     _stay_region,
-    mint,
     require_sink,
     truncate,
 )
@@ -138,8 +135,8 @@ class CostLabel:
 
 @dataclass
 class BoundedRewardSpec:
-    """Terminal rewards in [0,1] on an absorbing reward frontier inside a
-    finite subspace; leaving the subspace yields the exit reward 0."""
+    """Terminal rewards in [0,1] on a reward frontier inside a finite
+    subspace; leaving the subspace yields 0."""
 
     subspace: frozenset[StateId]
     terminal_rewards: dict[StateId, float]
@@ -759,11 +756,11 @@ def _ring_estimate(fm: FiniteMdp, values, lower: float, exclude) -> float:
 
 def return_probability(mdp: Mdp, s: StateId, radii: Iterable[int]) -> ReturnAnalysis:
     """Interval for Re(s), the supremum probability of revisiting ``s`` after
-    at least one step, reduced to reachability by state splitting: a fresh
-    entry copy of ``s`` keeps its transitions while the original becomes the
-    target.  The entry is one row appended to a copy of the truncation's
-    rows; the original needs no absorbing copy, because boundary rows are
-    never read.
+    at least one step, by first-step analysis (Norris, *Markov Chains*, 1997,
+    Thm 1.3.2): max-reach to {s} on the truncation's own rows, with ``s``
+    the boundary, then one Bellman step at ``s`` itself, the best successor
+    of a controlled ``s`` or the mean over a random ``s``'s row.  The
+    frontier cannot reach ``s``, so it is worth 0.
 
     The lower end (returns inside the bubble) is sound unconditionally.  A
     truncation-sound upper bound is vacuously 1 whenever escape has positive
@@ -779,12 +776,15 @@ def return_probability(mdp: Mdp, s: StateId, radii: Iterable[int]) -> ReturnAnal
         raise BadParameter("empty radius schedule")
     radius = radii[-1]
     fm = truncate(mdp, {s}, radius)
-    # The rows are in ordinal order, the frontier's last, so the last row
-    # has the largest ordinal.
-    entry = mint("entry", fm.states[-1].ordinal + 1, f"entry({s.label or s.ordinal})")
     i = fm.index[s]
-    values = _boundary_values(_extended(fm, entry, s), {i: 1.0}, True)
-    lower = values[-1]
+    values = _boundary_values(fm, {i: 1.0}, True)
+    lo, hi = fm.indptr[i], fm.indptr[i + 1]
+    if fm.controlled[i]:
+        lower = max(values[t] for t in fm.succ[lo:hi])
+    else:
+        lower = 0.0
+        for t, p in zip(fm.succ[lo:hi], fm.prob[lo:hi]):
+            lower += p * values[t]
     upper = _ring_estimate(fm, values, lower, {i})
     interval = ValueInterval(lower=lower, upper=upper, radius=radius)
     if interval.upper < 1.0:
@@ -892,20 +892,20 @@ def bounded_total_reward_md(
     spec: BoundedRewardSpec, fm: FiniteMdp
 ) -> tuple[MdStrategy, dict[StateId, float]]:
     """MD policy maximizing the expected terminal reward collected on first
-    entry to the reward frontier of the induced finite MDP; leaving the
-    subspace yields 0."""
-    exit_sink = mint("exit", max(s.ordinal for s in fm.states) + 1)
-    # The reward frontier is the boundary, whose rows are never read.
-    induced = _restrict(fm, spec.subspace, exit_sink)
-    boundary = dict(spec.terminal_rewards)
-    if induced.frontier is not None:
-        boundary[exit_sink] = 0.0
-    values, sigma = optimal_boundary_value(induced, boundary, True)
-    values.pop(exit_sink, None)
-    # The exit sink exists only inside the induced MDP; a choice pointing at
-    # it means "leave the subspace" and must not escape as an explicit entry.
-    sigma = MdStrategy({s: t for s, t in sigma.choice.items() if t != exit_sink})
-    return sigma, values
+    entry to the reward frontier of ``spec``'s subspace of ``fm``; leaving
+    the subspace yields 0.  One boundary solve on ``fm`` itself: the
+    terminal rewards, and 0 at every state outside the subspace.  Returns
+    the choices that stay inside the subspace and the values of its states,
+    both in ordinal order."""
+    if not spec.subspace <= fm.index.keys():
+        raise BadParameter("the subspace has states outside the MDP")
+    boundary = dict.fromkeys((t for t in fm.states if t not in spec.subspace), 0.0)
+    boundary.update(spec.terminal_rewards)
+    values, sigma = optimal_boundary_value(fm, boundary, True)
+    inside = sorted(spec.subspace)
+    choice = sigma.choice
+    return (MdStrategy({s: choice[s] for s in inside if choice.get(s) in spec.subspace}),
+            {s: values[s] for s in inside})
 
 
 # ---------------------------------------------------------------------------

@@ -82,6 +82,9 @@ class SynthesisParams:
 
     epsilon: float
 
+    def __post_init__(self):
+        _require_epsilon(self.epsilon)
+
     @property
     def epsilon_prime(self) -> float:
         return self.epsilon / 2.0
@@ -93,6 +96,12 @@ class SynthesisParams:
 
     def plastering_epsilon(self, i: int) -> float:
         return (self.epsilon / 2.0) * 2.0**-i
+
+
+def _require_epsilon(epsilon: float) -> None:
+    """Refuse an epsilon that is not a positive finite number (NaN too)."""
+    if not 0.0 < epsilon < math.inf:
+        raise BadParameter(f"epsilon must be positive and finite, got {epsilon}")
 
 
 # ---------------------------------------------------------------------------
@@ -470,6 +479,7 @@ def _one_bit_on(layers: _Layers, initial: list[StateId], goal_pred, epsilon: flo
     """``buchi_transience_one_bit`` on the search ``layers`` from ``initial``,
     which it grows to the schedule's region and reuses for its truncation,
     returned too: the level strategies' MDP, of radius ``levels[-1].k + 1``."""
+    _require_epsilon(epsilon)
     top = schedule.max_radius
     chain = _ReferenceChain(layers, initial, schedule.region_radius)
     goal_at = np.array([bool(goal_pred(s)) for s in layers.order[:chain.ends[top]]])
@@ -875,6 +885,7 @@ def safety_md_universally_transient(
     first branches and a tail stub.  A pick uses interval bounds, widening
     through the radius schedule until a qualifier appears.
     """
+    _require_epsilon(epsilon)
     objective = avoid if isinstance(avoid, Objective) else Objective.safety(avoid)
     schedule = schedule or SafetySchedule()
     roots = list(roots)

@@ -417,6 +417,8 @@ def test_relative_mdp_file_resolves_against_scenario(tmp_path, monkeypatch):
 
 GADGET = {"gadget": "gamblers_ruin", "params": {"p": 0.6}}
 SOLVE = {"kind": "solve", "objective": {"type": "reach", "states": [0]}, "state": 0}
+SWEEP = {"kind": "sweep", "gadget": "gamblers_ruin", "param": "p", "values": [0.6],
+         "estimate": {"horizon": 20, "runs": 10}}
 
 
 @pytest.mark.parametrize(
@@ -468,6 +470,16 @@ SOLVE = {"kind": "solve", "objective": {"type": "reach", "states": [0]}, "state"
                                    "objective": {"type": "reach", "states": [7, 99]}}),
         (GADGET, {"kind": "synthesize", "method": "one_bit", "state": 0,
                   "objective": {"type": "transience"}}),
+        (GADGET, {**SWEEP, "param": "q"}),
+        (GADGET, {**SWEEP, "param": ["p"]}),
+        ("gamblers_ruin", {key: v for key, v in SWEEP.items() if key != "gadget"}),
+        (GADGET, {**SWEEP, "values": 0.6}),
+        (GADGET, {**SWEEP, "estimate": []}),
+        (GADGET, {"kind": "synthesize", "method": "safety_md", "roots": 5,
+                  "objective": {"type": "safety", "states": [0]}}),
+        (GADGET, {"kind": "verify", "suites": "solvers"}),
+        (GADGET, {"kind": "synthesize", "method": "transience_md", "state": 0,
+                  "epsilon": -1}),
     ],
     ids=["missing_mdp_file", "malformed_mdp_file", "zero_runs", "horizon_within_window",
          "non_numeric_objective_state", "non_numeric_epsilon", "mdp_not_an_object",
@@ -480,7 +492,10 @@ SOLVE = {"kind": "solve", "objective": {"type": "reach", "states": [0]}, "state"
          "ordinal_not_a_gadget_state", "fractional_gadget_state", "string_gadget_state",
          "boolean_file_state", "negative_horizon", "negative_fresh_tail_window",
          "negative_max_visits", "nan_probability_file", "objective_state_not_in_file",
-         "synthesis_objective_state_not_in_file", "one_bit_transience_goal"],
+         "synthesis_objective_state_not_in_file", "one_bit_transience_goal",
+         "sweep_unknown_param", "sweep_param_not_a_string", "sweep_mdp_not_an_object", "sweep_values_not_a_list",
+         "sweep_estimate_not_an_object", "roots_not_a_list", "suites_not_a_list",
+         "negative_epsilon"],
 )
 def test_bad_scenario_input_is_a_scenario_error(tmp_path, capsys, mdp, task):
     (tmp_path / "broken.json").write_text('{"states": [')

@@ -1,8 +1,12 @@
+import ast
 import hashlib
 import importlib
 import itertools
 import math
+import random
 from collections import Counter
+from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -35,6 +39,7 @@ from transientmdp.errors import (
 from transientmdp.gadgets import (
     acyclic_chain,
     gamblers_ruin,
+    geometric_fan,
     ladder_exit_strategy,
     ladder_state,
     no_optimal_ladder,
@@ -276,7 +281,7 @@ def test_truncate_refuses_two_states_at_one_ordinal(met):
     # host state kept there: the MDP is refused, naming the ordinal.  The
     # search reaches one layer past the radius, so a collision there is
     # refused too, though the truncation keeps neither state.
-    host, synthetic = w(1), mint("exit", 1)
+    host, synthetic = w(1), mint("frontier", 1)
     mdp = LazyMdp(
         lambda s: StateKind.RANDOM,
         lambda s: Distribution([(host, 0.5), (synthetic, 0.5)]) if s.ordinal == 0
@@ -388,6 +393,25 @@ def test_simulate_seed_determinism():
     assert run1 == run2 and st1.visit_counts == st2.visit_counts
     run3, _ = simulate(mdp, w(0), None, 500, seed=43)
     assert run3 != run1
+
+
+def test_simulate_draws_an_infinite_random_family_by_inversion():
+    # geometric_fan's root picks branch b_j (ordinal 3j) with probability
+    # 2^-j: a step takes the first j whose partial sum exceeds the seed's
+    # first uniform, summed here in exact rationals.
+    fan, meta = geometric_fan()
+    root = meta.state(5)
+    branches = set()
+    for seed in range(200):
+        u = Fraction(random.Random(seed).random())
+        j, total = 0, Fraction(0)
+        while total <= u:
+            j += 1
+            total += Fraction(1, 2**j)
+        run, _ = simulate(fan, root, None, 1, seed)
+        assert [s.ordinal for s in run] == [5, 3 * j], seed
+        branches.add(j)
+    assert len(branches) >= 5
 
 
 def test_simulate_visit_counts_sum():
@@ -883,3 +907,49 @@ def test_md_default_pick_asks_each_state_once(choice):
     for s, t in zip(run, run[1:]):
         if ladder.kind_of(s) is StateKind.CONTROLLED and s not in choice:
             assert t == strategy.successor(ladder, s)
+
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "transientmdp"
+
+
+class _SyntheticUses(ast.NodeVisitor):
+    """The kinds passed to ``mint`` (a literal's value, else the source of
+    the expression) and the functions that call ``SyntheticState``."""
+
+    def __init__(self):
+        self.kinds, self.builders, self.scope = set(), set(), ["<module>"]
+
+    def visit_FunctionDef(self, node):
+        self.scope.append(node.name)
+        self.generic_visit(node)
+        self.scope.pop()
+
+    def visit_Call(self, node):
+        name = getattr(node.func, "id", getattr(node.func, "attr", None))
+        if name == "mint" and node.args:
+            kind = node.args[0]
+            self.kinds.add(kind.value if isinstance(kind, ast.Constant) else ast.unparse(kind))
+        elif name == "SyntheticState":
+            self.builders.add(self.scope[-1])
+        self.generic_visit(node)
+
+
+def test_guard_sees_synthetic_state_uses():
+    uses = _SyntheticUses()
+    uses.visit(ast.parse("def f(k):\n    a = mint('frontier', 1)\n    b = core.mint(k, 2)\n"
+                         "    return SyntheticState(3, 'x', 'y')\n"))
+    assert uses.kinds == {"frontier", "k"} and uses.builders == {"f"}
+
+
+def test_synthetic_states_are_minted_in_one_way():
+    # A construction that adds states mints them through ``core.mint`` with
+    # one of these kinds; a query that cuts an MDP fixes boundary values on
+    # its rows instead of adding an entry or exit state.
+    kinds, builders = set(), set()
+    for path in sorted(SRC.glob("*.py")):
+        uses = _SyntheticUses()
+        uses.visit(ast.parse(path.read_text()))
+        kinds |= uses.kinds
+        builders |= {f"{path.stem}.{name}" for name in uses.builders}
+    assert kinds == {"frontier", "pair", "bottom", "tail_stub"}
+    assert builders == {"core.mint"}

@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from transientmdp import Distribution, LazyMdp, Objective, StateId, StateKind
-from transientmdp import core, solvers, transforms
+from transientmdp import core, solvers, synthesis, transforms
 from transientmdp.cli import main as cli_main
 from transientmdp.core import InfiniteSuccessors, OneBitStrategy, successor_states
 from transientmdp.gadgets import (
@@ -69,7 +69,7 @@ def _minting(run):
         return s
 
     with ExitStack() as stack:
-        for module in (core, solvers, transforms):
+        for module in (core, synthesis, transforms):
             stack.enter_context(mock.patch.object(module, "mint", recording))
         run()
     return minted
@@ -261,15 +261,30 @@ def test_row_edits_match_the_table_form(seed, n, source):
              for s in fm.controlled_states() if rng.random() < 0.6}
     _assert_same_mdp(fix_choices(fm, fixed), _ref_fix_choices(fm, fixed))
 
+    # The routes that cut an MDP by boundary values match the copies they
+    # replaced: the induced MDP with an exit sink for bounded rewards, and
+    # the truncation with an entry copy of s for the return probability.
     sink = core.mint("exit", max(s.ordinal for s in states) + 1)
     inside = set(rng.sample(states, rng.randint(1, len(states))))
-    rewards = set(rng.sample(sorted(inside), rng.randint(0, len(inside))))
-    _assert_same_mdp(core._absorb(core._restrict(fm, inside, sink), rewards),
-                     _ref_absorb(_ref_restrict(fm, inside, sink), rewards))
+    rewards = {t: rng.choice([0.0, 1.0, rng.random()])
+               for t in rng.sample(sorted(inside), rng.randint(0, len(inside)))}
+    induced = _ref_absorb(_ref_restrict(fm, inside, sink), rewards)
+    want, want_sigma = solvers.optimal_boundary_value(induced, {**rewards, sink: 0.0}, True)
+    sigma, values = bounded_total_reward_md(BoundedRewardSpec(frozenset(inside), rewards), fm)
+    assert list(values) == sorted(inside)
+    assert values == {t: want[t] for t in sorted(inside)}
+    for q, t in want_sigma.choice.items():
+        if want[q] > 0.0:
+            assert sigma.choice.get(q) == t, q
+    assert all(t in inside for t in sigma.choice.values())
 
     s = rng.choice(states)
-    entry = core.mint("entry", sink.ordinal)
-    _assert_same_mdp(core._extended(fm, entry, s), _ref_entry_copy(fm, entry, s))
+    trunc = core.truncate(fm, {s}, n)
+    entry = core.mint("entry", max(q.ordinal for q in trunc.states) + 1)
+    split = _ref_absorb(_ref_entry_copy(trunc, entry, s), {s})
+    old, _ = solvers.optimal_boundary_value(split, {s: 1.0}, True)
+    # The split solves a system one row larger, which rounds differently.
+    assert abs(return_probability(fm, s, [n]).re.lower - old[entry]) <= 1e-15
 
 
 @PROPERTY
@@ -290,16 +305,14 @@ def test_unabsorbed_boundaries_match_the_absorb_route(seed, n, radius):
 
     s = rng.choice(fm.states)
     trunc = core.truncate(fm, {s}, radius)
-    entry = core.mint("entry", max(q.ordinal for q in trunc.states) + 1)
-    kinds, transitions = _tables(trunc)
-    split = core._absorb(core.FiniteMdp(
-        trunc.states + [entry], {**kinds, entry: kinds[s]},
-        {**transitions, entry: transitions[s]}, check=False,
-    ), {s})
-    old, old_sigma = solvers.optimal_boundary_value(split, {s: 1.0}, True)
-    new, sigma = solvers.optimal_boundary_value(core._extended(trunc, entry, s), {s: 1.0}, True)
-    assert new == old and sigma.choice == old_sigma.choice
-    lower = old[entry]
+    old, _ = solvers.optimal_boundary_value(core._absorb(trunc, {s}), {s: 1.0}, True)
+    succ = trunc.successors_of(s)
+    if isinstance(succ, Distribution):
+        lower = 0.0
+        for t, p in succ:
+            lower += p * old[t]
+    else:
+        lower = max(old[t] for t in succ)
     upper = solvers._ring_estimate(trunc, [old[q] for q in trunc.states], lower,
                                    {trunc.index[s]})
     analysis = return_probability(fm, s, [radius])
@@ -483,6 +496,20 @@ def test_plastering_attains_value_minus_epsilon(seed, n, epsilon):
     assert len(state.rounds) == n
     for s in fm.states:
         assert attained[s] >= values[s] - epsilon - 1e-9
+
+
+@PROPERTY
+@given(seed=SEEDS, n=ORACLE_SIZES, epsilon=st.sampled_from([0.5, 0.1, 1e-3]))
+def test_plastering_under_safety_is_epsilon_optimal(seed, n, epsilon):
+    fm = random_finite_mdp(seed, n_states=n)
+    avoid = {fm.states[-2]}
+    phi = Objective.safety(avoid)
+    oracle = md_policy_oracle(fm, phi, max_controlled=6)
+    sigma, state = plastering_uniformize(fm, phi, epsilon)
+    attained = evaluate_md_safety(fm, sigma, avoid)
+    assert len(state.rounds) == n
+    for s in fm.states:
+        assert attained[s] >= oracle.values[s] - epsilon - 1e-9
 
 
 def _branch(j):

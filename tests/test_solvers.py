@@ -535,8 +535,10 @@ def test_oracle_asks_each_state_once():
     lambda: BoundedRewardSpec(frozenset([S(0)]), {S(0): 1.5}),
     lambda: BoundedRewardSpec(frozenset([S(0)]), {S(1): 0.5}),
     lambda: md_policy_oracle(random_finite_mdp(1, n_states=4)),
+    lambda: bounded_total_reward_md(BoundedRewardSpec(frozenset([S(0), S(99)]), {S(0): 1.0}),
+                                    random_finite_mdp(1, n_states=4)),
 ], ids=["inverted-interval", "negative-cost", "reward-above-one", "frontier-outside-subspace",
-        "oracle-without-objective"])
+        "oracle-without-objective", "subspace-outside-mdp"])
 def test_bad_solver_input_raises_typed_error(build):
     with pytest.raises(TransientMdpError):
         build()

@@ -2,6 +2,7 @@ import hashlib
 import importlib
 import itertools
 import json
+import math
 
 import pytest
 
@@ -9,7 +10,9 @@ from transientmdp import (
     Distribution,
     FiniteMdp,
     LazyMdp,
+    MdStrategy,
     Objective,
+    OneBitStrategy,
     StateId,
     StateKind,
 )
@@ -17,6 +20,7 @@ from transientmdp import synthesis
 from transientmdp.cli import main as cli_main
 from transientmdp.core import InfiniteSuccessors, bubble, successor_states, truncate
 from transientmdp.errors import (
+    BadParameter,
     EmptyFrontier,
     NotUniversallyTransient,
     RadiusExhausted,
@@ -43,6 +47,7 @@ from transientmdp.solvers import (
     evaluate_md_cost,
     evaluate_md_reach,
     evaluate_md_safety,
+    md_policy_oracle,
     reach_value,
     safety_value,
 )
@@ -75,6 +80,23 @@ def test_synthesis_params_exact_constants():
     assert p.big_k == (1.0 + 0.05) / 0.05
     total = sum(p.plastering_epsilon(i) for i in range(1, 60))
     assert abs(total - 0.05) < 1e-12
+
+
+@pytest.mark.parametrize("epsilon", [0.0, -0.5, math.nan, math.inf])
+def test_non_positive_or_non_finite_epsilon_is_refused(epsilon):
+    walk, _ = gamblers_ruin(0.7)
+    w0 = StateId(0, "w_0")
+    fm = random_finite_mdp(3, n_states=6)
+    calls = [
+        lambda: SynthesisParams(epsilon),
+        lambda: plastering_uniformize(fm, win_objective(fm), epsilon),
+        lambda: transience_md(walk, w0, epsilon),
+        lambda: buchi_transience_one_bit(walk, [w0], lambda s: True, epsilon),
+        lambda: safety_md_universally_transient(fm, {fm.states[-2]}, epsilon),
+    ]
+    for call in calls:
+        with pytest.raises(BadParameter, match="epsilon"):
+            call()
 
 
 # ---------------------------------------------------------------------------
@@ -275,6 +297,15 @@ def test_optimal_md_zero_value_mdp():
     )
     sigma = optimal_md_where_exists(fm2, Objective.reach({t_unreachable}))
     assert sigma.choice == {}  # all-zero values: default rule qualifies
+
+
+def test_optimal_md_without_a_positive_value_state():
+    # Reach of no state, and Safety that avoids every state, are worth 0
+    # everywhere: nothing is attained, so the strategy is empty.
+    fm = random_finite_mdp(5, n_states=7)
+    for phi in (Objective.reach(set()), Objective.safety(set(fm.states))):
+        assert set(md_policy_oracle(fm, phi).values.values()) == {0.0}
+        assert optimal_md_where_exists(fm, phi) == MdStrategy({})
 
 
 def test_optimal_md_value_one_chain():
@@ -640,6 +671,42 @@ def test_transience_md_visits_match_forward_iteration(name):
     for s, v in visits.items():
         assert abs(part.expected_visits[s] - v) <= 1e-9
     assert abs(part.attainment - reached) <= 1e-9
+
+
+def test_transience_md_repairs_a_state_with_one_good_mode():
+    # At the root, mode 0 walks into the trap and mode 1 up the chain; the
+    # chain falls back to the root in mode 0 with probability 0.2.  Only the
+    # root's mode 1 reaches the frontier, so its mode-0 row is repaired to
+    # the mode-1 row, and every run then escapes.
+    root, trap = StateId(0, "r"), StateId(1, "trap")
+
+    def chain(k):
+        return StateId(k + 1, f"c_{k}")
+
+    def successors(s):
+        if s == root:
+            return [trap, chain(1)]
+        if s == trap:
+            return Distribution([(trap, 1.0)])
+        return Distribution([(chain(s.ordinal), 0.8), (root, 0.2)])
+
+    mdp = LazyMdp(lambda s: StateKind.CONTROLLED if s == root else StateKind.RANDOM, successors)
+    one_bit = OneBitStrategy(
+        0, lambda m, s: (m, trap if m == 0 else chain(1)),
+        lambda m, s, t: 0 if t == root else m,
+    )
+    budgets = TransienceBudgets(radius=6)
+    sigma, part = transience_md(mdp, root, 0.1, one_bit=one_bit, budgets=budgets)
+    assert part.mode_repairs == {root: 1}
+    assert part.s_bad == {trap}
+    fm = truncate(mdp, {root}, budgets.radius)
+    visits, reached = _forward_visits(fm, root, one_bit, part)
+    assert set(visits) == set(part.expected_visits) == part.s_good_prime
+    for s, v in visits.items():
+        assert abs(part.expected_visits[s] - v) <= 1e-9
+    assert abs(part.attainment - reached) <= 1e-9 and abs(reached - 1.0) <= 1e-9
+    assert visits[root] > 1.0
+    assert sigma.successor(mdp, root) == chain(1)
 
 
 def test_transience_md_ignores_the_seed_under_a_fixed_schedule():
