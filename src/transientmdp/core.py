@@ -5,11 +5,11 @@ non-negative ordinal (the enumeration of the host state space) plus a
 human-readable label; its equality and hashing use the ordinal only, so labels
 never have to round-trip exactly through transformations.  A synthetic state
 (``SyntheticState``, minted only by ``mint``) is one that a construction adds:
-a truncation frontier, a conditioned MDP's pair and bottom states, a prefix
-tail stub.  It equals another synthetic state of the same kind and ordinal and
-never a host state, whatever the ordinals; both namespaces sort together by
-ordinal.  A query that cuts an MDP (a reach solve, a return probability, a
-bounded reward) adds no state: it fixes boundary values on the rows it has.
+a truncation frontier, a split entry copy, a conditioned MDP's pair and bottom
+states, a prefix tail stub.  It equals another synthetic state of the same kind
+and ordinal and never a host state, whatever the ordinals; both namespaces sort
+together by ordinal.  A query that cuts an MDP (a reach solve, a bounded
+reward) adds no state: it fixes boundary values on the rows it has.
 
 A countable MDP is given by two pure oracles (state kind and successor family);
 a finite MDP is the same interface backed by compressed sparse rows.  Infinite
@@ -76,7 +76,7 @@ class SyntheticState(StateId):
 
 
 def mint(kind: str, ordinal: int, label: str | None = None) -> SyntheticState:
-    """A synthetic state of ``kind`` ("frontier", "pair", "bottom",
+    """A synthetic state of ``kind`` ("frontier", "entry", "pair", "bottom",
     "tail_stub") at ``ordinal``, labelled ``label`` (default: the kind)."""
     return SyntheticState(ordinal, kind if label is None else label, kind)
 
@@ -776,15 +776,16 @@ def truncate(
             _check_answer(s, kind, answer)
             yield True, ks, [math.nan] * len(ks)
 
-    return _lumped(states, rows(), mint("frontier", states[-1].ordinal + 1))
+    return _lumped(states, rows())
 
 
-def _lumped(states: list[StateId], rows, sink: StateId) -> FiniteMdp:
-    """The finite MDP over ``states`` whose row i is the i-th of ``rows``,
-    (controlled, successor positions, probabilities), position -1 for a
-    successor outside ``states``.  Random mass leaving ``states`` is summed,
-    in support order, into one edge to ``sink``, and the controlled edges
-    leaving it become one edge to ``sink``.  The sink is added last, as an
+def _lumped(states: list[StateId], rows) -> FiniteMdp:
+    """The finite MDP over ``states`` (in ordinal order) whose row i is the
+    i-th of ``rows``, (controlled, successor positions, probabilities),
+    position -1 for a successor outside ``states``.  Random mass leaving
+    ``states`` is summed, in support order, into one edge to a frontier sink,
+    and the controlled edges leaving it become one edge to the sink.  The
+    sink, minted one ordinal above the last state, is added last, as an
     absorbing random state recorded as the frontier, only when some edge
     uses it.  The result is not validated.  ``truncate`` passes a generator,
     since holding every row's lists at once triggers more garbage
@@ -817,6 +818,7 @@ def _lumped(states: list[StateId], rows, sink: StateId) -> FiniteMdp:
         indptr.append(len(succ))
     if not used_sink:
         return FiniteMdp._of_rows(states, controlled, indptr, succ, prob)
+    sink = mint("frontier", states[-1].ordinal + 1)
     succ.append(n)
     prob.append(1.0)
     indptr.append(len(succ))
@@ -849,6 +851,20 @@ def _absorb(fm: FiniteMdp, states: Iterable[StateId]) -> FiniteMdp:
     """Copy of ``fm`` with ``states`` turned into absorbing random sinks."""
     index = fm.index
     return _with_rows(fm, {index[s]: (False, [index[s]], [1.0]) for s in set(states)})
+
+
+def _extended(fm: FiniteMdp, s: StateId, like: StateId) -> FiniteMdp:
+    """Copy of ``fm`` with the new last state ``s``, whose kind and row are
+    those of ``like``.  It keeps the frontier, not the sinks."""
+    i = fm.index[like]
+    lo, hi = fm.indptr[i], fm.indptr[i + 1]
+    index = dict(fm.index)
+    index[s] = len(fm.states)
+    return FiniteMdp._of_rows(
+        fm.states + [s], fm.controlled + [fm.controlled[i]],
+        fm.indptr + [len(fm.succ) + hi - lo], fm.succ + fm.succ[lo:hi],
+        fm.prob + fm.prob[lo:hi], frontier=fm.frontier, index=index,
+    )
 
 
 def reachable(mdp: Mdp, roots: Iterable[StateId]) -> set[StateId]:

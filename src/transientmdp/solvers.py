@@ -58,7 +58,9 @@ from .core import (
     StateId,
     StateKind,
     _backward_reach,
+    _extended,
     _stay_region,
+    mint,
     require_sink,
     truncate,
 )
@@ -756,11 +758,11 @@ def _ring_estimate(fm: FiniteMdp, values, lower: float, exclude) -> float:
 
 def return_probability(mdp: Mdp, s: StateId, radii: Iterable[int]) -> ReturnAnalysis:
     """Interval for Re(s), the supremum probability of revisiting ``s`` after
-    at least one step, by first-step analysis (Norris, *Markov Chains*, 1997,
-    Thm 1.3.2): max-reach to {s} on the truncation's own rows, with ``s``
-    the boundary, then one Bellman step at ``s`` itself, the best successor
-    of a controlled ``s`` or the mean over a random ``s``'s row.  The
-    frontier cannot reach ``s``, so it is worth 0.
+    at least one step, reduced to reachability by state splitting: a fresh
+    entry copy of ``s`` keeps its transitions while the original becomes the
+    target.  The entry is one row appended to a copy of the truncation's
+    rows; the original needs no absorbing copy, because boundary rows are
+    never read.
 
     The lower end (returns inside the bubble) is sound unconditionally.  A
     truncation-sound upper bound is vacuously 1 whenever escape has positive
@@ -776,15 +778,12 @@ def return_probability(mdp: Mdp, s: StateId, radii: Iterable[int]) -> ReturnAnal
         raise BadParameter("empty radius schedule")
     radius = radii[-1]
     fm = truncate(mdp, {s}, radius)
+    # The rows are in ordinal order, the frontier's last, so the last row
+    # has the largest ordinal.
+    entry = mint("entry", fm.states[-1].ordinal + 1, f"entry({s.label or s.ordinal})")
     i = fm.index[s]
-    values = _boundary_values(fm, {i: 1.0}, True)
-    lo, hi = fm.indptr[i], fm.indptr[i + 1]
-    if fm.controlled[i]:
-        lower = max(values[t] for t in fm.succ[lo:hi])
-    else:
-        lower = 0.0
-        for t, p in zip(fm.succ[lo:hi], fm.prob[lo:hi]):
-            lower += p * values[t]
+    values = _boundary_values(_extended(fm, entry, s), {i: 1.0}, True)
+    lower = values[-1]
     upper = _ring_estimate(fm, values, lower, {i})
     interval = ValueInterval(lower=lower, upper=upper, radius=radius)
     if interval.upper < 1.0:

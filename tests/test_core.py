@@ -914,7 +914,8 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "transientmdp"
 
 class _SyntheticUses(ast.NodeVisitor):
     """The kinds passed to ``mint`` (a literal's value, else the source of
-    the expression) and the functions that call ``SyntheticState``."""
+    the expression, None when no kind is passed) and the functions that
+    call ``SyntheticState``."""
 
     def __init__(self):
         self.kinds, self.builders, self.scope = set(), set(), ["<module>"]
@@ -924,11 +925,18 @@ class _SyntheticUses(ast.NodeVisitor):
         self.generic_visit(node)
         self.scope.pop()
 
+    visit_AsyncFunctionDef = visit_FunctionDef
+
     def visit_Call(self, node):
         name = getattr(node.func, "id", getattr(node.func, "attr", None))
-        if name == "mint" and node.args:
-            kind = node.args[0]
-            self.kinds.add(kind.value if isinstance(kind, ast.Constant) else ast.unparse(kind))
+        if name == "mint":
+            kinds = node.args[:1] + [k.value for k in node.keywords if k.arg == "kind"]
+            if not kinds:
+                self.kinds.add(None)
+            elif isinstance(kinds[0], ast.Constant):
+                self.kinds.add(kinds[0].value)
+            else:
+                self.kinds.add(ast.unparse(kinds[0]))
         elif name == "SyntheticState":
             self.builders.add(self.scope[-1])
         self.generic_visit(node)
@@ -937,19 +945,23 @@ class _SyntheticUses(ast.NodeVisitor):
 def test_guard_sees_synthetic_state_uses():
     uses = _SyntheticUses()
     uses.visit(ast.parse("def f(k):\n    a = mint('frontier', 1)\n    b = core.mint(k, 2)\n"
-                         "    return SyntheticState(3, 'x', 'y')\n"))
-    assert uses.kinds == {"frontier", "k"} and uses.builders == {"f"}
+                         "    c = mint(ordinal=3, kind='pair')\n    d = mint(**k)\n"
+                         "    return SyntheticState(3, 'x', 'y')\n"
+                         "async def g():\n    return SyntheticState(4, 'x', 'y')\n"))
+    assert uses.kinds == {"frontier", "k", "pair", None}
+    assert uses.builders == {"f", "g"}
 
 
 def test_synthetic_states_are_minted_in_one_way():
     # A construction that adds states mints them through ``core.mint`` with
     # one of these kinds; a query that cuts an MDP fixes boundary values on
-    # its rows instead of adding an entry or exit state.
+    # its rows instead of adding a state.  Re(s)'s split entry copy is the
+    # one derived copy left.
     kinds, builders = set(), set()
     for path in sorted(SRC.glob("*.py")):
         uses = _SyntheticUses()
         uses.visit(ast.parse(path.read_text()))
         kinds |= uses.kinds
         builders |= {f"{path.stem}.{name}" for name in uses.builders}
-    assert kinds == {"frontier", "pair", "bottom", "tail_stub"}
+    assert kinds == {"frontier", "entry", "pair", "bottom", "tail_stub"}
     assert builders == {"core.mint"}

@@ -69,7 +69,7 @@ def _minting(run):
         return s
 
     with ExitStack() as stack:
-        for module in (core, synthesis, transforms):
+        for module in (core, solvers, synthesis, transforms):
             stack.enter_context(mock.patch.object(module, "mint", recording))
         run()
     return minted
@@ -261,9 +261,8 @@ def test_row_edits_match_the_table_form(seed, n, source):
              for s in fm.controlled_states() if rng.random() < 0.6}
     _assert_same_mdp(fix_choices(fm, fixed), _ref_fix_choices(fm, fixed))
 
-    # The routes that cut an MDP by boundary values match the copies they
-    # replaced: the induced MDP with an exit sink for bounded rewards, and
-    # the truncation with an entry copy of s for the return probability.
+    # bounded_total_reward_md cuts the MDP by boundary values; it matches
+    # the solve on the induced MDP with an exit sink that it replaced.
     sink = core.mint("exit", max(s.ordinal for s in states) + 1)
     inside = set(rng.sample(states, rng.randint(1, len(states))))
     rewards = {t: rng.choice([0.0, 1.0, rng.random()])
@@ -279,12 +278,8 @@ def test_row_edits_match_the_table_form(seed, n, source):
     assert all(t in inside for t in sigma.choice.values())
 
     s = rng.choice(states)
-    trunc = core.truncate(fm, {s}, n)
-    entry = core.mint("entry", max(q.ordinal for q in trunc.states) + 1)
-    split = _ref_absorb(_ref_entry_copy(trunc, entry, s), {s})
-    old, _ = solvers.optimal_boundary_value(split, {s: 1.0}, True)
-    # The split solves a system one row larger, which rounds differently.
-    assert abs(return_probability(fm, s, [n]).re.lower - old[entry]) <= 1e-15
+    entry = core.mint("entry", sink.ordinal)
+    _assert_same_mdp(core._extended(fm, entry, s), _ref_entry_copy(fm, entry, s))
 
 
 @PROPERTY
@@ -305,14 +300,16 @@ def test_unabsorbed_boundaries_match_the_absorb_route(seed, n, radius):
 
     s = rng.choice(fm.states)
     trunc = core.truncate(fm, {s}, radius)
-    old, _ = solvers.optimal_boundary_value(core._absorb(trunc, {s}), {s: 1.0}, True)
-    succ = trunc.successors_of(s)
-    if isinstance(succ, Distribution):
-        lower = 0.0
-        for t, p in succ:
-            lower += p * old[t]
-    else:
-        lower = max(old[t] for t in succ)
+    entry = core.mint("entry", max(q.ordinal for q in trunc.states) + 1)
+    kinds, transitions = _tables(trunc)
+    split = core._absorb(core.FiniteMdp(
+        trunc.states + [entry], {**kinds, entry: kinds[s]},
+        {**transitions, entry: transitions[s]}, check=False,
+    ), {s})
+    old, old_sigma = solvers.optimal_boundary_value(split, {s: 1.0}, True)
+    new, sigma = solvers.optimal_boundary_value(core._extended(trunc, entry, s), {s: 1.0}, True)
+    assert new == old and sigma.choice == old_sigma.choice
+    lower = old[entry]
     upper = solvers._ring_estimate(trunc, [old[q] for q in trunc.states], lower,
                                    {trunc.index[s]})
     analysis = return_probability(fm, s, [radius])
