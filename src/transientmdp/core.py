@@ -234,8 +234,12 @@ def _default_pick(succ, s: StateId) -> StateId:
     """MdStrategy's pick at a controlled ``s`` outside its table, from the
     successor answer ``succ`` of ``s``."""
     if isinstance(succ, InfiniteSuccessors):
-        return next(succ.iter_states())
-    return min(_states_of(succ, s), key=lambda t: t.ordinal)
+        pick = next(succ.iter_states(), None)
+    else:
+        pick = min(_states_of(succ, s), key=lambda t: t.ordinal, default=None)
+    if pick is None:
+        raise BadModel(f"state {s} has no successor")
+    return pick
 
 
 _KINDS = (StateKind.RANDOM, StateKind.CONTROLLED)  # by ``controlled``; faster than a member
@@ -727,23 +731,25 @@ def truncate(
     layers: _Layers | None = None,
 ) -> FiniteMdp:
     """Finite restriction of ``mdp`` to the radius-``radius`` bubble around
-    ``roots``, by the lumping rule of ``_lumped``: the edges leaving the
-    bubble go to a fresh absorbing frontier sink, which is added only when
-    some edge uses it.  The ``frontier`` tag must name a policy, optimistic
-    or pessimistic, but changes nothing; callers that want the sink to win
-    or lose say so in the boundary they solve with.
+    ``roots``.  The edges leaving the bubble are lumped into one edge to a
+    fresh absorbing frontier sink: a random state's leaving mass is summed
+    in support order, and a controlled state's leaving edges become one.
+    The sink, minted one ordinal above the last kept state, is added last,
+    and only when some edge uses it.  The ``frontier`` tag must name a
+    policy, optimistic or pessimistic, but changes nothing; callers that
+    want the sink to win or lose say so in the boundary they solve with.
 
     One breadth-first search asks each kept state's ``kind_of`` and
-    ``successors_of`` once and builds the rows in the same pass: rows in
-    ordinal order with the frontier last, successors in oracle order.  The
-    search reads a Distribution's support in place.  Each oracle answer
-    gets the checks of the ``FiniteMdp`` constructor, with its exception
-    types; a random state's non-empty Distribution passes them all, so it
-    skips them.  A caller that already searched from ``roots`` may pass its
-    ``layers``, which are grown as far as needed instead of searched again.
-    The result needs no ``validate``: the search keeps one state per
-    ordinal, the frontier's ordinal is above every kept one, and the
-    frontier loops on itself.
+    ``successors_of`` once, and one loop over its kept states builds the
+    rows: in ordinal order with the frontier last, successors in oracle
+    order.  The search reads a Distribution's support in place.  Each
+    oracle answer gets the checks of the ``FiniteMdp`` constructor, with
+    its exception types; a random state's non-empty Distribution passes
+    them all, so it skips them.  A caller that already searched from
+    ``roots`` may pass its ``layers``, which are grown as far as needed
+    instead of searched again.  The result needs no ``validate``: the
+    search keeps one state per ordinal, the frontier's ordinal is above
+    every kept one, and the frontier loops on itself.
     """
     if frontier not in (OPTIMISTIC, PESSIMISTIC):
         raise BadParameter(f"unknown frontier policy {frontier!r}")
@@ -762,50 +768,29 @@ def truncate(
         where[i] = k
     states = [order[i] for i in rank]
     kind_of, random = mdp.kind_of, StateKind.RANDOM
-
-    def rows():
-        for i, s in zip(rank, states):
-            kind, answer = kind_of(s), answers[i]
-            ks = [where[j] for j in targets[i]]
-            # A random state answering a non-empty Distribution passes every
-            # check of ``_check_answer``; any other answer goes through it,
-            # and only a controlled state's answer passes.
-            if kind is random and isinstance(answer, Distribution) and answer.support:
-                yield False, ks, [p for _, p in answer.support]
-                continue
-            _check_answer(s, kind, answer)
-            yield True, ks, [math.nan] * len(ks)
-
-    return _lumped(states, rows())
-
-
-def _lumped(states: list[StateId], rows) -> FiniteMdp:
-    """The finite MDP over ``states`` (in ordinal order) whose row i is the
-    i-th of ``rows``, (controlled, successor positions, probabilities),
-    position -1 for a successor outside ``states``.  Random mass leaving
-    ``states`` is summed, in support order, into one edge to a frontier sink,
-    and the controlled edges leaving it become one edge to the sink.  The
-    sink, minted one ordinal above the last state, is added last, as an
-    absorbing random state recorded as the frontier, only when some edge
-    uses it.  The result is not validated.  ``truncate`` passes a generator,
-    since holding every row's lists at once triggers more garbage
-    collections."""
-    n = len(states)
     controlled, indptr, succ, prob = [], [0], [], []
     used_sink = False
-    for is_controlled, ks, ps in rows:
-        controlled.append(is_controlled)
+    for i, s in zip(rank, states):
+        kind, answer = kind_of(s), answers[i]
+        ks = [where[j] for j in targets[i]]
+        # A random state answering a non-empty Distribution passes every
+        # check of ``_check_answer``; any other answer goes through it, and
+        # only a controlled state's answer passes.
+        is_random = kind is random and isinstance(answer, Distribution) and bool(answer.support)
+        if not is_random:
+            _check_answer(s, kind, answer)
+        controlled.append(not is_random)
         if min(ks) >= 0:
             succ += ks
-            prob += ps
-        elif is_controlled:
+            prob += [p for _, p in answer.support] if is_random else [math.nan] * len(ks)
+        elif not is_random:
             succ += [k for k in ks if k >= 0]
             succ.append(n)
             prob += [math.nan] * (len(succ) - len(prob))
             used_sink = True
         else:
             out_mass = 0
-            for k, p in zip(ks, ps):
+            for k, (_, p) in zip(ks, answer.support):
                 if k < 0:
                     out_mass += p
                 else:
@@ -865,19 +850,6 @@ def _extended(fm: FiniteMdp, s: StateId, like: StateId) -> FiniteMdp:
         fm.indptr + [len(fm.succ) + hi - lo], fm.succ + fm.succ[lo:hi],
         fm.prob + fm.prob[lo:hi], frontier=fm.frontier, index=index,
     )
-
-
-def reachable(mdp: Mdp, roots: Iterable[StateId]) -> set[StateId]:
-    """All states reachable from ``roots`` (finite branching required)."""
-    seen = set(roots)
-    queue = deque(seen)
-    while queue:
-        s = queue.popleft()
-        for t in successor_states(mdp, s):
-            if t not in seen:
-                seen.add(t)
-                queue.append(t)
-    return seen
 
 
 def _backward_reach(

@@ -147,7 +147,8 @@ def _check_pick(succ, s: StateId, t: StateId) -> None:
         )
 
 
-def _sample_random(rng: random.Random, succ) -> StateId:
+def _sample_random(rng: random.Random, succ, s: StateId) -> StateId:
+    """One draw from the successor answer ``succ`` of random ``s``."""
     if isinstance(succ, Distribution):
         return succ.sample(rng.random())
     if isinstance(succ, InfiniteSuccessors):
@@ -159,6 +160,8 @@ def _sample_random(rng: random.Random, succ) -> StateId:
             last = t
             if u < acc:
                 return t
+        if last is None:
+            raise BadModel(f"state {s} has no successor")
         return last  # numerical slack; total mass is 1
     raise BadModel("random state without a distribution")
 
@@ -191,7 +194,7 @@ def _walk(mdp, s0, strategy, horizon, seed, cap, table):
                 t = t.sample(rng.random())
             _check_pick(succ, s, t)
         else:
-            t = _sample_random(rng, succ)
+            t = _sample_random(rng, succ, s)
             if observe is not None:
                 memory = observe(memory, s, t)
         run.append(t)

@@ -328,6 +328,13 @@ class BubbleSchedule:
     mc_horizon: int = 1600
     seed: int = 0
 
+    def __post_init__(self):
+        # A plan needs one level, and a level's radius k_i is at least 1.
+        if self.max_levels < 1:
+            raise BadParameter(f"max_levels must be positive, got {self.max_levels}")
+        if self.max_radius < 1:
+            raise BadParameter(f"max_radius must be positive, got {self.max_radius}")
+
     @property
     def region_radius(self) -> int:
         """The radius the plan explores.  A run of k steps stays within
@@ -912,28 +919,28 @@ def safety_md_universally_transient(
     return MdStrategy(choice)
 
 
-def _slack(view, s, epsilon, schedule, assume_transient) -> float:
-    """The slack at ``s``, with R(s) certified on the walk's prefix ``view``:
-    infinite families are cut to their first branches with the tail lumped
-    into an absorbing (never-returning) stub, so the certificate is relative
-    to the prefix."""
-    if assume_transient:
-        return _slack_at(s, epsilon, 1.0)
-    analysis = return_probability(view, s, list(schedule.radii))
-    if analysis.re.lower >= 1.0 - 1e-9:
-        raise NotUniversallyTransient(
-            f"certified return probability 1 at {s.label or s.ordinal}"
-        )
-    if not math.isfinite(analysis.r_bound):
-        raise NotUniversallyTransient(
-            f"return-probability upper estimate 1 at {s.label or s.ordinal}"
-        )
-    return _slack_at(s, epsilon, analysis.r_bound)
-
-
-def _slack_at(s: StateId, epsilon: float, r_bound: float) -> float:
-    """The slack eps / (2^{iota(s)+1} R(s)) with iota the ordinal; scaled by
-    ldexp so that large ordinals underflow towards 0 instead of overflowing."""
+def _slack(view, s, epsilon, radii, skip_return) -> float:
+    """The slack eps / (2^{iota(s)+1} R(s)) at ``s``, with iota the ordinal,
+    scaled by ldexp so that large ordinals underflow towards 0 instead of
+    overflowing.  R(s) is certified by ``return_probability`` on ``view`` at
+    ``radii``; with ``skip_return``, R(s) = 1 and nothing is solved.  The
+    countable walk passes its prefix view, where infinite families are cut
+    to their first branches with the tail lumped into an absorbing
+    (never-returning) stub, so the certificate is relative to the prefix; a
+    finite MDP passes itself at a radius past its size, where no frontier is
+    left and the bounds are exact."""
+    r_bound = 1.0
+    if not skip_return:
+        analysis = return_probability(view, s, radii)
+        if analysis.re.lower >= 1.0 - 1e-9:
+            raise NotUniversallyTransient(
+                f"certified return probability 1 at {s.label or s.ordinal}"
+            )
+        if not math.isfinite(analysis.r_bound):
+            raise NotUniversallyTransient(
+                f"return-probability upper estimate 1 at {s.label or s.ordinal}"
+            )
+        r_bound = analysis.r_bound
     return math.ldexp(epsilon / r_bound, -(s.ordinal + 1))
 
 
@@ -979,7 +986,7 @@ def _pick_slack_successor(mdp, view, s, objective, epsilon, schedule, safe_core,
     """The slack rule at controlled ``s``: for each running maximum of the
     radius schedule, the first successor in ordinal order whose lower bound
     at that radius is at least ub(s) - slack."""
-    slack = _slack(view, s, epsilon, schedule, assume_transient)
+    slack = _slack(view, s, epsilon, list(schedule.radii), assume_transient)
     radii = sorted(set(itertools.accumulate(schedule.radii, max)))
     succ = mdp.successors_of(s)
     infinite = isinstance(succ, InfiniteSuccessors)
@@ -1005,6 +1012,10 @@ def _pick_slack_successor(mdp, view, s, objective, epsilon, schedule, safe_core,
 
 def _safety_md_finite(fm: FiniteMdp, objective: Objective, epsilon: float,
                       assume_transient: bool) -> MdStrategy:
+    """The slack rule on a finite ``fm`` with exact values: each controlled
+    state outside the avoid set picks the smallest-ordinal successor whose
+    safety value is at least its own less the slack of ``_slack``, which
+    certifies R(s) on ``fm`` itself; a state with one successor skips it."""
     values = safety_value(fm, objective.states)
     avoid = set(objective.states or ())
     choice: dict[StateId, StateId] = {}
@@ -1012,16 +1023,8 @@ def _safety_md_finite(fm: FiniteMdp, objective: Objective, epsilon: float,
         if fm.kind_of(s) is not StateKind.CONTROLLED or s in avoid:
             continue
         succ = list(fm.successors_of(s))
-        if len(succ) > 1 and not assume_transient:
-            analysis = return_probability(fm, s, [len(fm.states) + 1])
-            if analysis.re.lower >= 1.0 - 1e-9:
-                raise NotUniversallyTransient(
-                    f"certified return probability 1 at {s.label or s.ordinal}"
-                )
-            r_bound = analysis.r_bound
-        else:
-            r_bound = 1.0
-        slack = _slack_at(s, epsilon, r_bound)
+        slack = _slack(fm, s, epsilon, [len(fm.states) + 1],
+                       assume_transient or len(succ) < 2)
         qualifiers = [t for t in succ if values[t] >= values[s] - slack - 1e-12]
         if not qualifiers:
             # float drift only: the max-value successor always qualifies

@@ -7,6 +7,7 @@ violation can be replayed exactly.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass, field
 from typing import Iterable
@@ -19,7 +20,7 @@ from .core import (
     Objective,
     StateId,
     StateKind,
-    reachable,
+    bubble,
     successor_states,
 )
 from .errors import BadParameter, TooLarge
@@ -269,8 +270,8 @@ def check_conditioned_item3(
     except Exception as exc:  # no positive states
         return CheckReport("conditioned-item3", 0, 0.0, True, note=str(exc))
     star = cm.finite
-    target_star = {t for t in phi.states if t in cm.positive}
-    star_values = reach_value(star, reachable(star, target_star))
+    target_star = bubble(star, {t for t in phi.states if t in cm.positive}, math.inf)
+    star_values = reach_value(star, target_star)
     worst = 0.0
     for s0 in cm.positive:
         worst = max(worst, abs(star_values[s0] - 1.0))
@@ -278,9 +279,7 @@ def check_conditioned_item3(
         sigma = random_md_strategy(fm, derive_seed(seed, "item3", i))
         sigma_star = cm.md_to_conditioned(sigma)
         attained = evaluate_md_reach(fm, sigma, phi.states)
-        attained_star = evaluate_md_reach(
-            star, sigma_star, reachable(star, target_star)
-        )
+        attained_star = evaluate_md_reach(star, sigma_star, target_star)
         for s0 in cm.positive:
             worst = max(
                 worst, abs(values[s0] * attained_star[s0] - attained[s0])
@@ -308,7 +307,7 @@ def check_multiplicative(
     except Exception as exc:
         return CheckReport("multiplicative", 0, 0.0, True, note=str(exc))
     star = cm.finite
-    target_star = frozenset(reachable(star, {t for t in phi.states if t in cm.positive}))
+    target_star = frozenset(bubble(star, {t for t in phi.states if t in cm.positive}, math.inf))
     sigma_star, _ = plastering_uniformize(star, Objective.reach(target_star), epsilon)
     sigma = cm.md_to_base(sigma_star)
     attained = evaluate_md_reach(fm, sigma, phi.states)

@@ -480,6 +480,16 @@ SWEEP = {"kind": "sweep", "gadget": "gamblers_ruin", "param": "p", "values": [0.
         (GADGET, {"kind": "verify", "suites": "solvers"}),
         (GADGET, {"kind": "synthesize", "method": "transience_md", "state": 0,
                   "epsilon": -1}),
+        ({}, SOLVE),
+        (GADGET, {**SOLVE, "objective": {"type": "reach", "states": []}}),
+        (GADGET, {**SOLVE, "objective": {"type": "liveness", "states": [0]}}),
+        (GADGET, {"kind": "simulate", "state": 0, "proxy": {"type": "nope"}}),
+        (GADGET, {"state": 0}),
+        (GADGET, {"kind": "synthesize", "method": "plastering",
+                  "objective": {"type": "reach", "states": [0]}}),
+        (GADGET, {"kind": "synthesize", "method": "optimal_md",
+                  "objective": {"type": "reach", "states": [0]}}),
+        (GADGET, {"kind": "synthesize", "method": "nope", "state": 0}),
     ],
     ids=["missing_mdp_file", "malformed_mdp_file", "zero_runs", "horizon_within_window",
          "non_numeric_objective_state", "non_numeric_epsilon", "mdp_not_an_object",
@@ -495,7 +505,9 @@ SWEEP = {"kind": "sweep", "gadget": "gamblers_ruin", "param": "p", "values": [0.
          "synthesis_objective_state_not_in_file", "one_bit_transience_goal",
          "sweep_unknown_param", "sweep_param_not_a_string", "sweep_mdp_not_an_object", "sweep_values_not_a_list",
          "sweep_estimate_not_an_object", "roots_not_a_list", "suites_not_a_list",
-         "negative_epsilon"],
+         "negative_epsilon", "mdp_without_gadget_or_file", "objective_without_states",
+         "unknown_objective_type", "unknown_proxy", "task_without_kind",
+         "plastering_on_gadget", "optimal_md_on_gadget", "unknown_synthesis_method"],
 )
 def test_bad_scenario_input_is_a_scenario_error(tmp_path, capsys, mdp, task):
     (tmp_path / "broken.json").write_text('{"states": [')

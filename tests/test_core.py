@@ -909,16 +909,38 @@ def test_md_default_pick_asks_each_state_once(choice):
             assert t == strategy.successor(ladder, s)
 
 
+def _stay_here(run):
+    return Distribution([(run[-1], 1.0)])
+
+
+@pytest.mark.parametrize("random_root, call", [
+    (True, lambda mdp, s0: simulate(mdp, s0, MdStrategy(), 5, seed=0)),
+    (True, lambda mdp, s0: estimate_transience(
+        mdp, s0, GeneralStrategy(_stay_here), 5, 3, RevisitCap(3), seed=0)),
+    (False, lambda mdp, s0: simulate(mdp, s0, MdStrategy(), 5, seed=0)),
+    (False, lambda mdp, s0: estimate_transience(
+        mdp, s0, MdStrategy(), 5, 3, RevisitCap(3), seed=0)),
+], ids=["random-simulate", "random-general-estimate", "controlled-simulate",
+        "controlled-md-estimate"])
+def test_empty_infinite_family_is_a_bad_model(random_root, call):
+    # An infinite successor family that yields nothing is a model error on
+    # every engine, as the row engine already reports it.
+    kind = StateKind.RANDOM if random_root else StateKind.CONTROLLED
+    mdp = LazyMdp(lambda s: kind, lambda s: InfiniteSuccessors(lambda: iter(()), random_root))
+    with pytest.raises(BadModel, match="has no successor"):
+        call(mdp, StateId(0, "root"))
+
+
 SRC = Path(__file__).resolve().parent.parent / "src" / "transientmdp"
 
 
 class _SyntheticUses(ast.NodeVisitor):
     """The kinds passed to ``mint`` (a literal's value, else the source of
-    the expression, None when no kind is passed) and the functions that
-    call ``SyntheticState``."""
+    the expression, None when no kind is passed), each with the innermost
+    functions that mint it, and the functions that call ``SyntheticState``."""
 
     def __init__(self):
-        self.kinds, self.builders, self.scope = set(), set(), ["<module>"]
+        self.kinds, self.builders, self.scope = {}, set(), ["<module>"]
 
     def visit_FunctionDef(self, node):
         self.scope.append(node.name)
@@ -932,11 +954,12 @@ class _SyntheticUses(ast.NodeVisitor):
         if name == "mint":
             kinds = node.args[:1] + [k.value for k in node.keywords if k.arg == "kind"]
             if not kinds:
-                self.kinds.add(None)
+                kind = None
             elif isinstance(kinds[0], ast.Constant):
-                self.kinds.add(kinds[0].value)
+                kind = kinds[0].value
             else:
-                self.kinds.add(ast.unparse(kinds[0]))
+                kind = ast.unparse(kinds[0])
+            self.kinds.setdefault(kind, set()).add(self.scope[-1])
         elif name == "SyntheticState":
             self.builders.add(self.scope[-1])
         self.generic_visit(node)
@@ -948,20 +971,31 @@ def test_guard_sees_synthetic_state_uses():
                          "    c = mint(ordinal=3, kind='pair')\n    d = mint(**k)\n"
                          "    return SyntheticState(3, 'x', 'y')\n"
                          "async def g():\n    return SyntheticState(4, 'x', 'y')\n"))
-    assert uses.kinds == {"frontier", "k", "pair", None}
+    assert uses.kinds == {"frontier": {"f"}, "k": {"f"}, "pair": {"f"}, None: {"f"}}
     assert uses.builders == {"f", "g"}
+    nested = _SyntheticUses()
+    nested.visit(ast.parse("def f():\n    def g():\n        return mint('bottom', 1)\n"
+                           "    return mint('bottom', 2), mint('pair', 3)\n"))
+    assert nested.kinds == {"bottom": {"f", "g"}, "pair": {"f"}}
 
 
 def test_synthetic_states_are_minted_in_one_way():
     # A construction that adds states mints them through ``core.mint`` with
-    # one of these kinds; a query that cuts an MDP fixes boundary values on
-    # its rows instead of adding a state.  Re(s)'s split entry copy is the
-    # one derived copy left.
-    kinds, builders = set(), set()
+    # one of these kinds, each in one home; a query that cuts an MDP fixes
+    # boundary values on its rows instead of adding a state.  Re(s)'s split
+    # entry copy is the one derived copy left.
+    sites, builders = {}, set()
     for path in sorted(SRC.glob("*.py")):
         uses = _SyntheticUses()
         uses.visit(ast.parse(path.read_text()))
-        kinds |= uses.kinds
+        for kind, scopes in uses.kinds.items():
+            sites.setdefault(kind, set()).update(f"{path.stem}.{name}" for name in scopes)
         builders |= {f"{path.stem}.{name}" for name in uses.builders}
-    assert kinds == {"frontier", "entry", "pair", "bottom", "tail_stub"}
+    assert sites == {
+        "frontier": {"core.truncate"},
+        "entry": {"solvers.return_probability"},
+        "pair": {"transforms.conditioned"},
+        "bottom": {"transforms.conditioned", "transforms.chain_successors"},
+        "tail_stub": {"synthesis._prefix_restricted"},
+    }
     assert builders == {"core.mint"}

@@ -30,6 +30,7 @@ from transientmdp.gadgets import (
     gamblers_ruin,
     geometric_fan,
     ladder_state,
+    lazy_self_loop_example,
     no_optimal_ladder,
     safety_fan,
     safety_fan_avoid,
@@ -49,6 +50,7 @@ from transientmdp.solvers import (
     evaluate_md_safety,
     md_policy_oracle,
     reach_value,
+    return_probability,
     safety_value,
 )
 from transientmdp.synthesis import (
@@ -96,6 +98,23 @@ def test_non_positive_or_non_finite_epsilon_is_refused(epsilon):
     ]
     for call in calls:
         with pytest.raises(BadParameter, match="epsilon"):
+            call()
+
+
+@pytest.mark.parametrize("field, value", [("max_levels", 0), ("max_levels", -1),
+                                          ("max_radius", 0), ("max_radius", -3)])
+def test_bubble_schedule_without_a_level_or_a_radius_is_refused(field, value):
+    # A plan needs at least one level of radius at least 1.
+    walk, _ = gamblers_ruin(0.7)
+    w0 = StateId(0, "w_0")
+    calls = [
+        lambda: buchi_transience_one_bit(walk, [w0], lambda s: True, 0.1,
+                                         BubbleSchedule(**{field: value})),
+        lambda: transience_md(walk, w0, 0.1, budgets=TransienceBudgets(
+            one_bit_schedule=BubbleSchedule(**{field: value}))),
+    ]
+    for call in calls:
+        with pytest.raises(BadParameter, match=field):
             call()
 
 
@@ -1062,6 +1081,47 @@ def test_safety_walk_picks_every_state_within_the_radius():
         SafetySchedule(radii=(4,), synthesis_radius=1), roots=[r],
     )
     assert sigma.choice == {t: safe}
+
+
+def test_safety_walk_refuses_a_certain_return():
+    # s_0 can loop on itself forever, so Re(s_0) = 1 on every truncation.
+    mdp, _, _ = lazy_self_loop_example()
+    with pytest.raises(NotUniversallyTransient,
+                       match="^certified return probability 1 at s_0$"):
+        safety_md_universally_transient(
+            mdp, Objective.safety(set()), 0.1,
+            SafetySchedule(radii=(5,), synthesis_radius=2), roots=[StateId(0, "s_0")],
+        )
+
+
+# The seeds in 0-199 where the finite route accepts ``random_finite_mdp(seed,
+# n_states=8)`` with its lose sink avoided and the MDP has a controlled state
+# whose return probability lies strictly between 0 and 1, and a digest of the
+# choices on them.  The other finite tests see R(s) = 1 or the refusal.
+FINITE_SLACK_SEEDS = (
+    0, 3, 4, 5, 9, 18, 21, 23, 27, 29, 30, 31, 33, 46, 47, 49, 50, 56, 57, 66, 68, 81, 82,
+    85, 86, 87, 89, 90, 92, 95, 96, 97, 100, 102, 105, 110, 115, 117, 126, 127, 129, 132,
+    140, 143, 145, 148, 150, 155, 156, 159, 164, 171, 172, 175, 176, 177, 178, 180, 186,
+    187, 190, 193, 194, 198,
+)
+FINITE_SLACK_PIN = "ddcefde34ba254a6"
+
+
+def test_finite_slack_route_pinned():
+    seeds, h = [], hashlib.sha256()
+    for seed in range(200):
+        fm = random_finite_mdp(seed, n_states=8)
+        lose = fm.states[-2]
+        try:
+            choice = safety_md_universally_transient(fm, Objective.safety({lose}), 0.1).choice
+        except NotUniversallyTransient:
+            continue
+        if any(0.0 < return_probability(fm, s, [len(fm.states) + 1]).re.lower < 1.0
+               for s in fm.controlled_states()
+               if s != lose and len(fm.successors_of(s)) > 1):
+            seeds.append(seed)
+            h.update(repr(sorted((s.ordinal, t.ordinal) for s, t in choice.items())).encode())
+    assert (tuple(seeds), h.hexdigest()[:16]) == (FINITE_SLACK_SEEDS, FINITE_SLACK_PIN)
 
 
 @pytest.mark.parametrize("seed", range(8))

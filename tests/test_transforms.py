@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 
 import pytest
@@ -15,7 +16,7 @@ from transientmdp import (
     estimate_transience,
     simulate,
 )
-from transientmdp.core import successor_states
+from transientmdp.core import InfiniteSuccessors, successor_states
 from transientmdp.errors import BadParameter, HitBottom, NotTail, ZeroValueRoot
 from transientmdp.gadgets import geometric_fan, transience_fan
 from transientmdp.simulate import RevisitCap, derive_seed
@@ -146,6 +147,26 @@ def test_lower_md_stay_forever_maps_to_first_exit():
     assert alpha.to_json() == {"0": 3}
     picked = alpha.successor(fan, StateId(0, "fan"))
     assert picked.label == "b_1"
+
+
+def test_lower_md_keeps_an_embedded_pick():
+    # s0 branches infinitely over s1, s2, ...; s1 is an ordinary controlled
+    # state whose embedded pick lowers to itself.
+    s = [StateId(k, f"s{k}") for k in range(4)]
+
+    def successors(state):
+        if state.ordinal == 0:
+            return InfiniteSuccessors(
+                lambda: (StateId(k, f"s{k}") for k in itertools.count(1)), random=False)
+        if state.ordinal == 1:
+            return [s[2], s[3]]
+        return Distribution([(state, 1.0)])
+
+    mdp = LazyMdp(lambda t: StateKind.CONTROLLED if t.ordinal < 2 else StateKind.RANDOM,
+                  successors)
+    maps = reduce_to_finitely_branching(mdp)
+    alpha = maps.lower_md(MdStrategy({maps.embed(s[1]): maps.embed(s[3])}))
+    assert alpha.choice == {s[1]: s[3]}
 
 
 def test_lower_md_leaves_an_undecided_host_to_the_default_rule():

@@ -1,8 +1,9 @@
 import json
+import math
 
 import pytest
 
-from transientmdp import Distribution, FiniteMdp, Objective, StateId, StateKind
+from transientmdp import Distribution, FiniteMdp, Objective, StateId, StateKind, bubble
 from transientmdp import solvers, verify
 from transientmdp.errors import BadParameter, TooLarge
 from transientmdp.gadgets import acyclic_chain, gamblers_ruin, safety_fan, safety_fan_avoid
@@ -51,9 +52,7 @@ def test_random_corpus_passes_invariants():
         fm = random_finite_mdp(derive_seed("inv", i), n_states=10)
         fm.validate()  # unique ordinals and sink closure; the constructor checked the rows
         # connected from state 0
-        from transientmdp.core import reachable
-
-        assert len(reachable(fm, {fm.states[0]})) == len(fm.states)
+        assert len(bubble(fm, {fm.states[0]}, math.inf)) == len(fm.states)
 
 
 def test_item1_base_case_and_three_state():
